@@ -20,6 +20,7 @@ from .errors import (
 from .lattice import (
     DyadicCube,
     LatticeWindow,
+    LevelIndex,
     ancestor_pow2,
     cube_at,
     cubes_of_window,

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as V
-from .errors import ScenarioError, WolffpotError
+from .errors import OutOfWindowError, ScenarioError, WolffpotError
 from .measures import doubling_constant, reverse_doubling_check
 from .kernels import dlbo_constant
 from .potentials import (
@@ -113,6 +113,12 @@ def _band(scn: Scenario, cfg: dict) -> tuple[float, float]:
     return float(band[0]), float(band[1])
 
 
+def _dropped(measure, window) -> dict:
+    """Atoms outside the window's root region, which no window cube holds."""
+    out = ~window.contains(measure.positions)
+    return {"atoms": int(np.count_nonzero(out)), "mass": float(np.sum(measure.weights[out]))}
+
+
 def _instance_descriptor(scn: Scenario) -> dict:
     return {
         "dimension": scn.dimension,
@@ -124,6 +130,8 @@ def _instance_descriptor(scn: Scenario) -> dict:
         },
         "sigma_atoms": scn.sigma.n_atoms,
         "mu_atoms": scn.mu.n_atoms,
+        "sigma_dropped": _dropped(scn.sigma, scn.window),
+        "mu_dropped": _dropped(scn.mu, scn.window),
         "kernel": scn.kernel.name,
         "p": scn.exponents.p,
         "q": scn.exponents.q,
@@ -437,31 +445,27 @@ def run_checks(scn: Scenario, threads: int = 1) -> tuple[list[CheckReport], dict
 
 
 def _field_values(scn: Scenario, points, kind: str):
+    if kind in ("wolff_continuous", "maximal_continuous"):
+        if scn.radial is None:
+            what = "potential" if kind == "wolff_continuous" else "maximal"
+            raise ScenarioError(f"continuous {what} needs a radial kernel")
+        if kind == "wolff_continuous":
+            return [wolff_continuous(scn.radial, scn.sigma, scn.mu, scn.exponents, x)
+                    for x in points]
+        return [m_k_maximal(scn.radial, scn.sigma, scn.mu, x) for x in points]
+    if kind not in ("t", "wolff", "wolff_bar", "maximal"):
+        raise ScenarioError(f"unknown field kind {kind!r}")
+    points = np.asarray(points, dtype=float)
+    outside = ~scn.window.contains(points)
+    if np.any(outside):
+        raise OutOfWindowError(f"point {tuple(points[outside][0].tolist())} outside root region")
     scene = DyadicScene(scn.kernel, scn.sigma, scn.mu, scn.window)
     pp = scn.exponents.p_prime
-    out = []
-    for x in points:
-        if kind == "wolff":
-            out.append(scene.wolff(x, pp))
-        elif kind == "wolff_bar":
-            out.append(scene.wolff_bar(x, pp))
-        elif kind == "wolff_continuous":
-            if scn.radial is None:
-                raise ScenarioError("continuous potential needs a radial kernel")
-            out.append(
-                wolff_continuous(scn.radial, scn.sigma, scn.mu, scn.exponents, x)
-            )
-        elif kind == "t":
-            out.append(scene.t_mu(x))
-        elif kind == "maximal":
-            out.append(scene.maximal(x))
-        elif kind == "maximal_continuous":
-            if scn.radial is None:
-                raise ScenarioError("continuous maximal needs a radial kernel")
-            out.append(m_k_maximal(scn.radial, scn.sigma, scn.mu, x))
-        else:
-            raise ScenarioError(f"unknown field kind {kind!r}")
-    return out
+    if kind == "t":
+        return scene.t_mu(points)
+    if kind == "maximal":
+        return scene.maximal(points)
+    return (scene.wolff if kind == "wolff" else scene.wolff_bar)(points, pp)
 
 
 def write_values_csv(path: Path, points, values) -> None:
@@ -483,10 +487,15 @@ def _summary(scn: Scenario, command: str, extra: dict) -> dict:
     }
 
 
-def _field_command(args, kind_default: str, command: str) -> int:
+def _load(args) -> Scenario:
     scn = load_scenario(args.config)
     if args.seed is not None:
         scn.seed = args.seed
+    return scn
+
+
+def _field_command(args, kind_default: str, command: str) -> int:
+    scn = _load(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -515,9 +524,7 @@ def cmd_maximal(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    scn = load_scenario(args.config)
-    if args.seed is not None:
-        scn.seed = args.seed
+    scn = _load(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -541,37 +548,11 @@ def cmd_energy(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scn = load_scenario(args.config)
-    if args.seed is not None:
-        scn.seed = args.seed
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    reports, timings = run_checks(scn, threads=args.threads)
-    payload = _summary(
-        scn,
-        "verify",
-        {"checks": [rep.to_jsonable() for rep in reports]},
-    )
-    write_report(out_dir / "report.json", payload)
-    write_ratio_csv(out_dir / "ratios.csv", reports)
-    write_report(
-        out_dir / "timings.json",
-        {"total_seconds": time.perf_counter() - t0, "per_check": timings},
-    )
-    failed = 0
-    for rep in reports:
-        print(f"[{rep.status.upper():>14}] {rep.name}  " +
-              " ".join(f"{k}={format_float(float(v))}" for k, v in list(rep.values.items())[:3]))
-        failed += 0 if rep.passed else 1
-    print(f"verify: {len(reports) - failed}/{len(reports)} checks passed")
-    return 0 if failed == 0 else 1
+    return cmd_verify_with(_load(args), args)
 
 
 def cmd_counterexample(args) -> int:
-    scn = load_scenario(args.config)
-    if args.seed is not None:
-        scn.seed = args.seed
+    scn = _load(args)
     checks = [c for c in scn.checks if c["name"].startswith("counterexample")]
     if not checks:
         checks = [{"name": "counterexample_series"}, {"name": "counterexample_fields"}]
@@ -580,9 +561,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    scn = load_scenario(args.config)
-    if args.seed is not None:
-        scn.seed = args.seed
+    scn = _load(args)
     name = "trace_q1" if scn.exponents.q in (None, 1.0) else "trace_upper"
     configured = [c for c in scn.checks if c["name"] == name]
     scn.checks = configured or [{"name": name}]
@@ -601,9 +580,12 @@ def cmd_verify_with(scn: Scenario, args) -> int:
         out_dir / "timings.json",
         {"total_seconds": time.perf_counter() - t0, "per_check": timings},
     )
-    failed = sum(0 if rep.passed else 1 for rep in reports)
+    failed = 0
     for rep in reports:
-        print(f"[{rep.status.upper():>14}] {rep.name}")
+        print(f"[{rep.status.upper():>14}] {rep.name}  " +
+              " ".join(f"{k}={format_float(float(v))}" for k, v in list(rep.values.items())[:3]))
+        failed += 0 if rep.passed else 1
+    print(f"verify: {len(reports) - failed}/{len(reports)} checks passed")
     return 0 if failed == 0 else 1
 
 

@@ -5,7 +5,7 @@ Two cumulative objects are built from a kernel and a base measure ``sigma``:
 * the dyadic bar-kernel
   ``bar_K(Q)(x) = (1/sigma(Q)) sum_{Q' subset Q} K(Q') sigma(Q') chi_{Q'}(x)``
   (the sum includes ``Q' = Q``), realized by :class:`BarField` through
-  root-prefix sums along ancestor chains, and
+  root-prefix sums over the level arrays of a :class:`LevelIndex`, and
 
 * the continuous bar-kernel
   ``bar_k(r)(x) = (1/sigma(B(x,r))) int_0^r k(s) sigma(B(x,s)) ds/s``,
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DegenerateInputError, InvalidKernelError, WolffpotError
-from .lattice import DyadicCube, Key, LatticeWindow
+from .lattice import DyadicCube, Key, LatticeWindow, LevelIndex
 from .measures import AtomicMeasure, cube_mass_table
 
 #: points per decade used by the construction-time monotonicity scan
@@ -172,13 +172,17 @@ class DyadicKernelMap:
         self._fn = fn
         self.radial = radial
         self.name = name
+        # Set only by the constructors whose K depends on the level alone.
+        self._per_level = False
 
     @classmethod
     def from_radial(cls, kernel: RadialKernel) -> "DyadicKernelMap":
         def fn(key: Key) -> float:
             return kernel(2.0 ** (-key[0]))
 
-        return cls(fn, radial=kernel, name=f"radial:{kernel.name}")
+        out = cls(fn, radial=kernel, name=f"radial:{kernel.name}")
+        out._per_level = True
+        return out
 
     @classmethod
     def from_table(cls, table: dict, default: float = 0.0) -> "DyadicKernelMap":
@@ -194,77 +198,84 @@ class DyadicKernelMap:
     def constant(cls, value: float = 1.0) -> "DyadicKernelMap":
         if value < 0:
             raise InvalidKernelError("constant kernel value must be nonnegative")
-        return cls(lambda key: value, radial=constant_kernel(value), name="constant")
+        out = cls(lambda key: value, radial=constant_kernel(value), name="constant")
+        out._per_level = True
+        return out
 
     def __call__(self, cube_or_key) -> float:
         key = cube_or_key.key if isinstance(cube_or_key, DyadicCube) else cube_or_key
         return self._fn(key)
 
+    def on_cubes(self, index: LevelIndex) -> np.ndarray:
+        """``K`` at every cube of ``index``, by cube id.
+
+        A map from :meth:`from_radial` or :meth:`constant` depends on the
+        level only and is evaluated once per level; any other map is
+        evaluated once per cube.
+        """
+        if not self._per_level:
+            return np.array([self(key) for key in index.keys()], dtype=float)
+        sizes = np.diff(index.start)
+        per_level = [self(key) for key in index.keys(index.start[:-1][sizes > 0])]
+        return np.repeat(np.array(per_level, dtype=float), sizes[sizes > 0])
+
+
+def weigh(k, m) -> np.ndarray:
+    """``k * m`` where ``m > 0`` and zero elsewhere: the convention ``0 * inf = 0``."""
+    out = np.zeros(np.shape(m))
+    pos = m > 0.0
+    out[pos] = k[pos] * m[pos]
+    return out
+
+
+def per_mass(v, m) -> np.ndarray:
+    """``v / m`` where ``m > 0`` and zero elsewhere: over a vanishing mass a quantity is zero."""
+    out = np.zeros(np.shape(m))
+    pos = m > 0.0
+    out[pos] = v[pos] / m[pos]
+    return out
+
 
 class BarField:
-    """Root-prefix aggregates answering ``bar_K(Q)(x)`` in O(depth).
+    """Chain prefixes answering ``bar_K(Q)(x)`` for a kernel and base measure.
 
-    With cube weights ``D(Q) = K(Q) sigma(Q)`` and root prefixes
-    ``P(Q) = sum over window ancestors Q'' of Q (inclusive) of D(Q'')``,
-    the chain-sum identity gives, for ``x in Q`` and ``sigma(Q) > 0``,
+    The cube weights ``D(Q) = K(Q) sigma(Q)`` and their root prefixes
+    ``P(Q) = sum over window ancestors Q'' of Q (inclusive) of D(Q'')`` are
+    arrays over the cubes of a :class:`LevelIndex` holding sigma's atoms
+    (by default one of its own), ``P`` built coarse to fine one level at a
+    time.  For ``x in Q`` and ``sigma(Q) > 0`` the chain-sum identity reads
 
         ``bar_K(Q)(x) = (P(leaf(x)) - P(parent(Q))) / sigma(Q)``
 
-    where ``leaf(x)`` is the finest window cube containing ``x``.  Prefixes
-    are memoized along ancestor chains, so a full build touches each window
-    cube once and isolated queries touch only one chain.
+    where ``leaf(x)`` is the deepest cube of the index containing ``x``
+    (cubes the index does not hold carry no weight).
     """
 
-    def __init__(self, K: DyadicKernelMap, sigma: AtomicMeasure, window: LatticeWindow):
-        self.K = K
-        self.sigma = sigma
+    def __init__(self, K: DyadicKernelMap, sigma: AtomicMeasure, window: LatticeWindow,
+                 index: LevelIndex | None = None):
         self.window = window
-        self.mass = cube_mass_table(sigma, window)
-        self._prefix: dict[Key, float] = {}
+        self.index = LevelIndex(window, sigma.positions) if index is None else index
+        self.mass = cube_mass_table(sigma, self.index)
+        self.k = K.on_cubes(self.index)
+        self.weight = weigh(self.k, self.mass)
+        self._prefix = self.index.chain(self.weight)
 
-    def sigma_mass(self, key: Key) -> float:
-        return self.mass.get(key, 0.0)
-
-    def weight(self, key: Key) -> float:
-        m = self.mass.get(key, 0.0)
-        return self.K(key) * m if m > 0.0 else 0.0
-
-    def prefix(self, key: Key) -> float:
-        """``P(Q)``: weight sum along the window ancestor chain of ``Q``."""
-        got = self._prefix.get(key)
-        if got is not None:
-            return got
-        stack = []
-        k: Key | None = key
-        while k is not None and k not in self._prefix:
-            stack.append(k)
-            k = self.window.parent_key(k)
-        acc = self._prefix[k] if k is not None else 0.0
-        for kk in reversed(stack):
-            acc = acc + self.weight(kk)
-            self._prefix[kk] = acc
-        return self._prefix[key]
+    def prefix(self, ids) -> np.ndarray:
+        """``P`` at cube ids of the index; zero for id ``-1`` (above the window)."""
+        return self.index.gather(self._prefix, ids)
 
     def bar(self, cube: DyadicCube, x) -> float:
         """``bar_K(Q)(x)``; zero when ``x`` is outside ``Q`` or ``sigma(Q) = 0``."""
         if not cube.contains(x):
             return 0.0
-        m = self.mass.get(cube.key, 0.0)
+        m = float(self.index.gather(self.mass, self.index.lookup([cube.key]))[0])
         if m <= 0.0:
             return 0.0
-        leaf = self.window.leaf_key(x)
-        return self.bar_keys(cube.key, leaf, m)
-
-    def bar_keys(self, cube_key: Key, leaf_key: Key, cube_sigma: float) -> float:
-        # Sum the ancestor-chain segment of the leaf from the cube's level
-        # down: numerically this equals P(leaf) - P(parent(Q)) but avoids the
-        # cancellation of differencing two large prefixes.
-        level, fine_idx = cube_key[0], leaf_key[1]
-        total = 0.0
-        for lvl in range(level, self.window.fine_level + 1):
-            d = self.window.fine_level - lvl
-            total += self.weight((lvl, tuple(k >> d for k in fine_idx)))
-        return total / cube_sigma
+        # Sum the chain segment of x from the cube's level down: numerically
+        # this equals P(leaf) - P(parent(Q)) but avoids the cancellation of
+        # differencing two large prefixes.
+        chain = self.index.locate(x)[cube.level - self.window.coarse_level:, 0]
+        return float(np.cumsum(self.weight[chain[chain >= 0]])[-1]) / m
 
 
 class BarFieldNaive:
@@ -282,13 +293,14 @@ class BarFieldNaive:
         total = 0.0
         for key in self.window.descendant_keys(cube.key):
             sub = self.window.cube(*key)
-            if sub.contains(x):
-                total += self.K(key) * self.sigma.cube_mass(sub)
+            # 0 * inf = 0: a massless subcube adds nothing, whatever K says
+            if sub.contains(x) and (sub_mass := self.sigma.cube_mass(sub)) > 0.0:
+                total += self.K(key) * sub_mass
         return total / m
 
 
 def bar_field(K: DyadicKernelMap, sigma: AtomicMeasure, window: LatticeWindow) -> BarField:
-    """Prefix-aggregated bar-kernel evaluator (O(#cubes) build, O(depth) query)."""
+    """Prefix-aggregated bar-kernel evaluator (one pass per level to build)."""
     return BarField(K, sigma, window)
 
 
@@ -342,31 +354,24 @@ def dlbo_constant(K: DyadicKernelMap, sigma: AtomicMeasure, window: LatticeWindo
     vanishing infimum (possible when ``K`` vanishes on whole chains).
     """
     bf = BarField(K, sigma, window)
-    if not bf.mass:
+    index = bf.index
+    if not index.n:
         raise DegenerateInputError("sigma gives no window cube positive mass")
-    worst = 1.0
-
-    def walk(key: Key, above: float):
-        nonlocal worst
-        p = above + bf.weight(key)
-        kids = bf.window.child_keys(key)
-        if not kids:
-            lo = hi = p
-        else:
-            lo, hi = math.inf, -math.inf
-            for kid in kids:
-                a, b = walk(kid, p)
-                lo, hi = min(lo, a), max(hi, b)
-        if bf.mass.get(key, 0.0) > 0.0:
-            inf_val, sup_val = lo - above, hi - above
-            ratio = math.inf if inf_val <= 0.0 else sup_val / inf_val
-            if ratio > worst:
-                worst = ratio
-        return lo, hi
-
-    for root in window.root_indices:
-        walk((window.coarse_level, root), 0.0)
-    return worst
+    p = bf.prefix(np.arange(index.n))
+    # A leaf the index does not hold has the prefix of its deepest held
+    # ancestor, so the leaf prefixes below Q are those of Q's fine-level
+    # descendants and of its descendants with a child the index lacks.
+    kids = np.bincount(index.parent[index.parent >= 0], minlength=index.n)
+    leafy = (index.level == window.fine_level) | (kids < 2 ** window.dimension)
+    lo = index.subtree(np.where(leafy, p, np.inf), np.minimum)
+    hi = index.subtree(np.where(leafy, p, -np.inf), np.maximum)
+    above = bf.prefix(index.parent)
+    live = bf.mass > 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        inf_val, sup_val = lo[live] - above[live], hi[live] - above[live]
+        ratio = np.where(inf_val <= 0.0, np.inf, sup_val / inf_val)
+    # A ratio an infinite K leaves undefined (inf - inf, inf / inf) is skipped.
+    return float(np.fmax.reduce(ratio, initial=1.0))
 
 
 def lbo_constant(kernel: RadialKernel, sigma: AtomicMeasure, samples) -> float:

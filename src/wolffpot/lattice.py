@@ -5,6 +5,11 @@ by ``z`` is the half-open box ``z + prod_i [k_i 2^-l, (k_i+1) 2^-l)``.  Levels
 are arbitrary integers, so negative levels give cubes of side larger than one.
 Cube coordinates are stored as integers; the shift enters only when a point is
 tested for membership, which keeps containment and ancestry exact.
+
+Every dyadic sum of the package runs on a :class:`LevelIndex`: the cubes that
+hold a fixed point set, one int64 key per cube and level, with the points'
+ancestor chains as integer arrays.  :class:`DyadicCube` and ``(level, index)``
+keys remain the single-cube surface for tests, oracles and kernel tables.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 from .errors import (
     DimensionMismatchError,
@@ -87,7 +94,9 @@ class LatticeWindow:
 
     The window holds every descendant, down to ``fine_level``, of a fixed set
     of root cubes at ``coarse_level``.  It is the index set of all dyadic sums
-    in this package.
+    in this package.  A cube's int64 key is its row-major position inside the
+    root bounding box at its level; windows whose fine-level keys would not fit
+    are rejected.
     """
 
     dimension: int
@@ -108,7 +117,21 @@ class LatticeWindow:
                 raise DimensionMismatchError("root index dimension mismatch")
         if len(set(self.root_indices)) != len(self.root_indices):
             raise GridAlignmentError("duplicate root cubes")
-        object.__setattr__(self, "_root_set", frozenset(self.root_indices))
+        if not self.root_indices:
+            raise GridAlignmentError("window has no root cubes")
+        lo = [min(r[d] for r in self.root_indices) for d in range(self.dimension)]
+        hi = [max(r[d] for r in self.root_indices) + 1 for d in range(self.dimension)]
+        # fine-level indices must be exact in float64 and keys must fit in int64
+        if max(abs(b) << self.depth for b in lo + hi) >= 2 ** 53 or math.prod(
+            (h - l) << self.depth for l, h in zip(lo, hi)
+        ) >= 2 ** 63:
+            raise LevelRangeError(
+                f"fine level {self.fine_level} is too deep for int64 cube keys of this window"
+            )
+        object.__setattr__(self, "_lo", np.array(lo, dtype=np.int64))
+        object.__setattr__(self, "_ext", np.array(hi, dtype=np.int64) - self._lo)
+        roots = np.array(self.root_indices, dtype=np.int64)
+        object.__setattr__(self, "_roots", np.sort(self._ravel(roots, self.coarse_level)))
 
     @classmethod
     def from_box(
@@ -158,9 +181,11 @@ class LatticeWindow:
         return tuple(math.floor((x - z) * scale) for x, z in zip(point, self.shift))
 
     def contains_point(self, point) -> bool:
-        if len(point) != self.dimension:
-            raise DimensionMismatchError("point dimension does not match window")
-        return self.level_index(point, self.coarse_level) in self._root_set
+        return bool(self.contains(point)[0])
+
+    def contains(self, points) -> np.ndarray:
+        """Root-region membership of each point (a single point or one per row)."""
+        return self._leaf(points)[1]
 
     def cube_at(self, point, level: int) -> DyadicCube:
         """Unique cube of the given level containing the point."""
@@ -175,47 +200,58 @@ class LatticeWindow:
     def leaf_at(self, point) -> DyadicCube:
         return self.cube_at(point, self.fine_level)
 
-    def leaf_key(self, point) -> Key:
-        if not self.contains_point(point):
-            raise OutOfWindowError(f"point {tuple(point)} outside root region")
-        return (self.fine_level, self.level_index(point, self.fine_level))
+    def chain(self, point) -> list[DyadicCube]:
+        """The window cubes containing ``point``, coarse to fine."""
+        return [self.cube_at(point, lvl) for lvl in range(self.coarse_level, self.fine_level + 1)]
 
-    def chain_keys(self, point) -> list[Key]:
-        """Keys of the ancestor chain of ``point``, coarse to fine."""
-        fine = self.leaf_key(point)[1]
-        out = []
-        for level in range(self.coarse_level, self.fine_level + 1):
-            d = self.fine_level - level
-            out.append((level, tuple(k >> d for k in fine)))
+    def chain_keys(self, points) -> np.ndarray:
+        """Int64 keys of the cubes on each point's ancestor chain.
+
+        Returns a ``(depth + 1, n_points)`` array, coarse level first; the
+        column of a point outside the window is ``-1``.  The fine-level index
+        is ``floor((x - z) 2^fine_level)``, the float expression of
+        :meth:`level_index`, and each coarser one is a right shift of it.
+        """
+        leaf, inside = self._leaf(points)
+        leaf = leaf[inside]
+        out = np.full((self.depth + 1, len(inside)), -1, dtype=np.int64)
+        for j in range(self.depth + 1):
+            out[j, inside] = self._ravel(leaf >> (self.depth - j), self.coarse_level + j)
         return out
 
-    def chain(self, point) -> list[DyadicCube]:
-        return [self.cube(lvl, idx) for lvl, idx in self.chain_keys(point)]
+    def _ravel(self, idx, level: int) -> np.ndarray:
+        """Keys of level-``level`` cube indices that lie in the root bounding box."""
+        d = level - self.coarse_level
+        rel = idx - (self._lo << d)
+        ext = self._ext << d
+        key = rel[:, 0].copy()
+        for j in range(1, self.dimension):
+            key = key * ext[j] + rel[:, j]
+        return key
 
-    def in_window(self, cube: DyadicCube) -> bool:
-        if not (self.coarse_level <= cube.level <= self.fine_level):
-            return False
-        d = cube.level - self.coarse_level
-        root = tuple(k >> d for k in cube.index)
-        return root in self._root_set
+    def _held(self, idx, level: int) -> np.ndarray:
+        """Whether each level-``level`` cube index lies below a root cube."""
+        d = level - self.coarse_level
+        rel = (idx >> d) - self._lo
+        ok = np.all((rel >= 0) & (rel < self._ext), axis=1)
+        ok[ok] = np.isin(self._ravel(idx[ok] >> d, self.coarse_level), self._roots)
+        return ok
+
+    def _leaf(self, points):
+        """Fine-level indices of the points and their root-region membership."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim < 2:
+            pts = pts.reshape(1, -1)
+        if pts.shape[1] != self.dimension:
+            raise DimensionMismatchError("point dimension does not match window")
+        f = np.floor((pts - np.asarray(self.shift, dtype=float)) * 2.0 ** self.fine_level)
+        lo = self._lo << self.depth
+        ok = np.all((f >= lo) & (f < lo + (self._ext << self.depth)), axis=1)
+        leaf = np.where(ok[:, None], f, lo).astype(np.int64)
+        ok[ok] = self._held(leaf[ok], self.fine_level)
+        return leaf, ok
 
     # -- navigation ----------------------------------------------------------
-
-    def parent_key(self, key: Key) -> Key | None:
-        level, idx = key
-        if level <= self.coarse_level:
-            return None
-        return (level - 1, tuple(k >> 1 for k in idx))
-
-    def child_keys(self, key: Key) -> list[Key]:
-        level, idx = key
-        if level >= self.fine_level:
-            return []
-        base = tuple(2 * k for k in idx)
-        return [
-            (level + 1, tuple(b + o for b, o in zip(base, off)))
-            for off in product((0, 1), repeat=self.dimension)
-        ]
 
     def ancestor(self, cube: DyadicCube, j: int) -> DyadicCube:
         """The cube ``2^j Q``: the ancestor of side ``2^j r_Q`` containing ``Q``."""
@@ -259,6 +295,114 @@ class LatticeWindow:
             base = tuple(k << d for k in idx)
             for off in product(range(2 ** d), repeat=self.dimension):
                 yield (lvl, tuple(b + o for b, o in zip(base, off)))
+
+
+class LevelIndex:
+    """The window cubes holding at least one of a fixed set of points.
+
+    Cube ids run coarse to fine and, within a level, in key order, so the
+    cubes of one level form a contiguous id range.  ``rows[j, i]`` is the id
+    of point ``i``'s level-``coarse + j`` cube (``-1`` for a point outside the
+    window) and ``parent[q]`` the id of cube ``q``'s parent (``-1`` at the
+    coarse level).  Per-cube quantities are float arrays indexed by id; an id
+    of ``-1`` stands for a cube the index does not hold.
+    """
+
+    def __init__(self, window: LatticeWindow, positions):
+        self.window = window
+        chains = window.chain_keys(positions)
+        inside = chains[0] >= 0
+        held = chains[:, inside]
+        self._keys = []
+        start = [0]
+        for j, keys in enumerate(held):
+            cubes, inv = np.unique(keys, return_inverse=True)
+            held[j] = start[-1] + inv
+            self._keys.append(cubes)
+            start.append(start[-1] + len(cubes))
+        self.rows = np.full(chains.shape, -1, dtype=np.int64)
+        self.rows[:, inside] = held
+        self.start = np.array(start)
+        self.n = start[-1]
+        self._flat = np.concatenate(self._keys)
+        self.level = np.repeat(
+            np.arange(window.coarse_level, window.fine_level + 1), np.diff(self.start)
+        )
+        self.parent = np.full(self.n, -1, dtype=np.int64)
+        self.parent[held[1:]] = held[:-1]
+
+    def gather(self, values, ids) -> np.ndarray:
+        """``values[ids]``, with zero where an id is ``-1``."""
+        return np.append(values, 0.0)[ids]
+
+    def chain(self, values, ufunc=np.add) -> np.ndarray:
+        """Reduce per-cube values down every ancestor chain, coarse to fine.
+
+        ``out[q] = ufunc(out[parent(q)], values[q])``, so with ``np.add`` each
+        cube gets the sequential sum of the values on its chain, coarsest first.
+        """
+        out = np.array(values, dtype=float)
+        for j in range(1, len(self.start) - 1):
+            s = slice(self.start[j], self.start[j + 1])
+            out[s] = ufunc(out[self.parent[s]], out[s])
+        return out
+
+    def subtree(self, values, ufunc=np.add) -> np.ndarray:
+        """Reduce per-cube values over every subtree, fine to coarse.
+
+        A cube's own value comes first, then its children's results in id order.
+        """
+        out = np.array(values, dtype=float)
+        for j in range(len(self.start) - 2, 0, -1):
+            s = slice(self.start[j], self.start[j + 1])
+            ufunc.at(out, self.parent[s], out[s])
+        return out
+
+    def locate(self, points) -> np.ndarray:
+        """Ids ``(levels, n_points)`` of each point's chain, coarse to fine; ``-1`` where not held."""
+        chains = self.window.chain_keys(points)
+        ids = np.full(chains.shape, -1, dtype=np.int64)
+        for j, keys in enumerate(chains):
+            inside = keys >= 0
+            ids[j, inside] = self._at_level(j, keys[inside])
+        return ids
+
+    def find(self, points) -> np.ndarray:
+        """Id of the deepest held cube on each point's chain; ``-1`` if none or outside."""
+        ids = self.locate(points)
+        return ids[np.count_nonzero(ids >= 0, axis=0) - 1, np.arange(ids.shape[1])]
+
+    def lookup(self, keys) -> np.ndarray:
+        """Ids of the cubes with these ``(level, index)`` keys; ``-1`` where not held."""
+        n = self.window.dimension
+        levels = np.array([k[0] for k in keys], dtype=np.int64)
+        idx = np.array([k[1] for k in keys], dtype=np.int64).reshape(len(keys), n)
+        ids = np.full(len(keys), -1, dtype=np.int64)
+        for j in range(len(self._keys)):
+            level = self.window.coarse_level + j
+            sel = np.flatnonzero(levels == level)
+            sel = sel[self.window._held(idx[sel], level)]
+            ids[sel] = self._at_level(j, self.window._ravel(idx[sel], level))
+        return ids
+
+    def keys(self, ids=None) -> list[Key]:
+        """``(level, index)`` keys of the cubes ``ids`` (default: every cube, by id)."""
+        ids = np.arange(self.n) if ids is None else np.asarray(ids, dtype=np.int64)
+        w = self.window
+        d = (self.level[ids] - w.coarse_level)[:, None]
+        ext, rel = w._ext << d, self._flat[ids]
+        idx = np.empty((len(ids), w.dimension), dtype=np.int64)
+        for j in reversed(range(w.dimension)):
+            rel, idx[:, j] = np.divmod(rel, ext[:, j])
+        idx += w._lo << d
+        return [(int(l), tuple(row)) for l, row in zip(self.level[ids].tolist(), idx.tolist())]
+
+    def _at_level(self, j: int, keys) -> np.ndarray:
+        cubes = self._keys[j]
+        pos = np.searchsorted(cubes, keys)
+        hit = pos < len(cubes)
+        hit[hit] = cubes[pos[hit]] == keys[hit]
+        return np.where(hit, self.start[j] + pos, -1)
 
 
 def cube_at(point, level: int, window: LatticeWindow) -> DyadicCube:

@@ -21,7 +21,7 @@ from .errors import (
     GridAlignmentError,
     WolffpotError,
 )
-from .lattice import DyadicCube, Key, LatticeWindow
+from .lattice import DyadicCube, LatticeWindow, LevelIndex
 
 
 class AtomicMeasure:
@@ -157,25 +157,25 @@ def bernoulli_cascade(gamma: float, depth: int) -> AtomicMeasure:
     return AtomicMeasure(positions, weights)
 
 
-def cube_mass_table(measure: AtomicMeasure, window: LatticeWindow) -> dict[Key, float]:
-    """Sparse per-cube masses: every window cube containing an atom.
+def cube_mass_table(
+    measure: AtomicMeasure, index: LevelIndex, first: int = 0, weights=None
+) -> np.ndarray:
+    """Masses of the cubes of ``index``, indexed by cube id.
 
-    Keys absent from the table have mass zero.  Atoms outside the window's
-    root region do not belong to any window cube and are skipped.
+    The measure's atoms are the index's points ``first, first + 1, ...``;
+    each cube sums its atoms' weights (``weights`` in place of the measure's
+    own, when given) in atom order.  Atoms outside the window's root region
+    belong to no window cube and add nothing.  Re-weighting the same
+    positions re-runs only this sum.
     """
-    if measure.dimension != window.dimension:
-        raise DimensionMismatchError("measure and window dimensions differ")
-    table: dict[Key, float] = {}
-    fine = window.fine_level
-    for pos, w in zip(measure.positions, measure.weights):
-        if not window.contains_point(pos):
-            continue
-        leaf = window.level_index(pos, fine)
-        for level in range(window.coarse_level, fine + 1):
-            d = fine - level
-            key = (level, tuple(k >> d for k in leaf))
-            table[key] = table.get(key, 0.0) + float(w)
-    return table
+    rows = index.rows[:, first:first + measure.n_atoms]
+    held = rows[0] >= 0
+    w = (measure.weights if weights is None else np.asarray(weights, dtype=float))[held]
+    return np.bincount(
+        rows[:, held].ravel(),
+        np.broadcast_to(w, (rows.shape[0], w.size)).ravel(),
+        minlength=index.n,
+    ).astype(float, copy=False)
 
 
 def reverse_doubling_check(
@@ -196,23 +196,22 @@ def reverse_doubling_check(
     """
     if gamma <= 0:
         raise WolffpotError("gamma must be positive")
-    table = cube_mass_table(measure, window)
-    if not table:
+    index = LevelIndex(window, measure.positions)
+    mass = cube_mass_table(measure, index)
+    live = np.flatnonzero(mass > 0.0)
+    if not live.size:
         raise DegenerateInputError("no window cube has positive mass")
-    worst: dict[int, float] = {}
-    for (level, idx), mass in table.items():
-        if mass <= 0:
-            continue
-        for j in range(0, level - window.coarse_level + 1):
-            up = (level - j, tuple(k >> j for k in idx))
-            ratio = table[up] / (2.0 ** (j * gamma) * mass)
-            if j not in worst or ratio < worst[j]:
-                worst[j] = ratio
-    best_constant = min(worst.values())
-    js = sorted(worst)
-    if len(js) >= 2:
-        last, prev = worst[js[-1]], worst[js[-2]]
-        holds = best_constant > 0 and last >= prev * (1.0 - 1e-9)
+    worst = []
+    up = live  # the ancestor 2^j Q of each live cube Q, -1 once above the window
+    for j in range(window.depth + 1):
+        has = up >= 0
+        ratio = mass[up[has]] / (2.0 ** (j * gamma) * mass[live[has]])
+        if ratio.size:
+            worst.append(float(np.min(ratio)))
+        up = np.where(has, index.parent[up], -1)
+    best_constant = min(worst)
+    if len(worst) >= 2:
+        holds = best_constant > 0 and worst[-1] >= worst[-2] * (1.0 - 1e-9)
     else:
         holds = best_constant > 0
     return holds, best_constant

@@ -17,10 +17,18 @@ Continuous counterparts for a radial kernel ``k``:
 * ``M_k(x)        = sup_r bar_k(r)(x) mu(B(x,r))``
 * ``E_k           = int T_k[mu]^{p'} dsigma``
 
+The dyadic objects are computed on level arrays: every per-cube quantity is
+a float array over the cubes of one :class:`LevelIndex` holding the atoms,
+each chain sum is one coarse-to-fine pass per level (:meth:`LevelIndex.chain`)
+and each sum over subcubes one fine-to-coarse pass (:meth:`LevelIndex.subtree`).
+Sums run in the order of the loops they replace (atoms in order within a cube,
+coarse to fine along a chain), so the values do not depend on the layout.
+
 All dyadic integrals against atomic measures are exact weighted sums; the
 only quadrature anywhere is inside kernels whose log-primitive has no closed
 form.  Extended arithmetic follows the potential-theoretic convention
-``0 * inf = 0``, and ``+inf`` is a legitimate value.
+``0 * inf = 0`` (a zero mass is never multiplied by a kernel value), and
+``+inf`` is a legitimate value.
 """
 
 from __future__ import annotations
@@ -31,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, OutOfWindowError, WolffpotError
-from .kernels import BarField, DyadicKernelMap, RadialKernel, bar_k
-from .lattice import Key, LatticeWindow
+from .kernels import BarField, DyadicKernelMap, RadialKernel, bar_k, per_mass, weigh
+from .lattice import DyadicCube, Key, LatticeWindow, LevelIndex
 from .measures import AtomicMeasure, cube_mass_table
 
 
@@ -74,13 +82,31 @@ def xpow(base: float, e: float) -> float:
     return base ** e
 
 
-class DyadicScene:
-    """Shared precomputations for one ``(K, sigma, mu, window)`` quadruple.
+def weighted_sum(weights, values) -> float:
+    """``sum_i w_i v_i`` over the atoms with ``w_i > 0``, added in atom order.
 
-    Everything is built lazily from sparse cube-mass tables, so costs scale
-    with atoms times depth rather than with the full cube count.  After
-    construction all structures are immutable-by-convention and queries are
-    pure.
+    Atoms of zero weight are left out, so ``0 * inf = 0``.
+    """
+    pos = weights > 0.0
+    terms = weights[pos] * values[pos]
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+def _per_point(values, x):
+    """A float for a single query point, the array for one point per row."""
+    return float(values[0]) if np.ndim(x) < 2 else values
+
+
+class DyadicScene:
+    """Shared level arrays for one ``(K, sigma, mu, window)`` quadruple.
+
+    One :class:`LevelIndex` holds the atoms of sigma and then of mu, so every
+    per-cube quantity (``K``, both masses, the bar-kernel prefixes, the inner
+    integrals and subtree sums) is a float array over the same cube ids, and
+    a query is one chain reduction of such an array, evaluated at all query
+    points at once.  Query methods take a single point (and return a float)
+    or one point per row (and return an array); a point outside the window
+    gets zero.  Inner integrals and subtree sums are built on first use.
     """
 
     def __init__(
@@ -90,125 +116,81 @@ class DyadicScene:
         mu: AtomicMeasure,
         window: LatticeWindow,
     ):
-        self.K = K
         self.sigma = sigma
         self.mu = mu
-        self.window = window
-        self.bar = BarField(K, sigma, window)
+        self.index = LevelIndex(window, np.vstack([sigma.positions, mu.positions]))
+        self.bar = BarField(K, sigma, window, self.index)
         self.sigma_mass = self.bar.mass
-        self.mu_mass = cube_mass_table(mu, window)
-        self._inner: dict[Key, float] | None = None
-        self._subtree: dict[Key, float] | None = None
+        self.mu_mass = cube_mass_table(mu, self.index, sigma.n_atoms)
+        self._inner: np.ndarray | None = None
+        self._subtree: np.ndarray | None = None
 
     # -- generic chain sums ----------------------------------------------------
 
-    def t(self, mass_table: dict[Key, float], x) -> float:
-        """``sum over the ancestor chain of x of K(Q) * table(Q)``."""
-        total = 0.0
-        for key in self.window.chain_keys(x):
-            m = mass_table.get(key, 0.0)
-            if m > 0.0:
-                total += self.K(key) * m
-        return total
+    def reweighted(self, measure: AtomicMeasure, weights) -> np.ndarray:
+        """Cube masses of the atoms of ``measure`` (the scene's sigma or mu) under new weights."""
+        first = 0 if measure is self.sigma else self.sigma.n_atoms
+        return cube_mass_table(measure, self.index, first, weights)
 
-    def t_mu(self, x) -> float:
+    def chain_values(self, values, x, ufunc=np.add):
+        """Reduce per-cube values along the ancestor chain of each point of ``x``."""
+        return _per_point(self.index.gather(self.index.chain(values, ufunc), self.index.find(x)), x)
+
+    def t(self, masses, x):
+        """``sum over the ancestor chain of x of K(Q) * masses(Q)``."""
+        return self.chain_values(weigh(self.bar.k, masses), x)
+
+    def t_mu(self, x):
         return self.t(self.mu_mass, x)
 
     # -- inner integrals int_Q bar_K(Q) dmu -------------------------------------
 
-    def _mu_prefix_table(self) -> dict[Key, float]:
-        """``S(Q) = sum over mu-atoms b in Q of w_b P(leaf(b))``."""
-        table: dict[Key, float] = {}
-        window, bar = self.window, self.bar
-        for pos, w in zip(self.mu.positions, self.mu.weights):
-            if w <= 0.0 or not window.contains_point(pos):
-                continue
-            leaf = window.leaf_key(pos)
-            val = w * bar.prefix(leaf)
-            idx = leaf[1]
-            for level in range(window.coarse_level, window.fine_level + 1):
-                d = window.fine_level - level
-                key = (level, tuple(k >> d for k in idx))
-                table[key] = table.get(key, 0.0) + val
-        return table
+    def inner(self) -> np.ndarray:
+        """``I(Q) = int_Q bar_K(Q) dmu`` per cube, zero when ``sigma(Q) = 0``.
 
-    def inner(self, key: Key) -> float:
-        """``I(Q) = int_Q bar_K(Q) dmu``, zero when ``sigma(Q) = 0``.
-
-        Uses the chain-sum identity: summing ``bar_K(Q)(b)`` over mu-atoms
+        Uses the chain-sum identity: with ``S(Q)`` the sum over mu-atoms
+        ``b in Q`` of ``w_b P(leaf(b))``, summing ``bar_K(Q)(b)`` over them
         gives ``(S(Q) - mu(Q) P(parent Q)) / sigma(Q)``.
         """
         if self._inner is None:
-            s_table = self._mu_prefix_table()
-            inner: dict[Key, float] = {}
-            for key2, s_val in s_table.items():
-                sig = self.sigma_mass.get(key2, 0.0)
-                if sig <= 0.0:
-                    continue
-                parent = self.window.parent_key(key2)
-                above = self.bar.prefix(parent) if parent is not None else 0.0
-                inner[key2] = (s_val - self.mu_mass[key2] * above) / sig
+            p_leaf = self.bar.prefix(self.index.rows[-1, self.sigma.n_atoms:])
+            s = self.reweighted(self.mu, weigh(p_leaf, self.mu.weights))
+            live = (self.sigma_mass > 0.0) & (self.mu_mass > 0.0)
+            above = self.bar.prefix(self.index.parent)[live]
+            inner = np.zeros(self.index.n)
+            inner[live] = (s[live] - self.mu_mass[live] * above) / self.sigma_mass[live]
             self._inner = inner
-        return self._inner.get(key, 0.0)
+        return self._inner
 
     # -- subtree sums for the maximal function ----------------------------------
 
-    def subtree(self, key: Key) -> float:
-        """``N(Q) = sum_{Q' subset Q} K(Q') sigma(Q') mu(Q')`` (inclusive)."""
+    def subtree(self) -> np.ndarray:
+        """``N(Q) = sum_{Q' subset Q} K(Q') sigma(Q') mu(Q')`` (inclusive), per cube."""
         if self._subtree is None:
-            acc: dict[Key, float] = {}
-            for k2, mm in self.mu_mass.items():
-                sm = self.sigma_mass.get(k2, 0.0)
-                if sm > 0.0 and mm > 0.0:
-                    acc[k2] = self.K(k2) * sm * mm
-            # the support is ancestor-closed (cube masses are monotone under
-            # inclusion), so accumulating fine-to-coarse closes the sums
-            for k2 in sorted(acc, key=lambda kk: -kk[0]):
-                parent = self.window.parent_key(k2)
-                if parent is not None and parent in acc:
-                    acc[parent] += acc[k2]
-            self._subtree = acc
-        return self._subtree.get(key, 0.0)
+            self._subtree = self.index.subtree(weigh(self.bar.weight, self.mu_mass))
+        return self._subtree
 
     # -- potentials --------------------------------------------------------------
 
-    def wolff(self, x, p_prime: float) -> float:
-        total = 0.0
-        for key in self.window.chain_keys(x):
-            sig = self.sigma_mass.get(key, 0.0)
-            if sig <= 0.0:
-                continue
-            inner = self.inner(key)
-            if inner > 0.0:
-                total += self.K(key) * sig * xpow(inner, p_prime - 1.0)
-        return total
+    def _inner_power(self, p_prime: float) -> np.ndarray:
+        """``I(Q)^{p'-1}``, zero where ``I(Q)`` vanishes (or rounds below zero)."""
+        return np.power(np.maximum(self.inner(), 0.0), p_prime - 1.0)
 
-    def wolff_bar(self, x, p_prime: float) -> float:
+    def wolff(self, x, p_prime: float):
+        return self.chain_values(weigh(self.bar.weight, self._inner_power(p_prime)), x)
+
+    def wolff_bar(self, x, p_prime: float):
         """As :meth:`wolff` but with ``bar_K(Q)(x)`` as the outer kernel factor."""
-        chain = self.window.chain_keys(x)
-        p_leaf = self.bar.prefix(chain[-1])
-        total = 0.0
-        above = 0.0
-        for key in chain:
-            sig = self.sigma_mass.get(key, 0.0)
-            if sig > 0.0:
-                inner = self.inner(key)
-                if inner > 0.0:
-                    # sigma(Q) * bar_K(Q)(x) = P(leaf(x)) - P(parent(Q))
-                    total += (p_leaf - above) * xpow(inner, p_prime - 1.0)
-            above += self.bar.weight(key)
-        return total
+        chains = self.index.locate(x)
+        power = self.index.gather(self._inner_power(p_prime), chains)
+        prefix = np.cumsum(self.index.gather(self.bar.weight, chains), axis=0)
+        above = np.vstack([np.zeros((1, prefix.shape[1])), prefix[:-1]])
+        # sigma(Q) * bar_K(Q)(x) = P(leaf(x)) - P(parent(Q))
+        terms = weigh(prefix[-1] - above, power)
+        return _per_point(np.cumsum(terms, axis=0)[-1], x)
 
-    def maximal(self, x) -> float:
-        best = 0.0
-        for key in self.window.chain_keys(x):
-            sig = self.sigma_mass.get(key, 0.0)
-            if sig <= 0.0:
-                continue  # term is zero by the sigma(Q) = 0 convention
-            val = self.subtree(key) / sig
-            if val > best:
-                best = val
-        return best
+    def maximal(self, x):
+        return self.chain_values(per_mass(self.subtree(), self.sigma_mass), x, np.maximum)
 
 
 # -- functional surface -------------------------------------------------------------
@@ -218,13 +200,7 @@ def t_dyadic(K: DyadicKernelMap, nu: AtomicMeasure, window: LatticeWindow, x) ->
     """``T[nu](x) = sum_{x in Q} K(Q) nu(Q)`` over the window chain of ``x``."""
     if not window.contains_point(x):
         raise OutOfWindowError(f"point {tuple(x)} outside window")
-    table = cube_mass_table(nu, window)
-    total = 0.0
-    for key in window.chain_keys(x):
-        m = table.get(key, 0.0)
-        if m > 0.0:
-            total += K(key) * m
-    return total
+    return DyadicScene(K, AtomicMeasure.empty(window.dimension), nu, window).t_mu(x)
 
 
 def energy_dyadic(
@@ -236,13 +212,7 @@ def energy_dyadic(
 ) -> float:
     """``E = int T[mu]^{p'} dsigma``, exact for atomic ``sigma``."""
     scene = DyadicScene(K, sigma, mu, window)
-    pp = exps.p_prime
-    total = 0.0
-    for pos, w in zip(sigma.positions, sigma.weights):
-        if w <= 0.0 or not window.contains_point(pos):
-            continue
-        total += w * xpow(scene.t_mu(pos), pp)
-    return total
+    return weighted_sum(sigma.weights, np.power(scene.t_mu(sigma.positions), exps.p_prime))
 
 
 def wolff_dyadic(
@@ -292,19 +262,13 @@ def hl_maximal_dyadic(
     """Dyadic Hardy-Littlewood maximal function ``sup_{x in Q} nu(Q)/sigma(Q)``."""
     if not window.contains_point(x):
         raise OutOfWindowError(f"point {tuple(x)} outside window")
-    sig = cube_mass_table(sigma, window)
-    nut = cube_mass_table(nu, window)
-    best = None
-    for key in window.chain_keys(x):
-        s = sig.get(key, 0.0)
-        if s <= 0.0:
-            continue
-        val = nut.get(key, 0.0) / s
-        if best is None or val > best:
-            best = val
-    if best is None:
+    index = LevelIndex(window, np.vstack([sigma.positions, nu.positions]))
+    sig = cube_mass_table(sigma, index)
+    # the root cube of x carries the largest sigma mass of its chain
+    if index.gather(sig, index.locate(x)[0])[0] <= 0.0:
         raise DegenerateInputError("chain of x carries no sigma mass")
-    return best
+    ratio = per_mass(cube_mass_table(nu, index, sigma.n_atoms), sig)
+    return float(index.gather(index.chain(ratio, np.maximum), index.find(x))[0])
 
 
 def lambda_substitution(
@@ -313,17 +277,11 @@ def lambda_substitution(
     mu: AtomicMeasure,
     window: LatticeWindow,
 ) -> dict[Key, float]:
-    """The weights ``lambda_Q = K(Q) mu(Q) sigma(Q)`` on their sparse support."""
-    sig = cube_mass_table(sigma, window)
-    mut = cube_mass_table(mu, window)
-    lam: dict[Key, float] = {}
-    for key, mm in mut.items():
-        sm = sig.get(key, 0.0)
-        if sm > 0.0 and mm > 0.0:
-            val = K(key) * sm * mm
-            if val > 0.0:
-                lam[key] = val
-    return lam
+    """The weights ``lambda_Q = K(Q) mu(Q) sigma(Q)`` on their support."""
+    scene = DyadicScene(K, sigma, mu, window)
+    lam = weigh(scene.bar.weight, scene.mu_mass)
+    ids = np.flatnonzero(lam > 0.0)
+    return dict(zip(scene.index.keys(ids), lam[ids].tolist()))
 
 
 def a_functionals(
@@ -338,55 +296,31 @@ def a_functionals(
     ``A2 = sum_Q lambda_Q ((1/sigma(Q)) sum_{Q' subset Q} lambda_{Q'})^{s-1}``,
     ``A3 = int sup_{x in Q} ((1/sigma(Q)) sum_{Q' subset Q} lambda_{Q'})^s dsigma``.
 
-    Weights on cubes with ``sigma(Q) = 0`` are forced to zero.
+    ``lam`` maps cubes or ``(level, index)`` keys to weights; weights on
+    cubes with ``sigma(Q) = 0`` are forced to zero.
     """
     if not (s > 1.0):
         raise WolffpotError(f"need s > 1, got {s}")
-    sig = cube_mass_table(sigma, window)
-    norm: dict[Key, float] = {}
-    for k, v in lam.items():
-        key = k if isinstance(k, tuple) and len(k) == 2 and isinstance(k[0], int) else k.key
-        if v < 0:
-            raise WolffpotError("lambda weights must be nonnegative")
-        if v > 0.0 and sig.get(key, 0.0) > 0.0:
-            norm[key] = float(v)
+    vals = np.array(list(lam.values()), dtype=float)
+    if np.any(vals < 0):
+        raise WolffpotError("lambda weights must be nonnegative")
+    index = LevelIndex(window, sigma.positions)
+    sig = cube_mass_table(sigma, index)
+    ids = index.lookup([k.key if isinstance(k, DyadicCube) else k for k in lam])
+    keep = ids >= 0
+    keep[keep] = (vals[keep] > 0.0) & (sig[ids[keep]] > 0.0)
+    norm = np.zeros(index.n)
+    norm[ids[keep]] = vals[keep]
+    subtree = index.subtree(norm)
 
-    # subtree sums Lambda(Q) = sum_{Q' subset Q} lambda_{Q'} on an ancestor-closed support
-    subtree: dict[Key, float] = dict(norm)
-    for key in sorted(norm, key=lambda kk: -kk[0]):
-        k = key
-        while True:
-            parent = window.parent_key(k)
-            if parent is None:
-                break
-            subtree.setdefault(parent, 0.0)
-            k = parent
-    for key in sorted(subtree, key=lambda kk: -kk[0]):
-        parent = window.parent_key(key)
-        if parent is not None:
-            subtree[parent] = subtree.get(parent, 0.0) + subtree[key]
+    on = norm > 0.0
+    a2 = weighted_sum(norm[on], np.power(subtree[on] / sig[on], s - 1.0))
 
-    a2 = 0.0
-    for key, l in norm.items():
-        a2 += l * xpow(subtree[key] / sig[key], s - 1.0)
-
-    a1 = 0.0
-    a3 = 0.0
-    for pos, w in zip(sigma.positions, sigma.weights):
-        if w <= 0.0 or not window.contains_point(pos):
-            continue
-        chain_sum = 0.0
-        sup_ratio = 0.0
-        for key in window.chain_keys(pos):
-            sg = sig.get(key, 0.0)
-            if sg <= 0.0:
-                continue
-            chain_sum += norm.get(key, 0.0) / sg
-            ratio = subtree.get(key, 0.0) / sg
-            if ratio > sup_ratio:
-                sup_ratio = ratio
-        a1 += w * xpow(chain_sum, s)
-        a3 += w * xpow(sup_ratio, s)
+    leaf = index.rows[-1]
+    chain_sum = index.gather(index.chain(per_mass(norm, sig)), leaf)
+    sup_ratio = index.gather(index.chain(per_mass(subtree, sig), np.maximum), leaf)
+    a1 = weighted_sum(sigma.weights, np.power(chain_sum, s))
+    a3 = weighted_sum(sigma.weights, np.power(sup_ratio, s))
     return a1, a2, a3
 
 

@@ -22,8 +22,10 @@ from .kernels import (
     bar_k,
     dlbo_constant,
     log_kernel,
+    per_mass,
+    weigh,
 )
-from .lattice import LatticeWindow
+from .lattice import LatticeWindow, LevelIndex
 from .measures import AtomicMeasure, cube_mass_table, lebesgue_grid
 from .potentials import (
     DyadicScene,
@@ -31,10 +33,9 @@ from .potentials import (
     a_functionals,
     energy_dyadic,
     t_continuous_trunc,
+    weighted_sum,
     xpow,
 )
-
-DEFAULT_BAND = (1e-3, 1e3)
 
 
 @dataclass
@@ -141,20 +142,8 @@ def fubini_pair(K, mu, sigma, exps, window) -> tuple[float, float]:
     """
     lhs = energy_dyadic(K, mu, sigma, exps, window)
     scene = DyadicScene(K, sigma, mu, window)
-    pp = exps.p_prime
-    gw = np.array(
-        [
-            w * xpow(scene.t_mu(p), pp - 1.0) if w > 0 else 0.0
-            for p, w in zip(sigma.positions, sigma.weights)
-        ]
-    )
-    rho = AtomicMeasure(sigma.positions, gw)
-    rho_mass = cube_mass_table(rho, window)
-    rhs = 0.0
-    for p, w in zip(mu.positions, mu.weights):
-        if w <= 0 or not window.contains_point(p):
-            continue
-        rhs += w * scene.t(rho_mass, p)
+    rho = weigh(np.power(scene.t_mu(sigma.positions), exps.p_prime - 1.0), sigma.weights)
+    rhs = weighted_sum(mu.weights, scene.t(scene.reweighted(sigma, rho), mu.positions))
     return lhs, rhs
 
 
@@ -176,15 +165,17 @@ def summation_by_parts_min_slack(lam: dict, window, points, s: float) -> float:
     """
     if s < 1.0:
         raise WolffpotError("need s >= 1")
-    worst = math.inf
-    for x in points:
-        chain = window.chain_keys(x)
-        c = np.array([lam.get(key, 0.0) for key in chain])
-        suffix = np.cumsum(c[::-1])[::-1]
-        lhs = xpow(float(np.sum(c)), s)
-        rhs = s * float(np.sum(c * suffix ** (s - 1.0)))
-        worst = min(worst, (rhs - lhs) / max(lhs, 1e-300))
-    return worst
+    if not len(points):
+        return math.inf
+    index = LevelIndex(window, np.asarray(points, dtype=float).reshape(len(points), -1))
+    weights = np.zeros(index.n)
+    ids = index.lookup(list(lam))
+    weights[ids[ids >= 0]] = np.array(list(lam.values()), dtype=float)[ids >= 0]
+    c = index.gather(weights, index.rows)  # (levels, points), coarse to fine
+    suffix = np.cumsum(c[::-1], axis=0)[::-1]
+    lhs = np.power(np.cumsum(c, axis=0)[-1], s)
+    rhs = s * np.cumsum(c * suffix ** (s - 1.0), axis=0)[-1]
+    return float(np.min((rhs - lhs) / np.maximum(lhs, 1e-300)))
 
 
 def check_a_chain(lam: dict, sigma, s: float, window):
@@ -205,12 +196,7 @@ def check_a_chain(lam: dict, sigma, s: float, window):
 def wolff_integral(K, sigma, mu, exps, window, power: float = 1.0) -> float:
     """``int W^power dmu`` over the mu-atoms (exact weighted sum)."""
     scene = DyadicScene(K, sigma, mu, window)
-    total = 0.0
-    for p, w in zip(mu.positions, mu.weights):
-        if w <= 0 or not window.contains_point(p):
-            continue
-        total += w * xpow(scene.wolff(p, exps.p_prime), power)
-    return total
+    return weighted_sum(mu.weights, np.power(scene.wolff(mu.positions, exps.p_prime), power))
 
 
 def check_energy_wolff_ratio(K, mu, sigma, exps, window) -> float:
@@ -249,17 +235,11 @@ def trace_constant_q1(
     pp = exps.p_prime
     p = exps.p
     scene = DyadicScene(K, sigma, mu, window)
-    tvals = np.array([scene.t_mu(pos) for pos in sigma.positions])
+    tvals = scene.t_mu(sigma.positions)
     sw = sigma.weights
 
     def ratio_operator(fvals) -> float:
-        rho = AtomicMeasure(sigma.positions, sw * fvals)
-        rmass = cube_mass_table(rho, window)
-        num = sum(
-            w * scene.t(rmass, pos)
-            for pos, w in zip(mu.positions, mu.weights)
-            if w > 0 and window.contains_point(pos)
-        )
+        num = weighted_sum(mu.weights, scene.t(scene.reweighted(sigma, sw * fvals), mu.positions))
         den = float(np.sum(sw * fvals ** p)) ** (1.0 / p)
         return num / den if den > 0 else math.nan
 
@@ -270,7 +250,6 @@ def trace_constant_q1(
     gap = 0.0
     if probes:
         rng = np.random.default_rng(seed)
-        pairing_den = None
         for t in range(probes):
             f = 2.0 ** rng.uniform(-8, 8, sigma.n_atoms)
             f[rng.uniform(size=sigma.n_atoms) < 0.2] = 0.0
@@ -312,55 +291,30 @@ def trace_test_upper_triangle(
     t_exp = exps.trace_exponent
     scene = DyadicScene(K, sigma, mu, window)
 
-    wolff_mass = 0.0
-    for pos, w in zip(mu.positions, mu.weights):
-        if w > 0 and window.contains_point(pos):
-            wolff_mass += w * xpow(scene.wolff(pos, pp), t_exp)
+    wolff_mass = weighted_sum(mu.weights, np.power(scene.wolff(mu.positions, pp), t_exp))
     wolff_norm = xpow(wolff_mass, 1.0 / t_exp)
 
     rng = np.random.default_rng(seed)
     sup_ratio = 0.0
-    mu_in = [
-        (pos, w)
-        for pos, w in zip(mu.positions, mu.weights)
-        if w > 0 and window.contains_point(pos)
-    ]
-    sig_in = [
-        (pos, w)
-        for pos, w in zip(sigma.positions, sigma.weights)
-        if w > 0 and window.contains_point(pos)
-    ]
     for _ in range(trials):
         f = 2.0 ** rng.uniform(-8, 8, sigma.n_atoms)
         f[rng.uniform(size=sigma.n_atoms) < 0.2] = 0.0
         den = float(np.sum(sigma.weights * f ** p)) ** (1.0 / p)
         if den <= 0:
             continue
-        rho = AtomicMeasure(sigma.positions, sigma.weights * f)
-        rmass = cube_mass_table(rho, window)
-        num = sum(w * scene.t(rmass, pos) ** q for pos, w in mu_in) ** (1.0 / q)
+        tf = scene.t(scene.reweighted(sigma, sigma.weights * f), mu.positions)
+        num = weighted_sum(mu.weights, tf ** q) ** (1.0 / q)
         sup_ratio = max(sup_ratio, num / den)
-    mu_mass = scene.mu_mass
     for _ in range(trials):
         psi = 2.0 ** rng.uniform(-8, 8, mu.n_atoms)
-        psi_nu = AtomicMeasure(mu.positions, mu.weights * psi)
-        psi_mass = cube_mass_table(psi_nu, window)
-        g = np.zeros(mu.n_atoms)
-        for i, (pos, w) in enumerate(zip(mu.positions, mu.weights)):
-            if w <= 0 or not window.contains_point(pos):
-                continue
-            best = 0.0
-            for key in window.chain_keys(pos):
-                mm = mu_mass.get(key, 0.0)
-                if mm > 0.0:
-                    best = max(best, psi_mass.get(key, 0.0) / mm)
-            g[i] = best ** (1.0 / pp)
+        ratio = per_mass(scene.reweighted(mu, mu.weights * psi), scene.mu_mass)
+        best = scene.chain_values(ratio, mu.positions, np.maximum)
+        g = np.where(mu.weights > 0, best, 0.0) ** (1.0 / pp)
         den = float(np.sum(mu.weights * g ** qp)) ** (1.0 / qp)
         if den <= 0:
             continue
-        eta = AtomicMeasure(mu.positions, mu.weights * g)
-        emass = cube_mass_table(eta, window)
-        num = sum(w * scene.t(emass, pos) ** pp for pos, w in sig_in) ** (1.0 / pp)
+        tg = scene.t(scene.reweighted(mu, mu.weights * g), sigma.positions)
+        num = weighted_sum(sigma.weights, tg ** pp) ** (1.0 / pp)
         sup_ratio = max(sup_ratio, num / den)
     return TraceTestResult(wolff_norm, sup_ratio, dlbo_constant(K, sigma, window))
 
@@ -398,18 +352,11 @@ def check_counterexample_fields(
     sigma = lebesgue_grid([(-1.0, 2.0)], depth)
     mu = lebesgue_grid([(0.0, 1.0)], depth)
     K = DyadicKernelMap.from_radial(kern)
-    exps = Exponents(p=2.0)
+    pp = Exponents(p=2.0).p_prime
     scene = DyadicScene(K, sigma, mu, window)
-    pp = exps.p_prime
-
-    e = 0.0
-    for pos, w in zip(sigma.positions, sigma.weights):
-        e += w * xpow(scene.t_mu(pos), pp)
-    min_wbar = math.inf
-    int_w = 0.0
-    for pos, w in zip(mu.positions, mu.weights):
-        min_wbar = min(min_wbar, scene.wolff_bar(pos, pp))
-        int_w += w * scene.wolff(pos, pp)
+    e = weighted_sum(sigma.weights, np.power(scene.t_mu(sigma.positions), pp))
+    min_wbar = float(np.min(scene.wolff_bar(mu.positions, pp), initial=math.inf))
+    int_w = weighted_sum(mu.weights, scene.wolff(mu.positions, pp))
     return e, min_wbar, int_w
 
 
@@ -529,46 +476,32 @@ def check_kernel_dilation(
     """
     pp = exps.p_prime
     r_exp = exps.trace_exponent if exps.q is not None else 1.0
-    sig = cube_mass_table(sigma, window)
-    mut = cube_mass_table(mu, window)
-    support = [
-        key for key, mm in mut.items() if mm > 0.0 and sig.get(key, 0.0) > 0.0
-    ]
-    bar_vals = {}
-    for key in support:
-        cube = window.cube(*key)
-        bar_vals[key] = bar_k(kernel, sigma, cube.center(), cube.side)
+    index = LevelIndex(window, np.vstack([sigma.positions, mu.positions]))
+    sig = cube_mass_table(sigma, index)
+    mut = cube_mass_table(mu, index, sigma.n_atoms)
+    support = np.flatnonzero((mut > 0.0) & (sig > 0.0))
+    cubes = [window.cube(*key) for key in index.keys(support)]
+    bar_vals = np.array([bar_k(kernel, sigma, q.center(), q.side) for q in cubes])
+    # cubes whose bar factor is zero or infinite are left out of both sums
+    ok = (bar_vals > 0.0) & np.isfinite(bar_vals)
+    support, bar_vals = support[ok], bar_vals[ok]
+    levels = range(window.coarse_level, window.fine_level + 1)
 
-    def summand(key, kval):
-        bv = bar_vals[key]
-        if bv <= 0.0 or math.isinf(bv):
-            return 0.0
-        return kval * sig[key] * xpow(bv, pp - 1.0) * xpow(mut[key], pp)
+    def factors(dilation):
+        """``k(dilation r_Q) sigma(Q) bar(Q)^{p'-1}`` on the support."""
+        per_level = np.array([kernel(dilation * 2.0 ** -lvl) for lvl in levels])
+        k = per_level[index.level[support] - window.coarse_level]
+        return k * sig[support] * np.power(bar_vals, pp - 1.0)
 
-    s_dil = sum(summand(k2, kernel(c * 2.0 ** -k2[0])) for k2 in support)
-    s_one = sum(summand(k2, kernel(2.0 ** -k2[0])) for k2 in support)
+    mu_pp = np.power(mut[support], pp)
+    s_dil, s_one = weighted_sum(factors(c), mu_pp), weighted_sum(factors(1.0), mu_pp)
     sum_ratio = s_dil / s_one if s_one > 0 else math.nan
 
     def chain_norm(dilation):
-        total = 0.0
-        for pos, w in zip(mu.positions, mu.weights):
-            if w <= 0 or not window.contains_point(pos):
-                continue
-            val = 0.0
-            for key in window.chain_keys(pos):
-                if key not in bar_vals:
-                    continue
-                bv = bar_vals[key]
-                if bv <= 0.0 or math.isinf(bv):
-                    continue
-                val += (
-                    kernel(dilation * 2.0 ** -key[0])
-                    * sig[key]
-                    * xpow(bv, pp - 1.0)
-                    * xpow(mut[key], pp - 1.0)
-                )
-            total += w * xpow(val, r_exp)
-        return xpow(total, 1.0 / r_exp)
+        terms = np.zeros(index.n)
+        terms[support] = factors(dilation) * np.power(mut[support], pp - 1.0)
+        vals = index.gather(index.chain(terms), index.rows[-1, sigma.n_atoms:])
+        return xpow(weighted_sum(mu.weights, np.power(vals, r_exp)), 1.0 / r_exp)
 
     n_dil, n_one = chain_norm(c), chain_norm(1.0)
     norm_ratio = n_dil / n_one if n_one > 0 else math.nan

@@ -8,6 +8,7 @@ from wolffpot import (
     DyadicKernelMap,
     InvalidKernelError,
     LatticeWindow,
+    LevelIndex,
     bar_field,
     bar_field_naive,
     bar_k,
@@ -117,15 +118,14 @@ def test_bar_prefix_chain_identity():
     sigma = AtomicMeasure(rng.uniform(0, 1, (20, 1)), rng.uniform(0.1, 2, 20))
     bf = bar_field(DyadicKernelMap.from_radial(riesz_kernel(0.4, 1)), sigma, w)
     x = [0.613]
-    leaf = w.leaf_key(x)
-    for key in w.chain_keys(x):
-        cube = w.cube(*key)
+    p_leaf = bf.prefix(bf.index.find(x))[0]
+    for cube in w.chain(x):
         m = sigma.cube_mass(cube)
         if m <= 0:
             continue
-        parent = w.parent_key(key)
-        above = bf.prefix(parent) if parent else 0.0
-        assert bf.bar(cube, x) * m == pytest.approx(bf.prefix(leaf) - above, rel=1e-12)
+        parent = [cube.parent().key] if cube.level > w.coarse_level else []
+        above = bf.prefix(bf.index.lookup(parent)).sum()
+        assert bf.bar(cube, x) * m == pytest.approx(p_leaf - above, rel=1e-12)
 
 
 def test_bar_k_closed_form_refinement():
@@ -200,3 +200,12 @@ def test_lbo_skips_degenerate():
     # one degenerate ball (no mass), one fine
     val = lbo_constant(k, sigma, [(([5.0]), 0.1, [[5.0]]), (([0.5]), 1.0, [[0.4], [0.6]])])
     assert math.isfinite(val)
+
+
+def test_map_with_radial_attribute_but_own_fn_is_evaluated_per_cube():
+    w = LatticeWindow.from_box([(0.0, 1.0)], 0, 2)
+    index = LevelIndex(w, np.array([[0.1], [0.6], [0.9]]))
+    K = DyadicKernelMap(lambda key: float(key[1][0]), radial=constant_kernel(1.0))
+    assert K.on_cubes(index).tolist() == [float(key[1][0]) for key in index.keys()]
+    radial = DyadicKernelMap.from_radial(riesz_kernel(0.5, 1))
+    assert radial.on_cubes(index).tolist() == [radial(key) for key in index.keys()]

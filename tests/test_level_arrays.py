@@ -1,0 +1,224 @@
+"""Property tests: the level-array core against brute-force sums over window cubes.
+
+Every oracle here enumerates ``window.keys()`` and measures cubes with
+``AtomicMeasure.cube_mass`` and ``DyadicCube.contains``; bar-kernels come from
+:class:`BarFieldNaive`.  Instances are small random windows (1-D and 2-D,
+shifted, negative coarse levels, root regions that are no box) with atoms on dyadic edges, zero weights and
+atoms outside the window, under radial and table kernels.  Examples are
+derandomized, so the suite is deterministic.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wolffpot import (
+    AtomicMeasure,
+    BarFieldNaive,
+    DegenerateInputError,
+    DyadicKernelMap,
+    DyadicScene,
+    Exponents,
+    LatticeWindow,
+    a_functionals,
+    dlbo_constant,
+    energy_dyadic,
+    hl_maximal_dyadic,
+    LevelRangeError,
+    riesz_kernel,
+)
+from wolffpot.cli import main as cli_main
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+REL = 1e-12
+
+
+@st.composite
+def instances(draw, table: bool):
+    """A window, sigma, mu, kernel and query points exercising the edge cases."""
+    n = draw(st.sampled_from([1, 2]))
+    coarse = draw(st.sampled_from([-1, 0, 1]))
+    depth = draw(st.integers(0, 3 if n == 1 else 2))
+    shift = [draw(st.sampled_from([0.0, 0.3125, -0.137])) for _ in range(n)]
+    side = 2.0 ** -coarse
+    lo = [draw(st.sampled_from([-1, 0])) for _ in range(n)]
+    ext = [draw(st.sampled_from([1, 2])) for _ in range(n)]
+    box = [(z + a * side, z + (a + e) * side) for z, a, e in zip(shift, lo, ext)]
+    window = LatticeWindow.from_box(box, coarse, coarse + depth, shift=shift)
+    if len(window.root_indices) > 1 and draw(st.booleans()):  # a root region that is no box
+        window = LatticeWindow(n, coarse, coarse + depth, window.root_indices[1:], window.shift)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cell = 2.0 ** -(coarse + depth)
+
+    def points(k):
+        # a third on fine-level cube edges, the rest anywhere in a box one
+        # cell wider than the window on every side
+        pts = np.empty((k, n))
+        for d in range(n):
+            a, b = box[d]
+            edges = shift[d] + cell * rng.integers(round((a - shift[d]) / cell) - 1,
+                                                   round((b - shift[d]) / cell) + 2, k)
+            pts[:, d] = np.where(rng.uniform(size=k) < 1 / 3, edges,
+                                 rng.uniform(a - cell, b + cell, k))
+        return pts
+
+    def measure(k):
+        w = 2.0 ** rng.uniform(-3, 3, k)
+        w[rng.uniform(size=k) < 0.2] = 0.0
+        return AtomicMeasure(points(k), w)
+
+    sigma = measure(draw(st.integers(1, 8)))
+    mu = measure(draw(st.integers(1, 8)))
+    if table:
+        values = {key: float(2.0 ** rng.uniform(-2, 2)) for key in window.keys()}
+        empty = [key for key in values
+                 if sigma.cube_mass(window.cube(*key)) == 0.0
+                 and mu.cube_mass(window.cube(*key)) == 0.0]
+        if empty:  # the 0 * inf = 0 convention: no massless cube may spoil a sum
+            values[empty[0]] = math.inf
+        K = DyadicKernelMap.from_table(values)
+    else:
+        K = DyadicKernelMap.from_radial(riesz_kernel(float(rng.uniform(0.2, 0.8)) * n, n))
+    return window, sigma, mu, K, np.vstack([points(4), sigma.positions[:2]])
+
+
+def chain(window, x):
+    return [window.cube(*key) for key in window.keys() if window.cube(*key).contains(x)]
+
+
+def close(got, want):
+    if math.isinf(want) or math.isinf(got):
+        return got == want
+    return abs(got - want) <= REL * max(abs(want), 1e-300)
+
+
+def inner_oracle(K, sigma, mu, window):
+    naive = BarFieldNaive(K, sigma, window)
+    out = {}
+    for cube in window.cubes():
+        out[cube.key] = sum(w * naive.bar(cube, b)
+                            for b, w in zip(mu.positions, mu.weights) if w > 0)
+    return naive, out
+
+
+@pytest.mark.parametrize("table", [False, True])
+@PROPERTY
+@given(data=st.data())
+def test_fields_match_brute_force(table, data):
+    window, sigma, mu, K, xs = data.draw(instances(table))
+    pp = 2.0 if table else 1.5
+    scene = DyadicScene(K, sigma, mu, window)
+    naive, inner = inner_oracle(K, sigma, mu, window)
+    got = {
+        "t": scene.t_mu(xs),
+        "wolff": scene.wolff(xs, pp),
+        "wolff_bar": scene.wolff_bar(xs, pp),
+        "maximal": scene.maximal(xs),
+    }
+    for i, x in enumerate(xs):
+        t = w = wbar = m = 0.0
+        for cube in chain(window, x):
+            s, mm = sigma.cube_mass(cube), mu.cube_mass(cube)
+            if mm > 0:
+                t += K(cube) * mm
+            if s <= 0:
+                continue
+            if inner[cube.key] > 0:
+                w += K(cube) * s * inner[cube.key] ** (pp - 1)
+                wbar += s * naive.bar(cube, x) * inner[cube.key] ** (pp - 1)
+            below = sum(K(key) * sigma.cube_mass(sub) * mu.cube_mass(sub)
+                        for key in window.descendant_keys(cube.key)
+                        for sub in [window.cube(*key)]
+                        if sigma.cube_mass(sub) > 0 and mu.cube_mass(sub) > 0)
+            m = max(m, below / s)
+        for name, want in (("t", t), ("wolff", w), ("wolff_bar", wbar), ("maximal", m)):
+            assert close(got[name][i], want), (name, x, got[name][i], want)
+    # a single point gives the same value as a float
+    assert scene.wolff(xs[0], pp) == got["wolff"][0]
+
+
+@PROPERTY
+@given(data=st.data())
+def test_hl_maximal_matches_brute_force(data):
+    window, sigma, mu, _, xs = data.draw(instances(False))
+    for x in xs[window.contains(xs)]:
+        ratios = [mu.cube_mass(c) / sigma.cube_mass(c)
+                  for c in chain(window, x) if sigma.cube_mass(c) > 0]
+        if not ratios:
+            with pytest.raises(DegenerateInputError):
+                hl_maximal_dyadic(sigma, mu, window, x)
+        else:
+            assert close(hl_maximal_dyadic(sigma, mu, window, x), max(ratios))
+
+
+@PROPERTY
+@given(data=st.data(), s=st.sampled_from([1.5, 2.0, 3.0]))
+def test_a_functionals_match_brute_force(data, s):
+    window, sigma, _, _, _ = data.draw(instances(False))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    lam = {key: float(2.0 ** rng.uniform(-3, 3)) for key in window.keys()
+           if rng.uniform() < 0.6}
+    mass = {key: sigma.cube_mass(window.cube(*key)) for key in window.keys()}
+    weight = {key: lam.get(key, 0.0) if mass[key] > 0 else 0.0 for key in mass}
+    subtree = {key: sum(weight[k] for k in window.descendant_keys(key)) for key in mass}
+    a2 = sum(weight[k] * (subtree[k] / mass[k]) ** (s - 1) for k in mass if weight[k] > 0)
+    a1 = a3 = 0.0
+    for x, w in zip(sigma.positions, sigma.weights):
+        keys = [c.key for c in chain(window, x) if mass[c.key] > 0]
+        if w > 0:
+            a1 += w * sum(weight[k] / mass[k] for k in keys) ** s
+            a3 += w * max([subtree[k] / mass[k] for k in keys], default=0.0) ** s
+    got = a_functionals(lam, sigma, s, window)
+    assert all(close(g, e) for g, e in zip(got, (a1, a2, a3))), (got, (a1, a2, a3))
+
+
+@PROPERTY
+@given(data=st.data(), c=st.floats(0.1, 10.0), pp=st.sampled_from([1.5, 2.0, 3.0]))
+def test_energy_homogeneity(data, c, pp):
+    window, sigma, mu, K, _ = data.draw(instances(data.draw(st.booleans())))
+    exps = Exponents.from_p_prime(pp)
+    e = c ** pp * energy_dyadic(K, mu, sigma, exps, window)
+    assert abs(energy_dyadic(K, mu.scaled(c), sigma, exps, window) - e) <= REL * e
+
+
+@pytest.mark.parametrize("inf_key, want", [
+    ((0, (1,)), 3.085714285714286),  # a charged root: its ratio is undefined and skipped
+    ((0, (0,)), 3.392857142857143),
+    ((1, (3,)), math.inf),  # sup over its root is infinite, inf is not
+])
+def test_dlbo_constant_with_infinite_k_on_a_charged_cube(inf_key, want):
+    window = LatticeWindow.from_box([(0.0, 2.0)], 0, 2)
+    pts = np.array([[0.1], [0.3], [0.6], [1.2], [1.7]])
+    wts = np.array([1.0, 2.0, 0.5, 1.0, 3.0])
+    table = {key: 1.0 + 0.25 * i for i, key in enumerate(window.keys())}
+    table[inf_key] = math.inf
+    K = DyadicKernelMap.from_table(table)
+    assert dlbo_constant(K, AtomicMeasure(pts, wts), window) == want
+    if inf_key == (0, (1,)):  # root [1, 2) adds nothing: same as without its atoms
+        assert dlbo_constant(K, AtomicMeasure(pts[:3], wts[:3]), window) == want
+
+
+def test_window_too_deep_for_int64_keys():
+    LatticeWindow.from_box([(0.0, 1.0)] * 2, 0, 31)
+    with pytest.raises(LevelRangeError, match="int64"):
+        LatticeWindow.from_box([(0.0, 1.0)] * 2, 0, 32)
+
+
+def test_report_counts_atoms_outside_the_window(tmp_path):
+    cfg = tmp_path / "scn.json"
+    cfg.write_text(json.dumps({
+        "dimension": 1,
+        "window": {"coarse_level": 0, "fine_level": 2, "box": [[0, 1]]},
+        "sigma": {"type": "lebesgue_grid", "box": [[0, 1]], "level": 2},
+        "mu": {"type": "atoms", "positions": [[0.5], [1.5], [-0.25]], "weights": [0.7, 2.0, 0.5]},
+        "kernel": {"type": "riesz", "alpha": 0.5},
+        "exponents": {"p": 2.0},
+        "checks": [{"name": "fubini"}],
+    }))
+    assert cli_main(["verify", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    instance = json.loads((tmp_path / "o" / "report.json").read_text())["checks"][0]["instance"]
+    assert instance["sigma_dropped"] == {"atoms": 0, "mass": 0.0}
+    assert instance["mu_dropped"] == {"atoms": 2, "mass": 2.5}

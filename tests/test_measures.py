@@ -6,6 +6,7 @@ from wolffpot import (
     DegenerateInputError,
     GridAlignmentError,
     LatticeWindow,
+    LevelIndex,
     bernoulli_cascade,
     cube_mass_table,
     doubling_constant,
@@ -70,9 +71,11 @@ def test_mass_table_matches_direct():
     rng = np.random.default_rng(6)
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 4)
     mu = AtomicMeasure(rng.uniform(0, 1, (30, 1)), rng.uniform(0, 2, 30))
-    table = cube_mass_table(mu, w)
-    for key in w.keys():
-        assert table.get(key, 0.0) == pytest.approx(mu.cube_mass(w.cube(*key)), rel=1e-14)
+    index = LevelIndex(w, mu.positions)
+    keys = list(w.keys())
+    table = index.gather(cube_mass_table(mu, index), index.lookup(keys))
+    for key, mass in zip(keys, table):
+        assert mass == pytest.approx(mu.cube_mass(w.cube(*key)), rel=1e-14)
 
 
 def test_reverse_doubling_lebesgue():
