@@ -17,14 +17,7 @@ from .errors import (
     ScenarioError,
     WolffpotError,
 )
-from .lattice import (
-    DyadicCube,
-    LatticeWindow,
-    LevelIndex,
-    ancestor_pow2,
-    cube_at,
-    cubes_of_window,
-)
+from .lattice import DyadicCube, LatticeWindow, LevelIndex
 from .measures import (
     AtomicMeasure,
     bernoulli_cascade,
@@ -38,8 +31,6 @@ from .kernels import (
     BarFieldNaive,
     DyadicKernelMap,
     RadialKernel,
-    bar_field,
-    bar_field_naive,
     bar_k,
     constant_kernel,
     dlbo_constant,

@@ -194,6 +194,7 @@ def run_trace_q1(scn: Scenario, cfg: dict, index: int) -> CheckReport:
         "achieved_ratio": res.achieved_ratio,
         "probe_max": res.probe_max,
         "extremal_gap": gap,
+        "pairing_gap": res.pairing_gap,
     }
     rep.bounds = {"extremal_gap": (0.0, 1e-8)}
     ok = gap <= 1e-8 and res.probe_max <= res.dual_constant * (1.0 + 1e-10)
@@ -482,7 +483,6 @@ def _summary(scn: Scenario, command: str, extra: dict) -> dict:
         "command": command,
         "seed": scn.seed,
         "instance": _instance_descriptor(scn),
-        "quadrature": scn.quadrature,
         **extra,
     }
 

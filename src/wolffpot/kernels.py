@@ -27,7 +27,7 @@ from scipy.integrate import quad
 
 from .errors import DegenerateInputError, InvalidKernelError, WolffpotError
 from .lattice import DyadicCube, Key, LatticeWindow, LevelIndex
-from .measures import AtomicMeasure, cube_mass_table
+from .measures import AtomicMeasure, cube_mass_table, profile_mass
 
 #: points per decade used by the construction-time monotonicity scan
 MONOTONICITY_POINTS_PER_DECADE = 512
@@ -228,6 +228,16 @@ def weigh(k, m) -> np.ndarray:
     return out
 
 
+def weighted_sum(weights, values) -> float:
+    """``sum_i w_i v_i`` over the entries with ``w_i > 0``, added in order.
+
+    Entries of zero weight are left out, so ``0 * inf = 0``.
+    """
+    pos = weights > 0.0
+    terms = weights[pos] * values[pos]
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
 def per_mass(v, m) -> np.ndarray:
     """``v / m`` where ``m > 0`` and zero elsewhere: over a vanishing mass a quantity is zero."""
     out = np.zeros(np.shape(m))
@@ -299,49 +309,27 @@ class BarFieldNaive:
         return total / m
 
 
-def bar_field(K: DyadicKernelMap, sigma: AtomicMeasure, window: LatticeWindow) -> BarField:
-    """Prefix-aggregated bar-kernel evaluator (one pass per level to build)."""
-    return BarField(K, sigma, window)
-
-
-def bar_field_naive(
-    K: DyadicKernelMap, sigma: AtomicMeasure, window: LatticeWindow
-) -> BarFieldNaive:
-    """Direct-summation oracle with the same query surface as :func:`bar_field`."""
-    return BarFieldNaive(K, sigma, window)
-
-
 def bar_k(kernel: RadialKernel, sigma: AtomicMeasure, x, r: float) -> float:
     """Continuous bar-kernel ``bar_k(r)(x)``, evaluated exactly.
 
     ``s -> sigma(B(x,s))`` is a right-continuous step function with jumps at
     the atom distances, so the integral is a finite sum of cumulative masses
-    times log-primitive increments.  Returns 0 when the ball carries no mass
-    and ``+inf`` when an atom sits exactly at ``x`` (the integral then
-    diverges at the origin for every kernel that is not identically zero).
+    times log-primitive increments, one per segment between consecutive atom
+    distances below ``r``.  Returns 0 when the ball carries no mass (or all of
+    it sits at distance exactly ``r``) and ``+inf`` when an atom sits exactly
+    at ``x`` (the integral then diverges at the origin for every kernel that
+    is not identically zero).
     """
     if r <= 0:
         raise WolffpotError(f"radius must be positive, got {r}")
     dists, cums = sigma.radial_profile(x)
-    inside = dists <= r
-    if not np.any(inside):
-        return 0.0
-    den = float(cums[inside][-1])
+    den = float(profile_mass((dists, cums), r))
     if den <= 0.0:
         return 0.0
-    num = 0.0
-    for j in range(len(dists)):
-        a = float(dists[j])
-        if a >= r:
-            break
-        b = float(dists[j + 1]) if j + 1 < len(dists) else r
-        b = min(b, r)
-        seg = kernel.log_primitive(a, b)
-        if seg > 0.0 and cums[j] > 0.0:
-            num += float(cums[j]) * seg
-        if math.isinf(num):
-            return math.inf
-    return num / den
+    starts = dists[dists < r]
+    ends = np.append(starts[1:], r)  # zip stops at starts: no segment if no atom is below r
+    seg = np.array([kernel.log_primitive(float(a), float(b)) for a, b in zip(starts, ends)])
+    return weighted_sum(cums[:starts.size], seg) / den
 
 
 def dlbo_constant(K: DyadicKernelMap, sigma: AtomicMeasure, window: LatticeWindow) -> float:

@@ -284,6 +284,7 @@ class LatticeWindow:
             yield from self.level_keys(level)
 
     def cubes(self):
+        """Deterministic enumeration, coarse to fine and lexicographic per level."""
         for level, idx in self.keys():
             yield self.cube(level, idx)
 
@@ -404,17 +405,3 @@ class LevelIndex:
         hit[hit] = cubes[pos[hit]] == keys[hit]
         return np.where(hit, self.start[j] + pos, -1)
 
-
-def cube_at(point, level: int, window: LatticeWindow) -> DyadicCube:
-    """Unique cube of ``window``'s lattice at ``level`` containing ``point``."""
-    return window.cube_at(point, level)
-
-
-def ancestor_pow2(cube: DyadicCube, j: int, window: LatticeWindow) -> DyadicCube:
-    """The dilated cube ``2^j Q`` within the window."""
-    return window.ancestor(cube, j)
-
-
-def cubes_of_window(window: LatticeWindow) -> list[DyadicCube]:
-    """Deterministic enumeration, coarse to fine and lexicographic per level."""
-    return list(window.cubes())

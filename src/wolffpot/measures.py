@@ -7,7 +7,8 @@ Lebesgue measure at dyadic-cube granularity (cube masses are then exact for
 every cube at or above the grid level).
 
 Balls are closed, so ``r -> ball_mass(x, r)`` is a right-continuous step
-function; cubes are half-open, so same-level cube masses are exactly additive
+function, which :func:`profile_mass` reads off a radial profile at any
+radii; cubes are half-open, so same-level cube masses are exactly additive
 over children.
 """
 
@@ -109,6 +110,17 @@ class AtomicMeasure:
         cum = np.cumsum(w)
         ends = np.append(start[1:], len(w)) - 1
         return dists, cum[ends]
+
+
+def profile_mass(profile, radii):
+    """Closed-ball masses at ``radii`` of a :meth:`AtomicMeasure.radial_profile`.
+
+    An atom at distance exactly ``r`` counts in the ball of radius ``r``, so
+    ``r -> profile_mass(profile, r)`` is the right-continuous ball-mass step
+    function; below the nearest atom it is zero.
+    """
+    dists, cum = profile
+    return np.append(0.0, cum)[np.searchsorted(dists, radii, side="right")]
 
 
 def lebesgue_grid(box, level: int) -> AtomicMeasure:

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, OutOfWindowError, WolffpotError
-from .kernels import BarField, DyadicKernelMap, RadialKernel, bar_k, per_mass, weigh
+from .kernels import BarField, DyadicKernelMap, RadialKernel, per_mass, weigh, weighted_sum
 from .lattice import DyadicCube, Key, LatticeWindow, LevelIndex
-from .measures import AtomicMeasure, cube_mass_table
+from .measures import AtomicMeasure, cube_mass_table, profile_mass
 
 
 @dataclass(frozen=True)
@@ -80,16 +80,6 @@ def xpow(base: float, e: float) -> float:
     if math.isinf(base):
         return math.inf if e > 0 else (1.0 if e == 0 else 0.0)
     return base ** e
-
-
-def weighted_sum(weights, values) -> float:
-    """``sum_i w_i v_i`` over the atoms with ``w_i > 0``, added in atom order.
-
-    Atoms of zero weight are left out, so ``0 * inf = 0``.
-    """
-    pos = weights > 0.0
-    terms = weights[pos] * values[pos]
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def _per_point(values, x):
@@ -377,135 +367,74 @@ def wolff_continuous(
 
         ``int k(r) S (A + B u(r))^{p'-1} dr/r = S [(A+Bu)^{p'} - A^{p'}]/(p' B)``.
 
-    No outer quadrature is needed; only kernels without a closed-form
-    log-primitive introduce quadrature error (inside ``u``).
+    Each ball mass is read off a radial profile at the segment starts:
+    ``S = sigma(B(x,a))`` and, per mu-atom ``b`` within reach, ``sigma(B(b,a))``,
+    whose running integral against ``k ds/s`` is one cumulative sum.  The cost
+    is one sort of the sigma-atoms per such mu-atom plus one log-primitive per
+    segment; no mu-by-sigma distance matrix is formed.  No outer quadrature is
+    needed; only kernels without a closed-form log-primitive introduce
+    quadrature error (inside ``u``).
     """
     if R <= 0:
         raise WolffpotError(f"truncation radius must be positive, got {R}")
     pp = exps.p_prime
     x = np.asarray(x, dtype=float)
     upper = R if kernel.cutoff is None else min(R, kernel.cutoff)
-    if not math.isfinite(upper):
-        upper = math.inf
+    mu_dist = np.linalg.norm(mu.positions - x, axis=1)
+    track = (mu_dist <= upper) & (mu.weights > 0.0)
+    around_x = sigma.radial_profile(x)
+    around_mu = [sigma.radial_profile(b) for b in mu.positions[track]]
 
-    dx_sigma = (
-        np.linalg.norm(sigma.positions - x, axis=1) if sigma.n_atoms else np.zeros(0)
-    )
-    dx_mu = np.linalg.norm(mu.positions - x, axis=1) if mu.n_atoms else np.zeros(0)
-    track = (
-        (dx_mu <= upper) & (mu.weights > 0.0)
-        if math.isfinite(upper)
-        else (mu.weights > 0.0)
-    )
-    mu_pos = mu.positions[track]
-    mu_w = mu.weights[track]
-    mu_dist = dx_mu[track]
-    m = mu_pos.shape[0]
-
-    # distances from each tracked mu-atom to every sigma-atom
-    if m and sigma.n_atoms:
-        cross = np.linalg.norm(mu_pos[:, None, :] - sigma.positions[None, :, :], axis=2)
-    else:
-        cross = np.zeros((m, 0))
-
-    bps = [dx_sigma, mu_dist, cross.ravel()]
-    if math.isfinite(upper):
-        bps.append(np.array([upper]))
-    breakpoints = np.unique(np.concatenate(bps))
-    breakpoints = breakpoints[(breakpoints > 0.0)]
-    if math.isfinite(upper):
-        breakpoints = breakpoints[breakpoints <= upper]
-    else:
-        breakpoints = np.append(breakpoints, np.inf)
-    if breakpoints.size == 0:
+    ends = np.unique(np.concatenate(
+        [around_x[0], mu_dist[track], *(d for d, _ in around_mu), [upper]]))
+    ends = ends[(ends > 0.0) & (ends <= upper)]
+    if not ends.size:
         return 0.0
+    starts = np.append(0.0, ends[:-1])
+    L = np.array([kernel.log_primitive(float(a), float(b)) for a, b in zip(starts, ends)])
 
-    sw = sigma.weights
-    N = np.zeros(m)  # int_0^r k(s) sigma(B(b, s)) ds/s per tracked mu-atom b
-    # sigma-atoms coincident with a mu-atom belong to every ball around it
-    M = ((cross <= 0.0) @ sw) if m and sigma.n_atoms else np.zeros(m)
-    S = float(np.sum(sw[dx_sigma <= 0.0])) if sigma.n_atoms else 0.0
-    total = 0.0
-    prev = 0.0
-    for b in breakpoints:
-        a = prev
-        L = kernel.log_primitive(a, float(b))
-        active = mu_dist <= a
-        if L > 0.0 and S > 0.0 and np.any(active):
-            act_w = mu_w[active]
-            act_M = M[active]
-            act_N = N[active]
-            pos = act_M > 0.0
-            if np.any(np.isinf(act_N[pos])):
-                return math.inf
-            A = float(np.sum(act_w[pos] * act_N[pos] / act_M[pos]))
-            B = float(np.sum(act_w[pos]))
-            if math.isinf(L):
-                if A > 0.0 or B > 0.0:
-                    return math.inf
-            elif B > 0.0:
-                total += S * (xpow(A + B * L, pp) - xpow(A, pp)) / (pp * B)
-            elif A > 0.0:
-                total += S * xpow(A, pp - 1.0) * L
-            if math.isinf(total):
-                return math.inf
-        # accrue the inner numerators over the segment (ball masses constant)
-        if m and L > 0.0:
-            if math.isinf(L):
-                N = np.where(M > 0.0, math.inf, N)
-            else:
-                N = N + np.where(M > 0.0, M * L, 0.0)
-        if not math.isinf(b):
-            # jump events at radius b (balls are closed)
-            if sigma.n_atoms:
-                S += float(np.sum(sw[dx_sigma == b]))
-            if m and cross.size:
-                M = M + (cross == b) @ sw
-        prev = float(b)
-    return total
+    # A = sum_b w_b bar-numerator_b / sigma(B(b,a)) and B = sum_b w_b over the
+    # mu-atoms b in B(x,a) with sigma(B(b,a)) > 0, at each segment start a
+    A = np.zeros(starts.size)
+    B = np.zeros(starts.size)
+    for d, w, prof in zip(mu_dist[track], mu.weights[track], around_mu):
+        M = profile_mass(prof, starts)
+        N = np.append(0.0, np.cumsum(weigh(L, M))[:-1])  # int_0^a k(s) sigma(B(b,s)) ds/s
+        active = d <= starts
+        A += np.where(active, per_mass(w * N, M), 0.0)
+        B += np.where(active & (M > 0.0), w, 0.0)
+    S = profile_mass(around_x, starts)
+    live = (L > 0.0) & (S > 0.0) & (B > 0.0)
+    A, B, L, S = A[live], B[live], L[live], S[live]
+    if np.any(np.isinf(A) | np.isinf(L)):
+        return math.inf
+    terms = S * (np.power(A + B * L, pp) - np.power(A, pp)) / (pp * B)
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def m_k_maximal(kernel: RadialKernel, sigma: AtomicMeasure, mu: AtomicMeasure, x) -> float:
     """Kernel maximal function ``M_k(x) = sup_{r>0} bar_k(r)(x) mu(B(x,r))``.
 
     Between consecutive atom distances both ball masses are constant while the
-    bar-kernel numerator grows, so the supremum over each segment sits at its
-    endpoints (the point value at the left end, the left-limit at the right
-    end); the scan over this finite candidate set is exact.  The final
-    unbounded segment contributes its limit value, which is finite exactly
-    when ``int^inf k(s) ds/s`` is.
+    bar-kernel numerator grows, so the supremum over each segment is its
+    left-limit at the right end; the scan over these finitely many values is
+    exact.  The final unbounded segment contributes its limit value, which is
+    finite exactly when ``int^inf k(s) ds/s`` is.
     """
-    x = np.asarray(x, dtype=float)
-    sd, scum = sigma.radial_profile(x)
-    md, mcum = mu.radial_profile(x)
-    if md.size == 0 or sd.size == 0:
+    if not (sigma.n_atoms and mu.n_atoms):
         return 0.0
-    radii = np.unique(np.concatenate([sd, md]))
-    radii = radii[radii >= 0.0]
-    best = 0.0
-    num = 0.0
-
-    def sigma_at(r):  # closed-ball sigma mass
-        i = np.searchsorted(sd, r, side="right") - 1
-        return float(scum[i]) if i >= 0 else 0.0
-
-    def mu_at(r):
-        i = np.searchsorted(md, r, side="right") - 1
-        return float(mcum[i]) if i >= 0 else 0.0
-
-    for j, r in enumerate(radii):
-        den = sigma_at(r)
-        mb = mu_at(r)
-        if den > 0.0 and mb > 0.0 and num > 0.0:
-            best = max(best, (num / den) * mb)  # point value at r (numerator continuous)
-        nxt = radii[j + 1] if j + 1 < len(radii) else math.inf
-        if den > 0.0:
-            seg = kernel.log_primitive(float(r), float(nxt))
-            new_num = num + den * seg if seg > 0.0 else num
-            if mb > 0.0 and seg > 0.0:
-                best = max(best, (new_num / den) * mb)  # left limit at nxt / r->inf limit
-            num = new_num
-        if math.isinf(num):
-            # bar_k is infinite from here on; mu is nonempty, so the sup is too
-            return math.inf
-    return best
+    x = np.asarray(x, dtype=float)
+    sigma_prof = sigma.radial_profile(x)
+    mu_prof = mu.radial_profile(x)
+    radii = np.unique(np.concatenate([sigma_prof[0], mu_prof[0]]))
+    den = profile_mass(sigma_prof, radii)
+    ends = np.append(radii[1:], math.inf)
+    # the numerator grows only where the ball already holds sigma-mass
+    held = den > 0.0
+    L = np.zeros(radii.size)
+    L[held] = [kernel.log_primitive(float(a), float(b)) for a, b in zip(radii[held], ends[held])]
+    num = np.cumsum(weigh(L, den))  # bar-kernel numerator at each segment's right end
+    if math.isinf(num[-1]):
+        # bar_k is infinite from there on; mu is nonempty, so the sup is too
+        return math.inf
+    return float(np.max(per_mass(num, den) * profile_mass(mu_prof, radii), initial=0.0))

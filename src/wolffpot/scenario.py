@@ -35,8 +35,6 @@ class Scenario:
     checks: list = field(default_factory=list)
     seed: int | None = None
     band: tuple = DEFAULT_BAND
-    quadrature: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
 
 
 def _need(cfg: dict, key: str, where: str):
@@ -163,11 +161,6 @@ def build_scenario(cfg: dict) -> Scenario:
                 "(scenario-level or per-check)"
             )
     band = tuple(cfg.get("bands", {}).get("default", DEFAULT_BAND))
-    quadrature = {
-        "segment_rel_tol": 1e-8,
-        "primitive_rel_tol": 1e-10,
-        **cfg.get("quadrature", {}),
-    }
     return Scenario(
         dimension=dimension,
         window=window,
@@ -179,8 +172,6 @@ def build_scenario(cfg: dict) -> Scenario:
         checks=checks,
         seed=int(seed) if seed is not None else None,
         band=band,
-        quadrature=quadrature,
-        raw=cfg,
     )
 
 

@@ -24,6 +24,7 @@ from .kernels import (
     log_kernel,
     per_mass,
     weigh,
+    weighted_sum,
 )
 from .lattice import LatticeWindow, LevelIndex
 from .measures import AtomicMeasure, cube_mass_table, lebesgue_grid
@@ -33,7 +34,6 @@ from .potentials import (
     a_functionals,
     energy_dyadic,
     t_continuous_trunc,
-    weighted_sum,
     xpow,
 )
 

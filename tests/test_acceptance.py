@@ -23,11 +23,11 @@ import pytest
 
 from wolffpot import (
     AtomicMeasure,
+    BarField,
+    BarFieldNaive,
     DyadicKernelMap,
     Exponents,
     LatticeWindow,
-    bar_field,
-    bar_field_naive,
     bar_k,
     bernoulli_cascade,
     dlbo_constant,
@@ -149,8 +149,8 @@ def test_criterion_05_bar_oracle_equivalence():
         inst = random_instance([BASE_SEED, 500 + i], n=n, depth=depth,
                                n_sigma=int(rng.integers(5, 40)), n_mu=5,
                                kernel="table")
-        fast = bar_field(inst.K, inst.sigma, inst.window)
-        naive = bar_field_naive(inst.K, inst.sigma, inst.window)
+        fast = BarField(inst.K, inst.sigma, inst.window)
+        naive = BarFieldNaive(inst.K, inst.sigma, inst.window)
         keys = list(inst.window.keys())
         sample = keys[:: max(1, len(keys) // 12)]
         pts = rng.uniform(0, 1, (4, n))
@@ -162,8 +162,8 @@ def test_criterion_05_bar_oracle_equivalence():
                 worst = max(worst, abs(a - b) / ref if ref > 0 else 0.0)
     D = 8
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, D)
-    bf = bar_field(DyadicKernelMap.from_radial(riesz_kernel(0.5, 1)),
-                   lebesgue_grid([(0.0, 1.0)], D), w)
+    bf = BarField(DyadicKernelMap.from_radial(riesz_kernel(0.5, 1)),
+                  lebesgue_grid([(0.0, 1.0)], D), w)
     got = bf.bar(w.cube(0, (0,)), [0.37])
     series = (1 - 2.0 ** (-(D + 1) / 2)) / (1 - 2.0 ** -0.5)
     root_err = abs(got - series) / series

@@ -5,12 +5,12 @@ import pytest
 
 from wolffpot import (
     AtomicMeasure,
+    BarField,
+    BarFieldNaive,
     DyadicKernelMap,
     InvalidKernelError,
     LatticeWindow,
     LevelIndex,
-    bar_field,
-    bar_field_naive,
     bar_k,
     bernoulli_cascade,
     constant_kernel,
@@ -75,7 +75,7 @@ def test_bar_root_matches_geometric_series():
     D = 6
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, D)
     grid = lebesgue_grid([(0.0, 1.0)], D)
-    bf = bar_field(DyadicKernelMap.from_radial(riesz_kernel(0.5, 1)), grid, w)
+    bf = BarField(DyadicKernelMap.from_radial(riesz_kernel(0.5, 1)), grid, w)
     expect = (1 - 2.0 ** (-(D + 1) / 2)) / (1 - 2.0 ** -0.5)
     for x in (0.01, 0.37, 0.99):
         assert bf.bar(w.cube(0, (0,)), [x]) == pytest.approx(expect, rel=1e-13)
@@ -84,7 +84,7 @@ def test_bar_root_matches_geometric_series():
 def test_bar_chain_example():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 2)
     sigma = AtomicMeasure([[0.1]], [1.0])
-    bf = bar_field(DyadicKernelMap.constant(1.0), sigma, w)
+    bf = BarField(DyadicKernelMap.constant(1.0), sigma, w)
     # chain through x=0.3 meets mass only in [0,1) and [0,0.5)
     assert bf.bar(w.cube(0, (0,)), [0.3]) == 2.0
     # zero-mass cube gives zero by convention
@@ -102,8 +102,8 @@ def test_bar_field_matches_naive_exactly():
         sigma = AtomicMeasure(rng.uniform(0, 1, (25, n)), 2.0 ** rng.uniform(-4, 4, 25))
         table = {key: float(2.0 ** rng.uniform(-4, 4)) for key in w.keys()}
         K = DyadicKernelMap.from_table(table)
-        fast = bar_field(K, sigma, w)
-        naive = bar_field_naive(K, sigma, w)
+        fast = BarField(K, sigma, w)
+        naive = BarFieldNaive(K, sigma, w)
         pts = rng.uniform(0, 1, (5, n))
         for key in list(w.keys())[:: max(1, w.n_cubes // 13)]:
             cube = w.cube(*key)
@@ -116,7 +116,7 @@ def test_bar_prefix_chain_identity():
     rng = np.random.default_rng(23)
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 5)
     sigma = AtomicMeasure(rng.uniform(0, 1, (20, 1)), rng.uniform(0.1, 2, 20))
-    bf = bar_field(DyadicKernelMap.from_radial(riesz_kernel(0.4, 1)), sigma, w)
+    bf = BarField(DyadicKernelMap.from_radial(riesz_kernel(0.4, 1)), sigma, w)
     x = [0.613]
     p_leaf = bf.prefix(bf.index.find(x))[0]
     for cube in w.chain(x):

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from wolffpot import (
-    LatticeWindow,
-    LevelRangeError,
-    OutOfWindowError,
-    ancestor_pow2,
-    cube_at,
-    cubes_of_window,
-)
+from wolffpot import LatticeWindow, LevelRangeError, OutOfWindowError
 
 
 @pytest.fixture
@@ -17,21 +10,21 @@ def unit_window():
 
 
 def test_cube_at_basic(unit_window):
-    q = cube_at([0.3], 2, unit_window)
+    q = unit_window.cube_at([0.3], 2)
     assert q.level == 2 and q.index == (1,)
     assert q.lower() == (0.25,) and q.upper() == (0.5,)
 
 
 def test_cube_at_boundary_is_half_open(unit_window):
     # the left endpoint belongs to the cube, the right one does not
-    assert cube_at([0.25], 2, unit_window).index == (1,)
-    assert cube_at([0.4999999], 2, unit_window).index == (1,)
-    assert cube_at([0.5], 2, unit_window).index == (2,)
+    assert unit_window.cube_at([0.25], 2).index == (1,)
+    assert unit_window.cube_at([0.4999999], 2).index == (1,)
+    assert unit_window.cube_at([0.5], 2).index == (2,)
 
 
 def test_cube_at_shifted_lattice():
     w = LatticeWindow.from_box([(0.1, 1.1)], 0, 2, shift=[0.1])
-    q = cube_at([0.3], 2, w)
+    q = w.cube_at([0.3], 2)
     assert q.index == (0,)
     assert q.lower() == (0.1,)
     assert q.upper() == (0.35,)
@@ -39,23 +32,23 @@ def test_cube_at_shifted_lattice():
 
 def test_cube_at_errors(unit_window):
     with pytest.raises(OutOfWindowError):
-        cube_at([1.5], 1, unit_window)
+        unit_window.cube_at([1.5], 1)
     with pytest.raises(LevelRangeError):
-        cube_at([0.3], 3, unit_window)
+        unit_window.cube_at([0.3], 3)
     with pytest.raises(LevelRangeError):
-        cube_at([0.3], -1, unit_window)
+        unit_window.cube_at([0.3], -1)
 
 
 def test_ancestor_pow2(unit_window):
-    q = cube_at([0.3], 2, unit_window)
-    up = ancestor_pow2(q, 2, unit_window)
+    q = unit_window.cube_at([0.3], 2)
+    up = unit_window.ancestor(q, 2)
     assert up.level == 0 and up.lower() == (0.0,) and up.upper() == (1.0,)
-    assert ancestor_pow2(q, 0, unit_window) == q
-    q2 = cube_at([0.6], 2, unit_window)  # [0.5, 0.75)
-    up2 = ancestor_pow2(q2, 1, unit_window)
+    assert unit_window.ancestor(q, 0) == q
+    q2 = unit_window.cube_at([0.6], 2)  # [0.5, 0.75)
+    up2 = unit_window.ancestor(q2, 1)
     assert up2.lower() == (0.5,) and up2.upper() == (1.0,)
     with pytest.raises(LevelRangeError):
-        ancestor_pow2(q, 3, unit_window)
+        unit_window.ancestor(q, 3)
 
 
 def test_ancestor_composition(unit_window):
@@ -68,16 +61,16 @@ def test_ancestor_composition(unit_window):
 
 
 def test_enumeration_counts():
-    assert len(cubes_of_window(LatticeWindow.from_box([(0.0, 1.0)], 0, 1))) == 3
-    assert len(cubes_of_window(LatticeWindow.from_box([(0.0, 1.0)], 0, 2))) == 7
+    assert len(list(LatticeWindow.from_box([(0.0, 1.0)], 0, 1).cubes())) == 3
+    assert len(list(LatticeWindow.from_box([(0.0, 1.0)], 0, 2).cubes())) == 7
     sq = LatticeWindow.from_box([(0.0, 1.0), (0.0, 1.0)], 0, 1)
-    assert len(cubes_of_window(sq)) == 5
+    assert len(list(sq.cubes())) == 5
     assert sq.n_cubes == 5
 
 
 def test_enumeration_order():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 1)
-    got = [(c.lower()[0], c.upper()[0]) for c in cubes_of_window(w)]
+    got = [(c.lower()[0], c.upper()[0]) for c in w.cubes()]
     assert got == [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0)]
 
 

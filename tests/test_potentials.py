@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from wolffpot import (
     AtomicMeasure,
@@ -13,6 +14,7 @@ from wolffpot import (
     OutOfWindowError,
     WolffpotError,
     a_functionals,
+    bar_k,
     energy_continuous,
     energy_dyadic,
     hl_maximal_dyadic,
@@ -248,8 +250,6 @@ def test_wolff_continuous_truncation_monotone():
 
 def test_wolff_continuous_inner_matches_bar_k():
     # the inner integrand of W at fixed r is sum_b w_b bar_k(r)(b)
-    from wolffpot import bar_k
-
     k = riesz_kernel(0.5, 1, cutoff=1.0)
     g = lebesgue_grid([(-1.0, 1.0)], 6)
     rng = np.random.default_rng(2)
@@ -299,6 +299,98 @@ def test_m_k_refinement_trend():
         errs.append(abs(m_k_maximal(k, g, mu, x) / (2 * 2.0 ** 2) - 1.0))
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] == pytest.approx(2.0 * errs[2], rel=0.2)
+
+
+# -- continuous operations against their definitions -----------------------------------
+
+
+def riesz_instance(seed, n):
+    """Small seeded instance with repeated sigma- and mu-atoms and a query point."""
+    rng = np.random.default_rng([seed, n, 41])
+    sp = rng.uniform(-0.8, 0.8, (9, n))
+    sp = np.vstack([sp, sp[:2]])  # two sigma-atoms doubled in place
+    sigma = AtomicMeasure(sp, rng.uniform(0.2, 2.0, len(sp)))
+    mp = rng.uniform(-0.3, 0.3, (3, n))
+    mu = AtomicMeasure(np.vstack([mp, mp[:1]]), rng.uniform(0.5, 2.0, 4))
+    return sigma, mu, rng.uniform(-0.1, 0.1, n)
+
+
+def wolff_by_quad(kernel, sigma, mu, pp, x, upper):
+    """``W_k`` of its definition, integrated by quad between the jump radii."""
+    x = np.asarray(x, dtype=float)
+    dist = lambda pos, c: np.linalg.norm(pos - c, axis=1)  # noqa: E731
+    jumps = [dist(sigma.positions, x), dist(mu.positions, x)]
+    jumps += [dist(sigma.positions, b) for b in mu.positions]
+    edges = np.unique(np.concatenate(jumps + [[0.0, upper]]))
+    edges = edges[edges <= upper]
+
+    def integrand(r):
+        inner = sum(w * bar_k(kernel, sigma, b, r)
+                    for b, w in zip(mu.positions, mu.weights) if np.linalg.norm(b - x) <= r)
+        return kernel(r) * sigma.ball_mass(x, r) * inner ** (pp - 1.0) / r
+
+    return sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_wolff_continuous_matches_quadrature_of_definition(seed, n):
+    sigma, mu, x = riesz_instance(seed, n)
+    alpha = 0.5 if n == 1 else 1.25
+    cases = [
+        (riesz_kernel(alpha, n), 0.9, 1.5),  # finite R
+        (riesz_kernel(alpha, n, cutoff=0.7), math.inf, 2.0),  # cutoff
+        (riesz_kernel(alpha, n, cutoff=0.7), 0.5, 3.0),  # R below the cutoff
+    ]
+    for kernel, R, pp in cases:
+        got = wolff_continuous(kernel, sigma, mu, Exponents.from_p_prime(pp), x, R=R)
+        want = wolff_by_quad(kernel, sigma, mu, pp, x, min(R, kernel.cutoff or math.inf))
+        assert want > 0.0
+        assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_wolff_continuous_coincident_mu_and_sigma_atoms_diverge():
+    # a mu-atom on a sigma-atom has bar_k(r) = inf at every r, so W = inf
+    sigma, mu, x = riesz_instance(0, 2)
+    mu = AtomicMeasure(np.vstack([mu.positions, sigma.positions[:1]]), np.append(mu.weights, 1.0))
+    kernel = riesz_kernel(1.25, 2, cutoff=3.0)
+    assert bar_k(kernel, sigma, sigma.positions[0], 0.1) == math.inf
+    assert wolff_continuous(kernel, sigma, mu, Exponents(p=2.0), x) == math.inf
+    # out of reach (beyond R from x), the same atom adds nothing
+    far = np.linalg.norm(sigma.positions[0] - x)
+    assert math.isfinite(wolff_continuous(kernel, sigma, mu, Exponents(p=2.0), x, R=far * 0.99))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_m_k_maximal_matches_scan_of_bar_k(seed, n):
+    sigma, mu, x = riesz_instance(seed, n)
+    # the cutoff lies beyond every atom, so the unbounded last segment counts
+    kernel = riesz_kernel(0.5 if n == 1 else 1.25, n, cutoff=3.0)
+    radii = np.unique(np.concatenate([
+        np.linalg.norm(sigma.positions - x, axis=1), np.linalg.norm(mu.positions - x, axis=1)]))
+    # each atom distance, just below it, and beyond every atom and the cutoff
+    scan = np.concatenate([radii, radii * (1.0 - 1e-10), [10.0]])
+    vals = [bar_k(kernel, sigma, x, r) * mu.ball_mass(x, r) for r in scan[scan > 0.0]]
+    got = m_k_maximal(kernel, sigma, mu, x)
+    assert max(vals) > 0.0
+    assert got == pytest.approx(max(vals), rel=1e-8)
+    assert max(vals) <= got * (1.0 + 1e-12)
+
+
+def test_bar_k_edge_cases():
+    k = riesz_kernel(0.5, 1)
+    # the only atom at distance exactly r: the closed ball holds it, but no
+    # segment lies below r, so the integral and bar_k vanish
+    assert bar_k(k, AtomicMeasure([[0.75]], [2.0]), [0.25], 0.5) == 0.0
+    # an atom at x diverges, even next to atoms farther out
+    assert bar_k(k, AtomicMeasure([[0.25], [0.5]], [1.0, 1.0]), [0.25], 0.5) == math.inf
+    # a massless atom at x is no atom at all
+    two = AtomicMeasure([[0.25], [0.5]], [0.0, 1.0])
+    assert bar_k(k, two, [0.25], 0.5) == pytest.approx(k.log_primitive(0.25, 0.5))
+    assert bar_k(k, AtomicMeasure.empty(1), [0.25], 0.5) == 0.0
+    assert bar_k(k, AtomicMeasure.empty(2), [0.0, 0.0], 1.0) == 0.0
 
 
 def test_energy_continuous_closed_form():
