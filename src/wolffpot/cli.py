@@ -302,7 +302,13 @@ def run_shifted_average(scn: Scenario, cfg: dict, index: int) -> CheckReport:
     out = V.shifted_average_check(scn.radial, scn.mu, j, draws, xs, seed)
     lo, hi = _band(scn, cfg)
     rep = CheckReport("shifted_average", _instance_descriptor(scn), seed=seed)
-    rep.values = {"max_ratio": out["max_ratio"], "points": float(out["n_points"])}
+    rep.values = {
+        "max_ratio": out["max_ratio"],
+        "points": float(out["n_points"]),
+        "j0": float(out["j0"]),
+        "levels": float(out["levels"]),
+        "max_rel_stderr": out["max_rel_stderr"],
+    }
     rep.bounds = {"max_ratio": (0.0, hi)}
     rep.status = "pass" if out["max_ratio"] <= hi else "fail"
     return rep

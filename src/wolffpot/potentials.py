@@ -382,6 +382,8 @@ def wolff_continuous(
     upper = R if kernel.cutoff is None else min(R, kernel.cutoff)
     mu_dist = np.linalg.norm(mu.positions - x, axis=1)
     track = (mu_dist <= upper) & (mu.weights > 0.0)
+    if not track.any():
+        return 0.0  # no mu-mass within reach: every inner integral vanishes
     around_x = sigma.radial_profile(x)
     around_mu = [sigma.radial_profile(b) for b in mu.positions[track]]
 

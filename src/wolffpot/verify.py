@@ -371,6 +371,19 @@ def _shifted_dyadic_potential(kernel, mu, xs, zs, j: int, j0: int):
     shifted by ``z`` containing ``x``.  Levels run from the coarsest scale the
     kernel can see down to the separation scale of the atoms, which loses only
     nonnegative terms (a conservative truncation for an upper-bound check).
+
+    Computed by common dyadic depth.  The level-``l`` key of a point ``p`` is
+    ``floor((p - z) 2^l)``, which is its fine key ``floor((p - z) 2^{l_max})``
+    shifted right by ``l_max - l``, so an atom lies in ``Q_{l,z}(x)`` exactly
+    for ``l <= l_max - b``, where ``b`` is the bit length of the OR over
+    coordinates of ``key_p XOR key_x``.  Fine keys can pass 2^63, so each key
+    is split into its level-``l_min`` key (compared as a float) and the
+    residual below that cube, an integer under ``2^{l_max - l_min} <= 2^52``.
+    Each atom then picks the sum of ``k`` over its levels from one table, and
+    a mat-vec with the weights gives ``T``: ``O(shifts x atoms x dim)`` work
+    with ``(chunk x atoms)`` temporaries and no levels axis.
+
+    Returns the values per shift and the number of live levels.
     """
     pos, w = mu.positions, mu.weights
     x = np.asarray(xs, dtype=float)
@@ -388,20 +401,32 @@ def _shifted_dyadic_potential(kernel, mu, xs, zs, j: int, j0: int):
     levels = np.arange(l_min, l_max + 1)
     kvals = np.array([kernel(2.0 ** (-float(l)) / 4.0) for l in levels])
     live = kvals > 0.0
-    levels, kvals = levels[live], kvals[live]
+    # by_bits[b]: the live k summed over the levels l <= l_max - b
+    s = l_max - l_min
+    by_bits = np.append(np.cumsum(np.where(live, kvals, 0.0))[::-1], 0.0)
     out = np.zeros(zs.shape[0])
     chunk = 2048
-    lev_scale = 2.0 ** levels.astype(float)
+
+    def split_keys(d):
+        coarse = np.floor(d * 2.0 ** l_min)
+        # an integer in [0, 2^s), so the float difference is exact
+        fine = np.floor(d * 2.0 ** l_max) - coarse * 2.0 ** s
+        return coarse, fine.astype(np.int64)
+
     for lo in range(0, zs.shape[0], chunk):
         z = zs[lo : lo + chunk]  # (c, n)
-        ix = np.floor((x[None, None, :] - z[:, None, :]) * lev_scale[None, :, None])
-        ip = np.floor(
-            (pos[None, None, :, :] - z[:, None, None, :])
-            * lev_scale[None, :, None, None]
-        )  # (c, L, m, n)
-        same = np.all(ip == ix[:, :, None, :], axis=3)  # (c, L, m)
-        out[lo : lo + chunk] = (same @ w) @ kvals
-    return out
+        differ = np.zeros((z.shape[0], pos.shape[0]), dtype=np.int64)  # (c, m)
+        for i in range(x.size):
+            cx, fx = split_keys(x[i] - z[:, i])
+            cp, fp = split_keys(pos[None, :, i] - z[:, i, None])
+            differ |= fp ^ fx[:, None]
+            # bit s marks an atom outside x's level-l_min cube: b = s + 1
+            differ |= (cp != cx[:, None]).astype(np.int64) << s
+        # differ < 2^(s+1) <= 2^53 converts to float exactly, so frexp's
+        # exponent is its bit length
+        bits = np.frexp(differ.astype(float))[1]
+        out[lo : lo + chunk] = by_bits.take(bits.astype(np.intp)) @ w
+    return out, int(np.count_nonzero(live))
 
 
 def shifted_average_check(
@@ -418,6 +443,10 @@ def shifted_average_check(
     Carlo (uniform shifts in the ball) and returns the worst ratio of
     ``T^{2^j}[mu](x)`` to the estimate minus three standard errors, over the
     sample points.  ``j0`` is the smallest integer with ``2^{j0} > 2 sqrt(n) + 1``.
+    Points where ``T^{2^j}[mu](x) = 0`` are vacuous and not sampled.  Also
+    returned: ``levels``, the most live lattice levels any point swept, and
+    ``max_rel_stderr``, the worst ``stderr / estimate`` (``inf`` where a point's
+    estimate is 0).
     """
     n = mu.dimension
     j0 = 1
@@ -436,22 +465,25 @@ def shifted_average_check(
         vol = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * R ** n
     ratios = []
     details = []
+    levels = 0
     for x in x_samples:
         lhs = t_continuous_trunc(kernel, mu, 2.0 ** j, x)
-        vals = _shifted_dyadic_potential(kernel, mu, x, zs, j, j0)
+        if lhs == 0.0:
+            continue  # vacuous point
+        vals, n_levels = _shifted_dyadic_potential(kernel, mu, x, zs, j, j0)
+        levels = max(levels, n_levels)
         est = vol * float(np.mean(vals))
         se = vol * float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
         rhs = max(est - 3.0 * se, 0.0) / 2.0 ** (j * n)
-        if lhs == 0.0:
-            continue  # vacuous point
         ratios.append(lhs / rhs if rhs > 0 else math.inf)
         details.append({"lhs": lhs, "estimate": est, "stderr": se})
-    if not ratios:
-        return {"max_ratio": 0.0, "n_points": 0, "j0": j0, "details": []}
+    rel_stderr = [d["stderr"] / d["estimate"] if d["estimate"] > 0 else math.inf for d in details]
     return {
-        "max_ratio": max(ratios),
+        "max_ratio": max(ratios, default=0.0),
         "n_points": len(ratios),
         "j0": j0,
+        "levels": levels,
+        "max_rel_stderr": max(rel_stderr, default=0.0),
         "details": details,
     }
 

@@ -79,6 +79,21 @@ def test_counterexample_scenario_flags_divergence(tmp_path):
     assert fields["values"]["min_wbar_d8"] > fields["values"]["min_wbar_d4"]
 
 
+def test_shifted_average_reports_its_sweep(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "shifted.json"
+    base = json.loads((SCENARIOS / "riesz_lebesgue.json").read_text())
+    base["checks"] = [{"name": "shifted_average", "j": 0, "draws": 500, "x_samples": 3}]
+    cfg.write_text(json.dumps(base))
+    assert run(["verify", "--config", cfg, "--out-dir", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    values = report["checks"][0]["values"]
+    assert set(values) == {"max_ratio", "points", "j0", "levels", "max_rel_stderr"}
+    assert values["points"] == 3.0 and values["j0"] == 2.0
+    assert 1.0 <= values["levels"] <= 52.0
+    assert 0.0 < values["max_rel_stderr"] < 1.0
+
+
 def test_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out, threads in ((a, 1), (b, 2)):

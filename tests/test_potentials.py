@@ -12,6 +12,7 @@ from wolffpot import (
     Exponents,
     LatticeWindow,
     OutOfWindowError,
+    RadialKernel,
     WolffpotError,
     a_functionals,
     bar_k,
@@ -20,6 +21,7 @@ from wolffpot import (
     hl_maximal_dyadic,
     lambda_substitution,
     lebesgue_grid,
+    log_kernel,
     m_k_maximal,
     maximal_dyadic,
     riesz_kernel,
@@ -237,6 +239,30 @@ def test_wolff_continuous_zero_and_homogeneity():
     a = wolff_continuous(k, g, mu2, ex, [0.0])
     b = wolff_continuous(k, g, mu2.scaled(5.0), ex, [0.0])
     assert b == pytest.approx(5.0 ** (ex.p_prime - 1.0) * a, rel=1e-10)
+
+
+def test_wolff_continuous_out_of_reach_mu_makes_no_primitive_call(monkeypatch):
+    # log-kernel primitives are quadratures; with no mu-mass within reach of x
+    # (beyond the cutoff, beyond R, or massless) none is needed
+    k = log_kernel(1.5, 4.4816890703380645, 1)
+    g = lebesgue_grid([(-1.0, 1.0)], 6)
+    ex = Exponents(p=2.0)
+    calls = []
+    original = RadialKernel.log_primitive
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(RadialKernel, "log_primitive", counted)
+    far = AtomicMeasure([[1.5], [-1.25]], [1.0, 2.0])
+    assert wolff_continuous(k, g, far, ex, [0.0]) == 0.0
+    near = AtomicMeasure([[0.3]], [1.0])
+    assert wolff_continuous(k, g, near, ex, [0.0], R=0.25) == 0.0
+    assert wolff_continuous(k, g, near.scaled(0.0), ex, [0.0]) == 0.0
+    assert calls == []
+    assert wolff_continuous(k, g, near, ex, [0.0]) > 0.0
+    assert calls
 
 
 def test_wolff_continuous_truncation_monotone():

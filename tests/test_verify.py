@@ -12,8 +12,10 @@ from wolffpot import (
     lebesgue_grid,
     riesz_kernel,
 )
+from wolffpot import verify
 from wolffpot.potentials import lambda_substitution
 from wolffpot.verify import (
+    _shifted_dyadic_potential,
     check_a_chain,
     check_bar_lemmas,
     check_counterexample_fields,
@@ -185,6 +187,101 @@ def test_shifted_average_stability():
     assert r1 == pytest.approx(r2, rel=1e-12)
     # empty mu is a vacuous pass
     assert shifted_average_check(k, AtomicMeasure.empty(1), 0, 100, xs, 1)["max_ratio"] == 0.0
+
+
+def test_shifted_average_skips_vacuous_points_and_reports_its_sweep(monkeypatch):
+    k = riesz_kernel(0.5, 1, cutoff=1.0)
+    mu = AtomicMeasure([[0.4], [0.45]], [1.3, 0.2])
+    xs = [[0.1], [5.0], [0.7]]  # 5.0 lies beyond the cutoff: T^1[mu] = 0 there
+    swept = []
+
+    def counted(kernel, mu, x, zs, j, j0):
+        swept.append(np.asarray(x).tolist())
+        return _shifted_dyadic_potential(kernel, mu, x, zs, j, j0)
+
+    monkeypatch.setattr(verify, "_shifted_dyadic_potential", counted)
+    out = shifted_average_check(k, mu, 0, 1000, xs, 4)
+    assert swept == [[0.1], [0.7]]
+    assert out["n_points"] == 2 and out["j0"] == 2
+    # levels -2 (cutoff 1 = 2^2 / 4) to 3 (x = 0.7 is 0.25 from the nearest atom)
+    assert out["levels"] == 6
+    rel = [d["stderr"] / d["estimate"] for d in out["details"]]
+    assert out["max_rel_stderr"] == max(rel) and 0.0 < max(rel) < 1.0
+    empty = shifted_average_check(k, AtomicMeasure.empty(1), 0, 100, xs, 1)
+    assert empty["levels"] == 0 and empty["max_rel_stderr"] == 0.0
+
+
+def broadcast_shifted_potential(kernel, mu, xs, zs, j, j0):
+    """Oracle: per-level ``np.floor`` membership over a levels axis."""
+    pos, w = mu.positions, mu.weights
+    x = np.asarray(xs, dtype=float)
+    if kernel.cutoff is not None:
+        l_min = -int(math.floor(math.log2(4.0 * kernel.cutoff)))
+    else:
+        l_min = -(j + j0 + 4)
+    d_inf = np.max(np.abs(pos - x), axis=1)
+    d_pos = d_inf[d_inf > 0]
+    if d_pos.size:
+        l_max = int(math.floor(-math.log2(float(np.min(d_pos))))) + 1
+    else:
+        l_max = l_min + 50
+    l_max = min(max(l_max, l_min + 1), l_min + 52)
+    levels = np.arange(l_min, l_max + 1)
+    kvals = np.array([kernel(2.0 ** (-float(l)) / 4.0) for l in levels])
+    live = kvals > 0.0
+    levels, kvals = levels[live], kvals[live]
+    lev_scale = 2.0 ** levels.astype(float)
+    ix = np.floor((x[None, None, :] - zs[:, None, :]) * lev_scale[None, :, None])
+    ip = np.floor(
+        (pos[None, None, :, :] - zs[:, None, None, :]) * lev_scale[None, :, None, None]
+    )  # (shifts, levels, atoms, dim)
+    same = np.all(ip == ix[:, :, None, :], axis=3)
+    return (same @ w) @ kvals, levels.size
+
+
+def _sampler_cases():
+    rng = np.random.default_rng(20030917)
+    # 1-D: atoms on multiples of 2^-3, dyadic shifts on multiples of 2^-5, so
+    # p - z = k 2^-5 sits on cube edges; shifts right of the atoms give
+    # negative keys
+    k1 = riesz_kernel(0.5, 1, cutoff=1.0)
+    grid1 = AtomicMeasure(np.arange(8)[:, None] / 8.0, 2.0 ** rng.uniform(-2, 2, 8))
+    z_dyadic = rng.integers(-160, 160, (1500, 1)) / 32.0
+    yield "1d edges", k1, grid1, [0.3], z_dyadic, 0, 2
+    yield "1d x on atom", k1, grid1, [0.375], z_dyadic, 0, 2
+    yield "1d uniform shifts", k1, grid1, [0.61], rng.uniform(-4, 4, (1500, 1)), 0, 2
+    # x just right of z, an atom just left of it: keys of opposite sign
+    straddle = AtomicMeasure([[0.5 - 2.0 ** -30], [0.5 + 2.0 ** -29]], [1.0, 3.0])
+    z_straddle = np.concatenate([0.5 - 2.0 ** -np.arange(29, 40)[:, None], z_dyadic[:200]])
+    yield "1d opposite signs", k1, straddle, [0.5], z_straddle, 0, 2
+    # 2-D: a level-3 grid, dyadic shifts on multiples of 2^-4 and uniform ones
+    k2 = riesz_kernel(1.0, 2, cutoff=1.0)
+    cells = (np.stack(np.meshgrid(np.arange(8), np.arange(8)), -1).reshape(-1, 2) + 0.5) / 8
+    grid2 = AtomicMeasure(cells, 2.0 ** rng.uniform(-2, 2, 64))
+    z2 = rng.integers(-64, 64, (800, 2)) / 16.0
+    yield "2d edges", k2, grid2, [0.3, 0.8], z2, 0, 3
+    yield "2d x on atom", k2, grid2, [0.3125, 0.5625], z2, 0, 3
+    yield "2d uniform shifts", k2, grid2, [0.7, 0.2], rng.uniform(-8, 8, (800, 2)), 0, 3
+    # cutoff 2^-10 with j = 12: levels 8 to 60, and |p - z| 2^60 passes 2^63
+    kc = riesz_kernel(0.5, 1, cutoff=2.0 ** -10)
+    near = AtomicMeasure([[2.0 ** -e] for e in (9, 20, 33, 45, 59)] + [[-(2.0 ** -40)]],
+                         [1.0, 0.5, 2.0, 0.25, 4.0, 1.5])
+    zc = np.concatenate([rng.uniform(-2.0 ** 14, 2.0 ** 14, (400, 1)),
+                         rng.uniform(-20, 20, (400, 1)), -(2.0 ** -np.arange(8, 61, 3)[:, None])])
+    yield "large keys", kc, near, [0.0], zc, 12, 2
+
+
+@pytest.mark.parametrize("label,kernel,mu,x,zs,j,j0",
+                         [pytest.param(*case, id=case[0]) for case in _sampler_cases()])
+def test_shifted_sampler_matches_broadcast_oracle(label, kernel, mu, x, zs, j, j0):
+    want, want_levels = broadcast_shifted_potential(kernel, mu, x, zs, j, j0)
+    got, levels = _shifted_dyadic_potential(kernel, mu, x, zs, j, j0)
+    assert levels == want_levels
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert np.count_nonzero(want) > 0
+    if label == "large keys":
+        assert levels == 53  # l_max = 60
+        assert np.max(np.abs(mu.positions[:, 0][None, :] - zs)) * 2.0 ** 60 > 2.0 ** 63
 
 
 def test_kernel_dilation_ratios():
