@@ -317,36 +317,47 @@ def a_functionals(
 # -- continuous (radial) operations ------------------------------------------------
 
 
+#: query points times atoms per block of the truncated-convolution matrix
+TRUNC_BLOCK = 1 << 16
+
+
+def _truncated_sums(kernel: RadialKernel, nu: AtomicMeasure, R: float, points) -> np.ndarray:
+    """``T_k^R[nu]`` at each row of ``points``, the atoms of ``nu`` added in order.
+
+    An atom at distance 0 contributes ``limit_at_zero``; atoms of zero weight
+    or beyond ``R`` contribute nothing.  Rows are taken in blocks of at most
+    ``TRUNC_BLOCK`` point-atom pairs.
+    """
+    out = np.zeros(len(points))
+    if not nu.n_atoms:
+        return out
+    reach = R if kernel.cutoff is None else min(R, kernel.cutoff)
+    rows = max(1, TRUNC_BLOCK // nu.n_atoms)
+    for lo in range(0, len(points), rows):
+        d = np.linalg.norm(nu.positions[None, :, :] - points[lo:lo + rows, None, :], axis=2)
+        near = (d <= R) & (nu.weights > 0.0)
+        k = np.where(d == 0.0, kernel.limit_at_zero, 0.0)
+        inside = near & (d > 0.0) & (d <= reach)
+        k[inside] = kernel.profile(d[inside])
+        terms = weigh(k, np.where(near, nu.weights, 0.0))
+        out[lo:lo + rows] = np.cumsum(terms, axis=1)[:, -1]
+    return out
+
+
 def t_continuous_trunc(kernel: RadialKernel, nu: AtomicMeasure, R: float, x) -> float:
     """Truncated convolution ``T_k^R[nu](x) = sum_{|x-y| <= R} k(|x-y|) w_y``."""
     if R <= 0:
         raise WolffpotError(f"truncation radius must be positive, got {R}")
-    if nu.n_atoms == 0:
-        return 0.0
-    d = np.linalg.norm(nu.positions - np.asarray(x, dtype=float), axis=1)
-    total = 0.0
-    for dist, w in zip(d, nu.weights):
-        if dist > R or w <= 0.0:
-            continue
-        total += w * (kernel.limit_at_zero if dist == 0.0 else kernel(float(dist)))
-        if math.isinf(total):
-            return math.inf
-    return total
+    return float(_truncated_sums(kernel, nu, R, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def energy_continuous(
     kernel: RadialKernel, mu: AtomicMeasure, sigma: AtomicMeasure, exps: Exponents
 ) -> float:
     """``E_k = int T_k[mu]^{p'} dsigma`` (untruncated), exact for atomic data."""
-    pp = exps.p_prime
-    total = 0.0
-    for pos, w in zip(sigma.positions, sigma.weights):
-        if w <= 0.0:
-            continue
-        total += w * xpow(t_continuous_trunc(kernel, mu, math.inf, pos), pp)
-        if math.isinf(total):
-            return math.inf
-    return total
+    pos = sigma.weights > 0.0
+    t = _truncated_sums(kernel, mu, math.inf, sigma.positions[pos])
+    return weighted_sum(sigma.weights[pos], np.power(t, exps.p_prime))
 
 
 def wolff_continuous(
@@ -370,8 +381,9 @@ def wolff_continuous(
     Each ball mass is read off a radial profile at the segment starts:
     ``S = sigma(B(x,a))`` and, per mu-atom ``b`` within reach, ``sigma(B(b,a))``,
     whose running integral against ``k ds/s`` is one cumulative sum.  The cost
-    is one sort of the sigma-atoms per such mu-atom plus one log-primitive per
-    segment; no mu-by-sigma distance matrix is formed.  No outer quadrature is
+    is one sort of the sigma-atoms per such mu-atom plus one array
+    log-primitive call over all segments; no mu-by-sigma distance matrix is
+    formed.  No outer quadrature is
     needed; only kernels without a closed-form log-primitive introduce
     quadrature error (inside ``u``).
     """
@@ -393,7 +405,7 @@ def wolff_continuous(
     if not ends.size:
         return 0.0
     starts = np.append(0.0, ends[:-1])
-    L = np.array([kernel.log_primitive(float(a), float(b)) for a, b in zip(starts, ends)])
+    L = kernel.log_primitive(starts, ends)
 
     # A = sum_b w_b bar-numerator_b / sigma(B(b,a)) and B = sum_b w_b over the
     # mu-atoms b in B(x,a) with sigma(B(b,a)) > 0, at each segment start a
@@ -434,7 +446,7 @@ def m_k_maximal(kernel: RadialKernel, sigma: AtomicMeasure, mu: AtomicMeasure, x
     # the numerator grows only where the ball already holds sigma-mass
     held = den > 0.0
     L = np.zeros(radii.size)
-    L[held] = [kernel.log_primitive(float(a), float(b)) for a, b in zip(radii[held], ends[held])]
+    L[held] = kernel.log_primitive(radii[held], ends[held])
     num = np.cumsum(weigh(L, den))  # bar-kernel numerator at each segment's right end
     if math.isinf(num[-1]):
         # bar_k is infinite from there on; mu is nonempty, so the sup is too

@@ -209,3 +209,123 @@ def test_map_with_radial_attribute_but_own_fn_is_evaluated_per_cube():
     assert K.on_cubes(index).tolist() == [float(key[1][0]) for key in index.keys()]
     radial = DyadicKernelMap.from_radial(riesz_kernel(0.5, 1))
     assert radial.on_cubes(index).tolist() == [radial(key) for key in index.keys()]
+
+
+# -- array log-primitives -----------------------------------------------------------
+
+
+def _log_segments(seed, size=400):
+    rng = np.random.default_rng(seed)
+    a = 2.0 ** rng.uniform(-30.0, 0.0, size)
+    b = np.minimum(a * np.exp(rng.uniform(0.0, 7.0, size) * rng.uniform(0.0, 1.0, size) ** 3), 1.0)
+    keep = a < b
+    return a[keep], b[keep]
+
+
+@pytest.mark.parametrize("n, C", [(1, math.e ** 1.5), (2, math.e ** 0.75)])
+def test_log_primitive_array_matches_scalar_quad(n, C):
+    from scipy.integrate import quad
+
+    k = log_kernel(1.5, C, n)
+    a, b = _log_segments(n)
+    got = k.log_primitive(a, b)
+    want = np.array([
+        quad(lambda s: k(s) / s, lo, hi, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+        for lo, hi in zip(a.tolist(), b.tolist())
+    ])
+    assert got.shape == a.shape
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    # the array step is dqk21 itself (nodes, weights, summation order), and the
+    # profile evaluates a float as it does an array element, so where QAGS
+    # stops after its first step the values agree bit for bit
+    np.testing.assert_array_equal(got, want)
+
+
+def test_log_primitive_wide_and_borderline_segments_fall_back_to_quad(monkeypatch):
+    from scipy.integrate import quad
+    from wolffpot import kernels
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "quad", counted)
+    k = log_kernel(1.5, math.e ** 1.5, 1)
+    # b/a = 3 passes QAGS's first-step test with room to spare; b/a = 800 (as
+    # at benchmark seed 0) needs bisection; b/a = 3.5 passes it only within a
+    # factor 2 of the tolerance, so it is left to quad as well
+    a = np.array([0.01, 0.00125, 0.01, 0.2])
+    b = np.array([0.03, 1.0, 0.035, 0.21])
+    got = k.log_primitive(a, b)
+    assert calls == [(0.00125, 1.0), (0.01, 0.035)]
+    for i in range(a.size):
+        want = quad(lambda s: k(s) / s, a[i], b[i], epsabs=0.0, epsrel=1e-10, limit=200)[0]
+        assert got[i] == pytest.approx(want, rel=1e-14)
+
+
+def test_log_primitive_blocks_do_not_change_values(monkeypatch):
+    from wolffpot import kernels
+
+    k = log_kernel(1.5, math.e ** 1.5, 1)
+    a, b = _log_segments(3)
+    whole = k.log_primitive(a, b)
+    monkeypatch.setattr(kernels, "PRIMITIVE_BLOCK", 7)
+    np.testing.assert_array_equal(k.log_primitive(a, b), whole)
+
+
+def test_log_primitive_array_edge_cases():
+    from wolffpot import WolffpotError
+
+    riesz = riesz_kernel(0.5, 1)
+    log = log_kernel(1.5, math.e ** 1.5, 1)
+    zero = constant_kernel(0.0)
+    a = np.array([0.0, 0.25, 0.25, 1.5, 0.5])
+    b = np.array([0.5, math.inf, 0.25, 3.0, 0.75])
+    np.testing.assert_array_equal(
+        riesz.log_primitive(a, b), [math.inf, 4.0, 0.0, riesz.log_primitive(1.5, 3.0), riesz.log_primitive(0.5, 0.75)])
+    # the log kernel vanishes beyond r = 1: b = inf clamps to 1, [1.5, 3] is empty
+    got = log.log_primitive(a, b)
+    assert got[0] == math.inf and got[2] == 0.0 and got[3] == 0.0
+    assert got[1] == log.log_primitive(0.25, 1.0)
+    np.testing.assert_array_equal(zero.log_primitive(a, b), np.zeros(5))
+    for k in (riesz, log, zero):
+        empty = k.log_primitive(np.array([]), np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        assert type(k.log_primitive(0.25, 0.5)) is float
+        assert type(k.log_primitive(0.0, 0.5)) is float
+        with pytest.raises(WolffpotError):
+            k.log_primitive(np.array([0.1, -0.1]), np.array([0.2, 0.2]))
+        with pytest.raises(WolffpotError):
+            k.log_primitive(np.array([0.1, 0.3]), np.array([0.2, 0.2]))
+
+
+@pytest.mark.parametrize("kernel, formula", [
+    (riesz_kernel(0.5, 1), lambda a, b: (a ** -0.5 - b ** -0.5) / 0.5),
+    (riesz_kernel(1.5, 2, cutoff=1.0), lambda a, b: (a ** -0.5 - min(b, 1.0) ** -0.5) / 0.5),
+    (constant_kernel(2.0), lambda a, b: 2.0 * math.log(b / a)),
+    (constant_kernel(0.5, cutoff=0.7), lambda a, b: 0.5 * math.log(min(b, 0.7) / a)),
+])
+def test_closed_form_array_primitives_match_scalar_formulas(kernel, formula):
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.01, 0.6, 200)
+    b = a * rng.uniform(1.5, 3.0, 200)
+    got = kernel.log_primitive(a, b)
+    for i in range(a.size):
+        # elementwise, the array form is the float form
+        assert got[i] == kernel.log_primitive(float(a[i]), float(b[i]))
+        want = formula(float(a[i]), float(b[i])) if a[i] < (kernel.cutoff or math.inf) else 0.0
+        assert got[i] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_profiles_take_arrays():
+    rs = np.logspace(-6, 0, 500)
+    for k in (riesz_kernel(0.5, 1), log_kernel(1.5, math.e ** 1.5, 1), constant_kernel(3.0)):
+        vals = k.profile(rs)
+        assert vals.shape == rs.shape
+        np.testing.assert_allclose(vals, [k(float(r)) for r in rs], rtol=5e-16, atol=0.0)
+    # the log profile evaluates a float exactly as an array element, so the
+    # array quadrature step and the scalar quad fallback share one integrand
+    k = log_kernel(1.5, math.e ** 1.5, 1)
+    assert k.profile(rs).tolist() == [k(float(r)) for r in rs]

@@ -419,6 +419,44 @@ def test_bar_k_edge_cases():
     assert bar_k(k, AtomicMeasure.empty(2), [0.0, 0.0], 1.0) == 0.0
 
 
+def test_truncated_sums_add_atoms_in_order(monkeypatch):
+    from wolffpot import potentials
+
+    # zero weights, an atom at x, atoms beyond R and beyond the cutoff
+    k = riesz_kernel(0.5, 1, cutoff=0.75)
+    rng = np.random.default_rng(8)
+    pos = rng.uniform(-1.5, 1.5, (40, 1))
+    w = rng.uniform(0.5, 2.0, 40)
+    w[::7] = 0.0
+    nu = AtomicMeasure(pos, w)
+    g = lebesgue_grid([(-1.0, 1.0)], 5)
+    ex = Exponents(p=1.6)
+
+    def by_atom(x, R):
+        total = 0.0
+        for (y,), wt in zip(pos, w):
+            d = abs(y - x)
+            if d <= R and wt > 0.0:
+                # the profile as the array evaluation computes it, inside the cutoff
+                kd = math.inf if d == 0.0 else k.profile(np.array([d]))[0] if d <= 0.75 else 0.0
+                total += wt * kd
+        return total
+
+    xs = [0.1, 0.37, float(pos[3, 0]), float(pos[7, 0])]
+    for x in xs:
+        for R in (0.2, 1.0, math.inf):
+            assert t_continuous_trunc(k, nu, R, [x]) == by_atom(x, R)
+    assert t_continuous_trunc(k, nu, 1.0, [float(pos[3, 0])]) == math.inf
+    energy = energy_continuous(k, nu, g, ex)
+    total = 0.0
+    for (x,), wt in zip(g.positions, g.weights):
+        total += wt * by_atom(x, math.inf) ** ex.p_prime
+    assert energy == pytest.approx(total, rel=1e-15)
+    # row blocks of the point-atom matrix do not change the sums
+    monkeypatch.setattr(potentials, "TRUNC_BLOCK", 50)
+    assert energy_continuous(k, nu, g, ex) == energy
+
+
 def test_energy_continuous_closed_form():
     k = riesz_kernel(0.75, 1, cutoff=1.0)
     g = lebesgue_grid([(-1.0, 1.0)], 12)
