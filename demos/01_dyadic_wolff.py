@@ -50,15 +50,15 @@ def main():
         sigma = random_measure(rng, 80)
         mu = random_measure(rng, 80)
 
-        e = energy_dyadic(K, mu, sigma, exps, window)
-        wm = wolff_integral(K, sigma, mu, exps, window)
         scene = DyadicScene(K, sigma, mu, window)
+        e = energy_dyadic(scene, exps)
+        wm = wolff_integral(scene, exps)
         mm = sum(
             w * scene.maximal(x) ** exps.p_prime
             for x, w in zip(sigma.positions, sigma.weights)
         )
-        fub = check_fubini(K, mu, sigma, exps, window)
-        ratio = check_energy_wolff_ratio(K, mu, sigma, exps, window)
+        fub = check_fubini(scene, exps)
+        ratio = check_energy_wolff_ratio(scene, exps)
         ratios.append(ratio)
         print(f"{seed:>4} {alpha:>6.3f} {e:>12.4g} {wm:>12.4g} "
               f"{mm:>12.4g} {ratio:>8.3f} {fub:>9.1e}")

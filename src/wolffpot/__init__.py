@@ -47,12 +47,8 @@ from .potentials import (
     hl_maximal_dyadic,
     lambda_substitution,
     m_k_maximal,
-    maximal_dyadic,
     t_continuous_trunc,
-    t_dyadic,
-    wolff_bar_dyadic,
     wolff_continuous,
-    wolff_dyadic,
 )
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -30,7 +29,8 @@ from .potentials import (
     m_k_maximal,
     wolff_continuous,
 )
-from .scenario import Scenario, load_scenario, read_points_csv
+from .lattice import LatticeWindow
+from .scenario import Scenario, band_pair, config_value, load_scenario, read_points_csv
 from .verify import CheckReport
 
 # -- deterministic serialization -----------------------------------------------
@@ -103,14 +103,23 @@ def write_ratio_csv(path: Path, reports: list[CheckReport]) -> None:
 # -- check registry ---------------------------------------------------------------
 
 
+def _param(cfg: dict, key: str, default, kind=float):
+    """A check's field ``key`` converted by ``kind``; a malformed value is a ScenarioError."""
+    return config_value(cfg, key, cfg["name"], kind, default)
+
+
 def _seed_of(scn: Scenario, cfg: dict, index: int) -> int:
-    base = cfg.get("seed", scn.seed if scn.seed is not None else 0)
-    return int(base) + index
+    return _param(cfg, "seed", scn.seed if scn.seed is not None else 0, int) + index
 
 
 def _band(scn: Scenario, cfg: dict) -> tuple[float, float]:
-    band = cfg.get("band", scn.band)
-    return float(band[0]), float(band[1])
+    return _param(cfg, "band", scn.band, band_pair)
+
+
+def _radial(scn: Scenario, what: str):
+    if scn.kernel.radial is None:
+        raise ScenarioError(f"{what} needs a radial kernel")
+    return scn.kernel.radial
 
 
 def _dropped(measure, window) -> dict:
@@ -139,8 +148,8 @@ def _instance_descriptor(scn: Scenario) -> dict:
 
 
 def run_fubini(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    tol = float(cfg.get("tol", 1e-9))
-    err = V.check_fubini(scn.kernel, scn.mu, scn.sigma, scn.exponents, scn.window)
+    tol = _param(cfg, "tol", 1e-9)
+    err = V.check_fubini(scn.scene, scn.exponents)
     rep = CheckReport("fubini", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
     rep.values = {"relative_error": err}
     rep.bounds = {"relative_error": (0.0, tol)}
@@ -148,15 +157,37 @@ def run_fubini(scn: Scenario, cfg: dict, index: int) -> CheckReport:
     return rep
 
 
+def _lambda_weights(scn: Scenario, cfg: dict) -> np.ndarray:
+    """A check's ``lambda`` list of ``[level, [i_1, ..., i_n], weight]``, per scene cube.
+
+    A cube the scene does not hold carries no sigma mass, so its weight drops out.
+    """
+    lam = {}
+    for entry in cfg["lambda"]:
+        try:
+            level, idx, weight = entry
+            key, weight = (int(level), tuple(int(i) for i in idx)), float(weight)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"a_chain: field 'lambda' has the invalid entry {entry!r}") from exc
+        if len(key[1]) != scn.dimension:
+            raise ScenarioError(f"a_chain: field 'lambda' entry {entry!r} has an index of "
+                                f"dimension {len(key[1])}, not {scn.dimension}")
+        if key in lam:
+            raise ScenarioError(f"a_chain: field 'lambda' repeats the cube {key}")
+        if not weight >= 0.0:
+            raise ScenarioError(f"a_chain: field 'lambda' entry {entry!r} has a negative weight")
+        lam[key] = weight
+    index = scn.scene.index
+    ids = index.lookup(list(lam))
+    out = np.zeros(index.n)
+    out[ids[ids >= 0]] = np.array(list(lam.values()))[ids >= 0]
+    return out
+
+
 def run_a_chain(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    s = float(cfg.get("s", scn.exponents.p_prime))
-    if "lambda" in cfg:
-        lam = {
-            (int(e[0]), tuple(int(i) for i in e[1])): float(e[2]) for e in cfg["lambda"]
-        }
-    else:
-        lam = lambda_substitution(scn.kernel, scn.sigma, scn.mu, scn.window)
-    r1, r2, r3, r4 = V.check_a_chain(lam, scn.sigma, s, scn.window)
+    s = _param(cfg, "s", scn.exponents.p_prime)
+    lam = _lambda_weights(scn, cfg) if "lambda" in cfg else lambda_substitution(scn.scene)
+    r1, r2, r3, r4 = V.check_a_chain(scn.scene, lam, s)
     rep = CheckReport("a_chain", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
     rep.values = {"a1_over_a2": r1, "a2_over_holder": r2, "a3_over_a1": r3, "a1_over_a3": r4}
     rep.bounds = {"a2_over_holder": (0.0, 1.0 + 1e-12)}
@@ -170,7 +201,7 @@ def run_a_chain(scn: Scenario, cfg: dict, index: int) -> CheckReport:
 
 def run_energy_wolff_ratio(scn: Scenario, cfg: dict, index: int) -> CheckReport:
     lo, hi = _band(scn, cfg)
-    ratio = V.check_energy_wolff_ratio(scn.kernel, scn.mu, scn.sigma, scn.exponents, scn.window)
+    ratio = V.check_energy_wolff_ratio(scn.scene, scn.exponents)
     rep = CheckReport("energy_wolff_ratio", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
     rep.values = {"energy_over_wolff_mass": ratio}
     rep.bounds = {"energy_over_wolff_mass": (lo, hi)}
@@ -182,10 +213,9 @@ def run_energy_wolff_ratio(scn: Scenario, cfg: dict, index: int) -> CheckReport:
 
 
 def run_trace_q1(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    probes = int(cfg.get("probes", 200))
+    probes = _param(cfg, "probes", 200, int)
     res = V.trace_constant_q1(
-        scn.kernel, scn.mu, scn.sigma, scn.exponents, scn.window,
-        probes=probes, seed=_seed_of(scn, cfg, index),
+        scn.scene, scn.exponents, probes=probes, seed=_seed_of(scn, cfg, index)
     )
     gap = abs(res.achieved_ratio - res.dual_constant) / max(res.dual_constant, 1e-300)
     rep = CheckReport("trace_q1", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
@@ -203,10 +233,9 @@ def run_trace_q1(scn: Scenario, cfg: dict, index: int) -> CheckReport:
 
 
 def run_trace_upper(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    trials = int(cfg.get("trials", 50))
+    trials = _param(cfg, "trials", 50, int)
     res = V.trace_test_upper_triangle(
-        scn.kernel, scn.mu, scn.sigma, scn.exponents, scn.window,
-        trials=trials, seed=_seed_of(scn, cfg, index),
+        scn.scene, scn.exponents, trials=trials, seed=_seed_of(scn, cfg, index)
     )
     lo, hi = _band(scn, cfg)
     rep = CheckReport("trace_upper", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
@@ -224,8 +253,8 @@ def run_trace_upper(scn: Scenario, cfg: dict, index: int) -> CheckReport:
 
 
 def run_dlbo(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    bound = float(cfg.get("bound", scn.band[1]))
-    a = dlbo_constant(scn.kernel, scn.sigma, scn.window)
+    bound = _param(cfg, "bound", scn.band[1])
+    a = dlbo_constant(scn.scene.bar)
     rep = CheckReport("dlbo", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
     rep.values = {"oscillation_constant": a}
     rep.bounds = {"oscillation_constant": (1.0, bound)}
@@ -234,9 +263,9 @@ def run_dlbo(scn: Scenario, cfg: dict, index: int) -> CheckReport:
 
 
 def run_reverse_doubling(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    gamma = float(cfg.get("gamma", 1.0))
+    gamma = _param(cfg, "gamma", 1.0)
     expect = bool(cfg.get("expect_holds", True))
-    holds, best = reverse_doubling_check(scn.sigma, scn.window, gamma)
+    holds, best = reverse_doubling_check(scn.scene.index, scn.scene.sigma_mass, gamma)
     rep = CheckReport("reverse_doubling", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
     rep.values = {"best_constant": best, "holds": 1.0 if holds else 0.0}
     rep.status = "pass" if holds == expect else "fail"
@@ -244,13 +273,10 @@ def run_reverse_doubling(scn: Scenario, cfg: dict, index: int) -> CheckReport:
 
 
 def run_dilation(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    if scn.radial is None:
-        raise ScenarioError("dilation check needs a radial kernel")
-    c = float(cfg.get("c", 0.25))
+    _radial(scn, "dilation check")  # the check reads the scene's radial kernel
+    c = _param(cfg, "c", 0.25)
     lo, hi = _band(scn, cfg)
-    sum_ratio, norm_ratio = V.check_kernel_dilation(
-        scn.radial, scn.sigma, scn.mu, scn.exponents, scn.window, c
-    )
+    sum_ratio, norm_ratio = V.check_kernel_dilation(scn.scene, scn.exponents, c)
     rep = CheckReport("dilation", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
     rep.values = {"sum_ratio": sum_ratio, "norm_ratio": norm_ratio, "c": c}
     rep.bounds = {"sum_ratio": (lo, hi), "norm_ratio": (lo, hi)}
@@ -260,9 +286,8 @@ def run_dilation(scn: Scenario, cfg: dict, index: int) -> CheckReport:
 
 
 def run_bar_lemmas(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    if scn.radial is None:
-        raise ScenarioError("bar_lemmas check needs a radial kernel")
-    n_samples = int(cfg.get("samples", 20))
+    _radial(scn, "bar_lemmas check")  # the check reads the scene's radial kernel
+    n_samples = _param(cfg, "samples", 20, int)
     seed = _seed_of(scn, cfg, index)
     rng = np.random.default_rng(seed)
     lows = np.array([lo for lo, _ in _window_box(scn)])
@@ -273,7 +298,7 @@ def run_bar_lemmas(scn: Scenario, cfg: dict, index: int) -> CheckReport:
         x = lows + (highs - lows) * rng.uniform(0.25, 0.75, scn.dimension)
         r = span * 2.0 ** rng.uniform(-5, -2)
         samples.append((x, float(r)))
-    ref, rel, dbl = V.check_bar_lemmas(scn.radial, scn.sigma, scn.window, samples)
+    ref, rel, dbl = V.check_bar_lemmas(scn.scene, samples)
     lo, hi = _band(scn, cfg)
     rep = CheckReport("bar_lemmas", _instance_descriptor(scn), seed=seed)
     rep.values = {"reformulation": ref, "relationship": rel, "bar_doubling": dbl}
@@ -289,17 +314,18 @@ def run_bar_lemmas(scn: Scenario, cfg: dict, index: int) -> CheckReport:
 
 
 def run_shifted_average(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    if scn.radial is None:
-        raise ScenarioError("shifted_average check needs a radial kernel")
-    j = int(cfg.get("j", 0))
-    draws = int(cfg.get("draws", 10000))
-    n_x = int(cfg.get("x_samples", 5))
+    kernel = _radial(scn, "shifted_average check")
+    j = _param(cfg, "j", 0, int)
+    draws = _param(cfg, "draws", 10000, int)
+    if draws < 2:
+        raise ScenarioError(f"shifted_average: field 'draws' must be at least 2, got {draws}")
+    n_x = _param(cfg, "x_samples", 5, int)
     seed = _seed_of(scn, cfg, index)
     rng = np.random.default_rng([seed, 1])
     lows = np.array([lo for lo, _ in _window_box(scn)])
     highs = np.array([hi for _, hi in _window_box(scn)])
     xs = lows + (highs - lows) * rng.uniform(0.0, 1.0, (n_x, scn.dimension))
-    out = V.shifted_average_check(scn.radial, scn.mu, j, draws, xs, seed)
+    out = V.shifted_average_check(kernel, scn.mu, j, draws, xs, seed)
     lo, hi = _band(scn, cfg)
     rep = CheckReport("shifted_average", _instance_descriptor(scn), seed=seed)
     rep.values = {
@@ -314,14 +340,23 @@ def run_shifted_average(scn: Scenario, cfg: dict, index: int) -> CheckReport:
     return rep
 
 
+def _ints(values) -> list[int]:
+    return [int(v) for v in values]
+
+
+def _int_pair(values) -> tuple[int, int]:
+    a, b = values
+    return int(a), int(b)
+
+
 def run_counterexample_series(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    beta = float(cfg.get("beta", 1.5))
-    C = float(cfg.get("C", math.exp(beta / scn.dimension)))
-    terms = cfg.get("terms", [1000, 1000000])
-    growth_min = float(cfg.get("w_growth_min", 9.0))
-    tail_max = float(cfg.get("e_tail_max", 0.2))
-    se1, sw1 = V.counterexample_series(beta, C, scn.dimension, int(terms[0]))
-    se2, sw2 = V.counterexample_series(beta, C, scn.dimension, int(terms[1]))
+    beta = _param(cfg, "beta", 1.5)
+    C = _param(cfg, "C", math.exp(beta / scn.dimension))
+    terms = _param(cfg, "terms", (1000, 1000000), _int_pair)
+    growth_min = _param(cfg, "w_growth_min", 9.0)
+    tail_max = _param(cfg, "e_tail_max", 0.2)
+    se1, sw1 = V.counterexample_series(beta, C, scn.dimension, terms[0])
+    se2, sw2 = V.counterexample_series(beta, C, scn.dimension, terms[1])
     rep = CheckReport("counterexample_series", {"beta": beta, "C": C}, seed=_seed_of(scn, cfg, index))
     rep.values = {
         "energy_series_tail": se2 - se1,
@@ -337,9 +372,9 @@ def run_counterexample_series(scn: Scenario, cfg: dict, index: int) -> CheckRepo
 
 
 def run_counterexample_fields(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    beta = float(cfg.get("beta", 1.5))
-    C = float(cfg.get("C", math.exp(beta / scn.dimension)))
-    depths = [int(d) for d in cfg.get("depths", [6, 10, 14])]
+    beta = _param(cfg, "beta", 1.5)
+    C = _param(cfg, "C", math.exp(beta / scn.dimension))
+    depths = _param(cfg, "depths", [6, 10, 14], _ints)
     rows = [V.check_counterexample_fields(beta, C, d) for d in depths]
     rep = CheckReport("counterexample_fields", {"beta": beta, "C": C, "depths": depths},
                       seed=_seed_of(scn, cfg, index))
@@ -359,27 +394,24 @@ def run_counterexample_fields(scn: Scenario, cfg: dict, index: int) -> CheckRepo
 
 def run_truncation(scn: Scenario, cfg: dict, index: int) -> CheckReport:
     target = cfg.get("target", "fubini")
-    depths = [int(d) for d in cfg.get("depths", [4, 6, 8])]
+    if target not in ("fubini", "energy", "wolff_mass"):
+        raise ScenarioError(f"truncation: unknown target {target!r}")
+    depths = _param(cfg, "depths", [4, 6, 8], _ints)
     expect_converged = bool(cfg.get("expect_converged", True))
-    rtol = float(cfg.get("rtol", 0.05))
-    atol = float(cfg.get("atol", 1e-9))
+    rtol = _param(cfg, "rtol", 0.05)
+    atol = _param(cfg, "atol", 1e-9)
 
     def at_depth(depth: int) -> float:
-        sub = Scenario(
-            scn.dimension,
-            type(scn.window).from_box(
-                _window_box(scn), scn.window.coarse_level,
-                scn.window.coarse_level + depth, shift=scn.window.shift,
-            ),
-            scn.sigma, scn.mu, scn.kernel, scn.radial, scn.exponents,
+        coarse = scn.window.coarse_level
+        window = LatticeWindow.from_box(
+            _window_box(scn), coarse, coarse + depth, shift=scn.window.shift
         )
-        if target == "fubini":
-            return V.check_fubini(sub.kernel, sub.mu, sub.sigma, sub.exponents, sub.window)
+        scene = DyadicScene(scn.kernel, scn.sigma, scn.mu, window)
         if target == "energy":
-            return energy_dyadic(sub.kernel, sub.mu, sub.sigma, sub.exponents, sub.window)
+            return energy_dyadic(scene, scn.exponents)
         if target == "wolff_mass":
-            return V.wolff_integral(sub.kernel, sub.sigma, sub.mu, sub.exponents, sub.window)
-        raise ScenarioError(f"truncation: unknown target {target!r}")
+            return V.wolff_integral(scene, scn.exponents)
+        return V.check_fubini(scene, scn.exponents)
 
     sweep = V.truncation_sweep(at_depth, depths, rtol=rtol, atol=atol)
     rep = CheckReport("truncation", {"target": target, "depths": depths},
@@ -452,21 +484,19 @@ def run_checks(scn: Scenario, threads: int = 1) -> tuple[list[CheckReport], dict
 
 
 def _field_values(scn: Scenario, points, kind: str):
-    if kind in ("wolff_continuous", "maximal_continuous"):
-        if scn.radial is None:
-            what = "potential" if kind == "wolff_continuous" else "maximal"
-            raise ScenarioError(f"continuous {what} needs a radial kernel")
-        if kind == "wolff_continuous":
-            return [wolff_continuous(scn.radial, scn.sigma, scn.mu, scn.exponents, x)
-                    for x in points]
-        return [m_k_maximal(scn.radial, scn.sigma, scn.mu, x) for x in points]
+    if kind == "wolff_continuous":
+        kernel = _radial(scn, "continuous potential")
+        return [wolff_continuous(kernel, scn.sigma, scn.mu, scn.exponents, x) for x in points]
+    if kind == "maximal_continuous":
+        kernel = _radial(scn, "continuous maximal")
+        return [m_k_maximal(kernel, scn.sigma, scn.mu, x) for x in points]
     if kind not in ("t", "wolff", "wolff_bar", "maximal"):
         raise ScenarioError(f"unknown field kind {kind!r}")
     points = np.asarray(points, dtype=float)
     outside = ~scn.window.contains(points)
     if np.any(outside):
         raise OutOfWindowError(f"point {tuple(points[outside][0].tolist())} outside root region")
-    scene = DyadicScene(scn.kernel, scn.sigma, scn.mu, scn.window)
+    scene = scn.scene
     pp = scn.exponents.p_prime
     if kind == "t":
         return scene.t_mu(points)
@@ -534,9 +564,9 @@ def cmd_energy(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    e = energy_dyadic(scn.kernel, scn.mu, scn.sigma, scn.exponents, scn.window)
-    wm = V.wolff_integral(scn.kernel, scn.sigma, scn.mu, scn.exponents, scn.window)
-    fub = V.check_fubini(scn.kernel, scn.mu, scn.sigma, scn.exponents, scn.window)
+    e = energy_dyadic(scn.scene, scn.exponents)
+    wm = V.wolff_integral(scn.scene, scn.exponents)
+    fub = V.check_fubini(scn.scene, scn.exponents)
     summary = _summary(
         scn,
         "energy",
@@ -606,8 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out-dir", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads for independent checks")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads for independent checks (default 1)")
 
     p = sub.add_parser("potential", help="Wolff potentials at query points")
     common(p)

@@ -181,6 +181,11 @@ def _validate_nonincreasing(kernel: RadialKernel, r_lo: float, r_hi: float) -> N
         )
 
 
+def _validate_cutoff(cutoff) -> None:
+    if cutoff is not None and not cutoff > 0.0:
+        raise InvalidKernelError(f"kernel cutoff must be positive, got {cutoff}")
+
+
 def riesz_kernel(alpha: float, n: int, cutoff: float | None = None) -> RadialKernel:
     """Riesz profile ``k(r) = r^(alpha-n)`` for ``0 < alpha < n``.
 
@@ -189,6 +194,7 @@ def riesz_kernel(alpha: float, n: int, cutoff: float | None = None) -> RadialKer
     """
     if not (0.0 < alpha < n):
         raise InvalidKernelError(f"need 0 < alpha < n, got alpha={alpha}, n={n}")
+    _validate_cutoff(cutoff)
     e = alpha - n
 
     # ``**`` rather than np.power: a float radius keeps libm's pow, so per-level
@@ -252,6 +258,7 @@ def constant_kernel(value: float = 1.0, cutoff: float | None = None) -> RadialKe
     """Constant profile; mostly useful as the simplest test kernel."""
     if value < 0:
         raise InvalidKernelError("constant kernel value must be nonnegative")
+    _validate_cutoff(cutoff)
 
     def prim(a, b):
         if value == 0.0:
@@ -435,7 +442,7 @@ def bar_k(kernel: RadialKernel, sigma: AtomicMeasure, x, r: float) -> float:
     return weighted_sum(cums[:starts.size], seg) / den
 
 
-def dlbo_constant(K: DyadicKernelMap, sigma: AtomicMeasure, window: LatticeWindow) -> float:
+def dlbo_constant(bf: BarField) -> float:
     """Oscillation constant ``A = max_Q sup_Q bar_K(Q) / inf_Q bar_K(Q)``.
 
     ``bar_K(Q)(.)`` is piecewise constant on finest-level cells, so the
@@ -444,20 +451,20 @@ def dlbo_constant(K: DyadicKernelMap, sigma: AtomicMeasure, window: LatticeWindo
     ``sigma(Q) > 0`` enter.  Returns ``inf`` when some admissible cube has a
     vanishing infimum (possible when ``K`` vanishes on whole chains).
     """
-    bf = BarField(K, sigma, window)
-    index = bf.index
-    if not index.n:
+    index, window = bf.index, bf.window
+    live = bf.mass > 0.0
+    if not live.any():
         raise DegenerateInputError("sigma gives no window cube positive mass")
     p = bf.prefix(np.arange(index.n))
     # A leaf the index does not hold has the prefix of its deepest held
     # ancestor, so the leaf prefixes below Q are those of Q's fine-level
     # descendants and of its descendants with a child the index lacks.
+    # Cubes held for other atoms carry no sigma mass and add nothing to P.
     kids = np.bincount(index.parent[index.parent >= 0], minlength=index.n)
     leafy = (index.level == window.fine_level) | (kids < 2 ** window.dimension)
     lo = index.subtree(np.where(leafy, p, np.inf), np.minimum)
     hi = index.subtree(np.where(leafy, p, -np.inf), np.maximum)
     above = bf.prefix(index.parent)
-    live = bf.mass > 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         inf_val, sup_val = lo[live] - above[live], hi[live] - above[live]
         ratio = np.where(inf_val <= 0.0, np.inf, sup_val / inf_val)

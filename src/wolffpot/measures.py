@@ -22,7 +22,7 @@ from .errors import (
     GridAlignmentError,
     WolffpotError,
 )
-from .lattice import DyadicCube, LatticeWindow, LevelIndex
+from .lattice import DyadicCube, LevelIndex
 
 
 class AtomicMeasure:
@@ -190,15 +190,15 @@ def cube_mass_table(
     ).astype(float, copy=False)
 
 
-def reverse_doubling_check(
-    measure: AtomicMeasure, window: LatticeWindow, gamma: float
-):
+def reverse_doubling_check(index: LevelIndex, mass, gamma: float):
     """Empirical dyadic reverse-doubling diagnostic of order ``gamma``.
 
-    For every window cube ``Q`` with positive mass and every admissible
-    dilation ``j >= 0`` the ratio ``sigma(2^j Q) / (2^{j gamma} sigma(Q))`` is
-    computed; ``best_constant`` is the smallest such ratio, i.e. the largest
-    ``C`` with ``sigma(2^j Q) >= C 2^{j gamma} sigma(Q)`` on the window.
+    ``mass`` holds a measure's masses per cube of ``index`` (a
+    :func:`cube_mass_table`).  For every window cube ``Q`` with positive mass
+    and every admissible dilation ``j >= 0`` the ratio
+    ``sigma(2^j Q) / (2^{j gamma} sigma(Q))`` is computed; ``best_constant``
+    is the smallest such ratio, i.e. the largest ``C`` with
+    ``sigma(2^j Q) >= C 2^{j gamma} sigma(Q)`` on the window.
 
     On a finite window the minimum is always positive, so ``holds`` reports
     whether the constant has stabilized rather than merely being nonzero: the
@@ -208,14 +208,12 @@ def reverse_doubling_check(
     """
     if gamma <= 0:
         raise WolffpotError("gamma must be positive")
-    index = LevelIndex(window, measure.positions)
-    mass = cube_mass_table(measure, index)
     live = np.flatnonzero(mass > 0.0)
     if not live.size:
         raise DegenerateInputError("no window cube has positive mass")
     worst = []
     up = live  # the ancestor 2^j Q of each live cube Q, -1 once above the window
-    for j in range(window.depth + 1):
+    for j in range(index.window.depth + 1):
         has = up >= 0
         ratio = mass[up[has]] / (2.0 ** (j * gamma) * mass[live[has]])
         if ratio.size:

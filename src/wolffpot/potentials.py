@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, OutOfWindowError, WolffpotError
 from .kernels import BarField, DyadicKernelMap, RadialKernel, per_mass, weigh, weighted_sum
-from .lattice import DyadicCube, Key, LatticeWindow, LevelIndex
+from .lattice import LatticeWindow, LevelIndex
 from .measures import AtomicMeasure, cube_mass_table, profile_mass
 
 
@@ -97,6 +97,10 @@ class DyadicScene:
     points at once.  Query methods take a single point (and return a float)
     or one point per row (and return an array); a point outside the window
     gets zero.  Inner integrals and subtree sums are built on first use.
+
+    The scene is the only owner of an instance's index: every dyadic
+    functional and check takes one, and cubes held only for mu's atoms carry
+    no sigma mass, so they add nothing to a sigma-side sum.
     """
 
     def __init__(
@@ -106,6 +110,7 @@ class DyadicScene:
         mu: AtomicMeasure,
         window: LatticeWindow,
     ):
+        self.kernel = K
         self.sigma = sigma
         self.mu = mu
         self.index = LevelIndex(window, np.vstack([sigma.positions, mu.positions]))
@@ -186,64 +191,10 @@ class DyadicScene:
 # -- functional surface -------------------------------------------------------------
 
 
-def t_dyadic(K: DyadicKernelMap, nu: AtomicMeasure, window: LatticeWindow, x) -> float:
-    """``T[nu](x) = sum_{x in Q} K(Q) nu(Q)`` over the window chain of ``x``."""
-    if not window.contains_point(x):
-        raise OutOfWindowError(f"point {tuple(x)} outside window")
-    return DyadicScene(K, AtomicMeasure.empty(window.dimension), nu, window).t_mu(x)
-
-
-def energy_dyadic(
-    K: DyadicKernelMap,
-    mu: AtomicMeasure,
-    sigma: AtomicMeasure,
-    exps: Exponents,
-    window: LatticeWindow,
-) -> float:
+def energy_dyadic(scene: DyadicScene, exps: Exponents) -> float:
     """``E = int T[mu]^{p'} dsigma``, exact for atomic ``sigma``."""
-    scene = DyadicScene(K, sigma, mu, window)
+    sigma = scene.sigma
     return weighted_sum(sigma.weights, np.power(scene.t_mu(sigma.positions), exps.p_prime))
-
-
-def wolff_dyadic(
-    K: DyadicKernelMap,
-    sigma: AtomicMeasure,
-    mu: AtomicMeasure,
-    exps: Exponents,
-    window: LatticeWindow,
-    x,
-) -> float:
-    """Dyadic Wolff potential ``W(x)`` (see module docstring)."""
-    if not window.contains_point(x):
-        raise OutOfWindowError(f"point {tuple(x)} outside window")
-    return DyadicScene(K, sigma, mu, window).wolff(x, exps.p_prime)
-
-
-def wolff_bar_dyadic(
-    K: DyadicKernelMap,
-    sigma: AtomicMeasure,
-    mu: AtomicMeasure,
-    exps: Exponents,
-    window: LatticeWindow,
-    x,
-) -> float:
-    """Bar-kernel Wolff potential ``Wbar(x) >= W(x)``."""
-    if not window.contains_point(x):
-        raise OutOfWindowError(f"point {tuple(x)} outside window")
-    return DyadicScene(K, sigma, mu, window).wolff_bar(x, exps.p_prime)
-
-
-def maximal_dyadic(
-    K: DyadicKernelMap,
-    sigma: AtomicMeasure,
-    mu: AtomicMeasure,
-    window: LatticeWindow,
-    x,
-) -> float:
-    """Kernel maximal function ``M(x)`` over the ancestor chain of ``x``."""
-    if not window.contains_point(x):
-        raise OutOfWindowError(f"point {tuple(x)} outside window")
-    return DyadicScene(K, sigma, mu, window).maximal(x)
 
 
 def hl_maximal_dyadic(
@@ -261,52 +212,33 @@ def hl_maximal_dyadic(
     return float(index.gather(index.chain(ratio, np.maximum), index.find(x))[0])
 
 
-def lambda_substitution(
-    K: DyadicKernelMap,
-    sigma: AtomicMeasure,
-    mu: AtomicMeasure,
-    window: LatticeWindow,
-) -> dict[Key, float]:
-    """The weights ``lambda_Q = K(Q) mu(Q) sigma(Q)`` on their support."""
-    scene = DyadicScene(K, sigma, mu, window)
-    lam = weigh(scene.bar.weight, scene.mu_mass)
-    ids = np.flatnonzero(lam > 0.0)
-    return dict(zip(scene.index.keys(ids), lam[ids].tolist()))
+def lambda_substitution(scene: DyadicScene) -> np.ndarray:
+    """The weights ``lambda_Q = K(Q) mu(Q) sigma(Q)`` per cube of ``scene.index``."""
+    return weigh(scene.bar.weight, scene.mu_mass)
 
 
-def a_functionals(
-    lam: dict,
-    sigma: AtomicMeasure,
-    s: float,
-    window: LatticeWindow,
-) -> tuple[float, float, float]:
+def a_functionals(scene: DyadicScene, lam, s: float) -> tuple[float, float, float]:
     """The three equivalent aggregates of a per-cube weight family.
 
     ``A1 = int (sum_Q lambda_Q/sigma(Q) chi_Q)^s dsigma``,
     ``A2 = sum_Q lambda_Q ((1/sigma(Q)) sum_{Q' subset Q} lambda_{Q'})^{s-1}``,
     ``A3 = int sup_{x in Q} ((1/sigma(Q)) sum_{Q' subset Q} lambda_{Q'})^s dsigma``.
 
-    ``lam`` maps cubes or ``(level, index)`` keys to weights; weights on
-    cubes with ``sigma(Q) = 0`` are forced to zero.
+    ``lam`` holds ``lambda_Q`` per cube of ``scene.index``; weights on cubes
+    with ``sigma(Q) = 0`` are forced to zero.
     """
     if not (s > 1.0):
         raise WolffpotError(f"need s > 1, got {s}")
-    vals = np.array(list(lam.values()), dtype=float)
-    if np.any(vals < 0):
+    if np.any(lam < 0):
         raise WolffpotError("lambda weights must be nonnegative")
-    index = LevelIndex(window, sigma.positions)
-    sig = cube_mass_table(sigma, index)
-    ids = index.lookup([k.key if isinstance(k, DyadicCube) else k for k in lam])
-    keep = ids >= 0
-    keep[keep] = (vals[keep] > 0.0) & (sig[ids[keep]] > 0.0)
-    norm = np.zeros(index.n)
-    norm[ids[keep]] = vals[keep]
+    index, sig, sigma = scene.index, scene.sigma_mass, scene.sigma
+    norm = np.where(sig > 0.0, lam, 0.0)
     subtree = index.subtree(norm)
 
     on = norm > 0.0
     a2 = weighted_sum(norm[on], np.power(subtree[on] / sig[on], s - 1.0))
 
-    leaf = index.rows[-1]
+    leaf = index.rows[-1, :sigma.n_atoms]
     chain_sum = index.gather(index.chain(per_mass(norm, sig)), leaf)
     sup_ratio = index.gather(index.chain(per_mass(subtree, sig), np.maximum), leaf)
     a1 = weighted_sum(sigma.weights, np.power(chain_sum, s))

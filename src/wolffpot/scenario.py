@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import csv
 import json
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ScenarioError, WolffpotError
-from .kernels import DyadicKernelMap, RadialKernel, log_kernel, riesz_kernel, constant_kernel
+from .kernels import DyadicKernelMap, log_kernel, riesz_kernel, constant_kernel
 from .lattice import LatticeWindow
 from .measures import AtomicMeasure, bernoulli_cascade, lebesgue_grid
-from .potentials import Exponents
+from .potentials import DyadicScene, Exponents
 
 DEFAULT_BAND = (1e-3, 1e3)
 
@@ -30,29 +31,67 @@ class Scenario:
     sigma: AtomicMeasure
     mu: AtomicMeasure
     kernel: DyadicKernelMap
-    radial: RadialKernel | None
     exponents: Exponents
     checks: list = field(default_factory=list)
     seed: int | None = None
     band: tuple = DEFAULT_BAND
+    _scene: DyadicScene | None = field(default=None, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    @property
+    def scene(self) -> DyadicScene:
+        """The instance's one :class:`DyadicScene`, built on first use.
+
+        Every dyadic check and field of the scenario reads it, so the level
+        index and its per-cube arrays are built once however many checks run,
+        and never for a scenario that needs none.
+        """
+        with self._lock:
+            if self._scene is None:
+                self._scene = DyadicScene(self.kernel, self.sigma, self.mu, self.window)
+            return self._scene
 
 
-def _need(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ScenarioError(f"{where}: missing required field {key!r}")
-    return cfg[key]
+_REQUIRED = object()
+
+
+def config_value(cfg: dict, key: str, where: str, kind=None, default=_REQUIRED):
+    """``kind(cfg[key])``, or ``default`` when the field is absent or null.
+
+    A missing required field, or a value that ``kind`` rejects, raises
+    :class:`ScenarioError` naming ``where`` and the field.
+    """
+    value = cfg.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ScenarioError(f"{where}: missing required field {key!r}")
+        return default
+    if kind is None:
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: field {key!r} has the invalid value {value!r}") from exc
+
+
+def band_pair(value) -> tuple[float, float]:
+    """A ``[lower, upper]`` band as two floats."""
+    lo, hi = value
+    return float(lo), float(hi)
 
 
 def build_window(cfg: dict, dimension: int) -> LatticeWindow:
-    box = _need(cfg, "box", "window")
+    box = config_value(cfg, "box", "window")
     if len(box) != dimension:
         raise ScenarioError(f"window: box has {len(box)} sides, dimension is {dimension}")
     shift = cfg.get("shift", [0.0] * dimension)
     try:
         return LatticeWindow.from_box(
             [tuple(side) for side in box],
-            int(_need(cfg, "coarse_level", "window")),
-            int(_need(cfg, "fine_level", "window")),
+            config_value(cfg, "coarse_level", "window", int),
+            config_value(cfg, "fine_level", "window", int),
             shift=shift,
         )
     except WolffpotError as exc:
@@ -60,23 +99,23 @@ def build_window(cfg: dict, dimension: int) -> LatticeWindow:
 
 
 def build_measure(cfg: dict, dimension: int, where: str) -> AtomicMeasure:
-    kind = _need(cfg, "type", where)
+    kind = config_value(cfg, "type", where)
     try:
         if kind == "atoms":
-            pos = np.asarray(_need(cfg, "positions", where), dtype=float)
+            pos = np.asarray(config_value(cfg, "positions", where), dtype=float)
             if pos.ndim == 1:
                 pos = pos.reshape(-1, 1)
-            return AtomicMeasure(pos, _need(cfg, "weights", where))
+            return AtomicMeasure(pos, config_value(cfg, "weights", where))
         if kind == "lebesgue_grid":
             return lebesgue_grid(
-                [tuple(side) for side in _need(cfg, "box", where)],
-                int(_need(cfg, "level", where)),
+                [tuple(side) for side in config_value(cfg, "box", where)],
+                config_value(cfg, "level", where, int),
             )
         if kind == "bernoulli_cascade":
             if dimension != 1:
                 raise ScenarioError(f"{where}: bernoulli_cascade needs dimension 1")
             return bernoulli_cascade(
-                float(_need(cfg, "gamma", where)), int(_need(cfg, "depth", where))
+                config_value(cfg, "gamma", where, float), config_value(cfg, "depth", where, int)
             )
     except WolffpotError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
@@ -104,26 +143,22 @@ def read_kernel_table(path: str | Path) -> dict:
     return table
 
 
-def build_kernel(cfg: dict, dimension: int) -> tuple[DyadicKernelMap, RadialKernel | None]:
-    kind = _need(cfg, "type", "kernel")
-    cutoff = cfg.get("cutoff")
+def build_kernel(cfg: dict, dimension: int) -> DyadicKernelMap:
+    kind = config_value(cfg, "type", "kernel")
+    cutoff = config_value(cfg, "cutoff", "kernel", float, None)
     try:
         if kind == "riesz":
-            rk = riesz_kernel(float(_need(cfg, "alpha", "kernel")), dimension, cutoff=cutoff)
-            return DyadicKernelMap.from_radial(rk), rk
+            alpha = config_value(cfg, "alpha", "kernel", float)
+            return DyadicKernelMap.from_radial(riesz_kernel(alpha, dimension, cutoff=cutoff))
         if kind == "log":
-            rk = log_kernel(
-                float(_need(cfg, "beta", "kernel")),
-                float(_need(cfg, "C", "kernel")),
-                dimension,
-            )
-            return DyadicKernelMap.from_radial(rk), rk
+            beta = config_value(cfg, "beta", "kernel", float)
+            C = config_value(cfg, "C", "kernel", float)
+            return DyadicKernelMap.from_radial(log_kernel(beta, C, dimension))
         if kind == "constant":
-            rk = constant_kernel(float(cfg.get("value", 1.0)), cutoff=cutoff)
-            return DyadicKernelMap.from_radial(rk), rk
+            value = config_value(cfg, "value", "kernel", float, 1.0)
+            return DyadicKernelMap.from_radial(constant_kernel(value, cutoff=cutoff))
         if kind == "table":
-            table = read_kernel_table(_need(cfg, "path", "kernel"))
-            return DyadicKernelMap.from_table(table), None
+            return DyadicKernelMap.from_table(read_kernel_table(config_value(cfg, "path", "kernel")))
     except WolffpotError as exc:
         raise ScenarioError(f"kernel: {exc}") from exc
     raise ScenarioError(f"kernel: unknown type {kind!r}")
@@ -133,25 +168,24 @@ RANDOMIZED_CHECKS = {"trace_upper", "shifted_average", "trace_q1"}
 
 
 def build_scenario(cfg: dict) -> Scenario:
-    dimension = int(_need(cfg, "dimension", "scenario"))
+    dimension = config_value(cfg, "dimension", "scenario", int)
     if dimension < 1:
         raise ScenarioError(f"scenario: dimension must be >= 1, got {dimension}")
-    window = build_window(_need(cfg, "window", "scenario"), dimension)
-    sigma = build_measure(_need(cfg, "sigma", "scenario"), dimension, "sigma")
-    mu = build_measure(_need(cfg, "mu", "scenario"), dimension, "mu")
+    window = build_window(config_value(cfg, "window", "scenario"), dimension)
+    sigma = build_measure(config_value(cfg, "sigma", "scenario"), dimension, "sigma")
+    mu = build_measure(config_value(cfg, "mu", "scenario"), dimension, "mu")
     if sigma.dimension != dimension or mu.dimension != dimension:
         raise ScenarioError("scenario: measure dimension does not match")
-    kernel, radial = build_kernel(_need(cfg, "kernel", "scenario"), dimension)
-    exp_cfg = _need(cfg, "exponents", "scenario")
+    kernel = build_kernel(config_value(cfg, "kernel", "scenario"), dimension)
+    exp_cfg = config_value(cfg, "exponents", "scenario")
+    p = config_value(exp_cfg, "p", "exponents", float)
+    q = config_value(exp_cfg, "q", "exponents", float, None)
     try:
-        exponents = Exponents(
-            float(_need(exp_cfg, "p", "exponents")),
-            float(exp_cfg["q"]) if exp_cfg.get("q") is not None else None,
-        )
+        exponents = Exponents(p, q)
     except WolffpotError as exc:
         raise ScenarioError(f"exponents: {exc}") from exc
     checks = list(cfg.get("checks", []))
-    seed = cfg.get("seed")
+    seed = config_value(cfg, "seed", "scenario", int, None)
     for chk in checks:
         if not isinstance(chk, dict) or "name" not in chk:
             raise ScenarioError(f"checks: every entry needs a name, got {chk!r}")
@@ -160,17 +194,16 @@ def build_scenario(cfg: dict) -> Scenario:
                 f"checks: {chk['name']} is randomized and needs a seed "
                 "(scenario-level or per-check)"
             )
-    band = tuple(cfg.get("bands", {}).get("default", DEFAULT_BAND))
+    band = config_value(cfg.get("bands") or {}, "default", "bands", band_pair, DEFAULT_BAND)
     return Scenario(
         dimension=dimension,
         window=window,
         sigma=sigma,
         mu=mu,
         kernel=kernel,
-        radial=radial,
         exponents=exponents,
         checks=checks,
-        seed=int(seed) if seed is not None else None,
+        seed=seed,
         band=band,
     )
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DegenerateInputError, WolffpotError
 from .kernels import (
-    BarField,
     DyadicKernelMap,
     RadialKernel,
     bar_k,
@@ -26,8 +25,9 @@ from .kernels import (
     weigh,
     weighted_sum,
 )
-from .lattice import LatticeWindow, LevelIndex
-from .measures import AtomicMeasure, cube_mass_table, lebesgue_grid
+from .lattice import LatticeWindow
+# unused here, but bench/tests/test_tracer.py checks that the tracer wraps this binding
+from .measures import AtomicMeasure, cube_mass_table, lebesgue_grid  # noqa: F401
 from .potentials import (
     DyadicScene,
     Exponents,
@@ -134,53 +134,52 @@ def random_instance(
 # -- identities and aggregate comparisons ---------------------------------------
 
 
-def fubini_pair(K, mu, sigma, exps, window) -> tuple[float, float]:
+def fubini_pair(scene: DyadicScene, exps: Exponents) -> tuple[float, float]:
     """Both sides of the energy identity, computed along independent routes.
 
     Left: ``int T[mu]^{p'} dsigma``.  Right: ``int T[(T[mu])^{p'-1} dsigma] dmu``,
     assembled through the operator itself rather than by rearranging the sum.
     """
-    lhs = energy_dyadic(K, mu, sigma, exps, window)
-    scene = DyadicScene(K, sigma, mu, window)
+    lhs = energy_dyadic(scene, exps)
+    sigma, mu = scene.sigma, scene.mu
     rho = weigh(np.power(scene.t_mu(sigma.positions), exps.p_prime - 1.0), sigma.weights)
     rhs = weighted_sum(mu.weights, scene.t(scene.reweighted(sigma, rho), mu.positions))
     return lhs, rhs
 
 
-def check_fubini(K, mu, sigma, exps, window) -> float:
+def check_fubini(scene: DyadicScene, exps: Exponents) -> float:
     """Relative gap of the energy identity; NaN when either side is infinite."""
-    lhs, rhs = fubini_pair(K, mu, sigma, exps, window)
+    lhs, rhs = fubini_pair(scene, exps)
     if math.isinf(lhs) or math.isinf(rhs):
         return math.nan
     return abs(lhs - rhs) / max(lhs, 1e-300)
 
 
-def summation_by_parts_min_slack(lam: dict, window, points, s: float) -> float:
+def summation_by_parts_min_slack(scene: DyadicScene, lam, points, s: float) -> float:
     """Minimum relative slack of the chain-telescoping power inequality.
 
-    For each point ``x`` with chain weights ``c_l`` (coarse to fine) the
-    inequality reads ``(sum c)^s <= s * sum_l c_l (suffix_l)^{s-1}`` with
-    ``suffix_l`` the sum of the chain weights at levels ``>= l``.  Returns the
-    minimum of ``(rhs - lhs)/max(lhs, tiny)`` over the points.
+    ``lam`` holds a weight per cube of ``scene.index``.  For each point ``x``
+    with chain weights ``c_l`` (coarse to fine) the inequality reads
+    ``(sum c)^s <= s * sum_l c_l (suffix_l)^{s-1}`` with ``suffix_l`` the sum
+    of the chain weights at levels ``>= l``.  Returns the minimum of
+    ``(rhs - lhs)/max(lhs, tiny)`` over the points.
     """
     if s < 1.0:
         raise WolffpotError("need s >= 1")
     if not len(points):
         return math.inf
-    index = LevelIndex(window, np.asarray(points, dtype=float).reshape(len(points), -1))
-    weights = np.zeros(index.n)
-    ids = index.lookup(list(lam))
-    weights[ids[ids >= 0]] = np.array(list(lam.values()), dtype=float)[ids >= 0]
-    c = index.gather(weights, index.rows)  # (levels, points), coarse to fine
+    index = scene.index
+    ids = index.locate(np.asarray(points, dtype=float).reshape(len(points), -1))
+    c = index.gather(lam, ids)  # (levels, points), coarse to fine
     suffix = np.cumsum(c[::-1], axis=0)[::-1]
     lhs = np.power(np.cumsum(c, axis=0)[-1], s)
     rhs = s * np.cumsum(c * suffix ** (s - 1.0), axis=0)[-1]
     return float(np.min((rhs - lhs) / np.maximum(lhs, 1e-300)))
 
 
-def check_a_chain(lam: dict, sigma, s: float, window):
+def check_a_chain(scene: DyadicScene, lam, s: float):
     """Ratios of the three aggregates: ``(A1/A2, A2/(A1^{1/s} A3^{1/s'}), A3/A1, A1/A3)``."""
-    a1, a2, a3 = a_functionals(lam, sigma, s, window)
+    a1, a2, a3 = a_functionals(scene, lam, s)
     if a1 <= 0.0 and a2 <= 0.0 and a3 <= 0.0:
         raise DegenerateInputError("all aggregates vanish")
     sp = s / (s - 1.0)
@@ -193,16 +192,16 @@ def check_a_chain(lam: dict, sigma, s: float, window):
     )
 
 
-def wolff_integral(K, sigma, mu, exps, window, power: float = 1.0) -> float:
+def wolff_integral(scene: DyadicScene, exps: Exponents, power: float = 1.0) -> float:
     """``int W^power dmu`` over the mu-atoms (exact weighted sum)."""
-    scene = DyadicScene(K, sigma, mu, window)
+    mu = scene.mu
     return weighted_sum(mu.weights, np.power(scene.wolff(mu.positions, exps.p_prime), power))
 
 
-def check_energy_wolff_ratio(K, mu, sigma, exps, window) -> float:
+def check_energy_wolff_ratio(scene: DyadicScene, exps: Exponents) -> float:
     """Energy over Wolff mass, ``E / int W dmu``; NaN when degenerate."""
-    e = energy_dyadic(K, mu, sigma, exps, window)
-    wm = wolff_integral(K, sigma, mu, exps, window)
+    e = energy_dyadic(scene, exps)
+    wm = wolff_integral(scene, exps)
     if e <= 0.0 or wm <= 0.0 or math.isinf(e) or math.isinf(wm):
         return math.nan
     return e / wm
@@ -220,7 +219,7 @@ class DualityResult:
 
 
 def trace_constant_q1(
-    K, mu, sigma, exps: Exponents, window, probes: int = 0, seed: int | None = None
+    scene: DyadicScene, exps: Exponents, probes: int = 0, seed: int | None = None
 ) -> DualityResult:
     """Duality constant of the ``q = 1`` trace inequality and its extremal probe.
 
@@ -229,12 +228,12 @@ def trace_constant_q1(
     use the exact pairing ``int T[f dsigma] dmu = int T[mu] f dsigma`` (a few
     are cross-checked against the operator path; the gap is reported).
     """
-    e = energy_dyadic(K, mu, sigma, exps, window)
+    e = energy_dyadic(scene, exps)
     if math.isinf(e):
         raise DegenerateInputError("energy is infinite; trace inequality fails")
     pp = exps.p_prime
     p = exps.p
-    scene = DyadicScene(K, sigma, mu, window)
+    sigma, mu = scene.sigma, scene.mu
     tvals = scene.t_mu(sigma.positions)
     sw = sigma.weights
 
@@ -274,7 +273,7 @@ class TraceTestResult:
 
 
 def trace_test_upper_triangle(
-    K, mu, sigma, exps: Exponents, window, trials: int = 50, seed: int = 0
+    scene: DyadicScene, exps: Exponents, trials: int = 50, seed: int = 0
 ) -> TraceTestResult:
     """Two-sided evidence for the upper-triangle trace inequality.
 
@@ -289,7 +288,7 @@ def trace_test_upper_triangle(
     q, p, pp = exps.q, exps.p, exps.p_prime
     qp = q / (q - 1.0)
     t_exp = exps.trace_exponent
-    scene = DyadicScene(K, sigma, mu, window)
+    sigma, mu = scene.sigma, scene.mu
 
     wolff_mass = weighted_sum(mu.weights, np.power(scene.wolff(mu.positions, pp), t_exp))
     wolff_norm = xpow(wolff_mass, 1.0 / t_exp)
@@ -316,7 +315,7 @@ def trace_test_upper_triangle(
         tg = scene.t(scene.reweighted(mu, mu.weights * g), sigma.positions)
         num = weighted_sum(sigma.weights, tg ** pp) ** (1.0 / pp)
         sup_ratio = max(sup_ratio, num / den)
-    return TraceTestResult(wolff_norm, sup_ratio, dlbo_constant(K, sigma, window))
+    return TraceTestResult(wolff_norm, sup_ratio, dlbo_constant(scene.bar))
 
 
 # -- the borderline log-kernel instance -------------------------------------------
@@ -491,26 +490,20 @@ def shifted_average_check(
 # -- kernel dilation and bar-kernel lemmas -------------------------------------------
 
 
-def check_kernel_dilation(
-    kernel: RadialKernel,
-    sigma: AtomicMeasure,
-    mu: AtomicMeasure,
-    exps: Exponents,
-    window: LatticeWindow,
-    c: float,
-) -> tuple[float, float]:
+def check_kernel_dilation(scene: DyadicScene, exps: Exponents, c: float) -> tuple[float, float]:
     """Dilated-to-undilated ratios of the Wolff-type sums.
 
     Compares ``sum_Q k(c r_Q) sigma(Q) bar(Q)^{p'-1} mu(Q)^{p'}`` against the
     ``c = 1`` sum, and likewise the ``L^r(dmu)`` norms of the corresponding
-    chain functions at the trace exponent ``r``.  The bar factor is the
-    radial cumulative kernel at the cube's scale and center.
+    chain functions at the trace exponent ``r``.  The scene's ``K`` must come
+    from a radial kernel ``k``; the bar factor is its cumulative kernel at the
+    cube's scale and center.
     """
     pp = exps.p_prime
     r_exp = exps.trace_exponent if exps.q is not None else 1.0
-    index = LevelIndex(window, np.vstack([sigma.positions, mu.positions]))
-    sig = cube_mass_table(sigma, index)
-    mut = cube_mass_table(mu, index, sigma.n_atoms)
+    kernel, sigma, mu = scene.kernel.radial, scene.sigma, scene.mu
+    index, sig, mut = scene.index, scene.sigma_mass, scene.mu_mass
+    window = index.window
     support = np.flatnonzero((mut > 0.0) & (sig > 0.0))
     cubes = [window.cube(*key) for key in index.keys(support)]
     bar_vals = np.array([bar_k(kernel, sigma, q.center(), q.side) for q in cubes])
@@ -540,20 +533,17 @@ def check_kernel_dilation(
     return sum_ratio, norm_ratio
 
 
-def check_bar_lemmas(
-    kernel: RadialKernel,
-    sigma: AtomicMeasure,
-    window: LatticeWindow,
-    samples,
-) -> tuple[float, float, float]:
+def check_bar_lemmas(scene: DyadicScene, samples) -> tuple[float, float, float]:
     """Two-sided ratio bounds for the three bar-kernel reformulations.
 
-    For sampled ``(x, r)``: ball average of ``k(|x-.|)`` vs ``bar_k(r)(x)``;
-    the dyadic ``bar_K(Q)(x)`` at the cube of scale ``r`` vs ``bar_k(r)(x)``;
-    and ``bar_k(r)`` vs ``bar_k(2r)``.  Returns the three worst two-sided
-    ratios; degenerate samples are skipped.
+    The scene's ``K`` must come from a radial kernel ``k``.  For sampled
+    ``(x, r)``: ball average of ``k(|x-.|)`` vs ``bar_k(r)(x)``; the dyadic
+    ``bar_K(Q)(x)`` at the cube of scale ``r`` vs ``bar_k(r)(x)``; and
+    ``bar_k(r)`` vs ``bar_k(2r)``.  Returns the three worst two-sided ratios;
+    degenerate samples are skipped.
     """
-    bf = BarField(DyadicKernelMap.from_radial(kernel), sigma, window)
+    kernel, sigma, bf = scene.kernel.radial, scene.sigma, scene.bar
+    window = bf.window
     reform = relation = doubling = None
 
     def two_sided(a, b, cur):

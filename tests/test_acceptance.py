@@ -26,10 +26,13 @@ from wolffpot import (
     BarField,
     BarFieldNaive,
     DyadicKernelMap,
+    DyadicScene,
     Exponents,
     LatticeWindow,
+    LevelIndex,
     bar_k,
     bernoulli_cascade,
+    cube_mass_table,
     dlbo_constant,
     energy_continuous,
     lebesgue_grid,
@@ -57,6 +60,10 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 P_PRIMES = (1.5, 2.0, 3.0)
 
 
+def scene_of(inst):
+    return DyadicScene(inst.K, inst.sigma, inst.mu, inst.window)
+
+
 def criterion(num: str, label: str, ok: bool, detail: str = "") -> None:
     print(f"[criterion {num:>3}] {'PASS' if ok else 'FAIL'} {label}  {detail}")
     assert ok, f"criterion {num} ({label}): {detail}"
@@ -81,7 +88,7 @@ def suite():
 def test_criterion_01_fubini_identity(suite):
     worst = 0.0
     for inst, exps in suite:
-        err = check_fubini(inst.K, inst.mu, inst.sigma, exps, inst.window)
+        err = check_fubini(scene_of(inst), exps)
         worst = max(worst, err)
     criterion("1", "energy identity over 100 instances", worst <= 1e-9,
               f"max relative error {worst:.3e} (tolerance 1e-9)")
@@ -90,10 +97,11 @@ def test_criterion_01_fubini_identity(suite):
 def test_criterion_02_summation_by_parts(suite):
     worst = math.inf
     for inst, _ in suite:
-        lam = lambda_substitution(inst.K, inst.sigma, inst.mu, inst.window)
+        scene = scene_of(inst)
+        lam = lambda_substitution(scene)
         pts = [p for p in inst.sigma.positions] + [p for p in inst.mu.positions]
         for s in (1.5, 2.0, 3.0):
-            worst = min(worst, summation_by_parts_min_slack(lam, inst.window, pts, s))
+            worst = min(worst, summation_by_parts_min_slack(scene, lam, pts, s))
     criterion("2", "chain power inequality at every atom", worst >= 0.0,
               f"min slack {worst:.3e} (needs >= 0)")
 
@@ -103,9 +111,10 @@ def test_criterion_03_explicit_proof_constants(suite):
     worst_c1 = 0.0
     worst_holder = 0.0
     for inst, _ in suite:
-        lam = lambda_substitution(inst.K, inst.sigma, inst.mu, inst.window)
+        scene = scene_of(inst)
+        lam = lambda_substitution(scene)
         for s in (1.5, 2.0, 3.0):
-            r = check_a_chain(lam, inst.sigma, s, inst.window)
+            r = check_a_chain(scene, lam, s)
             worst_holder = max(worst_holder, r[1])
             if r[1] > 1.0 + 1e-12:
                 violations += 1
@@ -122,7 +131,7 @@ def test_criterion_03_explicit_proof_constants(suite):
 def test_criterion_04_energy_wolff_band(suite):
     per_pp: dict = {pp: [] for pp in P_PRIMES}
     for inst, exps in suite:
-        ratio = check_energy_wolff_ratio(inst.K, inst.mu, inst.sigma, exps, inst.window)
+        ratio = check_energy_wolff_ratio(scene_of(inst), exps)
         if not math.isnan(ratio):
             per_pp[exps.p_prime].append(ratio)
     lo = min(min(v) for v in per_pp.values())
@@ -131,8 +140,9 @@ def test_criterion_04_energy_wolff_band(suite):
 
     w0 = LatticeWindow.from_box([(0.0, 1.0)], 0, 0)
     single = check_energy_wolff_ratio(
-        DyadicKernelMap.constant(1.0), AtomicMeasure([[0.5]], [0.7]),
-        lebesgue_grid([(0.0, 1.0)], 0), Exponents(p=2.0), w0,
+        DyadicScene(DyadicKernelMap.constant(1.0), lebesgue_grid([(0.0, 1.0)], 0),
+                    AtomicMeasure([[0.5]], [0.7]), w0),
+        Exponents(p=2.0),
     )
     ok_single = abs(single - 1.0) <= 1e-12
     criterion("4", "energy / Wolff-mass ratios in band", ok_band and ok_single,
@@ -179,7 +189,7 @@ def test_criterion_06_q1_duality():
         inst = random_instance([BASE_SEED, 600 + i], n=1 + i % 2, depth=4 + i % 4,
                                n_sigma=60, n_mu=60)
         exps = Exponents.from_p_prime(P_PRIMES[i % 3])
-        res = trace_constant_q1(inst.K, inst.mu, inst.sigma, exps, inst.window,
+        res = trace_constant_q1(scene_of(inst), exps,
                                 probes=200, seed=[BASE_SEED, 600 + i, 1])
         worst_gap = max(worst_gap,
                         abs(res.achieved_ratio - res.dual_constant) / res.dual_constant)
@@ -191,18 +201,20 @@ def test_criterion_06_q1_duality():
 
 def test_criterion_07_dlbo_constants():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 8)
-    a_leb = dlbo_constant(DyadicKernelMap.from_radial(riesz_kernel(0.5, 1)),
-                          lebesgue_grid([(0.0, 1.0)], 8), w)
+    a_leb = dlbo_constant(BarField(DyadicKernelMap.from_radial(riesz_kernel(0.5, 1)),
+                                   lebesgue_grid([(0.0, 1.0)], 8), w))
     ok_leb = abs(a_leb - 1.0) <= 1e-12
 
     n, alpha, gamma = 1, 0.75, 0.415
     w10 = LatticeWindow.from_box([(0.0, 1.0)], 0, 10)
     casc = bernoulli_cascade(gamma, 10)
-    a_casc = dlbo_constant(DyadicKernelMap.from_radial(riesz_kernel(alpha, n)), casc, w10)
+    a_casc = dlbo_constant(BarField(DyadicKernelMap.from_radial(riesz_kernel(alpha, n)), casc, w10))
     bound = 1.0 / (1.0 - 2.0 ** (n - alpha - gamma))
     ok_casc = a_casc <= bound + 1e-9
 
-    holds, _ = reverse_doubling_check(AtomicMeasure([[0.3]], [1.0]), w, 0.5)
+    point = AtomicMeasure([[0.3]], [1.0])
+    index = LevelIndex(w, point.positions)
+    holds, _ = reverse_doubling_check(index, cube_mass_table(point, index), 0.5)
     ok_point = not holds
     criterion("7", "oscillation constants", ok_leb and ok_casc and ok_point,
               f"Lebesgue A={a_leb:.15f}; cascade A={a_casc:.6f} <= {bound:.6f}; "

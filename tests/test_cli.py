@@ -1,10 +1,14 @@
+import concurrent.futures
 import json
 import math
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from wolffpot.cli import dumps_canonical, format_float, main
+from wolffpot import LevelIndex
+from wolffpot.cli import build_parser, dumps_canonical, format_float, main
 from wolffpot.scenario import ScenarioError, load_scenario, read_kernel_table
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -183,3 +187,78 @@ def test_empty_check_list_rejected(tmp_path):
     base["checks"] = []
     cfg.write_text(json.dumps(base))
     assert run(["verify", "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
+
+
+@pytest.mark.parametrize("command, scenario, built", [
+    ("verify", "riesz_lebesgue", 4),  # the scene plus one per truncation depth
+    ("verify", "cascade_dlbo", 1),
+    ("verify", "single_cube", 1),
+    ("energy", "cascade_dlbo", 1),
+])
+def test_one_level_index_per_instance(monkeypatch, tmp_path, command, scenario, built):
+    init = LevelIndex.__init__
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LevelIndex, "__init__", counted)
+    assert run([command, "--config", SCENARIOS / f"{scenario}.json", "--out-dir", tmp_path]) == 0
+    assert len(calls) == built
+
+
+def test_scene_is_built_once_when_checks_race(monkeypatch):
+    scn = load_scenario(SCENARIOS / "cascade_dlbo.json")
+    init = LevelIndex.__init__
+    calls = []
+
+    def slow(self, *args, **kwargs):
+        calls.append(1)
+        time.sleep(0.01)  # widen the window between the None test and the store
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LevelIndex, "__init__", slow)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=16) as pool:
+            scenes = list(pool.map(lambda _: scn.scene, range(64), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 1
+    assert all(scene is scenes[0] for scene in scenes)
+
+
+def test_threads_default_to_one():
+    assert build_parser().parse_args(["verify", "--config", "x.json"]).threads == 1
+
+
+def _edit(cfg, path, value):
+    *parents, last = path
+    for key in parents:
+        cfg = cfg[key]
+    cfg[last] = value
+
+
+@pytest.mark.parametrize("base, path, value, message", [
+    ("single_cube", ("checks", 0, "tol"), "x", "fubini: field 'tol'"),
+    ("single_cube", ("bands",), {"default": [1]}, "bands: field 'default'"),
+    ("single_cube", ("exponents", "p"), "two", "exponents: field 'p'"),
+    ("single_cube", ("dimension",), "x", "scenario: field 'dimension'"),
+    ("single_cube", ("checks", 2, "lambda"), [[0, [0, 0], 1.0]], "a_chain: field 'lambda'"),
+    ("single_cube", ("checks", 2, "lambda"), [[0, [0], 1.0], [0, [0], 2.0]],
+     "a_chain: field 'lambda' repeats"),
+    ("riesz_lebesgue", ("checks", 6, "draws"), 1, "shifted_average: field 'draws'"),
+    ("counterexample", ("checks", 0, "terms"), [1000], "counterexample_series: field 'terms'"),
+], ids=["tol", "band", "p", "dimension", "lambda_dimension", "lambda_repeat", "draws", "terms"])
+def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, base, path, value, message):
+    cfg = json.loads((SCENARIOS / f"{base}.json").read_text())
+    _edit(cfg, path, value)
+    if path[0] == "checks":  # run the malformed check alone
+        cfg["checks"] = [cfg["checks"][path[1]]]
+    path_json = tmp_path / "bad.json"
+    path_json.write_text(json.dumps(cfg))
+    assert run(["verify", "--config", path_json, "--out-dir", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err

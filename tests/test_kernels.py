@@ -33,6 +33,15 @@ def test_riesz_values():
         riesz_kernel(0.0, 2)
 
 
+@pytest.mark.parametrize("cutoff", [-1.0, 0.0, math.nan])
+def test_non_positive_cutoff_rejected(cutoff):
+    # a cutoff of -1 would make every K(Q) vanish and fubini pass with zero error
+    with pytest.raises(InvalidKernelError, match="cutoff"):
+        riesz_kernel(0.5, 1, cutoff=cutoff)
+    with pytest.raises(InvalidKernelError, match="cutoff"):
+        constant_kernel(1.0, cutoff=cutoff)
+
+
 def test_riesz_log_primitive():
     k = riesz_kernel(0.5, 1)
     # int_a^b s^(-3/2) ds = 2 (a^-1/2 - b^-1/2)
@@ -152,26 +161,26 @@ def test_bar_k_divergence_and_empty():
 
 def test_dlbo_riesz_lebesgue_is_one():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 8)
-    A = dlbo_constant(
+    A = dlbo_constant(BarField(
         DyadicKernelMap.from_radial(riesz_kernel(0.5, 1)), lebesgue_grid([(0.0, 1.0)], 8), w
-    )
+    ))
     assert A == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dlbo_cascade_geometric_bound():
     n, alpha, gamma = 1, 0.75, 0.415
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 10)
-    A = dlbo_constant(
+    A = dlbo_constant(BarField(
         DyadicKernelMap.from_radial(riesz_kernel(alpha, n)), bernoulli_cascade(gamma, 10), w
-    )
+    ))
     assert 1.0 <= A <= 1.0 / (1.0 - 2.0 ** (n - alpha - gamma)) + 1e-9
 
 
 def test_dlbo_point_mass_diagnostic():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 8)
-    A = dlbo_constant(
+    A = dlbo_constant(BarField(
         DyadicKernelMap.from_radial(riesz_kernel(0.5, 1)), AtomicMeasure([[0.3]], [1.0]), w
-    )
+    ))
     assert A > 1.0
 
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from wolffpot import (
     AtomicMeasure,
+    BarField,
     BarFieldNaive,
     DegenerateInputError,
     DyadicKernelMap,
@@ -157,7 +158,7 @@ def test_hl_maximal_matches_brute_force(data):
 @PROPERTY
 @given(data=st.data(), s=st.sampled_from([1.5, 2.0, 3.0]))
 def test_a_functionals_match_brute_force(data, s):
-    window, sigma, _, _, _ = data.draw(instances(False))
+    window, sigma, mu, K, _ = data.draw(instances(False))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     lam = {key: float(2.0 ** rng.uniform(-3, 3)) for key in window.keys()
            if rng.uniform() < 0.6}
@@ -171,7 +172,12 @@ def test_a_functionals_match_brute_force(data, s):
         if w > 0:
             a1 += w * sum(weight[k] / mass[k] for k in keys) ** s
             a3 += w * max([subtree[k] / mass[k] for k in keys], default=0.0) ** s
-    got = a_functionals(lam, sigma, s, window)
+    # on the scene's shared sigma + mu index; its other cubes carry no sigma mass
+    scene = DyadicScene(K, sigma, mu, window)
+    ids = scene.index.lookup(list(lam))
+    weights = np.zeros(scene.index.n)
+    weights[ids[ids >= 0]] = np.array(list(lam.values()))[ids >= 0]
+    got = a_functionals(scene, weights, s)
     assert all(close(g, e) for g, e in zip(got, (a1, a2, a3))), (got, (a1, a2, a3))
 
 
@@ -180,8 +186,8 @@ def test_a_functionals_match_brute_force(data, s):
 def test_energy_homogeneity(data, c, pp):
     window, sigma, mu, K, _ = data.draw(instances(data.draw(st.booleans())))
     exps = Exponents.from_p_prime(pp)
-    e = c ** pp * energy_dyadic(K, mu, sigma, exps, window)
-    assert abs(energy_dyadic(K, mu.scaled(c), sigma, exps, window) - e) <= REL * e
+    e = c ** pp * energy_dyadic(DyadicScene(K, sigma, mu, window), exps)
+    assert abs(energy_dyadic(DyadicScene(K, sigma, mu.scaled(c), window), exps) - e) <= REL * e
 
 
 @pytest.mark.parametrize("inf_key, want", [
@@ -196,9 +202,9 @@ def test_dlbo_constant_with_infinite_k_on_a_charged_cube(inf_key, want):
     table = {key: 1.0 + 0.25 * i for i, key in enumerate(window.keys())}
     table[inf_key] = math.inf
     K = DyadicKernelMap.from_table(table)
-    assert dlbo_constant(K, AtomicMeasure(pts, wts), window) == want
+    assert dlbo_constant(BarField(K, AtomicMeasure(pts, wts), window)) == want
     if inf_key == (0, (1,)):  # root [1, 2) adds nothing: same as without its atoms
-        assert dlbo_constant(K, AtomicMeasure(pts[:3], wts[:3]), window) == want
+        assert dlbo_constant(BarField(K, AtomicMeasure(pts[:3], wts[:3]), window)) == want
 
 
 def test_window_too_deep_for_int64_keys():

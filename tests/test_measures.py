@@ -15,6 +15,12 @@ from wolffpot import (
 )
 
 
+def reverse_doubling(measure, window, gamma):
+    """``reverse_doubling_check`` on an index holding the measure's atoms."""
+    index = LevelIndex(window, measure.positions)
+    return reverse_doubling_check(index, cube_mass_table(measure, index), gamma)
+
+
 @pytest.fixture
 def w2():
     return LatticeWindow.from_box([(0.0, 1.0)], 0, 2)
@@ -80,13 +86,13 @@ def test_mass_table_matches_direct():
 
 def test_reverse_doubling_lebesgue():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 8)
-    holds, best = reverse_doubling_check(lebesgue_grid([(0.0, 1.0)], 8), w, 1.0)
+    holds, best = reverse_doubling(lebesgue_grid([(0.0, 1.0)], 8), w, 1.0)
     assert holds and best == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reverse_doubling_point_mass_fails():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 8)
-    holds, best = reverse_doubling_check(AtomicMeasure([[0.3]], [1.0]), w, 0.7)
+    holds, best = reverse_doubling(AtomicMeasure([[0.3]], [1.0]), w, 0.7)
     assert not holds
     assert best == pytest.approx(2.0 ** (-8 * 0.7), rel=1e-12)
 
@@ -94,14 +100,14 @@ def test_reverse_doubling_point_mass_fails():
 def test_reverse_doubling_cascade():
     gamma = 0.415
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 8)
-    holds, best = reverse_doubling_check(bernoulli_cascade(gamma, 8), w, gamma)
+    holds, best = reverse_doubling(bernoulli_cascade(gamma, 8), w, gamma)
     assert holds and best == pytest.approx(1.0, rel=1e-9)
 
 
 def test_reverse_doubling_degenerate():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 2)
     with pytest.raises(DegenerateInputError):
-        reverse_doubling_check(AtomicMeasure.empty(1), w, 1.0)
+        reverse_doubling(AtomicMeasure.empty(1), w, 1.0)
 
 
 def test_cascade_child_masses():

@@ -23,18 +23,29 @@ from wolffpot import (
     lebesgue_grid,
     log_kernel,
     m_k_maximal,
-    maximal_dyadic,
     riesz_kernel,
     t_continuous_trunc,
-    t_dyadic,
-    wolff_bar_dyadic,
     wolff_continuous,
-    wolff_dyadic,
 )
+from wolffpot.cli import _field_values
+from wolffpot.scenario import build_scenario
 from wolffpot.verify import wolff_integral
 
 
 K1 = DyadicKernelMap.constant(1.0)
+
+
+def t_of(K, nu, w, x):
+    """``T[nu](x)`` from a scene whose sigma is empty."""
+    return DyadicScene(K, AtomicMeasure.empty(w.dimension), nu, w).t_mu(x)
+
+
+def on_cubes(scene, lam):
+    """Weights keyed by ``(level, index)`` as an array over the scene's cubes."""
+    ids = scene.index.lookup(list(lam))
+    out = np.zeros(scene.index.n)
+    out[ids[ids >= 0]] = np.array(list(lam.values()), dtype=float)[ids >= 0]
+    return out
 
 
 def single_cube_instance(m=0.7):
@@ -70,9 +81,18 @@ def test_t_dyadic_chain_example():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 2)
     mu = AtomicMeasure([[0.1]], [1.0])
     # cubes [0,1) and [0,0.5) contain both 0.1 and 0.3; [0.25,0.5) does not hold 0.1
-    assert t_dyadic(K1, mu, w, [0.3]) == 2.0
+    assert t_of(K1, mu, w, [0.3]) == 2.0
+    # the field commands reject a point outside the window
+    scn = build_scenario({
+        "dimension": 1,
+        "window": {"coarse_level": 0, "fine_level": 2, "box": [[0, 1]]},
+        "sigma": {"type": "atoms", "positions": [], "weights": []},
+        "mu": {"type": "atoms", "positions": [[0.1]], "weights": [1.0]},
+        "kernel": {"type": "constant", "value": 1.0},
+        "exponents": {"p": 2.0},
+    })
     with pytest.raises(OutOfWindowError):
-        t_dyadic(K1, mu, w, [1.5])
+        _field_values(scn, [[1.5]], "t")
 
 
 def test_t_dyadic_linearity():
@@ -83,21 +103,22 @@ def test_t_dyadic_linearity():
     )
     K = DyadicKernelMap.from_radial(riesz_kernel(0.5, 1))
     for x in ([0.2], [0.77]):
-        assert t_dyadic(K, nu2, w, x) == pytest.approx(
-            t_dyadic(K, mu, w, x) + t_dyadic(K, sigma, w, x), rel=1e-12
+        assert t_of(K, nu2, w, x) == pytest.approx(
+            t_of(K, mu, w, x) + t_of(K, sigma, w, x), rel=1e-12
         )
-    assert t_dyadic(K, AtomicMeasure.empty(1), w, [0.3]) == 0.0
+    assert t_of(K, AtomicMeasure.empty(1), w, [0.3]) == 0.0
 
 
 def test_single_cube_closed_forms():
     m = 0.7
     w, sigma, mu = single_cube_instance(m)
     ex = Exponents(p=2.0)
-    assert energy_dyadic(K1, mu, sigma, ex, w) == pytest.approx(m * m, rel=1e-12)
-    assert wolff_dyadic(K1, sigma, mu, ex, w, [0.5]) == pytest.approx(m, rel=1e-12)
-    assert wolff_bar_dyadic(K1, sigma, mu, ex, w, [0.5]) == pytest.approx(m, rel=1e-12)
-    assert maximal_dyadic(K1, sigma, mu, w, [0.5]) == pytest.approx(m, rel=1e-12)
-    assert wolff_integral(K1, sigma, mu, ex, w) == pytest.approx(m * m, rel=1e-12)
+    scene = DyadicScene(K1, sigma, mu, w)
+    assert energy_dyadic(scene, ex) == pytest.approx(m * m, rel=1e-12)
+    assert scene.wolff([0.5], ex.p_prime) == pytest.approx(m, rel=1e-12)
+    assert scene.wolff_bar([0.5], ex.p_prime) == pytest.approx(m, rel=1e-12)
+    assert scene.maximal([0.5]) == pytest.approx(m, rel=1e-12)
+    assert wolff_integral(scene, ex) == pytest.approx(m * m, rel=1e-12)
 
 
 def test_homogeneity_degrees():
@@ -105,19 +126,20 @@ def test_homogeneity_degrees():
     K = DyadicKernelMap.from_radial(riesz_kernel(0.6, 1))
     c = 3.7
     mu_c = mu.scaled(c)
+    scene, scene_c = DyadicScene(K, sigma, mu, w), DyadicScene(K, sigma, mu_c, w)
     for pp in (1.5, 2.0, 3.0):
         ex = Exponents.from_p_prime(pp)
-        assert energy_dyadic(K, mu_c, sigma, ex, w) == pytest.approx(
-            c ** pp * energy_dyadic(K, mu, sigma, ex, w), rel=1e-11
+        assert energy_dyadic(scene_c, ex) == pytest.approx(
+            c ** pp * energy_dyadic(scene, ex), rel=1e-11
         )
-        assert wolff_dyadic(K, sigma, mu_c, ex, w, [0.4]) == pytest.approx(
-            c ** (pp - 1.0) * wolff_dyadic(K, sigma, mu, ex, w, [0.4]), rel=1e-11
+        assert scene_c.wolff([0.4], pp) == pytest.approx(
+            c ** (pp - 1.0) * scene.wolff([0.4], pp), rel=1e-11
         )
-    assert maximal_dyadic(K, sigma, mu_c, w, [0.4]) == pytest.approx(
-        c * maximal_dyadic(K, sigma, mu, w, [0.4]), rel=1e-11
+    assert scene_c.maximal([0.4]) == pytest.approx(
+        c * scene.maximal([0.4]), rel=1e-11
     )
-    assert t_dyadic(K, mu_c, w, [0.4]) == pytest.approx(
-        c * t_dyadic(K, mu, w, [0.4]), rel=1e-11
+    assert t_of(K, mu_c, w, [0.4]) == pytest.approx(
+        c * t_of(K, mu, w, [0.4]), rel=1e-11
     )
 
 
@@ -126,7 +148,7 @@ def test_wolff_zero_without_mu_mass():
     sigma = lebesgue_grid([(0.0, 1.0)], 3)
     mu = AtomicMeasure([[0.9]], [1.0])
     # at x=0.1 only the root cube carries mu mass; empty mu gives 0
-    assert wolff_dyadic(K1, sigma, AtomicMeasure.empty(1), Exponents(p=2.0), w, [0.1]) == 0.0
+    assert DyadicScene(K1, sigma, AtomicMeasure.empty(1), w).wolff([0.1], 2.0) == 0.0
 
 
 def test_wolff_bar_dominates_wolff():
@@ -154,18 +176,20 @@ def test_hl_maximal():
 
 
 def test_a_functionals_single_cube():
-    w, sigma, _ = single_cube_instance()
-    lam = {(0, (0,)): 1.0}
-    a1, a2, a3 = a_functionals(lam, sigma, 2.0, w)
+    w, sigma, mu = single_cube_instance()
+    scene = DyadicScene(K1, sigma, mu, w)
+    a1, a2, a3 = a_functionals(scene, on_cubes(scene, {(0, (0,)): 1.0}), 2.0)
     assert (a1, a2, a3) == (1.0, 1.0, 1.0)
-    assert a_functionals({(0, (0,)): 0.0}, sigma, 2.0, w) == (0.0, 0.0, 0.0)
+    assert a_functionals(scene, on_cubes(scene, {(0, (0,)): 0.0}), 2.0) == (0.0, 0.0, 0.0)
 
 
 def test_a_functionals_zero_on_massless_cubes():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 1)
     sigma = AtomicMeasure([[0.1]], [1.0])  # no mass in [0.5, 1)
+    # mu holds the cube [0.5, 1), so the scene does too
+    scene = DyadicScene(K1, sigma, AtomicMeasure([[0.7]], [1.0]), w)
     lam = {(0, (0,)): 1.0, (1, (1,)): 5.0}
-    a1, a2, a3 = a_functionals(lam, sigma, 2.0, w)
+    a1, a2, a3 = a_functionals(scene, on_cubes(scene, lam), 2.0)
     assert (a1, a2, a3) == (1.0, 1.0, 1.0)
 
 
@@ -174,11 +198,10 @@ def test_a_functionals_match_dedicated_operations():
         w, sigma, mu = random_pair(seed)
         K = DyadicKernelMap.from_radial(riesz_kernel(0.55, 1))
         ex = Exponents.from_p_prime(pp)
-        lam = lambda_substitution(K, sigma, mu, w)
-        a1, a2, a3 = a_functionals(lam, sigma, pp, w)
         scene = DyadicScene(K, sigma, mu, w)
-        e = energy_dyadic(K, mu, sigma, ex, w)
-        wm = wolff_integral(K, sigma, mu, ex, w)
+        a1, a2, a3 = a_functionals(scene, lambda_substitution(scene), pp)
+        e = energy_dyadic(scene, ex)
+        wm = wolff_integral(scene, ex)
         mm = sum(
             wt * scene.maximal(p) ** pp for p, wt in zip(sigma.positions, sigma.weights)
         )
@@ -193,14 +216,13 @@ def test_translation_covariance():
     ex = Exponents(p=2.0)
     t = 0.3125
     wt = LatticeWindow.from_box([(t, 1.0 + t)], 0, w.fine_level, shift=[t])
-    sig_t, mu_t = sigma.translated([t]), mu.translated([t])
+    scene = DyadicScene(K, sigma, mu, w)
+    scene_t = DyadicScene(K, sigma.translated([t]), mu.translated([t]), wt)
     for x in ([0.21], [0.86]):
-        a = wolff_dyadic(K, sigma, mu, ex, w, x)
-        b = wolff_dyadic(K, sig_t, mu_t, ex, wt, [x[0] + t])
+        a = scene.wolff(x, ex.p_prime)
+        b = scene_t.wolff([x[0] + t], ex.p_prime)
         assert a == pytest.approx(b, rel=1e-12)
-    assert energy_dyadic(K, mu, sigma, ex, w) == pytest.approx(
-        energy_dyadic(K, mu_t, sig_t, ex, wt), rel=1e-12
-    )
+    assert energy_dyadic(scene, ex) == pytest.approx(energy_dyadic(scene_t, ex), rel=1e-12)
 
 
 # -- continuous operations -------------------------------------------------------

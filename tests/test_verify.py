@@ -7,6 +7,7 @@ from wolffpot import (
     AtomicMeasure,
     DegenerateInputError,
     DyadicKernelMap,
+    DyadicScene,
     Exponents,
     LatticeWindow,
     lebesgue_grid,
@@ -32,16 +33,33 @@ from wolffpot.verify import (
 )
 
 BETA, CEX = 1.5, math.e ** 1.5
+K1 = DyadicKernelMap.constant(1.0)
+
+
+def scene_of(inst):
+    return DyadicScene(inst.K, inst.sigma, inst.mu, inst.window)
+
+
+def radial_scene(kernel, sigma, mu, window):
+    return DyadicScene(DyadicKernelMap.from_radial(kernel), sigma, mu, window)
+
+
+def on_cubes(scene, lam):
+    """Weights keyed by ``(level, index)`` as an array over the scene's cubes."""
+    ids = scene.index.lookup(list(lam))
+    out = np.zeros(scene.index.n)
+    out[ids[ids >= 0]] = np.array(list(lam.values()), dtype=float)[ids >= 0]
+    return out
 
 
 def test_fubini_single_cube():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 0)
     sigma = lebesgue_grid([(0.0, 1.0)], 0)
     mu = AtomicMeasure([[0.5]], [0.7])
-    err = check_fubini(DyadicKernelMap.constant(1.0), mu, sigma, Exponents(p=2.0), w)
+    err = check_fubini(DyadicScene(K1, sigma, mu, w), Exponents(p=2.0))
     assert err <= 1e-12
-    assert check_fubini(DyadicKernelMap.constant(1.0), AtomicMeasure.empty(1),
-                        sigma, Exponents(p=2.0), w) == 0.0
+    assert check_fubini(DyadicScene(K1, sigma, AtomicMeasure.empty(1), w),
+                        Exponents(p=2.0)) == 0.0
 
 
 def test_fubini_random_instances():
@@ -50,28 +68,30 @@ def test_fubini_random_instances():
         inst = random_instance([101, i], n=1 + i % 2, depth=4 + i % 4,
                                n_sigma=40, n_mu=40)
         ex = Exponents.from_p_prime((1.5, 2.0, 3.0)[i % 3])
-        worst = max(worst, check_fubini(inst.K, inst.mu, inst.sigma, ex, inst.window))
+        worst = max(worst, check_fubini(scene_of(inst), ex))
     assert worst <= 1e-9
 
 
 def test_a_chain_single_cube():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 0)
     sigma = lebesgue_grid([(0.0, 1.0)], 0)
-    ratios = check_a_chain({(0, (0,)): 1.0}, sigma, 2.0, w)
+    scene = DyadicScene(K1, sigma, AtomicMeasure.empty(1), w)
+    ratios = check_a_chain(scene, on_cubes(scene, {(0, (0,)): 1.0}), 2.0)
     assert ratios == (1.0, 1.0, 1.0, 1.0)
     with pytest.raises(DegenerateInputError):
-        check_a_chain({(0, (0,)): 0.0}, sigma, 2.0, w)
+        check_a_chain(scene, on_cubes(scene, {(0, (0,)): 0.0}), 2.0)
 
 
 def test_a_chain_proof_constants():
     for i in range(15):
         inst = random_instance([102, i], depth=5, n_sigma=40, n_mu=40)
-        lam = lambda_substitution(inst.K, inst.sigma, inst.mu, inst.window)
+        scene = scene_of(inst)
+        lam = lambda_substitution(scene)
         for s in (1.5, 2.0):
-            r = check_a_chain(lam, inst.sigma, s, inst.window)
+            r = check_a_chain(scene, lam, s)
             assert r[0] <= s
             assert r[1] <= 1.0 + 1e-12
-        r = check_a_chain(lam, inst.sigma, 3.0, inst.window)
+        r = check_a_chain(scene, lam, 3.0)
         assert r[1] <= 1.0 + 1e-12
 
 
@@ -80,30 +100,30 @@ def test_summation_by_parts_random_weights():
     inst = random_instance([103, 0], depth=6)
     lam = {key: float(2.0 ** rng.uniform(-6, 6)) for key in inst.window.keys()}
     pts = list(inst.sigma.positions) + list(inst.mu.positions)
+    scene = scene_of(inst)  # holds every cube on the chains of pts
     for s in (1.0, 1.5, 2.0, 3.0):
-        assert summation_by_parts_min_slack(lam, inst.window, pts, s) >= -1e-12
+        assert summation_by_parts_min_slack(scene, on_cubes(scene, lam), pts, s) >= -1e-12
 
 
 def test_energy_wolff_ratio_single_cube_and_consistency():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 0)
     sigma = lebesgue_grid([(0.0, 1.0)], 0)
     mu = AtomicMeasure([[0.5]], [0.7])
-    K = DyadicKernelMap.constant(1.0)
-    assert check_energy_wolff_ratio(K, mu, sigma, Exponents(p=2.0), w) == pytest.approx(1.0, abs=1e-12)
+    scene = DyadicScene(K1, sigma, mu, w)
+    assert check_energy_wolff_ratio(scene, Exponents(p=2.0)) == pytest.approx(1.0, abs=1e-12)
     # the ratio equals A1/A2 under the weight substitution
     inst = random_instance([104, 1], depth=5)
     ex = Exponents(p=2.0)
-    ratio = check_energy_wolff_ratio(inst.K, inst.mu, inst.sigma, ex, inst.window)
-    lam = lambda_substitution(inst.K, inst.sigma, inst.mu, inst.window)
-    a_ratio = check_a_chain(lam, inst.sigma, ex.p_prime, inst.window)[0]
+    scene = scene_of(inst)
+    ratio = check_energy_wolff_ratio(scene, ex)
+    a_ratio = check_a_chain(scene, lambda_substitution(scene), ex.p_prime)[0]
     assert ratio == pytest.approx(a_ratio, rel=1e-12)
 
 
 def test_trace_q1_duality():
     for i in range(6):
         inst = random_instance([105, i], depth=5)
-        res = trace_constant_q1(inst.K, inst.mu, inst.sigma, Exponents(p=2.0),
-                                inst.window, probes=60, seed=i)
+        res = trace_constant_q1(scene_of(inst), Exponents(p=2.0), probes=60, seed=i)
         assert res.achieved_ratio == pytest.approx(res.dual_constant, rel=1e-8)
         assert res.probe_max <= res.dual_constant * (1 + 1e-10)
         assert res.pairing_gap <= 1e-10
@@ -118,7 +138,7 @@ def test_trace_upper_triangle_depth_behaviour():
     sups, norms = [], []
     for depth in (4, 6, 8):
         w = LatticeWindow.from_box([(0.0, 1.0)], 0, depth)
-        res = trace_test_upper_triangle(K, atom, atom, ex, w, trials=20, seed=1)
+        res = trace_test_upper_triangle(DyadicScene(K, atom, atom, w), ex, trials=20, seed=1)
         sups.append(res.empirical_sup)
         norms.append(res.wolff_norm)
     assert norms[0] < norms[1] < norms[2]
@@ -128,7 +148,7 @@ def test_trace_upper_triangle_depth_behaviour():
     for depth in (4, 6, 8):
         w = LatticeWindow.from_box([(0.0, 1.0)], 0, depth)
         g = lebesgue_grid([(0.0, 1.0)], depth)
-        res = trace_test_upper_triangle(K, g, g, ex, w, trials=20, seed=1)
+        res = trace_test_upper_triangle(DyadicScene(K, g, g, w), ex, trials=20, seed=1)
         assert res.dlbo == pytest.approx(1.0, abs=1e-12)
         stable.append(res.empirical_sup)
     assert stable[2] <= stable[0] * 2.0
@@ -138,8 +158,8 @@ def test_trace_upper_empty_mu():
     ex = Exponents(p=2.0, q=1.5)
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 4)
     g = lebesgue_grid([(0.0, 1.0)], 4)
-    res = trace_test_upper_triangle(DyadicKernelMap.constant(1.0),
-                                    AtomicMeasure.empty(1), g, ex, w, trials=5, seed=0)
+    res = trace_test_upper_triangle(DyadicScene(K1, g, AtomicMeasure.empty(1), w),
+                                    ex, trials=5, seed=0)
     assert res.wolff_norm == 0.0 and res.empirical_sup == 0.0
 
 
@@ -288,14 +308,14 @@ def test_kernel_dilation_ratios():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 8)
     g = lebesgue_grid([(0.0, 1.0)], 8)
     ex = Exponents(p=2.0, q=1.5)
-    k = riesz_kernel(0.5, 1)
-    assert check_kernel_dilation(k, g, g, ex, w, 1.0) == (1.0, 1.0)
-    sr, nr = check_kernel_dilation(k, g, g, ex, w, 0.25)
+    scene = radial_scene(riesz_kernel(0.5, 1), g, g, w)
+    assert check_kernel_dilation(scene, ex, 1.0) == (1.0, 1.0)
+    sr, nr = check_kernel_dilation(scene, ex, 0.25)
     assert sr == pytest.approx(4.0 ** (1 - 0.5), rel=1e-12)
     assert nr == pytest.approx(4.0 ** (1 - 0.5), rel=1e-12)
     from wolffpot import log_kernel
 
-    sr, nr = check_kernel_dilation(log_kernel(BETA, CEX, 1), g, g, ex, w, 0.25)
+    sr, nr = check_kernel_dilation(radial_scene(log_kernel(BETA, CEX, 1), g, g, w), ex, 0.25)
     assert math.isfinite(sr) and math.isfinite(nr) and sr > 0 and nr > 0
 
 
@@ -303,14 +323,16 @@ def test_bar_lemmas_ratios():
     w = LatticeWindow.from_box([(-2.0, 2.0)], 0, 12)
     g = lebesgue_grid([(-2.0, 2.0)], 12)
     samples = [([x], r) for x in (0.013, 0.41, -0.27) for r in (0.25, 0.125)]
-    reform, relation, doubling = check_bar_lemmas(riesz_kernel(0.5, 1), g, w, samples)
+    empty = AtomicMeasure.empty(1)
+    reform, relation, doubling = check_bar_lemmas(
+        radial_scene(riesz_kernel(0.5, 1), g, empty, w), samples)
     assert reform == pytest.approx(1.0, abs=0.05)
     # dyadic-to-continuous comparison approaches alpha / (1 - 2^-alpha)
     assert relation == pytest.approx(0.5 / (1 - 2 ** -0.5), rel=0.02)
     assert doubling <= 2.0 * 1.05
     with pytest.raises(DegenerateInputError):
-        check_bar_lemmas(riesz_kernel(0.5, 1), AtomicMeasure([[50.0]], [1.0]), w,
-                         [([0.0], 0.25)])
+        check_bar_lemmas(radial_scene(riesz_kernel(0.5, 1), AtomicMeasure([[50.0]], [1.0]),
+                                      empty, w), [([0.0], 0.25)])
 
 
 def test_truncation_sweep_flags():
