@@ -53,12 +53,9 @@ def main():
         scene = DyadicScene(K, sigma, mu, window)
         e = energy_dyadic(scene, exps)
         wm = wolff_integral(scene, exps)
-        mm = sum(
-            w * scene.maximal(x) ** exps.p_prime
-            for x, w in zip(sigma.positions, sigma.weights)
-        )
-        fub = check_fubini(scene, exps)
-        ratio = check_energy_wolff_ratio(scene, exps)
+        mm = sum(w * m ** exps.p_prime for m, w in zip(scene.maximal(sigma), sigma.weights))
+        fub, _ = check_fubini(scene, exps)
+        ratio, _ = check_energy_wolff_ratio(scene, exps)
         ratios.append(ratio)
         print(f"{seed:>4} {alpha:>6.3f} {e:>12.4g} {wm:>12.4g} "
               f"{mm:>12.4g} {ratio:>8.3f} {fub:>9.1e}")

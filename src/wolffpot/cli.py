@@ -149,11 +149,11 @@ def _instance_descriptor(scn: Scenario) -> dict:
 
 def run_fubini(scn: Scenario, cfg: dict, index: int) -> CheckReport:
     tol = _param(cfg, "tol", 1e-9)
-    err = V.check_fubini(scn.scene, scn.exponents)
     rep = CheckReport("fubini", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
+    err, rep.reason = V.check_fubini(scn.scene, scn.exponents)
     rep.values = {"relative_error": err}
     rep.bounds = {"relative_error": (0.0, tol)}
-    rep.status = "not-applicable" if math.isnan(err) else ("pass" if err <= tol else "fail")
+    rep.status = "not-applicable" if rep.reason else ("pass" if err <= tol else "fail")
     return rep
 
 
@@ -201,14 +201,11 @@ def run_a_chain(scn: Scenario, cfg: dict, index: int) -> CheckReport:
 
 def run_energy_wolff_ratio(scn: Scenario, cfg: dict, index: int) -> CheckReport:
     lo, hi = _band(scn, cfg)
-    ratio = V.check_energy_wolff_ratio(scn.scene, scn.exponents)
     rep = CheckReport("energy_wolff_ratio", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
+    ratio, rep.reason = V.check_energy_wolff_ratio(scn.scene, scn.exponents)
     rep.values = {"energy_over_wolff_mass": ratio}
     rep.bounds = {"energy_over_wolff_mass": (lo, hi)}
-    if math.isnan(ratio):
-        rep.status = "not-applicable"
-    else:
-        rep.status = "pass" if lo <= ratio <= hi else "fail"
+    rep.status = "not-applicable" if rep.reason else ("pass" if lo <= ratio <= hi else "fail")
     return rep
 
 
@@ -411,7 +408,7 @@ def run_truncation(scn: Scenario, cfg: dict, index: int) -> CheckReport:
             return energy_dyadic(scene, scn.exponents)
         if target == "wolff_mass":
             return V.wolff_integral(scene, scn.exponents)
-        return V.check_fubini(scene, scn.exponents)
+        return V.check_fubini(scene, scn.exponents)[0]
 
     sweep = V.truncation_sweep(at_depth, depths, rtol=rtol, atol=atol)
     rep = CheckReport("truncation", {"target": target, "depths": depths},
@@ -566,7 +563,7 @@ def cmd_energy(args) -> int:
     t0 = time.perf_counter()
     e = energy_dyadic(scn.scene, scn.exponents)
     wm = V.wolff_integral(scn.scene, scn.exponents)
-    fub = V.check_fubini(scn.scene, scn.exponents)
+    fub = V.check_fubini(scn.scene, scn.exponents)[0]
     summary = _summary(
         scn,
         "energy",

@@ -368,11 +368,6 @@ class LevelIndex:
             ids[j, inside] = self._at_level(j, keys[inside])
         return ids
 
-    def find(self, points) -> np.ndarray:
-        """Id of the deepest held cube on each point's chain; ``-1`` if none or outside."""
-        ids = self.locate(points)
-        return ids[np.count_nonzero(ids >= 0, axis=0) - 1, np.arange(ids.shape[1])]
-
     def lookup(self, keys) -> np.ndarray:
         """Ids of the cubes with these ``(level, index)`` keys; ``-1`` where not held."""
         n = self.window.dimension

@@ -21,8 +21,9 @@ The dyadic objects are computed on level arrays: every per-cube quantity is
 a float array over the cubes of one :class:`LevelIndex` holding the atoms,
 each chain sum is one coarse-to-fine pass per level (:meth:`LevelIndex.chain`)
 and each sum over subcubes one fine-to-coarse pass (:meth:`LevelIndex.subtree`).
-Sums run in the order of the loops they replace (atoms in order within a cube,
-coarse to fine along a chain), so the values do not depend on the layout.
+The index's rows hold the chains of the atoms, so only other points are looked
+up.  Sums run in the order of the loops they replace (atoms in order within a
+cube, coarse to fine along a chain), so the values do not depend on the layout.
 
 All dyadic integrals against atomic measures are exact weighted sums; the
 only quadrature anywhere is inside kernels whose log-primitive has no closed
@@ -83,8 +84,8 @@ def xpow(base: float, e: float) -> float:
 
 
 def _per_point(values, x):
-    """A float for a single query point, the array for one point per row."""
-    return float(values[0]) if np.ndim(x) < 2 else values
+    """A float for a single query point, the array for a measure or one point per row."""
+    return values if isinstance(x, AtomicMeasure) or np.ndim(x) >= 2 else float(values[0])
 
 
 class DyadicScene:
@@ -94,9 +95,10 @@ class DyadicScene:
     per-cube quantity (``K``, both masses, the bar-kernel prefixes, the inner
     integrals and subtree sums) is a float array over the same cube ids, and
     a query is one chain reduction of such an array, evaluated at all query
-    points at once.  Query methods take a single point (and return a float)
-    or one point per row (and return an array); a point outside the window
-    gets zero.  Inner integrals and subtree sums are built on first use.
+    points at once.  Query methods take the scene's own ``sigma`` or ``mu``
+    (one value per atom, read from the index's rows), a single point (a float)
+    or one point per row (an array); a point outside the window gets zero.
+    Inner integrals and subtree sums are built on first use.
 
     The scene is the only owner of an instance's index: every dyadic
     functional and check takes one, and cubes held only for mu's atoms carry
@@ -116,20 +118,35 @@ class DyadicScene:
         self.index = LevelIndex(window, np.vstack([sigma.positions, mu.positions]))
         self.bar = BarField(K, sigma, window, self.index)
         self.sigma_mass = self.bar.mass
-        self.mu_mass = cube_mass_table(mu, self.index, sigma.n_atoms)
+        self.mu_mass = self.reweighted(mu, mu.weights)
         self._inner: np.ndarray | None = None
         self._subtree: np.ndarray | None = None
 
+    def _columns(self, measure: AtomicMeasure) -> slice:
+        """The index columns holding the atoms of the scene's sigma or mu."""
+        if measure is not self.sigma and measure is not self.mu:
+            raise WolffpotError("the measure is neither the scene's sigma nor its mu")
+        first = 0 if measure is self.sigma else self.sigma.n_atoms
+        return slice(first, first + measure.n_atoms)
+
     # -- generic chain sums ----------------------------------------------------
+
+    def chain_ids(self, x) -> np.ndarray:
+        """Ids ``(levels, points)`` of the chains of the scene's sigma or mu, or of query points."""
+        if isinstance(x, AtomicMeasure):
+            return self.index.rows[:, self._columns(x)]
+        return self.index.locate(x)
 
     def reweighted(self, measure: AtomicMeasure, weights) -> np.ndarray:
         """Cube masses of the atoms of ``measure`` (the scene's sigma or mu) under new weights."""
-        first = 0 if measure is self.sigma else self.sigma.n_atoms
-        return cube_mass_table(measure, self.index, first, weights)
+        return cube_mass_table(measure, self.index, self._columns(measure).start, weights)
 
     def chain_values(self, values, x, ufunc=np.add):
         """Reduce per-cube values along the ancestor chain of each point of ``x``."""
-        return _per_point(self.index.gather(self.index.chain(values, ufunc), self.index.find(x)), x)
+        ids = self.chain_ids(x)
+        # the deepest held cube of each chain; -1 (a zero) for a point outside the window
+        deepest = ids[np.count_nonzero(ids >= 0, axis=0) - 1, np.arange(ids.shape[1])]
+        return _per_point(self.index.gather(self.index.chain(values, ufunc), deepest), x)
 
     def t(self, masses, x):
         """``sum over the ancestor chain of x of K(Q) * masses(Q)``."""
@@ -148,7 +165,7 @@ class DyadicScene:
         gives ``(S(Q) - mu(Q) P(parent Q)) / sigma(Q)``.
         """
         if self._inner is None:
-            p_leaf = self.bar.prefix(self.index.rows[-1, self.sigma.n_atoms:])
+            p_leaf = self.bar.prefix(self.chain_ids(self.mu)[-1])
             s = self.reweighted(self.mu, weigh(p_leaf, self.mu.weights))
             live = (self.sigma_mass > 0.0) & (self.mu_mass > 0.0)
             above = self.bar.prefix(self.index.parent)[live]
@@ -176,7 +193,7 @@ class DyadicScene:
 
     def wolff_bar(self, x, p_prime: float):
         """As :meth:`wolff` but with ``bar_K(Q)(x)`` as the outer kernel factor."""
-        chains = self.index.locate(x)
+        chains = self.chain_ids(x)
         power = self.index.gather(self._inner_power(p_prime), chains)
         prefix = np.cumsum(self.index.gather(self.bar.weight, chains), axis=0)
         above = np.vstack([np.zeros((1, prefix.shape[1])), prefix[:-1]])
@@ -193,23 +210,17 @@ class DyadicScene:
 
 def energy_dyadic(scene: DyadicScene, exps: Exponents) -> float:
     """``E = int T[mu]^{p'} dsigma``, exact for atomic ``sigma``."""
-    sigma = scene.sigma
-    return weighted_sum(sigma.weights, np.power(scene.t_mu(sigma.positions), exps.p_prime))
+    return weighted_sum(scene.sigma.weights, np.power(scene.t_mu(scene.sigma), exps.p_prime))
 
 
-def hl_maximal_dyadic(
-    sigma: AtomicMeasure, nu: AtomicMeasure, window: LatticeWindow, x
-) -> float:
-    """Dyadic Hardy-Littlewood maximal function ``sup_{x in Q} nu(Q)/sigma(Q)``."""
-    if not window.contains_point(x):
-        raise OutOfWindowError(f"point {tuple(x)} outside window")
-    index = LevelIndex(window, np.vstack([sigma.positions, nu.positions]))
-    sig = cube_mass_table(sigma, index)
-    # the root cube of x carries the largest sigma mass of its chain
-    if index.gather(sig, index.locate(x)[0])[0] <= 0.0:
+def hl_maximal_dyadic(scene: DyadicScene, x):
+    """Dyadic Hardy-Littlewood maximal function ``sup_{x in Q} mu(Q)/sigma(Q)`` of the scene."""
+    if not scene.index.window.contains(x).all():
+        raise OutOfWindowError(f"a point of {np.asarray(x).tolist()} lies outside the window")
+    # the largest sigma mass on a chain is its root cube's, zero when the root is not held
+    if np.any(scene.chain_values(scene.sigma_mass, x, np.maximum) <= 0.0):
         raise DegenerateInputError("chain of x carries no sigma mass")
-    ratio = per_mass(cube_mass_table(nu, index, sigma.n_atoms), sig)
-    return float(index.gather(index.chain(ratio, np.maximum), index.find(x))[0])
+    return scene.chain_values(per_mass(scene.mu_mass, scene.sigma_mass), x, np.maximum)
 
 
 def lambda_substitution(scene: DyadicScene) -> np.ndarray:
@@ -231,16 +242,15 @@ def a_functionals(scene: DyadicScene, lam, s: float) -> tuple[float, float, floa
         raise WolffpotError(f"need s > 1, got {s}")
     if np.any(lam < 0):
         raise WolffpotError("lambda weights must be nonnegative")
-    index, sig, sigma = scene.index, scene.sigma_mass, scene.sigma
+    sig, sigma = scene.sigma_mass, scene.sigma
     norm = np.where(sig > 0.0, lam, 0.0)
-    subtree = index.subtree(norm)
+    subtree = scene.index.subtree(norm)
 
     on = norm > 0.0
     a2 = weighted_sum(norm[on], np.power(subtree[on] / sig[on], s - 1.0))
 
-    leaf = index.rows[-1, :sigma.n_atoms]
-    chain_sum = index.gather(index.chain(per_mass(norm, sig)), leaf)
-    sup_ratio = index.gather(index.chain(per_mass(subtree, sig), np.maximum), leaf)
+    chain_sum = scene.chain_values(per_mass(norm, sig), sigma)
+    sup_ratio = scene.chain_values(per_mass(subtree, sig), sigma, np.maximum)
     a1 = weighted_sum(sigma.weights, np.power(chain_sum, s))
     a3 = weighted_sum(sigma.weights, np.power(sup_ratio, s))
     return a1, a2, a3

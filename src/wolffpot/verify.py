@@ -54,6 +54,7 @@ class CheckReport:
     status: str = "pass"  # pass | fail | not-applicable
     seed: int | None = None
     wall_time: float = 0.0
+    reason: str | None = None  # why a check is not applicable
 
     @property
     def passed(self) -> bool:
@@ -68,6 +69,8 @@ class CheckReport:
             "values": dict(self.values),
             "bounds": {k: list(v) for k, v in self.bounds.items()},
         }
+        if self.reason is not None:
+            out["reason"] = self.reason
         if include_timing:
             out["wall_time"] = self.wall_time
         return out
@@ -142,17 +145,18 @@ def fubini_pair(scene: DyadicScene, exps: Exponents) -> tuple[float, float]:
     """
     lhs = energy_dyadic(scene, exps)
     sigma, mu = scene.sigma, scene.mu
-    rho = weigh(np.power(scene.t_mu(sigma.positions), exps.p_prime - 1.0), sigma.weights)
-    rhs = weighted_sum(mu.weights, scene.t(scene.reweighted(sigma, rho), mu.positions))
+    rho = weigh(np.power(scene.t_mu(sigma), exps.p_prime - 1.0), sigma.weights)
+    rhs = weighted_sum(mu.weights, scene.t(scene.reweighted(sigma, rho), mu))
     return lhs, rhs
 
 
-def check_fubini(scene: DyadicScene, exps: Exponents) -> float:
-    """Relative gap of the energy identity; NaN when either side is infinite."""
+def check_fubini(scene: DyadicScene, exps: Exponents) -> tuple[float, str | None]:
+    """Relative gap of the energy identity; NaN and the reason when a side is infinite."""
     lhs, rhs = fubini_pair(scene, exps)
-    if math.isinf(lhs) or math.isinf(rhs):
-        return math.nan
-    return abs(lhs - rhs) / max(lhs, 1e-300)
+    sides = " and an infinite ".join(s for s, v in (("left", lhs), ("right", rhs)) if math.isinf(v))
+    if sides:
+        return math.nan, f"the energy identity has an infinite {sides} side"
+    return abs(lhs - rhs) / max(lhs, 1e-300), None
 
 
 def summation_by_parts_min_slack(scene: DyadicScene, lam, points, s: float) -> float:
@@ -162,15 +166,16 @@ def summation_by_parts_min_slack(scene: DyadicScene, lam, points, s: float) -> f
     with chain weights ``c_l`` (coarse to fine) the inequality reads
     ``(sum c)^s <= s * sum_l c_l (suffix_l)^{s-1}`` with ``suffix_l`` the sum
     of the chain weights at levels ``>= l``.  Returns the minimum of
-    ``(rhs - lhs)/max(lhs, tiny)`` over the points.
+    ``(rhs - lhs)/max(lhs, tiny)`` over the points: the scene's sigma or mu,
+    or query points.
     """
     if s < 1.0:
         raise WolffpotError("need s >= 1")
-    if not len(points):
+    if not isinstance(points, AtomicMeasure):
+        points = np.asarray(points, dtype=float).reshape(len(points), scene.index.window.dimension)
+    c = scene.index.gather(lam, scene.chain_ids(points))  # (levels, points), coarse to fine
+    if not c.shape[1]:
         return math.inf
-    index = scene.index
-    ids = index.locate(np.asarray(points, dtype=float).reshape(len(points), -1))
-    c = index.gather(lam, ids)  # (levels, points), coarse to fine
     suffix = np.cumsum(c[::-1], axis=0)[::-1]
     lhs = np.power(np.cumsum(c, axis=0)[-1], s)
     rhs = s * np.cumsum(c * suffix ** (s - 1.0), axis=0)[-1]
@@ -194,17 +199,15 @@ def check_a_chain(scene: DyadicScene, lam, s: float):
 
 def wolff_integral(scene: DyadicScene, exps: Exponents, power: float = 1.0) -> float:
     """``int W^power dmu`` over the mu-atoms (exact weighted sum)."""
-    mu = scene.mu
-    return weighted_sum(mu.weights, np.power(scene.wolff(mu.positions, exps.p_prime), power))
+    return weighted_sum(scene.mu.weights, np.power(scene.wolff(scene.mu, exps.p_prime), power))
 
 
-def check_energy_wolff_ratio(scene: DyadicScene, exps: Exponents) -> float:
-    """Energy over Wolff mass, ``E / int W dmu``; NaN when degenerate."""
-    e = energy_dyadic(scene, exps)
-    wm = wolff_integral(scene, exps)
-    if e <= 0.0 or wm <= 0.0 or math.isinf(e) or math.isinf(wm):
-        return math.nan
-    return e / wm
+def check_energy_wolff_ratio(scene: DyadicScene, exps: Exponents) -> tuple[float, str | None]:
+    """Energy over Wolff mass, ``E / int W dmu``; NaN and the reason when either is 0 or inf."""
+    e, wm = energy_dyadic(scene, exps), wolff_integral(scene, exps)
+    bad = " and ".join(f"the {name} is {'zero' if v <= 0.0 else 'infinite'}"
+                       for name, v in (("energy", e), ("Wolff mass", wm)) if not 0.0 < v < math.inf)
+    return (math.nan, bad) if bad else (e / wm, None)
 
 
 # -- duality (q = 1) -------------------------------------------------------------
@@ -234,11 +237,11 @@ def trace_constant_q1(
     pp = exps.p_prime
     p = exps.p
     sigma, mu = scene.sigma, scene.mu
-    tvals = scene.t_mu(sigma.positions)
+    tvals = scene.t_mu(sigma)
     sw = sigma.weights
 
     def ratio_operator(fvals) -> float:
-        num = weighted_sum(mu.weights, scene.t(scene.reweighted(sigma, sw * fvals), mu.positions))
+        num = weighted_sum(mu.weights, scene.t(scene.reweighted(sigma, sw * fvals), mu))
         den = float(np.sum(sw * fvals ** p)) ** (1.0 / p)
         return num / den if den > 0 else math.nan
 
@@ -290,8 +293,7 @@ def trace_test_upper_triangle(
     t_exp = exps.trace_exponent
     sigma, mu = scene.sigma, scene.mu
 
-    wolff_mass = weighted_sum(mu.weights, np.power(scene.wolff(mu.positions, pp), t_exp))
-    wolff_norm = xpow(wolff_mass, 1.0 / t_exp)
+    wolff_norm = xpow(wolff_integral(scene, exps, t_exp), 1.0 / t_exp)
 
     rng = np.random.default_rng(seed)
     sup_ratio = 0.0
@@ -301,18 +303,18 @@ def trace_test_upper_triangle(
         den = float(np.sum(sigma.weights * f ** p)) ** (1.0 / p)
         if den <= 0:
             continue
-        tf = scene.t(scene.reweighted(sigma, sigma.weights * f), mu.positions)
+        tf = scene.t(scene.reweighted(sigma, sigma.weights * f), mu)
         num = weighted_sum(mu.weights, tf ** q) ** (1.0 / q)
         sup_ratio = max(sup_ratio, num / den)
     for _ in range(trials):
         psi = 2.0 ** rng.uniform(-8, 8, mu.n_atoms)
         ratio = per_mass(scene.reweighted(mu, mu.weights * psi), scene.mu_mass)
-        best = scene.chain_values(ratio, mu.positions, np.maximum)
+        best = scene.chain_values(ratio, mu, np.maximum)
         g = np.where(mu.weights > 0, best, 0.0) ** (1.0 / pp)
         den = float(np.sum(mu.weights * g ** qp)) ** (1.0 / qp)
         if den <= 0:
             continue
-        tg = scene.t(scene.reweighted(mu, mu.weights * g), sigma.positions)
+        tg = scene.t(scene.reweighted(mu, mu.weights * g), sigma)
         num = weighted_sum(sigma.weights, tg ** pp) ** (1.0 / pp)
         sup_ratio = max(sup_ratio, num / den)
     return TraceTestResult(wolff_norm, sup_ratio, dlbo_constant(scene.bar))
@@ -346,17 +348,13 @@ def check_counterexample_fields(
     its extension to ``[-1, 2)``, and the kernel the borderline log profile.
     Returns ``(E, min over mu-atoms of Wbar, int W dmu)``.
     """
-    kern = log_kernel(beta, C, 1)
     window = LatticeWindow.from_box([(-1.0, 2.0)], 0, depth)
     sigma = lebesgue_grid([(-1.0, 2.0)], depth)
     mu = lebesgue_grid([(0.0, 1.0)], depth)
-    K = DyadicKernelMap.from_radial(kern)
-    pp = Exponents(p=2.0).p_prime
-    scene = DyadicScene(K, sigma, mu, window)
-    e = weighted_sum(sigma.weights, np.power(scene.t_mu(sigma.positions), pp))
-    min_wbar = float(np.min(scene.wolff_bar(mu.positions, pp), initial=math.inf))
-    int_w = weighted_sum(mu.weights, scene.wolff(mu.positions, pp))
-    return e, min_wbar, int_w
+    exps = Exponents(p=2.0)
+    scene = DyadicScene(DyadicKernelMap.from_radial(log_kernel(beta, C, 1)), sigma, mu, window)
+    min_wbar = float(np.min(scene.wolff_bar(mu, exps.p_prime), initial=math.inf))
+    return energy_dyadic(scene, exps), min_wbar, wolff_integral(scene, exps)
 
 
 # -- shifted-lattice averaging ------------------------------------------------------
@@ -525,7 +523,7 @@ def check_kernel_dilation(scene: DyadicScene, exps: Exponents, c: float) -> tupl
     def chain_norm(dilation):
         terms = np.zeros(index.n)
         terms[support] = factors(dilation) * np.power(mut[support], pp - 1.0)
-        vals = index.gather(index.chain(terms), index.rows[-1, sigma.n_atoms:])
+        vals = scene.chain_values(terms, mu)
         return xpow(weighted_sum(mu.weights, np.power(vals, r_exp)), 1.0 / r_exp)
 
     n_dil, n_one = chain_norm(c), chain_norm(1.0)

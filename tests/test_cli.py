@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wolffpot import LevelIndex
+from wolffpot import LatticeWindow, LevelIndex
 from wolffpot.cli import build_parser, dumps_canonical, format_float, main
 from wolffpot.scenario import ScenarioError, load_scenario, read_kernel_table
 
@@ -206,6 +206,49 @@ def test_one_level_index_per_instance(monkeypatch, tmp_path, command, scenario, 
     monkeypatch.setattr(LevelIndex, "__init__", counted)
     assert run([command, "--config", SCENARIOS / f"{scenario}.json", "--out-dir", tmp_path]) == 0
     assert len(calls) == built
+
+
+@pytest.mark.parametrize("scenario", ["cascade_dlbo", "single_cube"])
+def test_own_atoms_are_never_located_again(monkeypatch, tmp_path, scenario):
+    chain_keys = LatticeWindow.chain_keys
+    calls = []
+
+    def counted(self, points):
+        calls.append(1)
+        return chain_keys(self, points)
+
+    monkeypatch.setattr(LatticeWindow, "chain_keys", counted)
+    assert run(["verify", "--config", SCENARIOS / f"{scenario}.json", "--out-dir", tmp_path]) == 0
+    assert len(calls) == 1  # the scene's index build; every check reads its rows
+
+
+@pytest.mark.parametrize("value, reasons", [
+    ("inf", {"fubini": "the energy identity has an infinite left and an infinite right side",
+             "energy_wolff_ratio": "the energy is infinite and the Wolff mass is infinite"}),
+    ("0.0", {"fubini": None,
+             "energy_wolff_ratio": "the energy is zero and the Wolff mass is zero"}),
+])
+def test_not_applicable_checks_say_why(tmp_path, value, reasons):
+    table = tmp_path / "kernel.csv"
+    table.write_text(f"level,i0,value\n0,0,{value}\n")
+    cfg = tmp_path / "scn.json"
+    cfg.write_text(json.dumps({
+        "dimension": 1,
+        "window": {"coarse_level": 0, "fine_level": 0, "box": [[0, 1]]},
+        "sigma": {"type": "lebesgue_grid", "box": [[0, 1]], "level": 0},
+        "mu": {"type": "atoms", "positions": [[0.5]], "weights": [0.7]},
+        "kernel": {"type": "table", "path": str(table)},
+        "exponents": {"p": 2.0},
+        "checks": [{"name": "fubini"}, {"name": "energy_wolff_ratio"}],
+    }))
+    assert run(["verify", "--config", cfg, "--out-dir", tmp_path / "o"]) == 0
+    checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+    assert {c["name"]: c.get("reason") for c in checks} == reasons
+    values = {"fubini": ["relative_error"], "energy_wolff_ratio": ["energy_over_wolff_mass"]}
+    for c in checks:
+        assert (c["status"] == "not-applicable") == (reasons[c["name"]] is not None)
+        assert list(c["values"]) == values[c["name"]]
+    assert "reason" not in (tmp_path / "o" / "ratios.csv").read_text()
 
 
 def test_scene_is_built_once_when_checks_race(monkeypatch):

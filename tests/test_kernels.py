@@ -127,7 +127,8 @@ def test_bar_prefix_chain_identity():
     sigma = AtomicMeasure(rng.uniform(0, 1, (20, 1)), rng.uniform(0.1, 2, 20))
     bf = BarField(DyadicKernelMap.from_radial(riesz_kernel(0.4, 1)), sigma, w)
     x = [0.613]
-    p_leaf = bf.prefix(bf.index.find(x))[0]
+    held = bf.index.locate(x)
+    p_leaf = bf.prefix(held[held >= 0][-1:])[0]  # P at the deepest held cube of x's chain
     for cube in w.chain(x):
         m = sigma.cube_mass(cube)
         if m <= 0:

@@ -28,10 +28,13 @@ from wolffpot import (
     dlbo_constant,
     energy_dyadic,
     hl_maximal_dyadic,
+    lambda_substitution,
     LevelRangeError,
     riesz_kernel,
 )
 from wolffpot.cli import main as cli_main
+from wolffpot.kernels import per_mass
+from wolffpot.verify import summation_by_parts_min_slack
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 REL = 1e-12
@@ -144,15 +147,52 @@ def test_fields_match_brute_force(table, data):
 @PROPERTY
 @given(data=st.data())
 def test_hl_maximal_matches_brute_force(data):
-    window, sigma, mu, _, xs = data.draw(instances(False))
+    window, sigma, mu, K, xs = data.draw(instances(False))
+    scene = DyadicScene(K, sigma, mu, window)
     for x in xs[window.contains(xs)]:
         ratios = [mu.cube_mass(c) / sigma.cube_mass(c)
                   for c in chain(window, x) if sigma.cube_mass(c) > 0]
         if not ratios:
             with pytest.raises(DegenerateInputError):
-                hl_maximal_dyadic(sigma, mu, window, x)
+                hl_maximal_dyadic(scene, x)
         else:
-            assert close(hl_maximal_dyadic(sigma, mu, window, x), max(ratios))
+            assert close(hl_maximal_dyadic(scene, x), max(ratios))
+
+
+@PROPERTY
+@given(data=st.data(), table=st.booleans(),
+       case=st.sampled_from(["drawn", "repeated atoms", "sigma is mu", "empty mu"]))
+def test_own_atoms_read_from_rows_match_located_points(data, table, case):
+    """A query at the scene's own sigma or mu equals, bit for bit, the query at its positions."""
+    window, sigma, mu, K, _ = data.draw(instances(table))
+    if case == "repeated atoms":
+        sigma = AtomicMeasure(np.vstack([sigma.positions] * 2), np.tile(sigma.weights, 2))
+        mu = AtomicMeasure(np.vstack([mu.positions, sigma.positions[:1]]),
+                           np.append(mu.weights, 1.0))
+    elif case == "sigma is mu":
+        mu = sigma
+    elif case == "empty mu":
+        mu = AtomicMeasure.empty(window.dimension)
+    scene = DyadicScene(K, sigma, mu, window)
+    pp = 2.0 if table else 1.5
+    ratio = per_mass(scene.mu_mass, scene.sigma_mass)
+    queries = {
+        "t": lambda x: scene.t(scene.sigma_mass, x),
+        "t_mu": scene.t_mu,
+        "wolff": lambda x: scene.wolff(x, pp),
+        "wolff_bar": lambda x: scene.wolff_bar(x, pp),
+        "maximal": scene.maximal,
+        "chain_values add": lambda x: scene.chain_values(scene.bar.weight, x),
+        "chain_values max": lambda x: scene.chain_values(ratio, x, np.maximum),
+    }
+    for measure in (scene.sigma, scene.mu):
+        for name, query in queries.items():
+            got, want = query(measure), query(measure.positions)
+            assert got.shape == want.shape == (measure.n_atoms,), name
+            assert got.tobytes() == want.tobytes(), (name, got, want)
+        lam = lambda_substitution(scene)
+        assert (summation_by_parts_min_slack(scene, lam, measure, pp)
+                == summation_by_parts_min_slack(scene, lam, measure.positions, pp))
 
 
 @PROPERTY

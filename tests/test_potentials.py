@@ -163,16 +163,29 @@ def test_wolff_bar_dominates_wolff():
 def test_hl_maximal():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 2)
     sigma = lebesgue_grid([(0.0, 1.0)], 2)
-    assert hl_maximal_dyadic(sigma, sigma, w, [0.3]) == 1.0
+    assert hl_maximal_dyadic(DyadicScene(K1, sigma, sigma, w), [0.3]) == 1.0
     double = AtomicMeasure(sigma.positions, 2 * sigma.weights)
-    assert hl_maximal_dyadic(sigma, double, w, [0.3]) == 2.0
+    assert hl_maximal_dyadic(DyadicScene(K1, sigma, double, w), [0.3]) == 2.0
     # nu concentrated in one leaf maximizes the ratio there
     nu = AtomicMeasure([[0.3]], [1.0])
-    assert hl_maximal_dyadic(sigma, nu, w, [0.3]) == pytest.approx(4.0)
+    scene = DyadicScene(K1, sigma, nu, w)
+    assert hl_maximal_dyadic(scene, [0.3]) == pytest.approx(4.0)
+    with pytest.raises(OutOfWindowError):
+        hl_maximal_dyadic(scene, [1.5])
     # a chain that never meets sigma mass is degenerate
     w2roots = LatticeWindow.from_box([(0.0, 2.0)], 0, 2)
     with pytest.raises(DegenerateInputError):
-        hl_maximal_dyadic(AtomicMeasure([[1.5]], [1.0]), nu, w2roots, [0.1])
+        hl_maximal_dyadic(DyadicScene(K1, AtomicMeasure([[1.5]], [1.0]), nu, w2roots), [0.1])
+
+
+def test_scene_rejects_a_measure_that_is_not_its_own():
+    w, sigma, mu = single_cube_instance()
+    scene = DyadicScene(K1, sigma, mu, w)
+    twin = AtomicMeasure(mu.positions, mu.weights)  # equal to mu, but not the scene's
+    with pytest.raises(WolffpotError, match="neither"):
+        scene.reweighted(twin, twin.weights)
+    with pytest.raises(WolffpotError, match="neither"):
+        scene.t_mu(twin)
 
 
 def test_a_functionals_single_cube():
