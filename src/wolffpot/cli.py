@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import math
 import sys
 import time
@@ -29,8 +30,7 @@ from .potentials import (
     m_k_maximal,
     wolff_continuous,
 )
-from .lattice import LatticeWindow
-from .scenario import Scenario, band_pair, config_value, load_scenario, read_points_csv
+from .scenario import Scenario, band_pair, config_value, json_bool, load_scenario, read_points_csv
 from .verify import CheckReport
 
 # -- deterministic serialization -----------------------------------------------
@@ -134,7 +134,7 @@ def _instance_descriptor(scn: Scenario) -> dict:
         "window": {
             "coarse_level": scn.window.coarse_level,
             "fine_level": scn.window.fine_level,
-            "roots": len(scn.window.root_indices),
+            "roots": math.prod(scn.window.ext),
             "shift": list(scn.window.shift),
         },
         "sigma_atoms": scn.sigma.n_atoms,
@@ -177,11 +177,7 @@ def _lambda_weights(scn: Scenario, cfg: dict) -> np.ndarray:
         if not weight >= 0.0:
             raise ScenarioError(f"a_chain: field 'lambda' entry {entry!r} has a negative weight")
         lam[key] = weight
-    index = scn.scene.index
-    ids = index.lookup(list(lam))
-    out = np.zeros(index.n)
-    out[ids[ids >= 0]] = np.array(list(lam.values()))[ids >= 0]
-    return out
+    return scn.scene.index.table_values(lam)
 
 
 def run_a_chain(scn: Scenario, cfg: dict, index: int) -> CheckReport:
@@ -261,7 +257,7 @@ def run_dlbo(scn: Scenario, cfg: dict, index: int) -> CheckReport:
 
 def run_reverse_doubling(scn: Scenario, cfg: dict, index: int) -> CheckReport:
     gamma = _param(cfg, "gamma", 1.0)
-    expect = bool(cfg.get("expect_holds", True))
+    expect = _param(cfg, "expect_holds", True, json_bool)
     holds, best = reverse_doubling_check(scn.scene.index, scn.scene.sigma_mass, gamma)
     rep = CheckReport("reverse_doubling", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
     rep.values = {"best_constant": best, "holds": 1.0 if holds else 0.0}
@@ -287,8 +283,7 @@ def run_bar_lemmas(scn: Scenario, cfg: dict, index: int) -> CheckReport:
     n_samples = _param(cfg, "samples", 20, int)
     seed = _seed_of(scn, cfg, index)
     rng = np.random.default_rng(seed)
-    lows = np.array([lo for lo, _ in _window_box(scn)])
-    highs = np.array([hi for _, hi in _window_box(scn)])
+    lows, highs = np.array(scn.window.box).T
     span = float(np.min(highs - lows))
     samples = []
     for _ in range(n_samples):
@@ -319,8 +314,7 @@ def run_shifted_average(scn: Scenario, cfg: dict, index: int) -> CheckReport:
     n_x = _param(cfg, "x_samples", 5, int)
     seed = _seed_of(scn, cfg, index)
     rng = np.random.default_rng([seed, 1])
-    lows = np.array([lo for lo, _ in _window_box(scn)])
-    highs = np.array([hi for _, hi in _window_box(scn)])
+    lows, highs = np.array(scn.window.box).T
     xs = lows + (highs - lows) * rng.uniform(0.0, 1.0, (n_x, scn.dimension))
     out = V.shifted_average_check(kernel, scn.mu, j, draws, xs, seed)
     lo, hi = _band(scn, cfg)
@@ -394,15 +388,12 @@ def run_truncation(scn: Scenario, cfg: dict, index: int) -> CheckReport:
     if target not in ("fubini", "energy", "wolff_mass"):
         raise ScenarioError(f"truncation: unknown target {target!r}")
     depths = _param(cfg, "depths", [4, 6, 8], _ints)
-    expect_converged = bool(cfg.get("expect_converged", True))
+    expect_converged = _param(cfg, "expect_converged", True, json_bool)
     rtol = _param(cfg, "rtol", 0.05)
     atol = _param(cfg, "atol", 1e-9)
 
     def at_depth(depth: int) -> float:
-        coarse = scn.window.coarse_level
-        window = LatticeWindow.from_box(
-            _window_box(scn), coarse, coarse + depth, shift=scn.window.shift
-        )
+        window = dataclasses.replace(scn.window, fine_level=scn.window.coarse_level + depth)
         scene = DyadicScene(scn.kernel, scn.sigma, scn.mu, window)
         if target == "energy":
             return energy_dyadic(scene, scn.exponents)
@@ -435,16 +426,6 @@ CHECK_RUNNERS = {
     "counterexample_fields": run_counterexample_fields,
     "truncation": run_truncation,
 }
-
-
-def _window_box(scn: Scenario):
-    side = 2.0 ** (-scn.window.coarse_level)
-    lows = [min(r[d] for r in scn.window.root_indices) for d in range(scn.dimension)]
-    highs = [max(r[d] for r in scn.window.root_indices) + 1 for d in range(scn.dimension)]
-    return [
-        (scn.window.shift[d] + lows[d] * side, scn.window.shift[d] + highs[d] * side)
-        for d in range(scn.dimension)
-    ]
 
 
 def run_checks(scn: Scenario, threads: int = 1) -> tuple[list[CheckReport], dict]:
@@ -489,17 +470,18 @@ def _field_values(scn: Scenario, points, kind: str):
         return [m_k_maximal(kernel, scn.sigma, scn.mu, x) for x in points]
     if kind not in ("t", "wolff", "wolff_bar", "maximal"):
         raise ScenarioError(f"unknown field kind {kind!r}")
+    # the default query points are mu's atoms, whose chains the scene's index holds
+    x = scn.mu if points is scn.mu.positions else points
     points = np.asarray(points, dtype=float)
     outside = ~scn.window.contains(points)
     if np.any(outside):
         raise OutOfWindowError(f"point {tuple(points[outside][0].tolist())} outside root region")
     scene = scn.scene
-    pp = scn.exponents.p_prime
     if kind == "t":
-        return scene.t_mu(points)
+        return scene.t_mu(x)
     if kind == "maximal":
-        return scene.maximal(points)
-    return (scene.wolff if kind == "wolff" else scene.wolff_bar)(points, pp)
+        return scene.maximal(x)
+    return (scene.wolff if kind == "wolff" else scene.wolff_bar)(x, scn.exponents.p_prime)
 
 
 def write_values_csv(path: Path, points, values) -> None:
@@ -563,17 +545,12 @@ def cmd_energy(args) -> int:
     t0 = time.perf_counter()
     e = energy_dyadic(scn.scene, scn.exponents)
     wm = V.wolff_integral(scn.scene, scn.exponents)
-    fub = V.check_fubini(scn.scene, scn.exponents)[0]
-    summary = _summary(
-        scn,
-        "energy",
-        {
-            "energy": e,
-            "wolff_mass": wm,
-            "fubini_relative_error": fub,
-            "p_prime": scn.exponents.p_prime,
-        },
-    )
+    fub, reason = V.check_fubini(scn.scene, scn.exponents)
+    extra = {"energy": e, "wolff_mass": wm, "fubini_relative_error": fub,
+             "p_prime": scn.exponents.p_prime}
+    if reason is not None:
+        extra["fubini_reason"] = reason
+    summary = _summary(scn, "energy", extra)
     write_report(out_dir / "report.json", summary)
     write_report(out_dir / "timings.json", {"total_seconds": time.perf_counter() - t0})
     print(f"energy: E={format_float(e)} wolff_mass={format_float(wm)}")

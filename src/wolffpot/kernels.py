@@ -276,56 +276,45 @@ def constant_kernel(value: float = 1.0, cutoff: float | None = None) -> RadialKe
 
 
 class DyadicKernelMap:
-    """Per-cube kernel ``K(Q) >= 0``, radial-derived or an explicit table."""
+    """Per-cube kernel ``K(Q) >= 0``: a radial profile at the cube's side, or a table.
 
-    def __init__(self, fn: Callable[[Key], float], radial: RadialKernel | None = None,
-                 name: str = "table"):
-        self._fn = fn
+    A radial map (:meth:`from_radial`) depends on the level alone; a table
+    map (:meth:`from_table`) holds ``{(level, index): value}`` and gives 0 to
+    the cubes it has no entry for.
+    """
+
+    def __init__(self, radial: RadialKernel | None = None, table: dict | None = None):
         self.radial = radial
-        self.name = name
-        # Set only by the constructors whose K depends on the level alone.
-        self._per_level = False
+        self.table = table
+        self.name = "table" if radial is None else f"radial:{radial.name}"
 
     @classmethod
     def from_radial(cls, kernel: RadialKernel) -> "DyadicKernelMap":
-        def fn(key: Key) -> float:
-            return kernel(2.0 ** (-key[0]))
-
-        out = cls(fn, radial=kernel, name=f"radial:{kernel.name}")
-        out._per_level = True
-        return out
+        return cls(radial=kernel)
 
     @classmethod
-    def from_table(cls, table: dict, default: float = 0.0) -> "DyadicKernelMap":
+    def from_table(cls, table: dict) -> "DyadicKernelMap":
         norm: dict[Key, float] = {}
-        for k, v in table.items():
-            key = k.key if isinstance(k, DyadicCube) else (k[0], tuple(k[1]))
+        for (level, idx), v in table.items():
             if v < 0:
-                raise InvalidKernelError(f"K(Q) must be >= 0, got {v} at {key}")
-            norm[key] = float(v)
-        return cls(lambda key: norm.get(key, default), name="table")
-
-    @classmethod
-    def constant(cls, value: float = 1.0) -> "DyadicKernelMap":
-        if value < 0:
-            raise InvalidKernelError("constant kernel value must be nonnegative")
-        out = cls(lambda key: value, radial=constant_kernel(value), name="constant")
-        out._per_level = True
-        return out
+                raise InvalidKernelError(f"K(Q) must be >= 0, got {v} at {(level, idx)}")
+            norm[(level, tuple(idx))] = float(v)
+        return cls(table=norm)
 
     def __call__(self, cube_or_key) -> float:
-        key = cube_or_key.key if isinstance(cube_or_key, DyadicCube) else cube_or_key
-        return self._fn(key)
+        level, idx = cube_or_key.key if isinstance(cube_or_key, DyadicCube) else cube_or_key
+        if self.radial is not None:
+            return self.radial(2.0 ** (-level))
+        return self.table.get((level, tuple(idx)), 0.0)
 
     def on_cubes(self, index: LevelIndex) -> np.ndarray:
         """``K`` at every cube of ``index``, by cube id.
 
-        A map from :meth:`from_radial` or :meth:`constant` depends on the
-        level only and is evaluated once per level; any other map is
-        evaluated once per cube.
+        A radial map is evaluated once per level, a table through one
+        :meth:`LevelIndex.table_values`.
         """
-        if not self._per_level:
-            return np.array([self(key) for key in index.keys()], dtype=float)
+        if self.radial is None:
+            return index.table_values(self.table)
         sizes = np.diff(index.start)
         per_level = [self(key) for key in index.keys(index.start[:-1][sizes > 0])]
         return np.repeat(np.array(per_level, dtype=float), sizes[sizes > 0])

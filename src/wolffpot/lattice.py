@@ -90,19 +90,20 @@ class DyadicCube:
 
 @dataclass(frozen=True)
 class LatticeWindow:
-    """Finite slab of a (possibly shifted) dyadic lattice.
+    """Finite slab of a (possibly shifted) dyadic lattice over a box of root cubes.
 
-    The window holds every descendant, down to ``fine_level``, of a fixed set
-    of root cubes at ``coarse_level``.  It is the index set of all dyadic sums
-    in this package.  A cube's int64 key is its row-major position inside the
-    root bounding box at its level; windows whose fine-level keys would not fit
-    are rejected.
+    The root cubes are the ``coarse_level`` cubes with indices
+    ``lo[i] <= k_i < lo[i] + ext[i]`` on every side ``i``; the window holds
+    each of them and all its descendants down to ``fine_level``.  It is the
+    index set of all dyadic sums in this package.  A cube's int64 key is its
+    row-major position inside the box at its level; windows whose fine-level
+    keys would not fit are rejected.
     """
 
-    dimension: int
     coarse_level: int
     fine_level: int
-    root_indices: tuple[tuple[int, ...], ...]
+    lo: tuple[int, ...]
+    ext: tuple[int, ...]
     shift: tuple[float, ...]
 
     def __post_init__(self):
@@ -110,28 +111,21 @@ class LatticeWindow:
             raise LevelRangeError(
                 f"coarse_level {self.coarse_level} > fine_level {self.fine_level}"
             )
-        if len(self.shift) != self.dimension:
-            raise DimensionMismatchError("shift dimension does not match window")
-        for idx in self.root_indices:
-            if len(idx) != self.dimension:
-                raise DimensionMismatchError("root index dimension mismatch")
-        if len(set(self.root_indices)) != len(self.root_indices):
-            raise GridAlignmentError("duplicate root cubes")
-        if not self.root_indices:
-            raise GridAlignmentError("window has no root cubes")
-        lo = [min(r[d] for r in self.root_indices) for d in range(self.dimension)]
-        hi = [max(r[d] for r in self.root_indices) + 1 for d in range(self.dimension)]
-        # fine-level indices must be exact in float64 and keys must fit in int64
-        if max(abs(b) << self.depth for b in lo + hi) >= 2 ** 53 or math.prod(
-            (h - l) << self.depth for l, h in zip(lo, hi)
+        if not len(self.lo) == len(self.ext) == len(self.shift):
+            raise DimensionMismatchError("lo, ext and shift differ in dimension")
+        if not all(e > 0 for e in self.ext):
+            raise GridAlignmentError(f"window has no root cubes: ext {self.ext}")
+        # fine-level indices must be exact in float64 and keys must fit in int64;
+        # Python ints, so a numpy integer bound cannot wrap around in the shift
+        ends = [int(b) for l, e in zip(self.lo, self.ext) for b in (l, l + e)]
+        if max(abs(b) << self.depth for b in ends) >= 2 ** 53 or math.prod(
+            int(e) << self.depth for e in self.ext
         ) >= 2 ** 63:
             raise LevelRangeError(
                 f"fine level {self.fine_level} is too deep for int64 cube keys of this window"
             )
-        object.__setattr__(self, "_lo", np.array(lo, dtype=np.int64))
-        object.__setattr__(self, "_ext", np.array(hi, dtype=np.int64) - self._lo)
-        roots = np.array(self.root_indices, dtype=np.int64)
-        object.__setattr__(self, "_roots", np.sort(self._ravel(roots, self.coarse_level)))
+        object.__setattr__(self, "_lo", np.array(self.lo, dtype=np.int64))
+        object.__setattr__(self, "_ext", np.array(self.ext, dtype=np.int64))
 
     @classmethod
     def from_box(
@@ -149,39 +143,42 @@ class LatticeWindow:
         n = len(box)
         shift = tuple(shift) if shift is not None else (0.0,) * n
         scale = 2.0 ** coarse_level
-        ranges = []
-        for d, (lo, hi) in enumerate(box):
-            a = (lo - shift[d]) * scale
-            b = (hi - shift[d]) * scale
-            ka, kb = round(a), round(b)
-            if abs(a - ka) > 1e-9 or abs(b - kb) > 1e-9 or kb <= ka:
+        lo, ext = [], []
+        for d, (a, b) in enumerate(box):
+            fa = (a - shift[d]) * scale
+            fb = (b - shift[d]) * scale
+            ka, kb = round(fa), round(fb)
+            if abs(fa - ka) > 1e-9 or abs(fb - kb) > 1e-9 or kb <= ka:
                 raise GridAlignmentError(
-                    f"box side {d} [{lo}, {hi}) is not a union of level-{coarse_level} cells"
+                    f"box side {d} [{a}, {b}) is not a union of level-{coarse_level} cells"
                 )
-            ranges.append(range(ka, kb))
-        roots = tuple(sorted(product(*ranges)))
-        return cls(n, coarse_level, fine_level, roots, shift)
+            lo.append(ka)
+            ext.append(kb - ka)
+        return cls(coarse_level, fine_level, tuple(lo), tuple(ext), shift)
 
     # -- basic geometry -----------------------------------------------------
+
+    @property
+    def dimension(self) -> int:
+        return len(self.lo)
 
     @property
     def depth(self) -> int:
         return self.fine_level - self.coarse_level
 
     @property
+    def box(self) -> list[tuple[float, float]]:
+        """The root region as one ``(lo, hi)`` pair per side."""
+        side = 2.0 ** (-self.coarse_level)
+        return [(z + l * side, z + (l + e) * side) for z, l, e in zip(self.shift, self.lo, self.ext)]
+
+    @property
     def n_cubes(self) -> int:
         per_root = sum(2 ** (self.dimension * d) for d in range(self.depth + 1))
-        return len(self.root_indices) * per_root
+        return math.prod(self.ext) * per_root
 
     def cube(self, level: int, index: tuple[int, ...]) -> DyadicCube:
         return DyadicCube(level, tuple(index), self.shift)
-
-    def level_index(self, point, level: int) -> tuple[int, ...]:
-        scale = 2.0 ** level
-        return tuple(math.floor((x - z) * scale) for x, z in zip(point, self.shift))
-
-    def contains_point(self, point) -> bool:
-        return bool(self.contains(point)[0])
 
     def contains(self, points) -> np.ndarray:
         """Root-region membership of each point (a single point or one per row)."""
@@ -193,12 +190,10 @@ class LatticeWindow:
             raise LevelRangeError(
                 f"level {level} outside [{self.coarse_level}, {self.fine_level}]"
             )
-        if not self.contains_point(point):
+        if not self.contains(point)[0]:
             raise OutOfWindowError(f"point {tuple(point)} outside root region")
-        return self.cube(level, self.level_index(point, level))
-
-    def leaf_at(self, point) -> DyadicCube:
-        return self.cube_at(point, self.fine_level)
+        scale = 2.0 ** level
+        return self.cube(level, tuple(math.floor((x - z) * scale) for x, z in zip(point, self.shift)))
 
     def chain(self, point) -> list[DyadicCube]:
         """The window cubes containing ``point``, coarse to fine."""
@@ -210,7 +205,7 @@ class LatticeWindow:
         Returns a ``(depth + 1, n_points)`` array, coarse level first; the
         column of a point outside the window is ``-1``.  The fine-level index
         is ``floor((x - z) 2^fine_level)``, the float expression of
-        :meth:`level_index`, and each coarser one is a right shift of it.
+        :meth:`cube_at`, and each coarser one is a right shift of it.
         """
         leaf, inside = self._leaf(points)
         leaf = leaf[inside]
@@ -231,11 +226,8 @@ class LatticeWindow:
 
     def _held(self, idx, level: int) -> np.ndarray:
         """Whether each level-``level`` cube index lies below a root cube."""
-        d = level - self.coarse_level
-        rel = (idx >> d) - self._lo
-        ok = np.all((rel >= 0) & (rel < self._ext), axis=1)
-        ok[ok] = np.isin(self._ravel(idx[ok] >> d, self.coarse_level), self._roots)
-        return ok
+        rel = (idx >> (level - self.coarse_level)) - self._lo
+        return np.all((rel >= 0) & (rel < self._ext), axis=1)
 
     def _leaf(self, points):
         """Fine-level indices of the points and their root-region membership."""
@@ -248,21 +240,7 @@ class LatticeWindow:
         lo = self._lo << self.depth
         ok = np.all((f >= lo) & (f < lo + (self._ext << self.depth)), axis=1)
         leaf = np.where(ok[:, None], f, lo).astype(np.int64)
-        ok[ok] = self._held(leaf[ok], self.fine_level)
         return leaf, ok
-
-    # -- navigation ----------------------------------------------------------
-
-    def ancestor(self, cube: DyadicCube, j: int) -> DyadicCube:
-        """The cube ``2^j Q``: the ancestor of side ``2^j r_Q`` containing ``Q``."""
-        if j < 0:
-            raise LevelRangeError("dilation exponent j must be >= 0")
-        level = cube.level - j
-        if level < self.coarse_level:
-            raise LevelRangeError(
-                f"2^{j} Q has level {level}, below coarse level {self.coarse_level}"
-            )
-        return self.cube(level, tuple(k >> j for k in cube.index))
 
     # -- enumeration ----------------------------------------------------------
 
@@ -270,14 +248,9 @@ class LatticeWindow:
         if not (self.coarse_level <= level <= self.fine_level):
             raise LevelRangeError(f"level {level} outside window")
         d = level - self.coarse_level
-        offsets = list(product(range(2 ** d), repeat=self.dimension))
-        keys = []
-        for root in self.root_indices:
-            base = tuple(k << d for k in root)
-            for off in offsets:
-                keys.append((level, tuple(b + o for b, o in zip(base, off))))
-        keys.sort(key=lambda k: k[1])
-        return keys
+        # the product of the box's ranges runs in key order
+        return [(level, idx) for idx in product(*(range(l << d, (l + e) << d)
+                                                  for l, e in zip(self.lo, self.ext)))]
 
     def keys(self):
         for level in range(self.coarse_level, self.fine_level + 1):
@@ -380,6 +353,13 @@ class LevelIndex:
             sel = sel[self.window._held(idx[sel], level)]
             ids[sel] = self._at_level(j, self.window._ravel(idx[sel], level))
         return ids
+
+    def table_values(self, table: dict) -> np.ndarray:
+        """A ``{(level, index): value}`` table as per-cube values by id; 0 where the table has no entry."""
+        ids = self.lookup(list(table))
+        out = np.zeros(self.n)
+        out[ids[ids >= 0]] = np.fromiter(table.values(), float, len(table))[ids >= 0]
+        return out
 
     def keys(self, ids=None) -> list[Key]:
         """``(level, index)`` keys of the cubes ``ids`` (default: every cube, by id)."""

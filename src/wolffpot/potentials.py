@@ -76,13 +76,6 @@ class Exponents:
         return self.q * (self.p - 1.0) / (self.p - self.q)
 
 
-def xpow(base: float, e: float) -> float:
-    """``base ** e`` with ``0**0 = 1`` and infinities propagated, never NaN."""
-    if math.isinf(base):
-        return math.inf if e > 0 else (1.0 if e == 0 else 0.0)
-    return base ** e
-
-
 def _per_point(values, x):
     """A float for a single query point, the array for a measure or one point per row."""
     return values if isinstance(x, AtomicMeasure) or np.ndim(x) >= 2 else float(values[0])
@@ -208,9 +201,10 @@ class DyadicScene:
 # -- functional surface -------------------------------------------------------------
 
 
-def energy_dyadic(scene: DyadicScene, exps: Exponents) -> float:
-    """``E = int T[mu]^{p'} dsigma``, exact for atomic ``sigma``."""
-    return weighted_sum(scene.sigma.weights, np.power(scene.t_mu(scene.sigma), exps.p_prime))
+def energy_dyadic(scene: DyadicScene, exps: Exponents, t_sigma=None) -> float:
+    """``E = int T[mu]^{p'} dsigma``, exact for atomic sigma; ``t_sigma`` is ``T[mu]`` on sigma if known."""
+    t = scene.t_mu(scene.sigma) if t_sigma is None else t_sigma
+    return weighted_sum(scene.sigma.weights, np.power(t, exps.p_prime))
 
 
 def hl_maximal_dyadic(scene: DyadicScene, x):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,11 +83,29 @@ def band_pair(value) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
+def json_bool(value) -> bool:
+    """A JSON boolean; any other value, the string ``"false"`` included, is rejected."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a boolean")
+    return value
+
+
+def numbers(dimension: int):
+    """The kind of a list of ``dimension`` finite JSON numbers, read as a tuple of floats."""
+    def kind(value) -> tuple[float, ...]:
+        # type(), not isinstance(): a JSON boolean is no number here
+        if not (type(value) is list and len(value) == dimension
+                and all(type(v) in (int, float) and math.isfinite(v) for v in value)):
+            raise ValueError(f"{value!r} is not a list of {dimension} finite numbers")
+        return tuple(float(v) for v in value)
+    return kind
+
+
 def build_window(cfg: dict, dimension: int) -> LatticeWindow:
     box = config_value(cfg, "box", "window")
     if len(box) != dimension:
         raise ScenarioError(f"window: box has {len(box)} sides, dimension is {dimension}")
-    shift = cfg.get("shift", [0.0] * dimension)
+    shift = config_value(cfg, "shift", "window", numbers(dimension), None)
     try:
         return LatticeWindow.from_box(
             [tuple(side) for side in box],

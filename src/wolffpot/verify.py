@@ -34,7 +34,6 @@ from .potentials import (
     a_functionals,
     energy_dyadic,
     t_continuous_trunc,
-    xpow,
 )
 
 
@@ -143,9 +142,10 @@ def fubini_pair(scene: DyadicScene, exps: Exponents) -> tuple[float, float]:
     Left: ``int T[mu]^{p'} dsigma``.  Right: ``int T[(T[mu])^{p'-1} dsigma] dmu``,
     assembled through the operator itself rather than by rearranging the sum.
     """
-    lhs = energy_dyadic(scene, exps)
     sigma, mu = scene.sigma, scene.mu
-    rho = weigh(np.power(scene.t_mu(sigma), exps.p_prime - 1.0), sigma.weights)
+    tvals = scene.t_mu(sigma)
+    lhs = energy_dyadic(scene, exps, tvals)
+    rho = weigh(np.power(tvals, exps.p_prime - 1.0), sigma.weights)
     rhs = weighted_sum(mu.weights, scene.t(scene.reweighted(sigma, rho), mu))
     return lhs, rhs
 
@@ -231,13 +231,13 @@ def trace_constant_q1(
     use the exact pairing ``int T[f dsigma] dmu = int T[mu] f dsigma`` (a few
     are cross-checked against the operator path; the gap is reported).
     """
-    e = energy_dyadic(scene, exps)
+    sigma, mu = scene.sigma, scene.mu
+    tvals = scene.t_mu(sigma)
+    e = energy_dyadic(scene, exps, tvals)
     if math.isinf(e):
         raise DegenerateInputError("energy is infinite; trace inequality fails")
     pp = exps.p_prime
     p = exps.p
-    sigma, mu = scene.sigma, scene.mu
-    tvals = scene.t_mu(sigma)
     sw = sigma.weights
 
     def ratio_operator(fvals) -> float:
@@ -293,7 +293,7 @@ def trace_test_upper_triangle(
     t_exp = exps.trace_exponent
     sigma, mu = scene.sigma, scene.mu
 
-    wolff_norm = xpow(wolff_integral(scene, exps, t_exp), 1.0 / t_exp)
+    wolff_norm = wolff_integral(scene, exps, t_exp) ** (1.0 / t_exp)
 
     rng = np.random.default_rng(seed)
     sup_ratio = 0.0
@@ -524,7 +524,7 @@ def check_kernel_dilation(scene: DyadicScene, exps: Exponents, c: float) -> tupl
         terms = np.zeros(index.n)
         terms[support] = factors(dilation) * np.power(mut[support], pp - 1.0)
         vals = scene.chain_values(terms, mu)
-        return xpow(weighted_sum(mu.weights, np.power(vals, r_exp)), 1.0 / r_exp)
+        return weighted_sum(mu.weights, np.power(vals, r_exp)) ** (1.0 / r_exp)
 
     n_dil, n_one = chain_norm(c), chain_norm(1.0)
     norm_ratio = n_dil / n_one if n_one > 0 else math.nan
@@ -558,7 +558,7 @@ def check_bar_lemmas(scene: DyadicScene, samples) -> tuple[float, float, float]:
         davg = t_continuous_trunc(kernel, sigma, r, x) / mass
         reform = two_sided(davg, bk, reform)
         level = round(-math.log2(r))
-        if window.coarse_level <= level <= window.fine_level and window.contains_point(x):
+        if window.coarse_level <= level <= window.fine_level and window.contains(x)[0]:
             cube = window.cube_at(x, level)
             bK = bf.bar(cube, x)
             relation = two_sided(bK, bar_k(kernel, sigma, x, cube.side), relation)

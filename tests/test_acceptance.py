@@ -32,6 +32,7 @@ from wolffpot import (
     LevelIndex,
     bar_k,
     bernoulli_cascade,
+    constant_kernel,
     cube_mass_table,
     dlbo_constant,
     energy_continuous,
@@ -140,7 +141,8 @@ def test_criterion_04_energy_wolff_band(suite):
 
     w0 = LatticeWindow.from_box([(0.0, 1.0)], 0, 0)
     single, _ = check_energy_wolff_ratio(
-        DyadicScene(DyadicKernelMap.constant(1.0), lebesgue_grid([(0.0, 1.0)], 0),
+        DyadicScene(DyadicKernelMap.from_radial(constant_kernel(1.0)),
+                    lebesgue_grid([(0.0, 1.0)], 0),
                     AtomicMeasure([[0.5]], [0.7]), w0),
         Exponents(p=2.0),
     )

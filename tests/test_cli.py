@@ -222,13 +222,36 @@ def test_own_atoms_are_never_located_again(monkeypatch, tmp_path, scenario):
     assert len(calls) == 1  # the scene's index build; every check reads its rows
 
 
-@pytest.mark.parametrize("value, reasons", [
-    ("inf", {"fubini": "the energy identity has an infinite left and an infinite right side",
-             "energy_wolff_ratio": "the energy is infinite and the Wolff mass is infinite"}),
-    ("0.0", {"fubini": None,
-             "energy_wolff_ratio": "the energy is zero and the Wolff mass is zero"}),
+@pytest.mark.parametrize("command, kind", [
+    ("potential", "t"), ("potential", "wolff"), ("potential", "wolff_bar"), ("maximal", "maximal"),
 ])
-def test_not_applicable_checks_say_why(tmp_path, value, reasons):
+def test_default_field_points_are_read_from_the_index(monkeypatch, tmp_path, command, kind):
+    chain_keys = LatticeWindow.chain_keys
+    calls = []
+
+    def counted(self, points):
+        calls.append(1)
+        return chain_keys(self, points)
+
+    monkeypatch.setattr(LatticeWindow, "chain_keys", counted)
+    assert run([command, "--kind", kind, "--config", SCENARIOS / "cascade_dlbo.json",
+                "--out-dir", tmp_path]) == 0
+    assert len(calls) == 1  # the scene's index build; mu's chains are read from its rows
+
+
+@pytest.mark.parametrize("command", ["potential", "maximal"])
+def test_default_field_points_outside_the_window_exit_2(tmp_path, capsys, command):
+    cfg = json.loads((SCENARIOS / "cascade_dlbo.json").read_text())
+    cfg["mu"]["positions"][1] = [1.5]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", path, "--out-dir", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: point (1.5,) outside root region\n"
+
+
+def _table_scenario(tmp_path, value) -> Path:
+    """One cube of Lebesgue sigma, one mu atom, and a one-entry table kernel ``K = value``."""
     table = tmp_path / "kernel.csv"
     table.write_text(f"level,i0,value\n0,0,{value}\n")
     cfg = tmp_path / "scn.json"
@@ -241,6 +264,17 @@ def test_not_applicable_checks_say_why(tmp_path, value, reasons):
         "exponents": {"p": 2.0},
         "checks": [{"name": "fubini"}, {"name": "energy_wolff_ratio"}],
     }))
+    return cfg
+
+
+@pytest.mark.parametrize("value, reasons", [
+    ("inf", {"fubini": "the energy identity has an infinite left and an infinite right side",
+             "energy_wolff_ratio": "the energy is infinite and the Wolff mass is infinite"}),
+    ("0.0", {"fubini": None,
+             "energy_wolff_ratio": "the energy is zero and the Wolff mass is zero"}),
+])
+def test_not_applicable_checks_say_why(tmp_path, value, reasons):
+    cfg = _table_scenario(tmp_path, value)
     assert run(["verify", "--config", cfg, "--out-dir", tmp_path / "o"]) == 0
     checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
     assert {c["name"]: c.get("reason") for c in checks} == reasons
@@ -249,6 +283,18 @@ def test_not_applicable_checks_say_why(tmp_path, value, reasons):
         assert (c["status"] == "not-applicable") == (reasons[c["name"]] is not None)
         assert list(c["values"]) == values[c["name"]]
     assert "reason" not in (tmp_path / "o" / "ratios.csv").read_text()
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("inf", "the energy identity has an infinite left and an infinite right side"),
+    ("0.0", None),
+])
+def test_energy_report_says_why_fubini_is_nan(tmp_path, value, reason):
+    cfg = _table_scenario(tmp_path, value)
+    assert run(["energy", "--config", cfg, "--out-dir", tmp_path / "o"]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report.get("fubini_reason") == reason
+    assert (report["fubini_relative_error"] == "nan") == (reason is not None)
 
 
 def test_scene_is_built_once_when_checks_race(monkeypatch):
@@ -294,7 +340,17 @@ def _edit(cfg, path, value):
      "a_chain: field 'lambda' repeats"),
     ("riesz_lebesgue", ("checks", 6, "draws"), 1, "shifted_average: field 'draws'"),
     ("counterexample", ("checks", 0, "terms"), [1000], "counterexample_series: field 'terms'"),
-], ids=["tol", "band", "p", "dimension", "lambda_dimension", "lambda_repeat", "draws", "terms"])
+    ("cascade_dlbo", ("window", "shift"), "x", "window: field 'shift'"),
+    ("cascade_dlbo", ("window", "shift"), ["a"], "window: field 'shift'"),
+    ("cascade_dlbo", ("window", "shift"), [0.0, 0.0], "window: field 'shift'"),
+    ("cascade_dlbo", ("window", "shift"), [math.nan], "window: field 'shift'"),
+    ("cascade_dlbo", ("window", "shift"), [True], "window: field 'shift'"),
+    ("cascade_dlbo", ("checks", 0, "expect_holds"), "false", "reverse_doubling: field 'expect_holds'"),
+    ("riesz_lebesgue", ("checks", 9, "expect_converged"), "false",
+     "truncation: field 'expect_converged'"),
+], ids=["tol", "band", "p", "dimension", "lambda_dimension", "lambda_repeat", "draws", "terms",
+        "shift_string", "shift_list", "shift_dimension", "shift_nan", "shift_bool", "expect_holds",
+        "expect_converged"])
 def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, base, path, value, message):
     cfg = json.loads((SCENARIOS / f"{base}.json").read_text())
     _edit(cfg, path, value)

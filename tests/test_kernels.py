@@ -93,7 +93,7 @@ def test_bar_root_matches_geometric_series():
 def test_bar_chain_example():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 2)
     sigma = AtomicMeasure([[0.1]], [1.0])
-    bf = BarField(DyadicKernelMap.constant(1.0), sigma, w)
+    bf = BarField(DyadicKernelMap.from_radial(constant_kernel(1.0)), sigma, w)
     # chain through x=0.3 meets mass only in [0,1) and [0,0.5)
     assert bf.bar(w.cube(0, (0,)), [0.3]) == 2.0
     # zero-mass cube gives zero by convention
@@ -215,7 +215,7 @@ def test_lbo_skips_degenerate():
 def test_map_with_radial_attribute_but_own_fn_is_evaluated_per_cube():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 2)
     index = LevelIndex(w, np.array([[0.1], [0.6], [0.9]]))
-    K = DyadicKernelMap(lambda key: float(key[1][0]), radial=constant_kernel(1.0))
+    K = DyadicKernelMap.from_table({key: float(key[1][0]) for key in w.keys()})
     assert K.on_cubes(index).tolist() == [float(key[1][0]) for key in index.keys()]
     radial = DyadicKernelMap.from_radial(riesz_kernel(0.5, 1))
     assert radial.on_cubes(index).tolist() == [radial(key) for key in index.keys()]

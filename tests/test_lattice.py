@@ -1,7 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from wolffpot import LatticeWindow, LevelRangeError, OutOfWindowError
+from wolffpot import (
+    DimensionMismatchError,
+    GridAlignmentError,
+    LatticeWindow,
+    LevelIndex,
+    LevelRangeError,
+    OutOfWindowError,
+)
 
 
 @pytest.fixture
@@ -37,27 +46,6 @@ def test_cube_at_errors(unit_window):
         unit_window.cube_at([0.3], 3)
     with pytest.raises(LevelRangeError):
         unit_window.cube_at([0.3], -1)
-
-
-def test_ancestor_pow2(unit_window):
-    q = unit_window.cube_at([0.3], 2)
-    up = unit_window.ancestor(q, 2)
-    assert up.level == 0 and up.lower() == (0.0,) and up.upper() == (1.0,)
-    assert unit_window.ancestor(q, 0) == q
-    q2 = unit_window.cube_at([0.6], 2)  # [0.5, 0.75)
-    up2 = unit_window.ancestor(q2, 1)
-    assert up2.lower() == (0.5,) and up2.upper() == (1.0,)
-    with pytest.raises(LevelRangeError):
-        unit_window.ancestor(q, 3)
-
-
-def test_ancestor_composition(unit_window):
-    w = LatticeWindow.from_box([(0.0, 1.0)], 0, 6)
-    q = w.cube_at([0.731], 6)
-    for a in range(4):
-        for b in range(3):
-            lhs = w.ancestor(w.ancestor(q, a), b)
-            assert lhs == w.ancestor(q, a + b)
 
 
 def test_enumeration_counts():
@@ -117,6 +105,53 @@ def test_window_shift_roundtrip():
     shift = (0.137,)
     w = LatticeWindow.from_box([(0.137, 1.137)], 0, 3, shift=shift)
     x = [0.7]
-    q = w.leaf_at(x)
+    q = w.cube_at(x, w.fine_level)
     assert q.contains(x)
     assert q.shift == shift
+
+
+def test_direct_window_rejects_mismatched_sides_and_an_empty_box():
+    with pytest.raises(DimensionMismatchError):
+        LatticeWindow(0, 2, (0,), (1, 1), (0.0,))
+    with pytest.raises(DimensionMismatchError):
+        LatticeWindow(0, 2, (0, 0), (1, 1), (0.0,))
+    for ext in ((0,), (-1,), (2, 0)):
+        with pytest.raises(GridAlignmentError):
+            LatticeWindow(0, 2, (0,) * len(ext), ext, (0.0,) * len(ext))
+    for one in (1, np.int64(1)):  # a numpy bound must not wrap around in the depth check
+        with pytest.raises(LevelRangeError):
+            LatticeWindow(0, 70, (one,), (one,), (0.0,))
+
+
+@pytest.mark.parametrize("box, coarse, fine, shift", [
+    ([(0.0, 1.0)], 0, 3, None),
+    ([(0.137, 1.137)], 0, 3, (0.137,)),
+    ([(-8.0, 4.0)], -2, 1, None),
+    ([(-1.6875, 2.3125), (-2.137, -0.137)], -1, 2, (0.3125, -0.137)),
+    ([(0.25, 0.75), (-0.5, 0.0)], 2, 4, (0.0, 0.0)),
+])
+def test_window_box_roundtrip(box, coarse, fine, shift):
+    w = LatticeWindow.from_box(box, coarse, fine, shift=shift)
+    assert LatticeWindow.from_box(w.box, coarse, fine, shift=w.shift) == w
+    assert np.allclose(w.box, box, rtol=0.0, atol=1e-12)
+    for f in range(coarse, fine + 3):
+        assert replace(w, fine_level=f) == LatticeWindow.from_box(w.box, coarse, f, shift=w.shift)
+
+
+def test_table_values_match_per_key_lookup():
+    w = LatticeWindow.from_box([(-2.137, 1.863), (0.0, 4.0)], -1, 1, shift=(-0.137, 0.0))
+    index = LevelIndex(w, np.array([[-0.5, 0.3], [0.2, 3.9], [0.7, 1.1]]))
+    table = {key: 1.0 + i for i, key in enumerate(w.keys())}  # held and not held
+    table[index.keys([0])[0]] = np.inf
+    table[(1, (-1, 7))] = np.inf
+    # (0, (-2, 4)) has the row-major key of the held (0, (-1, 0)); the bounds check tells them apart
+    outside = [(-2, (0, 0)), (2, (0, 0)), (0, (2, 0)), (1, (-5, 0)), (1, (0, 8)), (0, (-2, 4))]
+    assert index.lookup(outside).tolist() == [-1] * len(outside)
+    table.update({key: 5.0 + i for i, key in enumerate(outside)})
+    want = np.zeros(index.n)
+    for key, value in table.items():
+        i = index.lookup([key])[0]
+        if i >= 0:
+            want[i] = value
+    assert np.array_equal(index.table_values(table), want)
+    assert np.array_equal(index.table_values({}), np.zeros(index.n))

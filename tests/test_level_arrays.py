@@ -52,8 +52,6 @@ def instances(draw, table: bool):
     ext = [draw(st.sampled_from([1, 2])) for _ in range(n)]
     box = [(z + a * side, z + (a + e) * side) for z, a, e in zip(shift, lo, ext)]
     window = LatticeWindow.from_box(box, coarse, coarse + depth, shift=shift)
-    if len(window.root_indices) > 1 and draw(st.booleans()):  # a root region that is no box
-        window = LatticeWindow(n, coarse, coarse + depth, window.root_indices[1:], window.shift)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     cell = 2.0 ** -(coarse + depth)
 

@@ -16,6 +16,7 @@ from wolffpot import (
     WolffpotError,
     a_functionals,
     bar_k,
+    constant_kernel,
     energy_continuous,
     energy_dyadic,
     hl_maximal_dyadic,
@@ -32,20 +33,12 @@ from wolffpot.scenario import build_scenario
 from wolffpot.verify import wolff_integral
 
 
-K1 = DyadicKernelMap.constant(1.0)
+K1 = DyadicKernelMap.from_radial(constant_kernel(1.0))
 
 
 def t_of(K, nu, w, x):
     """``T[nu](x)`` from a scene whose sigma is empty."""
     return DyadicScene(K, AtomicMeasure.empty(w.dimension), nu, w).t_mu(x)
-
-
-def on_cubes(scene, lam):
-    """Weights keyed by ``(level, index)`` as an array over the scene's cubes."""
-    ids = scene.index.lookup(list(lam))
-    out = np.zeros(scene.index.n)
-    out[ids[ids >= 0]] = np.array(list(lam.values()), dtype=float)[ids >= 0]
-    return out
 
 
 def single_cube_instance(m=0.7):
@@ -191,9 +184,9 @@ def test_scene_rejects_a_measure_that_is_not_its_own():
 def test_a_functionals_single_cube():
     w, sigma, mu = single_cube_instance()
     scene = DyadicScene(K1, sigma, mu, w)
-    a1, a2, a3 = a_functionals(scene, on_cubes(scene, {(0, (0,)): 1.0}), 2.0)
+    a1, a2, a3 = a_functionals(scene, scene.index.table_values({(0, (0,)): 1.0}), 2.0)
     assert (a1, a2, a3) == (1.0, 1.0, 1.0)
-    assert a_functionals(scene, on_cubes(scene, {(0, (0,)): 0.0}), 2.0) == (0.0, 0.0, 0.0)
+    assert a_functionals(scene, scene.index.table_values({(0, (0,)): 0.0}), 2.0) == (0.0, 0.0, 0.0)
 
 
 def test_a_functionals_zero_on_massless_cubes():
@@ -202,7 +195,7 @@ def test_a_functionals_zero_on_massless_cubes():
     # mu holds the cube [0.5, 1), so the scene does too
     scene = DyadicScene(K1, sigma, AtomicMeasure([[0.7]], [1.0]), w)
     lam = {(0, (0,)): 1.0, (1, (1,)): 5.0}
-    a1, a2, a3 = a_functionals(scene, on_cubes(scene, lam), 2.0)
+    a1, a2, a3 = a_functionals(scene, scene.index.table_values(lam), 2.0)
     assert (a1, a2, a3) == (1.0, 1.0, 1.0)
 
 

@@ -10,6 +10,7 @@ from wolffpot import (
     DyadicScene,
     Exponents,
     LatticeWindow,
+    constant_kernel,
     lebesgue_grid,
     riesz_kernel,
 )
@@ -33,7 +34,7 @@ from wolffpot.verify import (
 )
 
 BETA, CEX = 1.5, math.e ** 1.5
-K1 = DyadicKernelMap.constant(1.0)
+K1 = DyadicKernelMap.from_radial(constant_kernel(1.0))
 
 
 def scene_of(inst):
@@ -42,14 +43,6 @@ def scene_of(inst):
 
 def radial_scene(kernel, sigma, mu, window):
     return DyadicScene(DyadicKernelMap.from_radial(kernel), sigma, mu, window)
-
-
-def on_cubes(scene, lam):
-    """Weights keyed by ``(level, index)`` as an array over the scene's cubes."""
-    ids = scene.index.lookup(list(lam))
-    out = np.zeros(scene.index.n)
-    out[ids[ids >= 0]] = np.array(list(lam.values()), dtype=float)[ids >= 0]
-    return out
 
 
 def test_fubini_single_cube():
@@ -76,10 +69,10 @@ def test_a_chain_single_cube():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 0)
     sigma = lebesgue_grid([(0.0, 1.0)], 0)
     scene = DyadicScene(K1, sigma, AtomicMeasure.empty(1), w)
-    ratios = check_a_chain(scene, on_cubes(scene, {(0, (0,)): 1.0}), 2.0)
+    ratios = check_a_chain(scene, scene.index.table_values({(0, (0,)): 1.0}), 2.0)
     assert ratios == (1.0, 1.0, 1.0, 1.0)
     with pytest.raises(DegenerateInputError):
-        check_a_chain(scene, on_cubes(scene, {(0, (0,)): 0.0}), 2.0)
+        check_a_chain(scene, scene.index.table_values({(0, (0,)): 0.0}), 2.0)
 
 
 def test_a_chain_proof_constants():
@@ -102,7 +95,7 @@ def test_summation_by_parts_random_weights():
     pts = list(inst.sigma.positions) + list(inst.mu.positions)
     scene = scene_of(inst)  # holds every cube on the chains of pts
     for s in (1.0, 1.5, 2.0, 3.0):
-        assert summation_by_parts_min_slack(scene, on_cubes(scene, lam), pts, s) >= -1e-12
+        assert summation_by_parts_min_slack(scene, scene.index.table_values(lam), pts, s) >= -1e-12
 
 
 def test_energy_wolff_ratio_single_cube_and_consistency():
