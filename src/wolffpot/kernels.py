@@ -316,7 +316,9 @@ class DyadicKernelMap:
         if self.radial is None:
             return index.table_values(self.table)
         sizes = np.diff(index.start)
-        per_level = [self(key) for key in index.keys(index.start[:-1][sizes > 0])]
+        # a radial map reads only the key's level
+        levels = index.level[index.start[:-1][sizes > 0]].tolist()
+        per_level = [self((level, ())) for level in levels]
         return np.repeat(np.array(per_level, dtype=float), sizes[sizes > 0])
 
 

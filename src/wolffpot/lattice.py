@@ -195,10 +195,6 @@ class LatticeWindow:
         scale = 2.0 ** level
         return self.cube(level, tuple(math.floor((x - z) * scale) for x, z in zip(point, self.shift)))
 
-    def chain(self, point) -> list[DyadicCube]:
-        """The window cubes containing ``point``, coarse to fine."""
-        return [self.cube_at(point, lvl) for lvl in range(self.coarse_level, self.fine_level + 1)]
-
     def chain_keys(self, points) -> np.ndarray:
         """Int64 keys of the cubes on each point's ancestor chain.
 

@@ -101,18 +101,29 @@ def numbers(dimension: int):
     return kind
 
 
+def box_sides(dimension: int):
+    """The kind of a list of ``dimension`` sides, each a list of two finite numbers ``[lo, hi]``."""
+    side = numbers(2)
+
+    def kind(value) -> list[tuple[float, ...]]:
+        if not (type(value) is list and len(value) == dimension):
+            raise ValueError(f"{value!r} is not a list of {dimension} [lo, hi] pairs")
+        return [side(v) for v in value]
+    return kind
+
+
 def build_window(cfg: dict, dimension: int) -> LatticeWindow:
-    box = config_value(cfg, "box", "window")
-    if len(box) != dimension:
-        raise ScenarioError(f"window: box has {len(box)} sides, dimension is {dimension}")
+    box = config_value(cfg, "box", "window", box_sides(dimension))
     shift = config_value(cfg, "shift", "window", numbers(dimension), None)
     try:
         return LatticeWindow.from_box(
-            [tuple(side) for side in box],
+            box,
             config_value(cfg, "coarse_level", "window", int),
             config_value(cfg, "fine_level", "window", int),
             shift=shift,
         )
+    except ScenarioError:
+        raise  # it names its field already
     except WolffpotError as exc:
         raise ScenarioError(f"window: {exc}") from exc
 
@@ -127,7 +138,7 @@ def build_measure(cfg: dict, dimension: int, where: str) -> AtomicMeasure:
             return AtomicMeasure(pos, config_value(cfg, "weights", where))
         if kind == "lebesgue_grid":
             return lebesgue_grid(
-                [tuple(side) for side in config_value(cfg, "box", where)],
+                config_value(cfg, "box", where, box_sides(dimension)),
                 config_value(cfg, "level", where, int),
             )
         if kind == "bernoulli_cascade":
@@ -136,6 +147,8 @@ def build_measure(cfg: dict, dimension: int, where: str) -> AtomicMeasure:
             return bernoulli_cascade(
                 config_value(cfg, "gamma", where, float), config_value(cfg, "depth", where, int)
             )
+    except ScenarioError:
+        raise  # it names its field already
     except WolffpotError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
     raise ScenarioError(f"{where}: unknown measure type {kind!r}")
@@ -178,6 +191,8 @@ def build_kernel(cfg: dict, dimension: int) -> DyadicKernelMap:
             return DyadicKernelMap.from_radial(constant_kernel(value, cutoff=cutoff))
         if kind == "table":
             return DyadicKernelMap.from_table(read_kernel_table(config_value(cfg, "path", "kernel")))
+    except ScenarioError:
+        raise  # it names its field already
     except WolffpotError as exc:
         raise ScenarioError(f"kernel: {exc}") from exc
     raise ScenarioError(f"kernel: unknown type {kind!r}")

@@ -368,19 +368,13 @@ def _shifted_dyadic_potential(kernel, mu, xs, zs, j: int, j0: int):
     shifted by ``z`` containing ``x``.  Levels run from the coarsest scale the
     kernel can see down to the separation scale of the atoms, which loses only
     nonnegative terms (a conservative truncation for an upper-bound check).
+    The level-``l`` key of a point ``p`` is ``floor(fl(p - z) 2^l)``.
 
-    Computed by common dyadic depth.  The level-``l`` key of a point ``p`` is
-    ``floor((p - z) 2^l)``, which is its fine key ``floor((p - z) 2^{l_max})``
-    shifted right by ``l_max - l``, so an atom lies in ``Q_{l,z}(x)`` exactly
-    for ``l <= l_max - b``, where ``b`` is the bit length of the OR over
-    coordinates of ``key_p XOR key_x``.  Fine keys can pass 2^63, so each key
-    is split into its level-``l_min`` key (compared as a float) and the
-    residual below that cube, an integer under ``2^{l_max - l_min} <= 2^52``.
-    Each atom then picks the sum of ``k`` over its levels from one table, and
-    a mat-vec with the weights gives ``T``: ``O(shifts x atoms x dim)`` work
-    with ``(chunk x atoms)`` temporaries and no levels axis.
-
-    Returns the values per shift and the number of live levels.
+    In 1-D the cubes of ``x`` are runs of the sorted atoms, found by
+    ``levels + 1`` binary searches per shift (:func:`_ranges_1d`); in more
+    dimensions they are found by common dyadic depth
+    (:func:`_common_depth`).  Returns the values per shift and the number of
+    live levels.
     """
     pos, w = mu.positions, mu.weights
     x = np.asarray(xs, dtype=float)
@@ -395,9 +389,100 @@ def _shifted_dyadic_potential(kernel, mu, xs, zs, j: int, j0: int):
     else:
         l_max = l_min + 50
     l_max = min(max(l_max, l_min + 1), l_min + 52)
-    levels = np.arange(l_min, l_max + 1)
-    kvals = np.array([kernel(2.0 ** (-float(l)) / 4.0) for l in levels])
+    radii = np.ldexp(0.25, -np.arange(l_min, l_max + 1))
+    seen = radii <= (math.inf if kernel.cutoff is None else kernel.cutoff)
+    kvals = np.zeros(radii.size)
+    kvals[seen] = kernel.profile(radii[seen])
     live = kvals > 0.0
+    if x.size == 1:
+        out = _ranges_1d(pos[:, 0], w, float(x[0]), zs, l_min, kvals)
+    else:
+        out = _common_depth(pos, w, x, zs, l_min, l_max, kvals, live)
+    return out, int(np.count_nonzero(live))
+
+
+def _first_at_least(padded, z, thr):
+    """Per shift, the first index of the sorted atoms with ``fl(p - z) >= thr``.
+
+    ``padded`` is the sorted atoms between ``-inf`` and ``+inf``.  As
+    ``fl(p - z)`` is monotone in ``p``, the atoms that pass form a suffix.  The
+    ``searchsorted`` guess from ``thr + z`` is checked against the atoms on
+    either side of it; where it is off, a bisection over the indices on the
+    wrong side finds the start.  The bisection does not step one atom at a
+    time, because many atoms can share one ``fl(p - z)`` (repeated atoms, or
+    atoms that a large ``|z|`` absorbs).
+    """
+    c = np.searchsorted(padded[1:-1], thr + z)
+    late = padded[c] - z >= thr  # the atom before the guess passes
+    early = padded[c + 1] - z < thr  # the atom at the guess fails
+    bad = np.flatnonzero(late | early)
+    if bad.size:
+        zb, tb = z[bad], thr[bad]
+        lo = np.where(early[bad], c[bad] + 1, 0)
+        hi = np.where(early[bad], padded.size - 2, c[bad] - 1)
+        while np.any(open_ := lo < hi):
+            mid = (lo + hi) // 2
+            up = padded[mid + 1] - zb >= tb
+            hi = np.where(open_ & up, mid, hi)
+            lo = np.where(open_ & ~up, mid + 1, lo)
+        c[bad] = lo
+    return c
+
+
+def _ranges_1d(pos, w, x: float, zs, l_min: int, kvals):
+    """1-D ``T`` per shift from the runs of sorted atoms in ``x``'s cubes.
+
+    ``fl(p - z)`` is monotone in ``p``, so the atoms of ``x``'s level-``l``
+    cube ``[k 2^-l, (k + 1) 2^-l)`` are the sorted atoms from the first with
+    ``fl(p - z) >= k 2^-l`` (an exact scaling of ``floor(fl(p - z) 2^l) >= k``)
+    to the first with ``fl(p - z)`` at the upper bound.  Where ``k + 1`` is not
+    a float (``|k| >= 2^53``) the upper bound is ``nextafter(k, +inf) 2^-l``.
+    Each finer cube is one half of its parent, so it shares one bound with it
+    and a shift costs ``levels + 1`` searches.  The cube always holds ``x``,
+    whose insertion index ``ix`` lies in its run, so its mass is read from
+    cumulative sums running outward from ``ix``: a sum of the cube's own
+    weights, never a difference of large sums.
+    """
+    order = np.argsort(pos, kind="stable")
+    p, w = pos[order], w[order]
+    padded = np.concatenate(([-np.inf], p, [np.inf]))
+    ix = int(np.searchsorted(p, x))
+    left = np.concatenate(([0.0], np.cumsum(w[:ix][::-1])))
+    right = np.concatenate(([0.0], np.cumsum(w[ix:])))
+    z = zs[:, 0]
+    dx = x - z
+    out = np.zeros(z.size)
+    lo = hi = parent_lower = None
+    for i in range(kvals.size):
+        level = l_min + i
+        k = np.floor(dx * 2.0 ** level)
+        lower = k * 2.0 ** -level
+        upper = np.maximum(k + 1.0, np.nextafter(k, np.inf)) * 2.0 ** -level
+        if lo is None:
+            lo, hi = _first_at_least(padded, z, lower), _first_at_least(padded, z, upper)
+        else:
+            # the cube keeps its parent's lower bound, or else its upper one
+            kept = lower == parent_lower
+            new = _first_at_least(padded, z, np.where(kept, upper, lower))
+            lo, hi = np.where(kept, lo, new), np.where(kept, new, hi)
+        parent_lower = lower
+        out += kvals[i] * (left[ix - lo] + right[hi - ix])
+    return out
+
+
+def _common_depth(pos, w, x, zs, l_min: int, l_max: int, kvals, live):
+    """``T`` per shift by the common dyadic depth of ``x`` and each atom.
+
+    The level-``l`` key of a point is its fine key ``floor((p - z) 2^{l_max})``
+    shifted right by ``l_max - l``, so an atom lies in ``Q_{l,z}(x)`` exactly
+    for ``l <= l_max - b``, where ``b`` is the bit length of the OR over
+    coordinates of ``key_p XOR key_x``.  Fine keys can pass 2^63, so each key
+    is split into its level-``l_min`` key (compared as a float) and the
+    residual below that cube, an integer under ``2^{l_max - l_min} <= 2^52``.
+    Each atom then picks the sum of ``k`` over its levels from one table, and
+    a mat-vec with the weights gives ``T``: ``O(shifts x atoms x dim)`` work
+    with ``(chunk x atoms)`` temporaries and no levels axis.
+    """
     # by_bits[b]: the live k summed over the levels l <= l_max - b
     s = l_max - l_min
     by_bits = np.append(np.cumsum(np.where(live, kvals, 0.0))[::-1], 0.0)
@@ -423,7 +508,7 @@ def _shifted_dyadic_potential(kernel, mu, xs, zs, j: int, j0: int):
         # exponent is its bit length
         bits = np.frexp(differ.astype(float))[1]
         out[lo : lo + chunk] = by_bits.take(bits.astype(np.intp)) @ w
-    return out, int(np.count_nonzero(live))
+    return out
 
 
 def shifted_average_check(

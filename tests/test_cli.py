@@ -348,9 +348,20 @@ def _edit(cfg, path, value):
     ("cascade_dlbo", ("checks", 0, "expect_holds"), "false", "reverse_doubling: field 'expect_holds'"),
     ("riesz_lebesgue", ("checks", 9, "expect_converged"), "false",
      "truncation: field 'expect_converged'"),
+    ("cascade_dlbo", ("window", "box"), "x", "window: field 'box'"),
+    ("cascade_dlbo", ("window", "box"), [[math.nan, 1.0]], "window: field 'box'"),
+    ("cascade_dlbo", ("window", "box"), [[0.0, 1.0], [0.0, 1.0]], "window: field 'box'"),
+    ("cascade_dlbo", ("window", "box"), [[0.0, 1.0, 2.0]], "window: field 'box'"),
+    ("cascade_dlbo", ("window", "box"), [[False, 1.0]], "window: field 'box'"),
+    ("riesz_lebesgue", ("sigma", "box"), "x", "sigma: field 'box'"),
+    ("riesz_lebesgue", ("mu", "box"), [[0.0, math.inf]], "mu: field 'box'"),
+    ("riesz_lebesgue", ("mu", "level"), "x", "mu: field 'level'"),
+    ("riesz_lebesgue", ("window", "coarse_level"), "x", "window: field 'coarse_level'"),
+    ("riesz_lebesgue", ("kernel", "alpha"), "x", "kernel: field 'alpha'"),
 ], ids=["tol", "band", "p", "dimension", "lambda_dimension", "lambda_repeat", "draws", "terms",
         "shift_string", "shift_list", "shift_dimension", "shift_nan", "shift_bool", "expect_holds",
-        "expect_converged"])
+        "expect_converged", "box_string", "box_nan", "box_dimension", "box_pair", "box_bool",
+        "grid_box_string", "grid_box_inf", "grid_level", "coarse_level", "alpha"])
 def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, base, path, value, message):
     cfg = json.loads((SCENARIOS / f"{base}.json").read_text())
     _edit(cfg, path, value)

@@ -129,7 +129,7 @@ def test_bar_prefix_chain_identity():
     x = [0.613]
     held = bf.index.locate(x)
     p_leaf = bf.prefix(held[held >= 0][-1:])[0]  # P at the deepest held cube of x's chain
-    for cube in w.chain(x):
+    for cube in (w.cube_at(x, lvl) for lvl in range(w.coarse_level, w.fine_level + 1)):
         m = sigma.cube_mass(cube)
         if m <= 0:
             continue

@@ -94,7 +94,8 @@ def test_negative_levels_give_big_cubes():
 
 
 def test_chain_is_nested(unit_window):
-    chain = unit_window.chain([0.3])
+    w = unit_window
+    chain = [w.cube_at([0.3], lvl) for lvl in range(w.coarse_level, w.fine_level + 1)]
     assert [c.level for c in chain] == [0, 1, 2]
     for parent, child in zip(chain, chain[1:]):
         assert parent.contains([0.3]) and child.contains([0.3])

@@ -282,6 +282,41 @@ def _sampler_cases():
     zc = np.concatenate([rng.uniform(-2.0 ** 14, 2.0 ** 14, (400, 1)),
                          rng.uniform(-20, 20, (400, 1)), -(2.0 ** -np.arange(8, 61, 3)[:, None])])
     yield "large keys", kc, near, [0.0], zc, 12, 2
+    # 1-D runs of sorted atoms: many atoms share one p, or one fl(p - z)
+    rng = np.random.default_rng(20200301)
+    z1 = np.concatenate([rng.uniform(-4, 4, (500, 1)), rng.integers(-128, 128, (100, 1)) / 32.0])
+    stacks = np.repeat([0.25, 0.5 - 2.0 ** -20, 0.5, 0.875], [40, 25, 1, 30])[:, None]
+    yield ("1d repeated atoms", k1, AtomicMeasure(stacks, 2.0 ** rng.uniform(-2, 2, 96)),
+           [0.5 - 2.0 ** -22], z1, 0, 2)
+    # |z| ~ 2^14 rounds p - z to a multiple of 2^-39 or 2^-38, so a cluster
+    # 2^-43 apart collapses; with z near b - 2^14 or b + 2^14 an edge of x's
+    # cubes falls inside the cluster, and p - z of atoms below it rounds onto it
+    b = round(0.3 * 2.0 ** 38) * 2.0 ** -38
+    cluster = b + np.arange(-48, 48) * 2.0 ** -43
+    absorbed = np.concatenate([cluster, cluster[::3], [0.05, 0.71]])[:, None]
+    edges = np.arange(-40, 41)[:, None] * 2.0 ** -39
+    z_far = np.concatenate([rng.uniform(-2.0 ** 14, 2.0 ** 14, (300, 1)),
+                            rng.uniform(-4, 4, (100, 1)), b - 2.0 ** 14 + edges,
+                            b + 2.0 ** 14 + 2.0 * edges])
+    yield ("1d absorbed atoms", k1, AtomicMeasure(absorbed, 2.0 ** rng.uniform(-2, 2, 130)),
+           [b + 2.0 ** -31], z_far, 0, 2)
+    # atoms one float apart near 2^14: thr + z rounds, down as often as up
+    c = round((2.0 ** 14 + 0.3) * 2.0 ** 38) * 2.0 ** -38
+    far = AtomicMeasure((c + np.arange(-32, 32) * 2.0 ** -38)[:, None], 2.0 ** rng.uniform(-2, 2, 64))
+    yield "1d far atoms", k1, far, [c + 2.0 ** -31], z1, 0, 2
+    half_empty = AtomicMeasure(np.arange(16)[:, None] / 16.0,
+                               np.where(np.arange(16) % 2, 0.0, 2.0 ** rng.uniform(-2, 2, 16)))
+    yield "1d zero weights", k1, half_empty, [0.5625], z1, 0, 2
+    yield "1d x right of the hull", k1, grid1, [1.7], z1, 0, 2
+    yield "1d x left of the hull", k1, grid1, [-0.4], z1, 0, 2
+    # no cutoff; heavy atoms around light ones next to x, so a cube mass read
+    # as a difference of prefix sums over all atoms would cancel
+    kw = riesz_kernel(0.3, 1)
+    light = 0.6 + np.arange(-4, 5) * 2.0 ** -26
+    heavy = rng.uniform(0.0, 1.0, 48)
+    wide = AtomicMeasure(np.concatenate([heavy, light])[:, None],
+                         np.concatenate([2.0 ** rng.uniform(4, 8, 48), 2.0 ** rng.uniform(-8, -6, 9)]))
+    yield "1d wide weights", kw, wide, [0.6 + 2.0 ** -28], z1, 0, 2
 
 
 @pytest.mark.parametrize("label,kernel,mu,x,zs,j,j0",
@@ -295,6 +330,23 @@ def test_shifted_sampler_matches_broadcast_oracle(label, kernel, mu, x, zs, j, j
     if label == "large keys":
         assert levels == 53  # l_max = 60
         assert np.max(np.abs(mu.positions[:, 0][None, :] - zs)) * 2.0 ** 60 > 2.0 ** 63
+
+
+@pytest.mark.parametrize("label,kernel,mu,x,zs,j,j0",
+                         [pytest.param(*case, id=case[0]) for case in _sampler_cases()
+                          if len(case[3]) == 1])
+def test_1d_ranges_match_common_depth(label, kernel, mu, x, zs, j, j0):
+    # a zero second coordinate everywhere sends the same 1-D case through the
+    # common-depth path, with the same levels and the same cubes
+    def lift(a):
+        a = np.asarray(a, dtype=float).reshape(-1, 1)
+        return np.hstack([a, np.zeros_like(a)])
+
+    got, levels = _shifted_dyadic_potential(kernel, mu, x, zs, j, j0)
+    lifted = AtomicMeasure(lift(mu.positions[:, 0]), mu.weights)
+    want, want_levels = _shifted_dyadic_potential(kernel, lifted, lift(x)[0], lift(zs[:, 0]), j, j0)
+    assert levels == want_levels
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_kernel_dilation_ratios():
