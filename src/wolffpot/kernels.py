@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DegenerateInputError, InvalidKernelError, WolffpotError
 from .lattice import DyadicCube, Key, LatticeWindow, LevelIndex
@@ -209,6 +208,14 @@ def riesz_kernel(alpha: float, n: int, cutoff: float | None = None) -> RadialKer
     return RadialKernel(
         prof, prim, cutoff=cutoff, name="riesz", params={"alpha": alpha, "n": n}
     )
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call: the import takes
+    longer than most runs, and only log-kernel fallback segments need it."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def log_kernel(beta: float, C: float, n: int) -> RadialKernel:

@@ -204,10 +204,10 @@ class LatticeWindow:
         :meth:`cube_at`, and each coarser one is a right shift of it.
         """
         leaf, inside = self._leaf(points)
-        leaf = leaf[inside]
-        out = np.full((self.depth + 1, len(inside)), -1, dtype=np.int64)
+        out = np.empty((self.depth + 1, len(inside)), dtype=np.int64)
         for j in range(self.depth + 1):
-            out[j, inside] = self._ravel(leaf >> (self.depth - j), self.coarse_level + j)
+            out[j] = self._ravel(leaf >> (self.depth - j), self.coarse_level + j)
+        out[:, ~inside] = -1
         return out
 
     def _ravel(self, idx, level: int) -> np.ndarray:
@@ -276,30 +276,36 @@ class LevelIndex:
     window) and ``parent[q]`` the id of cube ``q``'s parent (``-1`` at the
     coarse level).  Per-cube quantities are float arrays indexed by id; an id
     of ``-1`` stands for a cube the index does not hold.
+
+    The points are sorted once, by fine-level key; each coarser level sorts its
+    keys at one point per cube below, and that inverse maps child to parent.
     """
 
     def __init__(self, window: LatticeWindow, positions):
         self.window = window
-        chains = window.chain_keys(positions)
-        inside = chains[0] >= 0
-        held = chains[:, inside]
-        self._keys = []
-        start = [0]
-        for j, keys in enumerate(held):
-            cubes, inv = np.unique(keys, return_inverse=True)
-            held[j] = start[-1] + inv
-            self._keys.append(cubes)
-            start.append(start[-1] + len(cubes))
-        self.rows = np.full(chains.shape, -1, dtype=np.int64)
-        self.rows[:, inside] = held
-        self.start = np.array(start)
-        self.n = start[-1]
+        self.rows = rows = window.chain_keys(positions)
+        inside = rep = np.flatnonzero(rows[-1] >= 0)
+        # maps[0] takes an inside point to its fine cube, maps[i] a cube to its parent
+        keys, maps = [], []
+        for row in rows[::-1]:
+            cubes, first, inv = np.unique(row[rep], return_index=True, return_inverse=True)
+            rep = rep[first]
+            keys.append(cubes)
+            maps.append(inv)
+        self._keys = keys[::-1]
+        self.start = np.cumsum([0] + [len(k) for k in self._keys])
+        self.n = int(self.start[-1])
         self._flat = np.concatenate(self._keys)
         self.level = np.repeat(
             np.arange(window.coarse_level, window.fine_level + 1), np.diff(self.start)
         )
-        self.parent = np.full(self.n, -1, dtype=np.int64)
-        self.parent[held[1:]] = held[:-1]
+        # rows in place over the keys; "wrap" reads the trailing -1 for an id -1
+        parent = np.concatenate([np.full(len(self._keys[0]), -1)]
+                                + [s + m for s, m in zip(self.start, maps[:0:-1])] + [[-1]])
+        rows[-1, inside] = self.start[-2] + maps[0]
+        for j in range(len(rows) - 2, -1, -1):
+            np.take(parent, rows[j + 1], out=rows[j], mode="wrap")
+        self.parent = parent[:-1]
 
     def gather(self, values, ids) -> np.ndarray:
         """``values[ids]``, with zero where an id is ``-1``."""

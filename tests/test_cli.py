@@ -1,12 +1,15 @@
 import concurrent.futures
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import wolffpot
 from wolffpot import LatticeWindow, LevelIndex
 from wolffpot.cli import build_parser, dumps_canonical, format_float, main
 from wolffpot.scenario import ScenarioError, load_scenario, read_kernel_table
@@ -321,6 +324,17 @@ def test_scene_is_built_once_when_checks_race(monkeypatch):
 
 def test_threads_default_to_one():
     assert build_parser().parse_args(["verify", "--config", "x.json"]).threads == 1
+
+
+def test_scipy_integrate_is_imported_on_the_first_quad_call():
+    code = ("import sys, wolffpot.cli, wolffpot.kernels as k\n"
+            "print('scipy.integrate' in sys.modules)\n"
+            "print(abs(k.quad(lambda s: s * s, 0.0, 3.0)[0] - 9.0) < 1e-12)\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(wolffpot.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False", "True", "True"]
 
 
 def _edit(cfg, path, value):

@@ -5,11 +5,14 @@ Every oracle here enumerates ``window.keys()`` and measures cubes with
 :class:`BarFieldNaive`.  Instances are small random windows (1-D and 2-D,
 shifted, negative coarse levels, root regions that are no box) with atoms on dyadic edges, zero weights and
 atoms outside the window, under radial and table kernels.  Examples are
-derandomized, so the suite is deterministic.
+derandomized, so the suite is deterministic.  The level index itself is
+checked against its construction by one ``np.unique`` per level, on seeded
+windows of 1 to 3 dimensions.
 """
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from wolffpot import (
     DyadicScene,
     Exponents,
     LatticeWindow,
+    LevelIndex,
     a_functionals,
     dlbo_constant,
     energy_dyadic,
@@ -34,6 +38,7 @@ from wolffpot import (
 )
 from wolffpot.cli import main as cli_main
 from wolffpot.kernels import per_mass
+from wolffpot.measures import lebesgue_grid
 from wolffpot.verify import summation_by_parts_min_slack
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -243,6 +248,108 @@ def test_dlbo_constant_with_infinite_k_on_a_charged_cube(inf_key, want):
     assert dlbo_constant(BarField(K, AtomicMeasure(pts, wts), window)) == want
     if inf_key == (0, (1,)):  # root [1, 2) adds nothing: same as without its atoms
         assert dlbo_constant(BarField(K, AtomicMeasure(pts[:3], wts[:3]), window)) == want
+
+
+def index_oracle(window, positions):
+    """The level index from one ``np.unique`` of the points' keys per level."""
+    chains = window.chain_keys(positions)
+    inside = chains[0] >= 0
+    held = chains[:, inside]
+    keys, start = [], [0]
+    for j, level_keys in enumerate(held):
+        cubes, inv = np.unique(level_keys, return_inverse=True)
+        held[j] = start[-1] + inv
+        keys.append(cubes)
+        start.append(start[-1] + len(cubes))
+    rows = np.full(chains.shape, -1, dtype=np.int64)
+    rows[:, inside] = held
+    parent = np.full(start[-1], -1, dtype=np.int64)
+    parent[held[1:]] = held[:-1]
+    return rows, np.array(start), parent, np.concatenate(keys)
+
+
+def index_cases(n, depth):
+    """Windows of dimension ``n`` and this depth at coarse levels 0 to 2, each
+    with no points, only outside points, points in and out with repeats, and
+    many points per fine cube."""
+    rng = np.random.default_rng(100 * n + depth)
+    for coarse in range(3):
+        lo = rng.integers(-2, 2, n)
+        ext = rng.integers(1, 4, n)
+        shift = rng.choice([0.0, 0.3125, -0.137], n)
+        window = LatticeWindow(coarse, coarse + depth, tuple(int(v) for v in lo),
+                               tuple(int(v) for v in ext), tuple(float(v) for v in shift))
+        side = 2.0 ** -coarse
+        a = shift + lo * side
+        b = a + ext * side
+        mixed = rng.uniform(a - side, b + side, (30, n))
+        cell = 2.0 ** -(coarse + depth)
+        dense = a + cell * (rng.integers(0, 2, (60, n)) + rng.uniform(0.0, 1.0, (60, n)))
+        yield window, np.empty((0, n))
+        yield window, b + rng.uniform(0.0, 1.0, (5, n))
+        yield window, np.vstack([mixed, mixed[rng.integers(0, 30, 30)]])
+        yield window, dense
+
+
+def key_of(window, key):
+    """Row-major position of a ``(level, index)`` cube inside the box at its level."""
+    level, idx = key
+    d = level - window.coarse_level
+    rel = [k - (l << d) for k, l in zip(idx, window.lo)]
+    return int(np.ravel_multi_index(rel, [e << d for e in window.ext]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("depth", range(8))
+def test_level_index_matches_per_level_sort_oracle(n, depth):
+    for window, pts in index_cases(n, depth):
+        index = LevelIndex(window, pts)
+        rows, start, parent, flat = index_oracle(window, pts)
+        assert np.array_equal(index.rows, rows) and index.rows.dtype == np.int64
+        assert np.array_equal(index.start, start)
+        assert np.array_equal(index.parent, parent) and index.parent.dtype == np.int64
+        assert index.n == start[-1] == len(flat)
+        assert np.array_equal(index._flat, flat)
+        inside = pts[window.contains(pts)]
+        keys = []
+        for level in range(window.coarse_level, window.fine_level + 1):
+            held = {window.cube_at(x, level).key for x in inside}
+            keys += sorted(held, key=lambda key: key_of(window, key))
+        assert index.keys() == keys
+        assert [key_of(window, key) for key in keys] == flat.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("depth", range(8))
+def test_chain_keys_are_shifted_fine_keys_with_minus_one_outside(n, depth):
+    for window, pts in index_cases(n, depth):
+        chains = window.chain_keys(pts)
+        assert chains.shape == (depth + 1, len(pts)) and chains.dtype == np.int64
+        for i, x in enumerate(pts):
+            if not window.contains(x)[0]:
+                assert np.all(chains[:, i] == -1)
+                continue
+            fine = window.cube_at(x, window.fine_level).index
+            for j, level in enumerate(range(window.coarse_level, window.fine_level + 1)):
+                idx = tuple(k >> (depth - j) for k in fine)
+                assert window.cube_at(x, level).index == idx
+                assert chains[j, i] == key_of(window, (level, idx))
+
+
+def test_level_index_build_peaks_below_two_and_a_half_rows():
+    # the depth-12 borderline instance: sigma on [-1, 2), mu on [0, 1)
+    window = LatticeWindow.from_box([(-1.0, 2.0)], 0, 12)
+    pts = np.vstack([lebesgue_grid([(-1.0, 2.0)], 12).positions,
+                     lebesgue_grid([(0.0, 1.0)], 12).positions])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        index = LevelIndex(window, pts)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert index.rows.shape == (13, 4 * 2 ** 12)
+    assert peak <= 2.5 * index.rows.nbytes
 
 
 def test_window_too_deep_for_int64_keys():
