@@ -28,7 +28,6 @@ from .measures import (
 )
 from .kernels import (
     BarField,
-    BarFieldNaive,
     DyadicKernelMap,
     RadialKernel,
     bar_k,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidKernelError, WolffpotError
 from .lattice import DyadicCube, Key, LatticeWindow, LevelIndex
-from .measures import AtomicMeasure, cube_mass_table, profile_mass
+from .measures import AtomicMeasure, cube_mass_table
 
 #: points per decade used by the construction-time monotonicity scan
 MONOTONICITY_POINTS_PER_DECADE = 512
@@ -34,6 +34,8 @@ MONOTONICITY_POINTS_PER_DECADE = 512
 PRIMITIVE_REL_TOL = 1e-10
 #: segments per block of the array Gauss-Kronrod step (bounds its temporaries)
 PRIMITIVE_BLOCK = 1024
+#: ball-atom pairs per chunk of the batched bar-kernel (bounds its temporaries)
+BALL_BLOCK = 1 << 13
 
 # The 21-point Gauss-Kronrod rule of QUADPACK's dqk21 (Piessens et al. 1983):
 # Kronrod abscissae (the odd indices 1, 3, ..., 9 are the 10-point Gauss
@@ -397,47 +399,43 @@ class BarField:
         return float(np.cumsum(self.weight[chain[chain >= 0]])[-1]) / m
 
 
-class BarFieldNaive:
-    """Brute-force oracle for :class:`BarField` (direct double sum)."""
+def bar_k(kernel: RadialKernel, sigma: AtomicMeasure, xs, rs):
+    """Continuous bar-kernel ``bar_k(r)(x)`` of each ball ``B(x, r)``, evaluated exactly.
 
-    def __init__(self, K: DyadicKernelMap, sigma: AtomicMeasure, window: LatticeWindow):
-        self.K = K
-        self.sigma = sigma
-        self.window = window
-
-    def bar(self, cube: DyadicCube, x) -> float:
-        m = self.sigma.cube_mass(cube)
-        if m <= 0.0 or not cube.contains(x):
-            return 0.0
-        total = 0.0
-        for key in self.window.descendant_keys(cube.key):
-            sub = self.window.cube(*key)
-            # 0 * inf = 0: a massless subcube adds nothing, whatever K says
-            if sub.contains(x) and (sub_mass := self.sigma.cube_mass(sub)) > 0.0:
-                total += self.K(key) * sub_mass
-        return total / m
-
-
-def bar_k(kernel: RadialKernel, sigma: AtomicMeasure, x, r: float) -> float:
-    """Continuous bar-kernel ``bar_k(r)(x)``, evaluated exactly.
-
-    ``s -> sigma(B(x,s))`` is a right-continuous step function with jumps at
-    the atom distances, so the integral is a finite sum of cumulative masses
-    times log-primitive increments, one per segment between consecutive atom
-    distances below ``r``.  Returns 0 when the ball carries no mass (or all of
-    it sits at distance exactly ``r``) and ``+inf`` when an atom sits exactly
-    at ``x`` (the integral then diverges at the origin for every kernel that
-    is not identically zero).
+    ``xs`` holds the centres ``(b, n)`` and ``rs`` the radii ``(b,)``; the
+    result is an array of ``b`` values.  One centre and one float radius give
+    a float.  ``s -> sigma(B(x,s))`` is a right-continuous step function with
+    jumps at the atom distances, so the integral is a finite sum of
+    cumulative masses times log-primitive increments, one per segment between
+    consecutive atom distances below ``r``, added in order.  A ball gets 0
+    when it carries no mass (or all of it sits at distance exactly ``r``) and
+    ``+inf`` when an atom sits exactly at ``x`` (the integral then diverges at
+    the origin for every kernel that is not identically zero).  The balls go
+    in chunks of at most ``BALL_BLOCK`` ball-atom pairs, each with one
+    :meth:`AtomicMeasure.radial_profile` and one ``log_primitive`` call.
     """
-    if r <= 0:
-        raise WolffpotError(f"radius must be positive, got {r}")
-    dists, cums = sigma.radial_profile(x)
-    den = float(profile_mass((dists, cums), r))
-    if den <= 0.0:
-        return 0.0
-    starts = dists[:np.searchsorted(dists, r)]  # the sorted distances below r
-    seg = kernel.log_primitive(starts, np.concatenate((starts[1:], [r]))[:starts.size])
-    return weighted_sum(cums[:starts.size], seg) / den
+    if np.ndim(rs) == 0:
+        return float(bar_k(kernel, sigma, [xs], [rs])[0])
+    rs = np.asarray(rs, dtype=float)
+    if np.any(rs <= 0):
+        raise WolffpotError(f"radius must be positive, got {rs[rs <= 0][0]}")
+    xs = np.asarray(xs, dtype=float).reshape(rs.size, sigma.dimension)
+    out = np.zeros(rs.size)
+    step = max(1, BALL_BLOCK // max(sigma.n_atoms, 1))
+    for lo in range(0, rs.size, step):
+        r = rs[lo:lo + step, None]
+        dists, cum = sigma.radial_profile(xs[lo:lo + step], r)
+        if not dists.size:
+            continue  # no atom in any of these balls
+        # a segment runs from each distinct distance below r to the next one,
+        # or to r: none starts at a tied distance, at r or in the padding
+        ends = np.minimum(np.append(dists[:, 1:], r, axis=1), r)
+        start = dists < ends
+        seg = np.zeros(dists.shape)
+        seg[start] = kernel.log_primitive(dists[start], ends[start])
+        num = np.cumsum(weigh(seg, cum), axis=1)[:, -1]
+        out[lo:lo + step] = per_mass(num, cum[:, -1])
+    return out
 
 
 def dlbo_constant(bf: BarField) -> float:
@@ -478,17 +476,15 @@ def lbo_constant(kernel: RadialKernel, sigma: AtomicMeasure, samples) -> float:
     with no sigma-mass, and sample points whose own balls are massless, are
     skipped.
     """
-    worst = None
-    for x, r, ys in samples:
-        if sigma.ball_mass(x, r) <= 0.0:
-            continue
-        vals = [bar_k(kernel, sigma, y, r) for y in ys]
-        vals = [v for v in vals if v > 0.0]
-        if not vals:
-            continue
-        ratio = max(vals) / min(vals)
-        if worst is None or ratio > worst:
-            worst = ratio
-    if worst is None:
+    balls = [(np.asarray(ys, dtype=float).reshape(-1, sigma.dimension), r)
+             for x, r, ys in samples if sigma.ball_mass(x, r) > 0.0]
+    if not balls:
         raise DegenerateInputError("all sampled balls are degenerate")
-    return worst
+    # one bar_k call over every sample point, each with its ball's radius
+    vals = bar_k(kernel, sigma, np.concatenate([ys for ys, _ in balls]),
+                 np.concatenate([np.full(len(ys), r) for ys, r in balls]))
+    pos = [v[v > 0.0] for v in np.split(vals, np.cumsum([len(ys) for ys, _ in balls])[:-1])]
+    ratios = [float(v.max() / v.min()) for v in pos if v.size]
+    if not ratios:
+        raise DegenerateInputError("all sampled balls are degenerate")
+    return max(ratios)

@@ -366,14 +366,18 @@ class LevelIndex:
     def keys(self, ids=None) -> list[Key]:
         """``(level, index)`` keys of the cubes ``ids`` (default: every cube, by id)."""
         ids = np.arange(self.n) if ids is None else np.asarray(ids, dtype=np.int64)
+        idx = self.indices(ids)
+        return [(int(l), tuple(row)) for l, row in zip(self.level[ids].tolist(), idx.tolist())]
+
+    def indices(self, ids) -> np.ndarray:
+        """Lattice indices ``(len(ids), n)`` of the cubes ``ids``, the second part of their keys."""
         w = self.window
         d = (self.level[ids] - w.coarse_level)[:, None]
         ext, rel = w._ext << d, self._flat[ids]
         idx = np.empty((len(ids), w.dimension), dtype=np.int64)
         for j in reversed(range(w.dimension)):
             rel, idx[:, j] = np.divmod(rel, ext[:, j])
-        idx += w._lo << d
-        return [(int(l), tuple(row)) for l, row in zip(self.level[ids].tolist(), idx.tolist())]
+        return idx + (w._lo << d)
 
     def _at_level(self, j: int, keys) -> np.ndarray:
         cubes = self._keys[j]

@@ -93,23 +93,33 @@ class AtomicMeasure:
         d = np.linalg.norm(self.positions - np.asarray(center, dtype=float), axis=1)
         return float(np.sum(self.weights[d <= radius]))
 
-    def radial_profile(self, center):
-        """Sorted distinct distances from ``center`` and cumulative masses.
+    def radial_profile(self, centers, radii=np.inf):
+        """Sorted atom distances from each centre and cumulative masses.
 
-        Returns ``(dists, cum)`` with ``cum[j]`` the mass of the closed ball of
-        radius ``dists[j]``; this is the jump representation of
-        ``r -> ball_mass(center, r)``.
+        For one point ``centers`` returns ``(dists, cum)`` with ``cum[j]`` the
+        mass of the atoms up to the ``j``-th nearest, tied atoms in atom
+        order.  At the last of tied distances ``cum[j]`` is the mass of the
+        closed ball of radius ``dists[j]``, so this is the jump representation
+        of ``r -> ball_mass(center, r)`` that :func:`profile_mass` reads.  For
+        centres ``(b, n)`` and ``radii`` ``(b,)`` the arrays are
+        ``(b, width)``, one profile per row over the atoms of the closed ball
+        ``B(center, radius)``, padded at the end with distance ``inf`` and the
+        row's last mass.  Each row adds its masses in distance order.
         """
-        if self.n_atoms == 0:
-            return np.zeros(0), np.zeros(0)
-        d = np.linalg.norm(self.positions - np.asarray(center, dtype=float), axis=1)
-        order = np.argsort(d, kind="stable")
-        d = d[order]
-        w = self.weights[order]
-        dists, start = np.unique(d, return_index=True)
-        cum = np.cumsum(w)
-        ends = np.append(start[1:], len(w)) - 1
-        return dists, cum[ends]
+        c = np.asarray(centers, dtype=float)
+        rows = c.reshape(-1, self.dimension)
+        d = np.linalg.norm(self.positions - rows[:, None, :], axis=2)
+        inside = d <= np.reshape(radii, (-1, 1))
+        count = inside.sum(axis=1)
+        d, w = d[inside], (self.weights * inside)[inside]
+        # stable: tied atoms stay in atom order
+        order = np.lexsort((d, np.repeat(np.arange(len(rows)), count)))
+        held = np.arange(count.max(initial=0)) < count[:, None]
+        dists = np.full(held.shape, np.inf)
+        cum = np.zeros(held.shape)
+        dists[held], cum[held] = d[order], w[order]
+        np.cumsum(cum, axis=1, out=cum)  # row by row, so the zero padding adds nothing
+        return (dists, cum) if c.ndim > 1 else (dists[0], cum[0])
 
 
 def profile_mass(profile, radii):

@@ -588,8 +588,10 @@ def check_kernel_dilation(scene: DyadicScene, exps: Exponents, c: float) -> tupl
     index, sig, mut = scene.index, scene.sigma_mass, scene.mu_mass
     window = index.window
     support = np.flatnonzero((mut > 0.0) & (sig > 0.0))
-    cubes = [window.cube(*key) for key in index.keys(support)]
-    bar_vals = np.array([bar_k(kernel, sigma, q.center(), q.side) for q in cubes])
+    # each cube's centre and side, as DyadicCube.center and .side compute them
+    sides = np.ldexp(1.0, -index.level[support])
+    centers = np.asarray(window.shift) + (index.indices(support) + 0.5) * sides[:, None]
+    bar_vals = bar_k(kernel, sigma, centers, sides)
     # cubes whose bar factor is zero or infinite are left out of both sums
     ok = (bar_vals > 0.0) & np.isfinite(bar_vals)
     support, bar_vals = support[ok], bar_vals[ok]
@@ -635,19 +637,24 @@ def check_bar_lemmas(scene: DyadicScene, samples) -> tuple[float, float, float]:
         ratio = max(a / b, b / a)
         return ratio if cur is None or ratio > cur else cur
 
+    live, cubes = [], []
     for x, r in samples:
         mass = sigma.ball_mass(x, r)
         if mass <= 0.0:
             continue
-        bk = bar_k(kernel, sigma, x, r)
-        davg = t_continuous_trunc(kernel, sigma, r, x) / mass
-        reform = two_sided(davg, bk, reform)
+        live.append((x, r, mass))
         level = round(-math.log2(r))
         if window.coarse_level <= level <= window.fine_level and window.contains(x)[0]:
-            cube = window.cube_at(x, level)
-            bK = bf.bar(cube, x)
-            relation = two_sided(bK, bar_k(kernel, sigma, x, cube.side), relation)
-        doubling = two_sided(bk, bar_k(kernel, sigma, x, 2.0 * r), doubling)
+            cubes.append((x, window.cube_at(x, level)))
+    # one bar_k call: every ball at r, then at 2r, then at its cube's side
+    bks = bar_k(kernel, sigma, [x for x, _, _ in live] * 2 + [x for x, _ in cubes],
+                [r for _, r, _ in live] + [2.0 * r for _, r, _ in live]
+                + [cube.side for _, cube in cubes]).tolist()
+    for (x, r, mass), bk, bk2 in zip(live, bks, bks[len(live):]):
+        reform = two_sided(t_continuous_trunc(kernel, sigma, r, x) / mass, bk, reform)
+        doubling = two_sided(bk, bk2, doubling)
+    for (x, cube), bk_side in zip(cubes, bks[2 * len(live):]):
+        relation = two_sided(bf.bar(cube, x), bk_side, relation)
     if reform is None and relation is None and doubling is None:
         raise DegenerateInputError("all samples degenerate")
     return (

@@ -24,7 +24,6 @@ import pytest
 from wolffpot import (
     AtomicMeasure,
     BarField,
-    BarFieldNaive,
     DyadicKernelMap,
     DyadicScene,
     Exponents,
@@ -55,6 +54,8 @@ from wolffpot.verify import (
     summation_by_parts_min_slack,
     trace_constant_q1,
 )
+
+from oracles import BarFieldNaive
 
 BASE_SEED = 20260810
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

@@ -6,7 +6,6 @@ import pytest
 from wolffpot import (
     AtomicMeasure,
     BarField,
-    BarFieldNaive,
     DyadicKernelMap,
     InvalidKernelError,
     LatticeWindow,
@@ -20,6 +19,12 @@ from wolffpot import (
     log_kernel,
     riesz_kernel,
 )
+
+from wolffpot import kernels
+from wolffpot.errors import WolffpotError
+from wolffpot.measures import profile_mass
+
+from oracles import BarFieldNaive, bar_k_per_ball, radial_profile_of_one
 
 
 def test_riesz_values():
@@ -158,6 +163,84 @@ def test_bar_k_divergence_and_empty():
     assert math.isfinite(bar_k(constant_kernel(1.0), AtomicMeasure([[0.3]], [1.0]), [0.0], 1.0))
     # but an atom at the center diverges for any nonzero kernel
     assert bar_k(constant_kernel(1.0), AtomicMeasure([[0.0]], [1.0]), [0.0], 1.0) == math.inf
+
+
+def bar_k_sweep(n, seed):
+    """Seeded balls over atoms on a coarse lattice, built to reach every edge of the per-ball sum.
+
+    Lattice atoms and centres give tied distances; centres include atoms of
+    positive and of zero weight, and one point 1e-6 from an atom; radii
+    include exact atom distances, radii past the cutoff and radii too small
+    to hold an atom.  One instance holds more ball-atom pairs than a chunk.
+    """
+    rng = np.random.default_rng([seed, n])
+    for trial in range(6):
+        m = int(rng.integers(1, 48))
+        pos = rng.integers(-8, 9, (m, n)) / 8.0
+        # inexact weights, so a change in the order of a sum shows in its value
+        w = np.where(rng.uniform(size=m) < 0.2, 0.0, rng.uniform(0.05, 2.0, m))
+        w[0] = 0.0  # a zero-weight atom, a centre below
+        sigma = AtomicMeasure(pos, w)
+        b = 300 if trial == 0 else 40
+        xs = np.concatenate([
+            pos[rng.integers(0, m, b // 4)],
+            rng.integers(-8, 9, (b // 4, n)) / 8.0,
+            rng.uniform(-1.2, 1.2, (b - 2 * (b // 4) - 2, n)),
+            pos[:1],
+            pos[1:2] + 1e-6 if m > 1 else pos[:1],
+        ])
+        rs = np.where(rng.uniform(size=b) < 0.5, rng.uniform(0.01, 2.5, b),
+                      rng.choice([1e-3, 0.75, 0.9, 3.0], b))
+        # exact atom distances: the same norm bar_k takes of positions - x
+        hit = rng.uniform(size=b) < 0.4
+        atom_d = np.linalg.norm(pos[rng.integers(0, m, b)] - xs, axis=1)
+        rs = np.where(hit & (atom_d > 0.0), atom_d, rs)
+        yield sigma, xs, rs
+    yield AtomicMeasure.empty(n), rng.uniform(-1.0, 1.0, (5, n)), np.full(5, 0.5)
+
+
+@pytest.mark.filterwarnings("ignore:The algorithm does not converge")
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", ["riesz_cutoff", "constant", "log"])
+def test_batched_bar_k_equals_the_per_ball_sum_exactly(name, n, monkeypatch):
+    kernel = {
+        "riesz_cutoff": riesz_kernel(0.5, n, cutoff=0.75),
+        "constant": constant_kernel(1.0),
+        "log": log_kernel(1.5, math.e ** 1.5, n),
+    }[name]
+    fallbacks = []
+    quad = kernels.quad
+    monkeypatch.setattr(kernels, "quad", lambda *a, **k: fallbacks.append(a) or quad(*a, **k))
+    n_inf = n_zero = 0
+    for sigma, xs, rs in bar_k_sweep(n, seed=20261018):
+        got = bar_k(kernel, sigma, xs, rs)
+        want = [bar_k_per_ball(kernel, sigma, x, r) for x, r in zip(xs, rs)]
+        assert np.array_equal(got, want)
+        n_inf += int(np.count_nonzero(np.isinf(got)))
+        n_zero += int(np.count_nonzero(got == 0.0))
+        # the single-centre profile, read as m_k_maximal and wolff_continuous read it
+        for x in xs[:8]:
+            old = radial_profile_of_one(sigma, x)
+            new = sigma.radial_profile(x)
+            radii = np.concatenate([old[0], rs])
+            assert np.array_equal(np.unique(new[0]), old[0])
+            assert np.array_equal(profile_mass(new, radii), profile_mass(old, radii))
+    assert n_inf > 0 and n_zero > 0  # atoms at centres and massless balls were reached
+    if name == "log":
+        assert fallbacks  # some segments fell back to quad
+
+
+def test_bar_k_rejects_a_nonpositive_radius_anywhere_in_the_batch():
+    k = riesz_kernel(0.5, 1)
+    sigma = AtomicMeasure([[0.0], [0.5]], [1.0, 1.0])
+    for bad in (0.0, -0.25):
+        with pytest.raises(WolffpotError) as per_ball:
+            bar_k_per_ball(k, sigma, [0.1], bad)
+        with pytest.raises(WolffpotError) as batched:
+            bar_k(k, sigma, [[0.1], [0.2], [0.3]], [0.5, bad, 0.25])
+        assert str(batched.value) == str(per_ball.value)
+        with pytest.raises(WolffpotError, match=str(per_ball.value)):
+            bar_k(k, sigma, [0.1], bad)
 
 
 def test_dlbo_riesz_lebesgue_is_one():

@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 from wolffpot import (
     AtomicMeasure,
     BarField,
-    BarFieldNaive,
     DegenerateInputError,
     DyadicKernelMap,
     DyadicScene,
@@ -40,6 +39,8 @@ from wolffpot.cli import main as cli_main
 from wolffpot.kernels import per_mass
 from wolffpot.measures import lebesgue_grid
 from wolffpot.verify import summation_by_parts_min_slack
+
+from oracles import BarFieldNaive
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 REL = 1e-12

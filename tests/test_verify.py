@@ -1,4 +1,7 @@
 import math
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +13,14 @@ from wolffpot import (
     DyadicScene,
     Exponents,
     LatticeWindow,
+    bar_k,
     constant_kernel,
     lebesgue_grid,
     riesz_kernel,
 )
 from wolffpot import verify
 from wolffpot.potentials import lambda_substitution
+from wolffpot.scenario import load_scenario
 from wolffpot.verify import (
     _shifted_dyadic_potential,
     check_a_chain,
@@ -34,6 +39,7 @@ from wolffpot.verify import (
 )
 
 BETA, CEX = 1.5, math.e ** 1.5
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 K1 = DyadicKernelMap.from_radial(constant_kernel(1.0))
 
 
@@ -378,6 +384,55 @@ def test_bar_lemmas_ratios():
     with pytest.raises(DegenerateInputError):
         check_bar_lemmas(radial_scene(riesz_kernel(0.5, 1), AtomicMeasure([[50.0]], [1.0]),
                                       empty, w), [([0.0], 0.25)])
+
+
+def test_batched_bar_k_over_the_dilation_cubes_peaks_below_1_5_mib():
+    # the 511 support cubes check_kernel_dilation hands to one bar_k call on
+    # riesz_lebesgue; a larger chunk than BALL_BLOCK would raise the peak
+    scene = load_scenario(SCENARIOS / "riesz_lebesgue.json").scene
+    index = scene.index
+    support = np.flatnonzero((scene.mu_mass > 0.0) & (scene.sigma_mass > 0.0))
+    sides = np.ldexp(1.0, -index.level[support])
+    centers = np.asarray(index.window.shift) + (index.indices(support) + 0.5) * sides[:, None]
+    assert support.size == 511
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        vals = bar_k(scene.kernel.radial, scene.sigma, centers, sides)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(np.isinf(vals)) == 256  # a grid atom at every fine-cube centre
+    assert peak < 1.5 * 2 ** 20
+
+
+def _riesz_lebesgue():
+    scn = load_scenario(SCENARIOS / "riesz_lebesgue.json")
+    rng = np.random.default_rng(11)
+    samples = [(rng.uniform(0.25, 0.75, 1), float(2.0 ** rng.uniform(-5, -2))) for _ in range(8)]
+    return scn.scene, scn.exponents, samples + [([0.5 + 0.5 / 256], 0.125)]
+
+
+def _two_d_with_atoms_at_cube_centres():
+    # grid atoms sit at the centre of every fine cube; one more atom at the
+    # centre of the root cube and a zero-weight one at a level-1 centre
+    w = LatticeWindow.from_box([(0.0, 1.0)] * 2, 0, 4)
+    g = lebesgue_grid([(0.0, 1.0)] * 2, 4)
+    sigma = AtomicMeasure(np.vstack([g.positions, [[0.5, 0.5], [0.25, 0.75]]]),
+                          np.append(g.weights, [0.01, 0.0]))
+    mu = AtomicMeasure([[0.3, 0.6], [0.5, 0.5], [0.8, 0.1], [0.25, 0.75]], [1.0, 0.5, 2.0, 0.7])
+    samples = [([0.5, 0.5], 0.25), ([0.25, 0.75], 0.5), ([0.03125, 0.03125], 0.125),
+               ([0.3, 0.6], 0.2), ([0.71, 0.42], 0.0625)]
+    return radial_scene(riesz_kernel(0.5, 2, cutoff=1.0), sigma, mu, w), Exponents(p=2.0, q=1.5), samples
+
+
+@pytest.mark.parametrize("instance", [_riesz_lebesgue, _two_d_with_atoms_at_cube_centres])
+def test_dilation_and_bar_lemmas_raise_no_numpy_warning(instance):
+    scene, ex, samples = instance()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratios = check_kernel_dilation(scene, ex, 0.25) + check_bar_lemmas(scene, samples)
+    assert all(math.isfinite(v) and v > 0.0 for v in ratios)
 
 
 def test_truncation_sweep_flags():
