@@ -486,10 +486,10 @@ def _field_values(scn: Scenario, points, kind: str):
 
 def write_values_csv(path: Path, points, values) -> None:
     n = len(points[0])
+    # "{:.17g}" writes inf, -inf and nan as format_float does
+    row = ",".join(["{:.17g}"] * (n + 1))
     lines = [",".join([f"x{d}" for d in range(n)] + ["value"])]
-    for x, v in zip(points, values):
-        coords = ",".join(format_float(float(c)) for c in x)
-        lines.append(f"{coords},{format_float(float(v))}")
+    lines += [row.format(*r) for r in np.column_stack((points, values)).tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 

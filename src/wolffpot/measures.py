@@ -184,20 +184,16 @@ def cube_mass_table(
 ) -> np.ndarray:
     """Masses of the cubes of ``index``, indexed by cube id.
 
-    The measure's atoms are the index's points ``first, first + 1, ...``;
-    each cube sums its atoms' weights (``weights`` in place of the measure's
-    own, when given) in atom order.  Atoms outside the window's root region
-    belong to no window cube and add nothing.  Re-weighting the same
-    positions re-runs only this sum.
+    The measure's atoms are the index's points ``first, first + 1, ...``.
+    A fine-level cube sums its atoms' weights (``weights`` in place of the
+    measure's own, when given) in atom order, a coarser cube its children's
+    masses in id order.  Atoms outside the window's root region add nothing.
+    Re-weighting the same positions re-runs only these two passes.
     """
-    rows = index.rows[:, first:first + measure.n_atoms]
-    held = rows[0] >= 0
+    leaf = index.rows[-1, first:first + measure.n_atoms]
+    held = leaf >= 0
     w = (measure.weights if weights is None else np.asarray(weights, dtype=float))[held]
-    return np.bincount(
-        rows[:, held].ravel(),
-        np.broadcast_to(w, (rows.shape[0], w.size)).ravel(),
-        minlength=index.n,
-    ).astype(float, copy=False)
+    return index.subtree(np.bincount(leaf[held], w, minlength=index.n))
 
 
 def reverse_doubling_check(index: LevelIndex, mass, gamma: float):

@@ -21,9 +21,11 @@ The dyadic objects are computed on level arrays: every per-cube quantity is
 a float array over the cubes of one :class:`LevelIndex` holding the atoms,
 each chain sum is one coarse-to-fine pass per level (:meth:`LevelIndex.chain`)
 and each sum over subcubes one fine-to-coarse pass (:meth:`LevelIndex.subtree`).
-The index's rows hold the chains of the atoms, so only other points are looked
-up.  Sums run in the order of the loops they replace (atoms in order within a
-cube, coarse to fine along a chain), so the values do not depend on the layout.
+Per-atom work ends at the atom's fine-level cube, read from the index's rows;
+only other points are looked up, and ``Wbar`` swaps its two sums
+(:meth:`DyadicScene.wolff_bar`).  Sums have a fixed order (atoms in order in a
+fine-level cube, children in id order in a coarser one, coarse to fine along a
+chain), so the values do not depend on the layout.
 
 All dyadic integrals against atomic measures are exact weighted sums; the
 only quadrature anywhere is inside kernels whose log-primitive has no closed
@@ -137,9 +139,10 @@ class DyadicScene:
     def chain_values(self, values, x, ufunc=np.add):
         """Reduce per-cube values along the ancestor chain of each point of ``x``."""
         ids = self.chain_ids(x)
-        # the deepest held cube of each chain; -1 (a zero) for a point outside the window
-        deepest = ids[np.count_nonzero(ids >= 0, axis=0) - 1, np.arange(ids.shape[1])]
-        return _per_point(self.index.gather(self.index.chain(values, ufunc), deepest), x)
+        # the deepest held cube, -1 (a zero) outside the window; an atom's whole chain is held
+        held = len(ids) if isinstance(x, AtomicMeasure) else np.count_nonzero(ids >= 0, axis=0)
+        leaf = ids[held - 1, np.arange(ids.shape[1])]
+        return _per_point(self.index.gather(self.index.chain(values, ufunc), leaf), x)
 
     def t(self, masses, x):
         """``sum over the ancestor chain of x of K(Q) * masses(Q)``."""
@@ -185,14 +188,14 @@ class DyadicScene:
         return self.chain_values(weigh(self.bar.weight, self._inner_power(p_prime)), x)
 
     def wolff_bar(self, x, p_prime: float):
-        """As :meth:`wolff` but with ``bar_K(Q)(x)`` as the outer kernel factor."""
-        chains = self.chain_ids(x)
-        power = self.index.gather(self._inner_power(p_prime), chains)
-        prefix = np.cumsum(self.index.gather(self.bar.weight, chains), axis=0)
-        above = np.vstack([np.zeros((1, prefix.shape[1])), prefix[:-1]])
-        # sigma(Q) * bar_K(Q)(x) = P(leaf(x)) - P(parent(Q))
-        terms = weigh(prefix[-1] - above, power)
-        return _per_point(np.cumsum(terms, axis=0)[-1], x)
+        """As :meth:`wolff` but with ``bar_K(Q)(x)`` as the outer kernel factor.
+
+        ``sigma(Q) bar_K(Q)(x)`` sums ``D(Q') = K(Q') sigma(Q')`` over ``x in Q' subset Q``,
+        so, the sums swapped, ``Wbar(x) = sum_{Q' ni x} D(Q') A(Q')`` with ``A`` the
+        chain sum of ``I^{p'-1}``.  A term is zero if either factor is (``0 * inf = 0``).
+        """
+        d, a = self.bar.weight, self.index.chain(self._inner_power(p_prime))
+        return self.chain_values(weigh(d, np.where(d > 0.0, a, 0.0)), x)
 
     def maximal(self, x):
         return self.chain_values(per_mass(self.subtree(), self.sigma_mass), x, np.maximum)

@@ -1,14 +1,17 @@
 """Brute-force reference implementations that the tests compare the package against.
 
-Each oracle computes its quantity the direct way, one cube or one ball at a
-time, with none of the array machinery of the code under test.
+Most oracles compute their quantity the direct way, one cube or one ball at
+a time, with none of the array machinery of the code under test.  The two
+level-array oracles keep earlier array forms that sum in another order: cube
+masses from every level's ids at once, and ``Wbar`` from each point's gathered
+chain.
 """
 
 import numpy as np
 
 from wolffpot import AtomicMeasure, DyadicCube, DyadicKernelMap, LatticeWindow, RadialKernel
 from wolffpot.errors import WolffpotError
-from wolffpot.kernels import weighted_sum
+from wolffpot.kernels import weigh, weighted_sum
 
 
 class BarFieldNaive:
@@ -57,3 +60,31 @@ def bar_k_per_ball(kernel: RadialKernel, sigma: AtomicMeasure, x, r: float) -> f
     starts = dists[:np.searchsorted(dists, r)]  # the sorted distances below r
     seg = kernel.log_primitive(starts, np.concatenate((starts[1:], [r]))[:starts.size])
     return weighted_sum(cums[:starts.size], seg) / den
+
+
+def cube_mass_table_all_levels(measure: AtomicMeasure, index, first: int = 0, weights=None):
+    """Cube masses from one ``np.bincount`` over the atoms' ids at every level.
+
+    Every cube adds its own atoms' weights in atom order.
+    """
+    rows = index.rows[:, first:first + measure.n_atoms]
+    held = rows[0] >= 0
+    w = (measure.weights if weights is None else np.asarray(weights, dtype=float))[held]
+    return np.bincount(
+        rows[:, held].ravel(),
+        np.broadcast_to(w, (rows.shape[0], w.size)).ravel(),
+        minlength=index.n,
+    ).astype(float, copy=False)
+
+
+def wolff_bar_gathered(scene, x, p_prime: float) -> np.ndarray:
+    """``Wbar`` at each point from its gathered chain, one term per cube.
+
+    ``sigma(Q) bar_K(Q)(x) = P(leaf(x)) - P(parent Q)`` with ``P`` the chain
+    prefix of ``D = K sigma``; a term is zero where ``I(Q)^{p'-1}`` is.
+    """
+    chains = scene.chain_ids(x)
+    power = scene.index.gather(scene._inner_power(p_prime), chains)
+    prefix = np.cumsum(scene.index.gather(scene.bar.weight, chains), axis=0)
+    above = np.vstack([np.zeros((1, prefix.shape[1])), prefix[:-1]])
+    return np.cumsum(weigh(prefix[-1] - above, power), axis=0)[-1]

@@ -7,11 +7,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wolffpot
 from wolffpot import LatticeWindow, LevelIndex
-from wolffpot.cli import build_parser, dumps_canonical, format_float, main
+from wolffpot.cli import build_parser, dumps_canonical, format_float, main, write_values_csv
 from wolffpot.scenario import ScenarioError, load_scenario, read_kernel_table
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -124,6 +125,16 @@ def test_float_formatting():
     assert format_float(1.0 / 3.0) == f"{1.0/3.0:.17g}"
     assert dumps_canonical(math.inf) == '"inf"'
     assert dumps_canonical({"x": 0.5}) == '{\n  "x": 0.5\n}'
+
+
+def test_values_csv_matches_per_value_format_float(tmp_path):
+    specials = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.0 / 3.0, 2.0 ** 60, -1e-300]
+    points = np.array([[specials[i], specials[-1 - i]] for i in range(len(specials))])
+    values = np.array(specials[::-1])
+    write_values_csv(tmp_path / "values.csv", points, values)
+    want = ["x0,x1,value"] + [",".join(format_float(float(v)) for v in (*x, y))
+                              for x, y in zip(points, values)]
+    assert (tmp_path / "values.csv").read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 def test_potential_and_maximal_commands(tmp_path):

@@ -7,7 +7,9 @@ shifted, negative coarse levels, root regions that are no box) with atoms on dya
 atoms outside the window, under radial and table kernels.  Examples are
 derandomized, so the suite is deterministic.  The level index itself is
 checked against its construction by one ``np.unique`` per level, on seeded
-windows of 1 to 3 dimensions.
+windows of 1 to 3 dimensions, and the cube-mass tables and ``Wbar`` on the
+same windows against the all-levels mass table and the gathered-chain
+``Wbar`` they replace.
 """
 
 import json
@@ -36,11 +38,11 @@ from wolffpot import (
     riesz_kernel,
 )
 from wolffpot.cli import main as cli_main
-from wolffpot.kernels import per_mass
-from wolffpot.measures import lebesgue_grid
+from wolffpot.kernels import log_kernel, per_mass
+from wolffpot.measures import bernoulli_cascade, cube_mass_table, lebesgue_grid
 from wolffpot.verify import summation_by_parts_min_slack
 
-from oracles import BarFieldNaive
+from oracles import BarFieldNaive, cube_mass_table_all_levels, wolff_bar_gathered
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 REL = 1e-12
@@ -351,6 +353,99 @@ def test_level_index_build_peaks_below_two_and_a_half_rows():
         tracemalloc.stop()
     assert index.rows.shape == (13, 4 * 2 ** 12)
     assert peak <= 2.5 * index.rows.nbytes
+
+
+def mass_scenes(n, depth):
+    """Scenes on the windows of :func:`index_cases`, half the points each to
+    sigma and mu, under random or cascade weights with a fifth of them zero,
+    and query points in and around the window."""
+    rng = np.random.default_rng(1000 + 10 * n + depth)
+    for window, pts in index_cases(n, depth):
+        for kind in ("random", "cascade"):
+            if kind == "random":
+                w = 2.0 ** rng.uniform(-3, 3, len(pts))
+            else:
+                w = np.resize(bernoulli_cascade(0.6, 5).weights, len(pts))
+            w[rng.uniform(size=len(pts)) < 0.2] = 0.0
+            half = len(pts) // 2
+            sigma = AtomicMeasure(pts[:half], w[:half])
+            mu = AtomicMeasure(pts[half:], w[half:])
+            cell = 2.0 ** -window.fine_level
+            lo, hi = np.array(window.box).T
+            xs = np.vstack([rng.uniform(lo - cell, hi + cell, (10, n)), pts[:3]])
+            K = DyadicKernelMap.from_radial(riesz_kernel(0.5 * n, n))
+            yield DyadicScene(K, sigma, mu, window), xs, rng
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 3, 6])
+def test_leaf_masses_and_chain_wbar_match_all_level_oracles(n, depth):
+    for scene, xs, rng in mass_scenes(n, depth):
+        sigma, mu, index = scene.sigma, scene.mu, scene.index
+        np.testing.assert_allclose(scene.sigma_mass, cube_mass_table_all_levels(sigma, index),
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(scene.mu_mass, cube_mass_table_all_levels(
+            mu, index, sigma.n_atoms), rtol=1e-13, atol=0)
+        w = rng.uniform(0.0, 2.0, mu.n_atoms)
+        np.testing.assert_allclose(scene.reweighted(mu, w), cube_mass_table_all_levels(
+            mu, index, sigma.n_atoms, w), rtol=1e-13, atol=0)
+        for pp in (1.5, 2.0, 3.0):
+            for x in (sigma, mu, xs):
+                np.testing.assert_allclose(scene.wolff_bar(x, pp), wolff_bar_gathered(scene, x, pp),
+                                           rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lebesgue_grid_masses_equal_the_all_level_oracle(n):
+    box = [(-1.0, 1.0)] + [(0.0, 0.5)] * (n - 1)
+    grid = lebesgue_grid(box, 4 if n < 3 else 3)
+    index = LevelIndex(LatticeWindow.from_box(box, 1, 6), grid.positions)
+    assert np.array_equal(cube_mass_table(grid, index), cube_mass_table_all_levels(grid, index))
+
+
+def test_wolff_bar_with_infinite_k_above_a_sigma_free_cube():
+    # K = inf on the charged [0, 1), whose child [0.5, 1) holds mu atoms but no sigma
+    window = LatticeWindow.from_box([(0.0, 2.0)], 0, 2)
+    sigma = AtomicMeasure([[0.1], [0.3], [1.2], [1.7]], [1.0, 2.0, 1.0, 3.0])
+    mu = AtomicMeasure([[0.2], [0.6], [0.9], [1.3]], [1.0, 0.5, 2.0, 1.0])
+    table = {key: 1.0 + 0.25 * i for i, key in enumerate(window.keys())}
+    table[(0, (0,))] = math.inf
+    scene = DyadicScene(DyadicKernelMap.from_table(table), sigma, mu, window)
+    with np.errstate(invalid="ignore"):  # I(Q) below [0, 1) differences two infinite prefixes
+        scene.inner()
+    xs = np.array([[0.05], [0.2], [0.6], [0.8], [1.1], [1.3], [1.9]])
+    for x in (sigma, mu, xs):
+        got = scene.wolff_bar(x, 2.0)
+        with np.errstate(invalid="ignore"):  # the oracle's inf - inf
+            want = wolff_bar_gathered(scene, x, 2.0)
+        assert not np.isnan(got).any()
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], np.full((~finite).sum(), math.inf))
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0)
+        assert finite.any() and not finite.all()
+
+
+def test_scene_build_and_wbar_energy_queries_peak_below_fractions_of_rows():
+    # the depth-12 borderline instance of test_level_index_build_peaks_below_two_and_a_half_rows
+    window = LatticeWindow.from_box([(-1.0, 2.0)], 0, 12)
+    sigma = lebesgue_grid([(-1.0, 2.0)], 12)
+    mu = lebesgue_grid([(0.0, 1.0)], 12)
+    K = DyadicKernelMap.from_radial(log_kernel(1.5, 4.4816890703380645, 1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scene = DyadicScene(K, sigma, mu, window)
+        build = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        scene.wolff_bar(mu, 2.0)
+        energy_dyadic(scene, Exponents(p=2.0))
+        query = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    rows = scene.index.rows.nbytes
+    assert build <= 2.5 * rows
+    assert query <= 0.75 * rows
 
 
 def test_window_too_deep_for_int64_keys():
