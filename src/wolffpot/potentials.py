@@ -185,7 +185,9 @@ class DyadicScene:
         return np.power(np.maximum(self.inner(), 0.0), p_prime - 1.0)
 
     def wolff(self, x, p_prime: float):
-        return self.chain_values(weigh(self.bar.weight, self._inner_power(p_prime)), x)
+        """``W(x) = sum_{Q ni x} K(Q) sigma(Q) I(Q)^{p'-1}``, a term zero if either factor is."""
+        d = self.bar.weight
+        return self.chain_values(weigh(d, np.where(d > 0.0, self._inner_power(p_prime), 0.0)), x)
 
     def wolff_bar(self, x, p_prime: float):
         """As :meth:`wolff` but with ``bar_K(Q)(x)`` as the outer kernel factor.

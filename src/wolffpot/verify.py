@@ -75,64 +75,6 @@ class CheckReport:
         return out
 
 
-# -- random instances ---------------------------------------------------------
-
-
-@dataclass
-class Instance:
-    window: LatticeWindow
-    sigma: AtomicMeasure
-    mu: AtomicMeasure
-    K: DyadicKernelMap
-    descriptor: dict
-
-
-def random_instance(
-    seed,
-    n: int = 1,
-    depth: int = 6,
-    n_sigma: int = 50,
-    n_mu: int = 50,
-    kernel: str = "riesz",
-) -> Instance:
-    """Seeded random instance on the unit cube.
-
-    Atoms are uniform in ``[0,1)^n`` with log-uniform weights in
-    ``[2^-8, 2^8]``; the kernel is either a random Riesz profile or a random
-    per-cube table (log-uniform values, full window enumeration, so keep the
-    depth small for tables).
-    """
-    rng = np.random.default_rng(seed)
-    window = LatticeWindow.from_box([(0.0, 1.0)] * n, 0, depth)
-    sigma = AtomicMeasure(
-        rng.uniform(0.0, 1.0, (n_sigma, n)), 2.0 ** rng.uniform(-8, 8, n_sigma)
-    )
-    mu = AtomicMeasure(
-        rng.uniform(0.0, 1.0, (n_mu, n)), 2.0 ** rng.uniform(-8, 8, n_mu)
-    )
-    if kernel == "riesz":
-        from .kernels import riesz_kernel
-
-        alpha = float(rng.uniform(0.15 * n, 0.85 * n))
-        K = DyadicKernelMap.from_radial(riesz_kernel(alpha, n))
-        kdesc = {"type": "riesz", "alpha": alpha, "n": n}
-    elif kernel == "table":
-        table = {key: float(2.0 ** rng.uniform(-4, 4)) for key in window.keys()}
-        K = DyadicKernelMap.from_table(table)
-        kdesc = {"type": "table", "cubes": len(table)}
-    else:
-        raise WolffpotError(f"unknown kernel kind {kernel!r}")
-    descriptor = {
-        "seed": seed,
-        "n": n,
-        "depth": depth,
-        "n_sigma": n_sigma,
-        "n_mu": n_mu,
-        "kernel": kdesc,
-    }
-    return Instance(window, sigma, mu, K, descriptor)
-
-
 # -- identities and aggregate comparisons ---------------------------------------
 
 
@@ -370,7 +312,7 @@ def _shifted_dyadic_potential(kernel, mu, xs, zs, j: int, j0: int):
     nonnegative terms (a conservative truncation for an upper-bound check).
     The level-``l`` key of a point ``p`` is ``floor(fl(p - z) 2^l)``.
 
-    In 1-D the cubes of ``x`` are runs of the sorted atoms, found by
+    In 1-D the cubes of ``x`` are runs of the sorted atoms, found by at most
     ``levels + 1`` binary searches per shift (:func:`_ranges_1d`); in more
     dimensions they are found by common dyadic depth
     (:func:`_common_depth`).  Returns the values per shift and the number of
@@ -404,17 +346,18 @@ def _shifted_dyadic_potential(kernel, mu, xs, zs, j: int, j0: int):
 def _first_at_least(padded, z, thr):
     """Per shift, the first index of the sorted atoms with ``fl(p - z) >= thr``.
 
-    ``padded`` is the sorted atoms between ``-inf`` and ``+inf``.  As
-    ``fl(p - z)`` is monotone in ``p``, the atoms that pass form a suffix.  The
-    ``searchsorted`` guess from ``thr + z`` is checked against the atoms on
-    either side of it; where it is off, a bisection over the indices on the
-    wrong side finds the start.  The bisection does not step one atom at a
-    time, because many atoms can share one ``fl(p - z)`` (repeated atoms, or
-    atoms that a large ``|z|`` absorbs).
+    ``padded`` is a run of the sorted atoms between two bounds, which may be
+    ``-inf`` and ``+inf`` or the atoms just outside the run; every answer must
+    lie in the run, or at its end.  As ``fl(p - z)`` is monotone in ``p``, the
+    atoms that pass form a suffix.  The ``searchsorted`` guess from
+    ``thr + z`` is checked against the atoms on either side of it; where it is
+    off, a bisection over the indices on the wrong side finds the start.  The
+    bisection does not step one atom at a time, because many atoms can share
+    one ``fl(p - z)`` (repeated atoms, or atoms that a large ``|z|`` absorbs).
     """
     c = np.searchsorted(padded[1:-1], thr + z)
-    late = padded[c] - z >= thr  # the atom before the guess passes
-    early = padded[c + 1] - z < thr  # the atom at the guess fails
+    late = padded.take(c) - z >= thr  # the atom before the guess passes
+    early = padded[1:].take(c) - z < thr  # the atom at the guess fails
     bad = np.flatnonzero(late | early)
     if bad.size:
         zb, tb = z[bad], thr[bad]
@@ -437,36 +380,68 @@ def _ranges_1d(pos, w, x: float, zs, l_min: int, kvals):
     ``fl(p - z) >= k 2^-l`` (an exact scaling of ``floor(fl(p - z) 2^l) >= k``)
     to the first with ``fl(p - z)`` at the upper bound.  Where ``k + 1`` is not
     a float (``|k| >= 2^53``) the upper bound is ``nextafter(k, +inf) 2^-l``.
-    Each finer cube is one half of its parent, so it shares one bound with it
-    and a shift costs ``levels + 1`` searches.  The cube always holds ``x``,
-    whose insertion index ``ix`` lies in its run, so its mass is read from
-    cumulative sums running outward from ``ix``: a sum of the cube's own
-    weights, never a difference of large sums.
+    Each finer cube is one half of its parent, so it shares one bound with it,
+    and its other bound is searched for only among its parent's atoms.  The
+    cube always holds ``x``, whose insertion index ``ix`` lies in its run, so
+    its mass is read from cumulative sums running outward from ``ix``: a sum
+    of the cube's own weights, never a difference of large sums.
+
+    The shifts are swept in sorted order, so the search keys of one level
+    ascend between the jumps of ``k``; each value is stored at its shift's
+    draw index.  A shift whose run is empty (``lo == hi == ix``) leaves the
+    sweep: the finer cubes are empty too, and each of their terms would add
+    ``0`` to its value (unless a kernel value is infinite, when none leaves).
     """
     order = np.argsort(pos, kind="stable")
     p, w = pos[order], w[order]
     padded = np.concatenate(([-np.inf], p, [np.inf]))
     ix = int(np.searchsorted(p, x))
-    left = np.concatenate(([0.0], np.cumsum(w[:ix][::-1])))
-    right = np.concatenate(([0.0], np.cumsum(w[ix:])))
-    z = zs[:, 0]
+    # mass[i]: the weights between i and ix, summed outward from ix, for i on either side
+    mass = np.concatenate((np.cumsum(w[:ix][::-1])[::-1], [0.0], np.cumsum(w[ix:])))
+    # live: the draw indices of the shifts still swept, by z (equal shifts have
+    # equal values, so their order is free); sums: their values
+    live = np.argsort(zs[:, 0])
+    z = zs[live, 0]
     dx = x - z
     out = np.zeros(z.size)
+    sums = np.zeros(z.size)
+    reach = float(np.max(np.abs(dx), initial=0.0))
+    # an infinite kernel value times an empty cube's 0 is nan, which dropping would hide
+    drop = bool(np.all(np.isfinite(kvals)))
     lo = hi = parent_lower = None
     for i in range(kvals.size):
         level = l_min + i
         k = np.floor(dx * 2.0 ** level)
         lower = k * 2.0 ** -level
-        upper = np.maximum(k + 1.0, np.nextafter(k, np.inf)) * 2.0 ** -level
-        if lo is None:
-            lo, hi = _first_at_least(padded, z, lower), _first_at_least(padded, z, upper)
+        # the upper bound is (k + gap) 2^-level; |k| <= reach 2^level + 1, so
+        # below 2^52 the next float above k is k + 1
+        if reach * 2.0 ** level < 2.0 ** 52:
+            gap = 1.0
         else:
-            # the cube keeps its parent's lower bound, or else its upper one
+            gap = np.maximum(k + 1.0, np.nextafter(k, np.inf)) - k
+        if lo is None:
+            lo = _first_at_least(padded, z, lower)
+            hi = _first_at_least(padded, z, (k + gap) * 2.0 ** -level)
+        else:
+            # the cube keeps its parent's lower bound, and gets a new upper one,
+            # or else the reverse; the new bound lies in its parent's run
             kept = lower == parent_lower
-            new = _first_at_least(padded, z, np.where(kept, upper, lower))
-            lo, hi = np.where(kept, lo, new), np.where(kept, new, hi)
+            thr = (k + kept * gap) * 2.0 ** -level
+            a, b = int(lo.min()), int(hi.max())
+            new = a + _first_at_least(padded[a : b + 2], z, thr)
+            # lo <= new <= hi: new replaces lo where not kept, and hi where kept
+            lo = np.maximum(lo, new * ~kept)
+            hi = hi - (hi - new) * kept
         parent_lower = lower
-        out += kvals[i] * (left[ix - lo] + right[hi - ix])
+        sums += kvals[i] * (mass[lo] + mass[hi])
+        if drop and (empty := lo == hi).any():
+            out[live[empty]] = sums[empty]
+            full = ~empty
+            live, sums, z, dx = live[full], sums[full], z[full], dx[full]
+            lo, hi, parent_lower = lo[full], hi[full], parent_lower[full]
+        if not live.size:
+            break
+    out[live] = sums
     return out
 
 

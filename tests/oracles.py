@@ -4,12 +4,23 @@ Most oracles compute their quantity the direct way, one cube or one ball at
 a time, with none of the array machinery of the code under test.  The two
 level-array oracles keep earlier array forms that sum in another order: cube
 masses from every level's ids at once, and ``Wbar`` from each point's gathered
-chain.
+chain.  The 1-D shifted-lattice oracle is the earlier form of the range
+sampler, which sweeps every shift in draw order and searches all the atoms at
+each level.  ``random_instance`` builds the seeded instances of the tests.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from wolffpot import AtomicMeasure, DyadicCube, DyadicKernelMap, LatticeWindow, RadialKernel
+from wolffpot import (
+    AtomicMeasure,
+    DyadicCube,
+    DyadicKernelMap,
+    LatticeWindow,
+    RadialKernel,
+    riesz_kernel,
+)
 from wolffpot.errors import WolffpotError
 from wolffpot.kernels import weigh, weighted_sum
 
@@ -88,3 +99,125 @@ def wolff_bar_gathered(scene, x, p_prime: float) -> np.ndarray:
     prefix = np.cumsum(scene.index.gather(scene.bar.weight, chains), axis=0)
     above = np.vstack([np.zeros((1, prefix.shape[1])), prefix[:-1]])
     return np.cumsum(weigh(prefix[-1] - above, power), axis=0)[-1]
+
+
+def first_at_least(padded, z, thr):
+    """Per shift, the first index of the sorted atoms with ``fl(p - z) >= thr``.
+
+    ``padded`` is the sorted atoms between ``-inf`` and ``+inf``.  As
+    ``fl(p - z)`` is monotone in ``p``, the atoms that pass form a suffix.  The
+    ``searchsorted`` guess from ``thr + z`` is checked against the atoms on
+    either side of it; where it is off, a bisection over the indices on the
+    wrong side finds the start.  The bisection does not step one atom at a
+    time, because many atoms can share one ``fl(p - z)`` (repeated atoms, or
+    atoms that a large ``|z|`` absorbs).
+    """
+    c = np.searchsorted(padded[1:-1], thr + z)
+    late = padded[c] - z >= thr  # the atom before the guess passes
+    early = padded[c + 1] - z < thr  # the atom at the guess fails
+    bad = np.flatnonzero(late | early)
+    if bad.size:
+        zb, tb = z[bad], thr[bad]
+        lo = np.where(early[bad], c[bad] + 1, 0)
+        hi = np.where(early[bad], padded.size - 2, c[bad] - 1)
+        while np.any(open_ := lo < hi):
+            mid = (lo + hi) // 2
+            up = padded[mid + 1] - zb >= tb
+            hi = np.where(open_ & up, mid, hi)
+            lo = np.where(open_ & ~up, mid + 1, lo)
+        c[bad] = lo
+    return c
+
+
+def ranges_1d(pos, w, x: float, zs, l_min: int, kvals):
+    """1-D ``T`` per shift from the runs of sorted atoms in ``x``'s cubes.
+
+    ``fl(p - z)`` is monotone in ``p``, so the atoms of ``x``'s level-``l``
+    cube ``[k 2^-l, (k + 1) 2^-l)`` are the sorted atoms from the first with
+    ``fl(p - z) >= k 2^-l`` (an exact scaling of ``floor(fl(p - z) 2^l) >= k``)
+    to the first with ``fl(p - z)`` at the upper bound.  Where ``k + 1`` is not
+    a float (``|k| >= 2^53``) the upper bound is ``nextafter(k, +inf) 2^-l``.
+    Each finer cube is one half of its parent, so it shares one bound with it
+    and a shift costs ``levels + 1`` searches.  The cube always holds ``x``,
+    whose insertion index ``ix`` lies in its run, so its mass is read from
+    cumulative sums running outward from ``ix``: a sum of the cube's own
+    weights, never a difference of large sums.
+    """
+    order = np.argsort(pos, kind="stable")
+    p, w = pos[order], w[order]
+    padded = np.concatenate(([-np.inf], p, [np.inf]))
+    ix = int(np.searchsorted(p, x))
+    left = np.concatenate(([0.0], np.cumsum(w[:ix][::-1])))
+    right = np.concatenate(([0.0], np.cumsum(w[ix:])))
+    z = zs[:, 0]
+    dx = x - z
+    out = np.zeros(z.size)
+    lo = hi = parent_lower = None
+    for i in range(kvals.size):
+        level = l_min + i
+        k = np.floor(dx * 2.0 ** level)
+        lower = k * 2.0 ** -level
+        upper = np.maximum(k + 1.0, np.nextafter(k, np.inf)) * 2.0 ** -level
+        if lo is None:
+            lo, hi = first_at_least(padded, z, lower), first_at_least(padded, z, upper)
+        else:
+            # the cube keeps its parent's lower bound, or else its upper one
+            kept = lower == parent_lower
+            new = first_at_least(padded, z, np.where(kept, upper, lower))
+            lo, hi = np.where(kept, lo, new), np.where(kept, new, hi)
+        parent_lower = lower
+        out += kvals[i] * (left[ix - lo] + right[hi - ix])
+    return out
+
+
+@dataclass
+class Instance:
+    window: LatticeWindow
+    sigma: AtomicMeasure
+    mu: AtomicMeasure
+    K: DyadicKernelMap
+    descriptor: dict
+
+
+def random_instance(
+    seed,
+    n: int = 1,
+    depth: int = 6,
+    n_sigma: int = 50,
+    n_mu: int = 50,
+    kernel: str = "riesz",
+) -> Instance:
+    """Seeded random instance on the unit cube.
+
+    Atoms are uniform in ``[0,1)^n`` with log-uniform weights in
+    ``[2^-8, 2^8]``; the kernel is either a random Riesz profile or a random
+    per-cube table (log-uniform values, full window enumeration, so keep the
+    depth small for tables).
+    """
+    rng = np.random.default_rng(seed)
+    window = LatticeWindow.from_box([(0.0, 1.0)] * n, 0, depth)
+    sigma = AtomicMeasure(
+        rng.uniform(0.0, 1.0, (n_sigma, n)), 2.0 ** rng.uniform(-8, 8, n_sigma)
+    )
+    mu = AtomicMeasure(
+        rng.uniform(0.0, 1.0, (n_mu, n)), 2.0 ** rng.uniform(-8, 8, n_mu)
+    )
+    if kernel == "riesz":
+        alpha = float(rng.uniform(0.15 * n, 0.85 * n))
+        K = DyadicKernelMap.from_radial(riesz_kernel(alpha, n))
+        kdesc = {"type": "riesz", "alpha": alpha, "n": n}
+    elif kernel == "table":
+        table = {key: float(2.0 ** rng.uniform(-4, 4)) for key in window.keys()}
+        K = DyadicKernelMap.from_table(table)
+        kdesc = {"type": "table", "cubes": len(table)}
+    else:
+        raise WolffpotError(f"unknown kernel kind {kernel!r}")
+    descriptor = {
+        "seed": seed,
+        "n": n,
+        "depth": depth,
+        "n_sigma": n_sigma,
+        "n_mu": n_mu,
+        "kernel": kdesc,
+    }
+    return Instance(window, sigma, mu, K, descriptor)

@@ -49,13 +49,12 @@ from wolffpot.verify import (
     check_fubini,
     check_energy_wolff_ratio,
     counterexample_series,
-    random_instance,
     shifted_average_check,
     summation_by_parts_min_slack,
     trace_constant_q1,
 )
 
-from oracles import BarFieldNaive
+from oracles import BarFieldNaive, random_instance
 
 BASE_SEED = 20260810
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

@@ -15,6 +15,7 @@ same windows against the all-levels mass table and the gathered-chain
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -421,6 +422,33 @@ def test_wolff_bar_with_infinite_k_above_a_sigma_free_cube():
         assert not np.isnan(got).any()
         finite = np.isfinite(want)
         assert np.array_equal(got[~finite], np.full((~finite).sum(), math.inf))
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0)
+        assert finite.any() and not finite.all()
+
+
+def test_wolff_with_zero_k_above_an_infinite_k():
+    # K = 0 on the charged [0, 1), and K = inf on its subcube [0, 0.25), so I([0, 1)) = inf
+    window = LatticeWindow.from_box([(0.0, 2.0)], 0, 2)
+    sigma = AtomicMeasure([[0.1], [0.3], [1.2], [1.7]], np.ones(4))
+    mu = AtomicMeasure([[0.2], [0.6], [0.9], [1.3]], np.ones(4))
+    table = {key: 1.0 for key in window.keys()}
+    table[(0, (0,))] = 0.0
+    table[(2, (0,))] = math.inf
+    K = DyadicKernelMap.from_table(table)
+    scene = DyadicScene(K, sigma, mu, window)
+    _, inner = inner_oracle(K, sigma, mu, window)
+    xs = np.array([[0.05], [0.2], [0.6], [0.8], [1.1], [1.3], [1.9]])
+    for x in (sigma, mu, xs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = scene.wolff(x, 2.0)
+        points = x.positions if isinstance(x, AtomicMeasure) else x
+        # the chain sum with plain products, where 0 * inf = nan
+        with np.errstate(invalid="ignore"):
+            want = np.array([sum(K(c) * sigma.cube_mass(c) * inner[c.key] for c in chain(window, p))
+                             for p in points])
+        assert not np.isnan(got).any()
+        finite = np.isfinite(want)
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0)
         assert finite.any() and not finite.all()
 

@@ -13,6 +13,7 @@ from wolffpot import (
     DyadicScene,
     Exponents,
     LatticeWindow,
+    RadialKernel,
     bar_k,
     constant_kernel,
     lebesgue_grid,
@@ -30,13 +31,14 @@ from wolffpot.verify import (
     check_kernel_dilation,
     check_energy_wolff_ratio,
     counterexample_series,
-    random_instance,
     shifted_average_check,
     summation_by_parts_min_slack,
     trace_constant_q1,
     trace_test_upper_triangle,
     truncation_sweep,
 )
+
+from oracles import random_instance, ranges_1d
 
 BETA, CEX = 1.5, math.e ** 1.5
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -353,6 +355,61 @@ def test_1d_ranges_match_common_depth(label, kernel, mu, x, zs, j, j0):
     want, want_levels = _shifted_dyadic_potential(kernel, lifted, lift(x)[0], lift(zs[:, 0]), j, j0)
     assert levels == want_levels
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def _1d_sweep_cases():
+    for label, kernel, mu, x, zs, j, j0 in _sampler_cases():
+        if len(x) == 1:
+            yield label, kernel, mu, x, zs, j, j0
+    # the shifted_average draws of riesz_lebesgue (j = 0, j0 = 2, R = 4) at seeds 0 to 9
+    scn = load_scenario(SCENARIOS / "riesz_lebesgue.json")
+    for seed in range(10):
+        xs = np.random.default_rng([seed, 1]).uniform(0.0, 1.0, (5, 1))
+        zs = np.random.default_rng(seed).uniform(-4.0, 4.0, (10000, 1))
+        for x in xs:
+            yield f"riesz_lebesgue seed {seed}", scn.kernel.radial, scn.mu, x, zs, 0, 2
+            yield f"riesz_lebesgue seed {seed} reversed", scn.kernel.radial, scn.mu, x, zs[::-1], 0, 2
+    zs = np.random.default_rng(10).uniform(-4.0, 4.0, (300, 1))
+    yield "one shift", scn.kernel.radial, scn.mu, [0.3], zs[:1], 0, 2
+    yield "equal shifts", scn.kernel.radial, scn.mu, [0.3], np.full((300, 1), 0.71), 0, 2
+    yield "x beyond the hull", scn.kernel.radial, scn.mu, [100.0], zs, 0, 2
+    # infinite on level 10 alone (radius 2^-12); x = 0.2995 is 6.7e-4 from an
+    # atom, so x's level-9 cube is empty for some shifts: their level-10 term
+    # is inf * 0 = nan, so no shift may leave the sweep early
+    spike = RadialKernel(lambda r: np.where(r == 2.0 ** -12, np.inf, 1.0 / np.sqrt(r)), None, cutoff=1.0)
+    zs = np.random.default_rng(11).uniform(-4.0, 4.0, (2000, 1))
+    yield "infinite kernel values", spike, scn.mu, [0.2995], zs, 0, 2
+
+
+def test_1d_sweep_equals_the_draw_order_oracle(monkeypatch):
+    # sorted shifts, bracketed searches and dropped empty shifts change no bit
+    for label, kernel, mu, x, zs, j, j0 in _1d_sweep_cases():
+        with np.errstate(invalid="ignore"):  # inf * 0 under the infinite kernel
+            got, levels = _shifted_dyadic_potential(kernel, mu, x, zs, j, j0)
+            with monkeypatch.context() as m:
+                m.setattr(verify, "_ranges_1d", ranges_1d)
+                want, want_levels = _shifted_dyadic_potential(kernel, mu, x, zs, j, j0)
+        assert levels == want_levels, label
+        assert np.array_equal(got, want, equal_nan=True), label
+        if label == "infinite kernel values":
+            assert np.isnan(got).any() and np.isinf(got).any()
+
+
+def test_1d_sweep_stops_once_every_cube_is_empty(monkeypatch):
+    # x = 100 is 99 from the grid on [0, 1), so for every shift x's cube at the
+    # first level (-2, side 4) is empty
+    scn = load_scenario(SCENARIOS / "riesz_lebesgue.json")
+    zs = np.random.default_rng(3).uniform(-4.0, 4.0, (500, 1))
+    needles, search = [], verify._first_at_least
+
+    def counted(padded, z, thr):
+        needles.append(z.size)
+        return search(padded, z, thr)
+
+    monkeypatch.setattr(verify, "_first_at_least", counted)
+    vals, levels = _shifted_dyadic_potential(scn.kernel.radial, scn.mu, [100.0], zs, 0, 2)
+    assert levels == 2 and not vals.any()
+    assert needles == [500, 500]  # both edges of the first level, then no search
 
 
 def test_kernel_dilation_ratios():
