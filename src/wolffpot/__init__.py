@@ -17,7 +17,7 @@ from .errors import (
     ScenarioError,
     WolffpotError,
 )
-from .lattice import DyadicCube, LatticeWindow, LevelIndex
+from .lattice import LatticeWindow, LevelIndex
 from .measures import (
     AtomicMeasure,
     bernoulli_cascade,

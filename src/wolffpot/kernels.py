@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidKernelError, WolffpotError
-from .lattice import DyadicCube, Key, LatticeWindow, LevelIndex
+from .errors import DegenerateInputError, InvalidKernelError, LevelRangeError, WolffpotError
+from .lattice import Key, LatticeWindow, LevelIndex
 from .measures import AtomicMeasure, cube_mass_table
 
 #: points per decade used by the construction-time monotonicity scan
@@ -310,8 +310,8 @@ class DyadicKernelMap:
             norm[(level, tuple(idx))] = float(v)
         return cls(table=norm)
 
-    def __call__(self, cube_or_key) -> float:
-        level, idx = cube_or_key.key if isinstance(cube_or_key, DyadicCube) else cube_or_key
+    def __call__(self, key: Key) -> float:
+        level, idx = key
         if self.radial is not None:
             return self.radial(2.0 ** (-level))
         return self.table.get((level, tuple(idx)), 0.0)
@@ -385,18 +385,28 @@ class BarField:
         """``P`` at cube ids of the index; zero for id ``-1`` (above the window)."""
         return self.index.gather(self._prefix, ids)
 
-    def bar(self, cube: DyadicCube, x) -> float:
-        """``bar_K(Q)(x)``; zero when ``x`` is outside ``Q`` or ``sigma(Q) = 0``."""
-        if not cube.contains(x):
-            return 0.0
-        m = float(self.index.gather(self.mass, self.index.lookup([cube.key]))[0])
-        if m <= 0.0:
-            return 0.0
-        # Sum the chain segment of x from the cube's level down: numerically
-        # this equals P(leaf) - P(parent(Q)) but avoids the cancellation of
-        # differencing two large prefixes.
-        chain = self.index.locate(x)[cube.level - self.window.coarse_level:, 0]
-        return float(np.cumsum(self.weight[chain[chain >= 0]])[-1]) / m
+    def bar(self, xs, levels) -> np.ndarray:
+        """``bar_K(Q)(x)`` for each point ``x`` (one per row) and the cube ``Q`` of
+        its level (one per point, or one for all) that holds it.
+
+        Zero for a point outside the window and where ``sigma(Q) = 0``.  Each
+        value sums the chain segment of ``x`` from ``Q`` down, in order:
+        numerically this equals ``P(leaf) - P(parent(Q))`` but avoids the
+        cancellation of differencing two large prefixes.
+        """
+        ids = self.index.locate(xs)
+        window = self.window
+        levels = np.asarray(levels, dtype=np.int64)
+        if np.any((levels < window.coarse_level) | (levels > window.fine_level)):
+            raise LevelRangeError(
+                f"levels must lie in [{window.coarse_level}, {window.fine_level}]"
+            )
+        rows = levels - window.coarse_level
+        # the cubes above Q (and those the index does not hold) add exact zeros
+        below = np.arange(len(ids))[:, None] >= rows
+        segment = np.cumsum(np.where(below, self.index.gather(self.weight, ids), 0.0), axis=0)
+        mass = self.index.gather(self.mass, ids[rows, np.arange(ids.shape[1])])
+        return per_mass(segment[-1], mass)
 
 
 def bar_k(kernel: RadialKernel, sigma: AtomicMeasure, xs, rs):

@@ -8,84 +8,21 @@ tested for membership, which keeps containment and ancestry exact.
 
 Every dyadic sum of the package runs on a :class:`LevelIndex`: the cubes that
 hold a fixed point set, one int64 key per cube and level, with the points'
-ancestor chains as integer arrays.  :class:`DyadicCube` and ``(level, index)``
-keys remain the single-cube surface for tests, oracles and kernel tables.
+ancestor chains as integer arrays.  ``(level, index)`` keys enter only at the
+input boundary, where a kernel table or a ``lambda`` list becomes a per-cube
+array through :meth:`LevelIndex.lookup`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    LevelRangeError,
-    OutOfWindowError,
-    GridAlignmentError,
-)
+from .errors import DimensionMismatchError, GridAlignmentError, LevelRangeError
 
 Key = tuple[int, tuple[int, ...]]  # (level, index), shift implied by the window
-
-
-@dataclass(frozen=True)
-class DyadicCube:
-    """Half-open dyadic cube ``z + prod_i [k_i 2^-level, (k_i+1) 2^-level)``."""
-
-    level: int
-    index: tuple[int, ...]
-    shift: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.index) != len(self.shift):
-            raise DimensionMismatchError(
-                f"index has dimension {len(self.index)}, shift {len(self.shift)}"
-            )
-
-    @property
-    def dimension(self) -> int:
-        return len(self.index)
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** (-self.level)
-
-    @property
-    def key(self) -> Key:
-        return (self.level, self.index)
-
-    def lower(self) -> tuple[float, ...]:
-        s = self.side
-        return tuple(z + k * s for z, k in zip(self.shift, self.index))
-
-    def upper(self) -> tuple[float, ...]:
-        s = self.side
-        return tuple(z + (k + 1) * s for z, k in zip(self.shift, self.index))
-
-    def center(self) -> tuple[float, ...]:
-        s = self.side
-        return tuple(z + (k + 0.5) * s for z, k in zip(self.shift, self.index))
-
-    def contains(self, point) -> bool:
-        # Same floor arithmetic as cube_at, so membership and lookup agree
-        # bit for bit on the half-open boundaries.
-        scale = 2.0 ** self.level
-        return all(
-            math.floor((x - z) * scale) == k
-            for x, z, k in zip(point, self.shift, self.index)
-        )
-
-    def parent(self) -> "DyadicCube":
-        return DyadicCube(self.level - 1, tuple(k >> 1 for k in self.index), self.shift)
-
-    def children(self) -> list["DyadicCube"]:
-        base = tuple(2 * k for k in self.index)
-        return [
-            DyadicCube(self.level + 1, tuple(b + o for b, o in zip(base, off)), self.shift)
-            for off in product((0, 1), repeat=self.dimension)
-        ]
 
 
 @dataclass(frozen=True)
@@ -177,31 +114,17 @@ class LatticeWindow:
         per_root = sum(2 ** (self.dimension * d) for d in range(self.depth + 1))
         return math.prod(self.ext) * per_root
 
-    def cube(self, level: int, index: tuple[int, ...]) -> DyadicCube:
-        return DyadicCube(level, tuple(index), self.shift)
-
     def contains(self, points) -> np.ndarray:
         """Root-region membership of each point (a single point or one per row)."""
         return self._leaf(points)[1]
-
-    def cube_at(self, point, level: int) -> DyadicCube:
-        """Unique cube of the given level containing the point."""
-        if not (self.coarse_level <= level <= self.fine_level):
-            raise LevelRangeError(
-                f"level {level} outside [{self.coarse_level}, {self.fine_level}]"
-            )
-        if not self.contains(point)[0]:
-            raise OutOfWindowError(f"point {tuple(point)} outside root region")
-        scale = 2.0 ** level
-        return self.cube(level, tuple(math.floor((x - z) * scale) for x, z in zip(point, self.shift)))
 
     def chain_keys(self, points) -> np.ndarray:
         """Int64 keys of the cubes on each point's ancestor chain.
 
         Returns a ``(depth + 1, n_points)`` array, coarse level first; the
         column of a point outside the window is ``-1``.  The fine-level index
-        is ``floor((x - z) 2^fine_level)``, the float expression of
-        :meth:`cube_at`, and each coarser one is a right shift of it.
+        is ``floor((x - z) 2^fine_level)`` and each coarser one is a right
+        shift of it, so a cube holds exactly the points whose chain passes it.
         """
         leaf, inside = self._leaf(points)
         out = np.empty((self.depth + 1, len(inside)), dtype=np.int64)
@@ -237,34 +160,6 @@ class LatticeWindow:
         ok = np.all((f >= lo) & (f < lo + (self._ext << self.depth)), axis=1)
         leaf = np.where(ok[:, None], f, lo).astype(np.int64)
         return leaf, ok
-
-    # -- enumeration ----------------------------------------------------------
-
-    def level_keys(self, level: int) -> list[Key]:
-        if not (self.coarse_level <= level <= self.fine_level):
-            raise LevelRangeError(f"level {level} outside window")
-        d = level - self.coarse_level
-        # the product of the box's ranges runs in key order
-        return [(level, idx) for idx in product(*(range(l << d, (l + e) << d)
-                                                  for l, e in zip(self.lo, self.ext)))]
-
-    def keys(self):
-        for level in range(self.coarse_level, self.fine_level + 1):
-            yield from self.level_keys(level)
-
-    def cubes(self):
-        """Deterministic enumeration, coarse to fine and lexicographic per level."""
-        for level, idx in self.keys():
-            yield self.cube(level, idx)
-
-    def descendant_keys(self, key: Key):
-        """All window keys of cubes contained in ``key`` (including itself)."""
-        level, idx = key
-        for lvl in range(level, self.fine_level + 1):
-            d = lvl - level
-            base = tuple(k << d for k in idx)
-            for off in product(range(2 ** d), repeat=self.dimension):
-                yield (lvl, tuple(b + o for b, o in zip(base, off)))
 
 
 class LevelIndex:
@@ -362,12 +257,6 @@ class LevelIndex:
         out = np.zeros(self.n)
         out[ids[ids >= 0]] = np.fromiter(table.values(), float, len(table))[ids >= 0]
         return out
-
-    def keys(self, ids=None) -> list[Key]:
-        """``(level, index)`` keys of the cubes ``ids`` (default: every cube, by id)."""
-        ids = np.arange(self.n) if ids is None else np.asarray(ids, dtype=np.int64)
-        idx = self.indices(ids)
-        return [(int(l), tuple(row)) for l, row in zip(self.level[ids].tolist(), idx.tolist())]
 
     def indices(self, ids) -> np.ndarray:
         """Lattice indices ``(len(ids), n)`` of the cubes ``ids``, the second part of their keys."""

@@ -16,13 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    GridAlignmentError,
-    WolffpotError,
-)
-from .lattice import DyadicCube, LevelIndex
+from .errors import DegenerateInputError, GridAlignmentError, WolffpotError
+from .lattice import LevelIndex
 
 
 class AtomicMeasure:
@@ -66,23 +61,7 @@ class AtomicMeasure:
     def scaled(self, c: float) -> "AtomicMeasure":
         return AtomicMeasure(self.positions, c * self.weights)
 
-    def translated(self, t) -> "AtomicMeasure":
-        return AtomicMeasure(self.positions + np.asarray(t, dtype=float), self.weights)
-
     # -- masses ---------------------------------------------------------------
-
-    def cube_mass(self, cube: DyadicCube) -> float:
-        """Total weight of atoms inside the half-open cube (exact)."""
-        if cube.dimension != self.dimension:
-            raise DimensionMismatchError(
-                f"cube dimension {cube.dimension} != measure dimension {self.dimension}"
-            )
-        if self.n_atoms == 0:
-            return 0.0
-        scale = 2.0 ** cube.level
-        shifted = (self.positions - np.asarray(cube.shift)) * scale
-        inside = np.all(np.floor(shifted) == np.asarray(cube.index), axis=1)
-        return float(np.sum(self.weights[inside]))
 
     def ball_mass(self, center, radius: float) -> float:
         """Total weight of atoms in the closed Euclidean ball ``B(center, radius)``."""

@@ -563,7 +563,7 @@ def check_kernel_dilation(scene: DyadicScene, exps: Exponents, c: float) -> tupl
     index, sig, mut = scene.index, scene.sigma_mass, scene.mu_mass
     window = index.window
     support = np.flatnonzero((mut > 0.0) & (sig > 0.0))
-    # each cube's centre and side, as DyadicCube.center and .side compute them
+    # each cube's side 2^-level and its centre z + (k + 1/2) side, per coordinate
     sides = np.ldexp(1.0, -index.level[support])
     centers = np.asarray(window.shift) + (index.indices(support) + 0.5) * sides[:, None]
     bar_vals = bar_k(kernel, sigma, centers, sides)
@@ -612,24 +612,21 @@ def check_bar_lemmas(scene: DyadicScene, samples) -> tuple[float, float, float]:
         ratio = max(a / b, b / a)
         return ratio if cur is None or ratio > cur else cur
 
-    live, cubes = [], []
-    for x, r in samples:
-        mass = sigma.ball_mass(x, r)
-        if mass <= 0.0:
-            continue
-        live.append((x, r, mass))
-        level = round(-math.log2(r))
-        if window.coarse_level <= level <= window.fine_level and window.contains(x)[0]:
-            cubes.append((x, window.cube_at(x, level)))
+    live = [(x, r, mass) for x, r in samples if (mass := sigma.ball_mass(x, r)) > 0.0]
+    xs = np.array([x for x, _, _ in live], dtype=float).reshape(len(live), sigma.dimension)
+    rs = np.array([r for _, r, _ in live], dtype=float)
+    levels = np.array([round(-math.log2(r)) for r in rs.tolist()], dtype=np.int64)
+    # the samples with a cube: a scale inside the window's levels, a centre inside it
+    held = ((levels >= window.coarse_level) & (levels <= window.fine_level)
+            & window.contains(xs))
     # one bar_k call: every ball at r, then at 2r, then at its cube's side
-    bks = bar_k(kernel, sigma, [x for x, _, _ in live] * 2 + [x for x, _ in cubes],
-                [r for _, r, _ in live] + [2.0 * r for _, r, _ in live]
-                + [cube.side for _, cube in cubes]).tolist()
+    bks = bar_k(kernel, sigma, np.concatenate([xs, xs, xs[held]]),
+                np.concatenate([rs, 2.0 * rs, np.ldexp(1.0, -levels[held])])).tolist()
     for (x, r, mass), bk, bk2 in zip(live, bks, bks[len(live):]):
         reform = two_sided(t_continuous_trunc(kernel, sigma, r, x) / mass, bk, reform)
         doubling = two_sided(bk, bk2, doubling)
-    for (x, cube), bk_side in zip(cubes, bks[2 * len(live):]):
-        relation = two_sided(bf.bar(cube, x), bk_side, relation)
+    for bar, bk_side in zip(bf.bar(xs[held], levels[held]).tolist(), bks[2 * len(live):]):
+        relation = two_sided(bar, bk_side, relation)
     if reform is None and relation is None and doubling is None:
         raise DegenerateInputError("all samples degenerate")
     return (

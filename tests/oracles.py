@@ -1,28 +1,192 @@
 """Brute-force reference implementations that the tests compare the package against.
 
 Most oracles compute their quantity the direct way, one cube or one ball at
-a time, with none of the array machinery of the code under test.  The two
-level-array oracles keep earlier array forms that sum in another order: cube
-masses from every level's ids at once, and ``Wbar`` from each point's gathered
-chain.  The 1-D shifted-lattice oracle is the earlier form of the range
-sampler, which sweeps every shift in draw order and searches all the atoms at
-each level.  ``random_instance`` builds the seeded instances of the tests.
+a time, with none of the array machinery of the code under test.  The
+single-cube surface they share lives here too: :class:`DyadicCube`, the
+window enumerations (``window_keys``, ``window_cubes``, ``level_keys``,
+``descendant_keys``), ``cube_at``, ``index_keys``, ``cube_mass`` and
+``translated``; the package itself keeps one representation of the dyadic
+tree, the id arrays of a :class:`LevelIndex`.  ``bar_per_cube`` is the
+earlier one-cube form of :meth:`BarField.bar`.  The two level-array oracles
+keep earlier array forms that sum in another order: cube masses from every
+level's ids at once, and ``Wbar`` from each point's gathered chain.  The 1-D
+shifted-lattice oracle is the earlier form of the range sampler, which sweeps
+every shift in draw order and searches all the atoms at each level.
+``random_instance`` builds the seeded instances of the tests.
 """
 
+import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from wolffpot import (
     AtomicMeasure,
-    DyadicCube,
     DyadicKernelMap,
     LatticeWindow,
+    LevelIndex,
     RadialKernel,
     riesz_kernel,
 )
-from wolffpot.errors import WolffpotError
-from wolffpot.kernels import weigh, weighted_sum
+from wolffpot.errors import (
+    DimensionMismatchError,
+    LevelRangeError,
+    OutOfWindowError,
+    WolffpotError,
+)
+from wolffpot.kernels import BarField, weigh, weighted_sum
+from wolffpot.lattice import Key
+
+
+# -- the single-cube surface ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DyadicCube:
+    """Half-open dyadic cube ``z + prod_i [k_i 2^-level, (k_i+1) 2^-level)``."""
+
+    level: int
+    index: tuple[int, ...]
+    shift: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.index) != len(self.shift):
+            raise DimensionMismatchError(
+                f"index has dimension {len(self.index)}, shift {len(self.shift)}"
+            )
+
+    @property
+    def dimension(self) -> int:
+        return len(self.index)
+
+    @property
+    def side(self) -> float:
+        return 2.0 ** (-self.level)
+
+    @property
+    def key(self) -> Key:
+        return (self.level, self.index)
+
+    def lower(self) -> tuple[float, ...]:
+        s = self.side
+        return tuple(z + k * s for z, k in zip(self.shift, self.index))
+
+    def upper(self) -> tuple[float, ...]:
+        s = self.side
+        return tuple(z + (k + 1) * s for z, k in zip(self.shift, self.index))
+
+    def center(self) -> tuple[float, ...]:
+        s = self.side
+        return tuple(z + (k + 0.5) * s for z, k in zip(self.shift, self.index))
+
+    def contains(self, point) -> bool:
+        # Same floor arithmetic as cube_at, so membership and lookup agree
+        # bit for bit on the half-open boundaries.
+        scale = 2.0 ** self.level
+        return all(
+            math.floor((x - z) * scale) == k
+            for x, z, k in zip(point, self.shift, self.index)
+        )
+
+    def parent(self) -> "DyadicCube":
+        return DyadicCube(self.level - 1, tuple(k >> 1 for k in self.index), self.shift)
+
+    def children(self) -> list["DyadicCube"]:
+        base = tuple(2 * k for k in self.index)
+        return [
+            DyadicCube(self.level + 1, tuple(b + o for b, o in zip(base, off)), self.shift)
+            for off in product((0, 1), repeat=self.dimension)
+        ]
+
+
+def window_cube(window: LatticeWindow, level: int, index: tuple[int, ...]) -> DyadicCube:
+    return DyadicCube(level, tuple(index), window.shift)
+
+
+def cube_at(window: LatticeWindow, point, level: int) -> DyadicCube:
+    """Unique cube of the given level containing the point."""
+    if not (window.coarse_level <= level <= window.fine_level):
+        raise LevelRangeError(
+            f"level {level} outside [{window.coarse_level}, {window.fine_level}]"
+        )
+    if not window.contains(point)[0]:
+        raise OutOfWindowError(f"point {tuple(point)} outside root region")
+    scale = 2.0 ** level
+    return window_cube(window, level,
+                       tuple(math.floor((x - z) * scale) for x, z in zip(point, window.shift)))
+
+
+def level_keys(window: LatticeWindow, level: int) -> list[Key]:
+    if not (window.coarse_level <= level <= window.fine_level):
+        raise LevelRangeError(f"level {level} outside window")
+    d = level - window.coarse_level
+    # the product of the box's ranges runs in key order
+    return [(level, idx) for idx in product(*(range(l << d, (l + e) << d)
+                                              for l, e in zip(window.lo, window.ext)))]
+
+
+def window_keys(window: LatticeWindow):
+    for level in range(window.coarse_level, window.fine_level + 1):
+        yield from level_keys(window, level)
+
+
+def window_cubes(window: LatticeWindow):
+    """Deterministic enumeration, coarse to fine and lexicographic per level."""
+    for level, idx in window_keys(window):
+        yield window_cube(window, level, idx)
+
+
+def descendant_keys(window: LatticeWindow, key: Key):
+    """All window keys of cubes contained in ``key`` (including itself)."""
+    level, idx = key
+    for lvl in range(level, window.fine_level + 1):
+        d = lvl - level
+        base = tuple(k << d for k in idx)
+        for off in product(range(2 ** d), repeat=window.dimension):
+            yield (lvl, tuple(b + o for b, o in zip(base, off)))
+
+
+def index_keys(index: LevelIndex, ids=None) -> list[Key]:
+    """``(level, index)`` keys of the cubes ``ids`` (default: every cube, by id)."""
+    ids = np.arange(index.n) if ids is None else np.asarray(ids, dtype=np.int64)
+    idx = index.indices(ids)
+    return [(int(l), tuple(row)) for l, row in zip(index.level[ids].tolist(), idx.tolist())]
+
+
+def translated(measure: AtomicMeasure, t) -> AtomicMeasure:
+    return AtomicMeasure(measure.positions + np.asarray(t, dtype=float), measure.weights)
+
+
+def cube_mass(measure: AtomicMeasure, cube: DyadicCube) -> float:
+    """Total weight of atoms inside the half-open cube (exact)."""
+    if cube.dimension != measure.dimension:
+        raise DimensionMismatchError(
+            f"cube dimension {cube.dimension} != measure dimension {measure.dimension}"
+        )
+    if measure.n_atoms == 0:
+        return 0.0
+    scale = 2.0 ** cube.level
+    shifted = (measure.positions - np.asarray(cube.shift)) * scale
+    inside = np.all(np.floor(shifted) == np.asarray(cube.index), axis=1)
+    return float(np.sum(measure.weights[inside]))
+
+
+# -- bar-kernels -----------------------------------------------------------------------
+
+
+def bar_per_cube(bf: BarField, cube: DyadicCube, x) -> float:
+    """``bar_K(Q)(x)`` of one cube; zero when ``x`` is outside ``Q`` or ``sigma(Q) = 0``."""
+    if not cube.contains(x):
+        return 0.0
+    m = float(bf.index.gather(bf.mass, bf.index.lookup([cube.key]))[0])
+    if m <= 0.0:
+        return 0.0
+    # Sum the chain segment of x from the cube's level down: numerically
+    # this equals P(leaf) - P(parent(Q)) but avoids the cancellation of
+    # differencing two large prefixes.
+    chain = bf.index.locate(x)[cube.level - bf.window.coarse_level:, 0]
+    return float(np.cumsum(bf.weight[chain[chain >= 0]])[-1]) / m
 
 
 class BarFieldNaive:
@@ -34,14 +198,14 @@ class BarFieldNaive:
         self.window = window
 
     def bar(self, cube: DyadicCube, x) -> float:
-        m = self.sigma.cube_mass(cube)
+        m = cube_mass(self.sigma, cube)
         if m <= 0.0 or not cube.contains(x):
             return 0.0
         total = 0.0
-        for key in self.window.descendant_keys(cube.key):
-            sub = self.window.cube(*key)
+        for key in descendant_keys(self.window, cube.key):
+            sub = window_cube(self.window, *key)
             # 0 * inf = 0: a massless subcube adds nothing, whatever K says
-            if sub.contains(x) and (sub_mass := self.sigma.cube_mass(sub)) > 0.0:
+            if sub.contains(x) and (sub_mass := cube_mass(self.sigma, sub)) > 0.0:
                 total += self.K(key) * sub_mass
         return total / m
 
@@ -207,7 +371,7 @@ def random_instance(
         K = DyadicKernelMap.from_radial(riesz_kernel(alpha, n))
         kdesc = {"type": "riesz", "alpha": alpha, "n": n}
     elif kernel == "table":
-        table = {key: float(2.0 ** rng.uniform(-4, 4)) for key in window.keys()}
+        table = {key: float(2.0 ** rng.uniform(-4, 4)) for key in window_keys(window)}
         K = DyadicKernelMap.from_table(table)
         kdesc = {"type": "table", "cubes": len(table)}
     else:

@@ -10,6 +10,7 @@ from wolffpot import (
     InvalidKernelError,
     LatticeWindow,
     LevelIndex,
+    LevelRangeError,
     bar_k,
     bernoulli_cascade,
     constant_kernel,
@@ -24,7 +25,17 @@ from wolffpot import kernels
 from wolffpot.errors import WolffpotError
 from wolffpot.measures import profile_mass
 
-from oracles import BarFieldNaive, bar_k_per_ball, radial_profile_of_one
+from oracles import (
+    BarFieldNaive,
+    bar_k_per_ball,
+    bar_per_cube,
+    cube_at,
+    cube_mass,
+    index_keys,
+    radial_profile_of_one,
+    window_cube,
+    window_keys,
+)
 
 
 def test_riesz_values():
@@ -92,19 +103,22 @@ def test_bar_root_matches_geometric_series():
     bf = BarField(DyadicKernelMap.from_radial(riesz_kernel(0.5, 1)), grid, w)
     expect = (1 - 2.0 ** (-(D + 1) / 2)) / (1 - 2.0 ** -0.5)
     for x in (0.01, 0.37, 0.99):
-        assert bf.bar(w.cube(0, (0,)), [x]) == pytest.approx(expect, rel=1e-13)
+        assert bf.bar([[x]], [0])[0] == pytest.approx(expect, rel=1e-13)
 
 
 def test_bar_chain_example():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 2)
     sigma = AtomicMeasure([[0.1]], [1.0])
-    bf = BarField(DyadicKernelMap.from_radial(constant_kernel(1.0)), sigma, w)
+    K = DyadicKernelMap.from_radial(constant_kernel(1.0))
+    bf = BarField(K, sigma, w)
     # chain through x=0.3 meets mass only in [0,1) and [0,0.5)
-    assert bf.bar(w.cube(0, (0,)), [0.3]) == 2.0
+    assert bf.bar([[0.3]], [0])[0] == 2.0
     # zero-mass cube gives zero by convention
-    assert bf.bar(w.cube(1, (1,)), [0.7]) == 0.0
-    # x outside Q gives zero
-    assert bf.bar(w.cube(1, (0,)), [0.7]) == 0.0
+    assert bf.bar([[0.7]], [1])[0] == 0.0
+    # x outside Q gives zero (the array query only asks for cubes that hold x)
+    assert BarFieldNaive(K, sigma, w).bar(window_cube(w, 1, (0,)), [0.7]) == 0.0
+    # a point outside the window gives zero
+    assert bf.bar([[1.3], [-0.2]], [0, 2]).tolist() == [0.0, 0.0]
 
 
 def test_bar_field_matches_naive_exactly():
@@ -114,16 +128,17 @@ def test_bar_field_matches_naive_exactly():
         depth = 4
         w = LatticeWindow.from_box([(0.0, 1.0)] * n, 0, depth)
         sigma = AtomicMeasure(rng.uniform(0, 1, (25, n)), 2.0 ** rng.uniform(-4, 4, 25))
-        table = {key: float(2.0 ** rng.uniform(-4, 4)) for key in w.keys()}
+        table = {key: float(2.0 ** rng.uniform(-4, 4)) for key in window_keys(w)}
         K = DyadicKernelMap.from_table(table)
         fast = BarField(K, sigma, w)
         naive = BarFieldNaive(K, sigma, w)
         pts = rng.uniform(0, 1, (5, n))
-        for key in list(w.keys())[:: max(1, w.n_cubes // 13)]:
-            cube = w.cube(*key)
-            for x in pts:
-                a, b = fast.bar(cube, x), naive.bar(cube, x)
-                assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
+        # every sample point at every window level, in one call
+        levels = range(w.coarse_level, w.fine_level + 1)
+        got = fast.bar(np.repeat(pts, len(levels), axis=0), np.tile(levels, len(pts)))
+        for a, (x, level) in zip(got, ((x, level) for x in pts for level in levels)):
+            b = naive.bar(cube_at(w, x, level), x)
+            assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
 
 def test_bar_prefix_chain_identity():
@@ -134,13 +149,63 @@ def test_bar_prefix_chain_identity():
     x = [0.613]
     held = bf.index.locate(x)
     p_leaf = bf.prefix(held[held >= 0][-1:])[0]  # P at the deepest held cube of x's chain
-    for cube in (w.cube_at(x, lvl) for lvl in range(w.coarse_level, w.fine_level + 1)):
-        m = sigma.cube_mass(cube)
+    for cube in (cube_at(w, x, lvl) for lvl in range(w.coarse_level, w.fine_level + 1)):
+        m = cube_mass(sigma, cube)
         if m <= 0:
             continue
         parent = [cube.parent().key] if cube.level > w.coarse_level else []
         above = bf.prefix(bf.index.lookup(parent)).sum()
-        assert bf.bar(cube, x) * m == pytest.approx(p_leaf - above, rel=1e-12)
+        assert bf.bar([x], [cube.level])[0] * m == pytest.approx(p_leaf - above, rel=1e-12)
+
+
+def _bar_cases():
+    """Bar fields and query points: 1-D and 2-D windows, coarse levels below 0,
+    radial and table kernels (some ``K = inf``), zero weights, indexes that
+    hold sigma alone or sigma and other points (as a scene's index does), and
+    query points inside, outside and on the cube edges of the window, then the
+    atoms themselves."""
+    rng = np.random.default_rng(29)
+    for n, coarse, depth, shift in ((1, 0, 6, 0.0), (1, -2, 5, 0.3125),
+                                    (2, 0, 4, 0.0), (2, -1, 3, -0.137)):
+        side, cell = 2.0 ** -coarse, 2.0 ** -(coarse + depth)
+        window = LatticeWindow.from_box([(shift, shift + side)] * n, coarse, coarse + depth,
+                                        shift=[shift] * n)
+        weights = 2.0 ** rng.uniform(-4, 4, 30)
+        weights[rng.uniform(size=30) < 0.2] = 0.0
+        sigma = AtomicMeasure(shift + side * rng.uniform(0, 1, (30, n)), weights)
+        edges = shift + cell * rng.integers(-2, round(side / cell) + 3, (10, n))
+        others = np.vstack([shift + side * rng.uniform(-0.25, 1.25, (20, n)), edges])
+        table = {key: float(2.0 ** rng.uniform(-4, 4)) for key in window_keys(window)}
+        for key in list(table)[3::7]:
+            table[key] = math.inf
+        for K in (DyadicKernelMap.from_radial(riesz_kernel(0.5 * n, n)),
+                  DyadicKernelMap.from_table(table)):
+            for index in (None, LevelIndex(window, np.vstack([sigma.positions, others]))):
+                yield BarField(K, sigma, window, index), np.vstack([others, sigma.positions])
+
+
+def test_bar_query_equals_the_per_cube_oracle_exactly():
+    rng = np.random.default_rng(30)
+    n_inf = n_outside = n_positive = 0
+    for bf, pts in _bar_cases():
+        w = bf.window
+        levels = np.arange(w.coarse_level, w.fine_level + 1)
+        # every point at every level, in a random order: mixed levels in one call
+        order = rng.permutation(len(pts) * len(levels))
+        xs = np.repeat(pts, len(levels), axis=0)[order]
+        lv = np.tile(levels, len(pts))[order]
+        got = bf.bar(xs, lv)
+        want = np.array([bar_per_cube(bf, cube_at(w, x, level), x) if w.contains(x)[0] else 0.0
+                         for x, level in zip(xs, lv)])
+        assert np.array_equal(got, want, equal_nan=True)
+        n_inf += np.isinf(want).sum()
+        n_outside += (~w.contains(xs)).sum()
+        n_positive += (np.isfinite(want) & (want > 0.0)).sum()
+        # an empty batch, and a level the window does not have
+        assert bf.bar(np.empty((0, w.dimension)), []).shape == (0,)
+        with pytest.raises(LevelRangeError):
+            bf.bar(pts[:1], [w.fine_level + 1])
+    assert min(n_inf, n_outside, n_positive) > 0
 
 
 def test_bar_k_closed_form_refinement():
@@ -298,10 +363,10 @@ def test_lbo_skips_degenerate():
 def test_map_with_radial_attribute_but_own_fn_is_evaluated_per_cube():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 2)
     index = LevelIndex(w, np.array([[0.1], [0.6], [0.9]]))
-    K = DyadicKernelMap.from_table({key: float(key[1][0]) for key in w.keys()})
-    assert K.on_cubes(index).tolist() == [float(key[1][0]) for key in index.keys()]
+    K = DyadicKernelMap.from_table({key: float(key[1][0]) for key in window_keys(w)})
+    assert K.on_cubes(index).tolist() == [float(key[1][0]) for key in index_keys(index)]
     radial = DyadicKernelMap.from_radial(riesz_kernel(0.5, 1))
-    assert radial.on_cubes(index).tolist() == [radial(key) for key in index.keys()]
+    assert radial.on_cubes(index).tolist() == [radial(key) for key in index_keys(index)]
 
 
 # -- array log-primitives -----------------------------------------------------------

@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import wolffpot
 from wolffpot import (
+    AtomicMeasure,
     DimensionMismatchError,
     GridAlignmentError,
     LatticeWindow,
@@ -12,6 +14,8 @@ from wolffpot import (
     OutOfWindowError,
 )
 
+from oracles import cube_at, index_keys, level_keys, window_cube, window_cubes, window_keys
+
 
 @pytest.fixture
 def unit_window():
@@ -19,21 +23,21 @@ def unit_window():
 
 
 def test_cube_at_basic(unit_window):
-    q = unit_window.cube_at([0.3], 2)
+    q = cube_at(unit_window, [0.3], 2)
     assert q.level == 2 and q.index == (1,)
     assert q.lower() == (0.25,) and q.upper() == (0.5,)
 
 
 def test_cube_at_boundary_is_half_open(unit_window):
     # the left endpoint belongs to the cube, the right one does not
-    assert unit_window.cube_at([0.25], 2).index == (1,)
-    assert unit_window.cube_at([0.4999999], 2).index == (1,)
-    assert unit_window.cube_at([0.5], 2).index == (2,)
+    assert cube_at(unit_window, [0.25], 2).index == (1,)
+    assert cube_at(unit_window, [0.4999999], 2).index == (1,)
+    assert cube_at(unit_window, [0.5], 2).index == (2,)
 
 
 def test_cube_at_shifted_lattice():
     w = LatticeWindow.from_box([(0.1, 1.1)], 0, 2, shift=[0.1])
-    q = w.cube_at([0.3], 2)
+    q = cube_at(w, [0.3], 2)
     assert q.index == (0,)
     assert q.lower() == (0.1,)
     assert q.upper() == (0.35,)
@@ -41,24 +45,24 @@ def test_cube_at_shifted_lattice():
 
 def test_cube_at_errors(unit_window):
     with pytest.raises(OutOfWindowError):
-        unit_window.cube_at([1.5], 1)
+        cube_at(unit_window, [1.5], 1)
     with pytest.raises(LevelRangeError):
-        unit_window.cube_at([0.3], 3)
+        cube_at(unit_window, [0.3], 3)
     with pytest.raises(LevelRangeError):
-        unit_window.cube_at([0.3], -1)
+        cube_at(unit_window, [0.3], -1)
 
 
 def test_enumeration_counts():
-    assert len(list(LatticeWindow.from_box([(0.0, 1.0)], 0, 1).cubes())) == 3
-    assert len(list(LatticeWindow.from_box([(0.0, 1.0)], 0, 2).cubes())) == 7
+    assert len(list(window_cubes(LatticeWindow.from_box([(0.0, 1.0)], 0, 1)))) == 3
+    assert len(list(window_cubes(LatticeWindow.from_box([(0.0, 1.0)], 0, 2)))) == 7
     sq = LatticeWindow.from_box([(0.0, 1.0), (0.0, 1.0)], 0, 1)
-    assert len(list(sq.cubes())) == 5
+    assert len(list(window_cubes(sq))) == 5
     assert sq.n_cubes == 5
 
 
 def test_enumeration_order():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 1)
-    got = [(c.lower()[0], c.upper()[0]) for c in w.cubes()]
+    got = [(c.lower()[0], c.upper()[0]) for c in window_cubes(w)]
     assert got == [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0)]
 
 
@@ -68,34 +72,34 @@ def test_partition_property():
     rng = np.random.default_rng(0)
     pts = np.column_stack([rng.uniform(-1, 1, 64), rng.uniform(0, 1, 64)])
     for level in range(0, 4):
-        keys = set(w.level_keys(level))
+        keys = set(level_keys(w, level))
         for x in pts:
-            hits = [k for k in keys if w.cube(*k).contains(x)]
+            hits = [k for k in keys if window_cube(w, *k).contains(x)]
             assert len(hits) == 1
-            assert hits[0] == w.cube_at(x, level).key
+            assert hits[0] == cube_at(w, x, level).key
 
 
 def test_contains_iff_cube_at(unit_window):
     rng = np.random.default_rng(1)
     for x in rng.uniform(0, 1, 32):
         for level in range(3):
-            q = unit_window.cube_at([x], level)
+            q = cube_at(unit_window, [x], level)
             assert q.contains([x])
-            for other in unit_window.level_keys(level):
+            for other in level_keys(unit_window, level):
                 if other != q.key:
-                    assert not unit_window.cube(*other).contains([x])
+                    assert not window_cube(unit_window, *other).contains([x])
 
 
 def test_negative_levels_give_big_cubes():
     w = LatticeWindow.from_box([(0.0, 4.0)], -2, 0)
-    root = w.cube_at([3.7], -2)
+    root = cube_at(w, [3.7], -2)
     assert root.side == 4.0
     assert root.lower() == (0.0,) and root.upper() == (4.0,)
 
 
 def test_chain_is_nested(unit_window):
     w = unit_window
-    chain = [w.cube_at([0.3], lvl) for lvl in range(w.coarse_level, w.fine_level + 1)]
+    chain = [cube_at(w, [0.3], lvl) for lvl in range(w.coarse_level, w.fine_level + 1)]
     assert [c.level for c in chain] == [0, 1, 2]
     for parent, child in zip(chain, chain[1:]):
         assert parent.contains([0.3]) and child.contains([0.3])
@@ -106,7 +110,7 @@ def test_window_shift_roundtrip():
     shift = (0.137,)
     w = LatticeWindow.from_box([(0.137, 1.137)], 0, 3, shift=shift)
     x = [0.7]
-    q = w.cube_at(x, w.fine_level)
+    q = cube_at(w, x, w.fine_level)
     assert q.contains(x)
     assert q.shift == shift
 
@@ -142,8 +146,8 @@ def test_window_box_roundtrip(box, coarse, fine, shift):
 def test_table_values_match_per_key_lookup():
     w = LatticeWindow.from_box([(-2.137, 1.863), (0.0, 4.0)], -1, 1, shift=(-0.137, 0.0))
     index = LevelIndex(w, np.array([[-0.5, 0.3], [0.2, 3.9], [0.7, 1.1]]))
-    table = {key: 1.0 + i for i, key in enumerate(w.keys())}  # held and not held
-    table[index.keys([0])[0]] = np.inf
+    table = {key: 1.0 + i for i, key in enumerate(window_keys(w))}  # held and not held
+    table[index_keys(index, [0])[0]] = np.inf
     table[(1, (-1, 7))] = np.inf
     # (0, (-2, 4)) has the row-major key of the held (0, (-1, 0)); the bounds check tells them apart
     outside = [(-2, (0, 0)), (2, (0, 0)), (0, (2, 0)), (1, (-5, 0)), (1, (0, 8)), (0, (-2, 4))]
@@ -156,3 +160,18 @@ def test_table_values_match_per_key_lookup():
             want[i] = value
     assert np.array_equal(index.table_values(table), want)
     assert np.array_equal(index.table_values({}), np.zeros(index.n))
+
+
+def test_the_single_cube_surface_lives_in_the_tests_only():
+    # one representation of the dyadic tree in the package: LevelIndex ids
+    moved = {
+        wolffpot: ["DyadicCube"],
+        wolffpot.lattice: ["DyadicCube"],
+        LatticeWindow: ["cube", "cube_at", "level_keys", "keys", "cubes", "descendant_keys"],
+        LevelIndex: ["keys"],
+        AtomicMeasure: ["translated", "cube_mass"],
+    }
+    assert [name for name in wolffpot.__all__
+            if any(name in names for names in moved.values())] == []
+    assert [(owner.__name__, name) for owner, names in moved.items()
+            for name in names if hasattr(owner, name)] == []

@@ -1,10 +1,12 @@
 """Property tests: the level-array core against brute-force sums over window cubes.
 
-Every oracle here enumerates ``window.keys()`` and measures cubes with
-``AtomicMeasure.cube_mass`` and ``DyadicCube.contains``; bar-kernels come from
-:class:`BarFieldNaive`.  Instances are small random windows (1-D and 2-D,
-shifted, negative coarse levels, root regions that are no box) with atoms on dyadic edges, zero weights and
-atoms outside the window, under radial and table kernels.  Examples are
+Every oracle here enumerates the window with ``window_keys`` and measures
+cubes with ``cube_mass`` and ``DyadicCube.contains``, all from
+``tests/oracles.py`` (the package itself holds no cube objects); bar-kernels
+come from :class:`BarFieldNaive`.  Instances are small random windows (1-D
+and 2-D, shifted, negative coarse levels, root regions that are no box) with
+atoms on dyadic edges, zero weights and atoms outside the window, under
+radial and table kernels.  Examples are
 derandomized, so the suite is deterministic.  The level index itself is
 checked against its construction by one ``np.unique`` per level, on seeded
 windows of 1 to 3 dimensions, and the cube-mass tables and ``Wbar`` on the
@@ -43,7 +45,18 @@ from wolffpot.kernels import log_kernel, per_mass
 from wolffpot.measures import bernoulli_cascade, cube_mass_table, lebesgue_grid
 from wolffpot.verify import summation_by_parts_min_slack
 
-from oracles import BarFieldNaive, cube_mass_table_all_levels, wolff_bar_gathered
+from oracles import (
+    BarFieldNaive,
+    cube_at,
+    cube_mass,
+    cube_mass_table_all_levels,
+    descendant_keys,
+    index_keys,
+    window_cube,
+    window_cubes,
+    window_keys,
+    wolff_bar_gathered,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 REL = 1e-12
@@ -84,10 +97,10 @@ def instances(draw, table: bool):
     sigma = measure(draw(st.integers(1, 8)))
     mu = measure(draw(st.integers(1, 8)))
     if table:
-        values = {key: float(2.0 ** rng.uniform(-2, 2)) for key in window.keys()}
+        values = {key: float(2.0 ** rng.uniform(-2, 2)) for key in window_keys(window)}
         empty = [key for key in values
-                 if sigma.cube_mass(window.cube(*key)) == 0.0
-                 and mu.cube_mass(window.cube(*key)) == 0.0]
+                 if cube_mass(sigma, window_cube(window, *key)) == 0.0
+                 and cube_mass(mu, window_cube(window, *key)) == 0.0]
         if empty:  # the 0 * inf = 0 convention: no massless cube may spoil a sum
             values[empty[0]] = math.inf
         K = DyadicKernelMap.from_table(values)
@@ -97,7 +110,7 @@ def instances(draw, table: bool):
 
 
 def chain(window, x):
-    return [window.cube(*key) for key in window.keys() if window.cube(*key).contains(x)]
+    return [cube for cube in window_cubes(window) if cube.contains(x)]
 
 
 def close(got, want):
@@ -109,7 +122,7 @@ def close(got, want):
 def inner_oracle(K, sigma, mu, window):
     naive = BarFieldNaive(K, sigma, window)
     out = {}
-    for cube in window.cubes():
+    for cube in window_cubes(window):
         out[cube.key] = sum(w * naive.bar(cube, b)
                             for b, w in zip(mu.positions, mu.weights) if w > 0)
     return naive, out
@@ -132,18 +145,18 @@ def test_fields_match_brute_force(table, data):
     for i, x in enumerate(xs):
         t = w = wbar = m = 0.0
         for cube in chain(window, x):
-            s, mm = sigma.cube_mass(cube), mu.cube_mass(cube)
+            s, mm = cube_mass(sigma, cube), cube_mass(mu, cube)
             if mm > 0:
-                t += K(cube) * mm
+                t += K(cube.key) * mm
             if s <= 0:
                 continue
             if inner[cube.key] > 0:
-                w += K(cube) * s * inner[cube.key] ** (pp - 1)
+                w += K(cube.key) * s * inner[cube.key] ** (pp - 1)
                 wbar += s * naive.bar(cube, x) * inner[cube.key] ** (pp - 1)
-            below = sum(K(key) * sigma.cube_mass(sub) * mu.cube_mass(sub)
-                        for key in window.descendant_keys(cube.key)
-                        for sub in [window.cube(*key)]
-                        if sigma.cube_mass(sub) > 0 and mu.cube_mass(sub) > 0)
+            below = sum(K(key) * cube_mass(sigma, sub) * cube_mass(mu, sub)
+                        for key in descendant_keys(window, cube.key)
+                        for sub in [window_cube(window, *key)]
+                        if cube_mass(sigma, sub) > 0 and cube_mass(mu, sub) > 0)
             m = max(m, below / s)
         for name, want in (("t", t), ("wolff", w), ("wolff_bar", wbar), ("maximal", m)):
             assert close(got[name][i], want), (name, x, got[name][i], want)
@@ -157,8 +170,8 @@ def test_hl_maximal_matches_brute_force(data):
     window, sigma, mu, K, xs = data.draw(instances(False))
     scene = DyadicScene(K, sigma, mu, window)
     for x in xs[window.contains(xs)]:
-        ratios = [mu.cube_mass(c) / sigma.cube_mass(c)
-                  for c in chain(window, x) if sigma.cube_mass(c) > 0]
+        ratios = [cube_mass(mu, c) / cube_mass(sigma, c)
+                  for c in chain(window, x) if cube_mass(sigma, c) > 0]
         if not ratios:
             with pytest.raises(DegenerateInputError):
                 hl_maximal_dyadic(scene, x)
@@ -207,11 +220,11 @@ def test_own_atoms_read_from_rows_match_located_points(data, table, case):
 def test_a_functionals_match_brute_force(data, s):
     window, sigma, mu, K, _ = data.draw(instances(False))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    lam = {key: float(2.0 ** rng.uniform(-3, 3)) for key in window.keys()
+    lam = {key: float(2.0 ** rng.uniform(-3, 3)) for key in window_keys(window)
            if rng.uniform() < 0.6}
-    mass = {key: sigma.cube_mass(window.cube(*key)) for key in window.keys()}
+    mass = {key: cube_mass(sigma, window_cube(window, *key)) for key in window_keys(window)}
     weight = {key: lam.get(key, 0.0) if mass[key] > 0 else 0.0 for key in mass}
-    subtree = {key: sum(weight[k] for k in window.descendant_keys(key)) for key in mass}
+    subtree = {key: sum(weight[k] for k in descendant_keys(window, key)) for key in mass}
     a2 = sum(weight[k] * (subtree[k] / mass[k]) ** (s - 1) for k in mass if weight[k] > 0)
     a1 = a3 = 0.0
     for x, w in zip(sigma.positions, sigma.weights):
@@ -246,7 +259,7 @@ def test_dlbo_constant_with_infinite_k_on_a_charged_cube(inf_key, want):
     window = LatticeWindow.from_box([(0.0, 2.0)], 0, 2)
     pts = np.array([[0.1], [0.3], [0.6], [1.2], [1.7]])
     wts = np.array([1.0, 2.0, 0.5, 1.0, 3.0])
-    table = {key: 1.0 + 0.25 * i for i, key in enumerate(window.keys())}
+    table = {key: 1.0 + 0.25 * i for i, key in enumerate(window_keys(window))}
     table[inf_key] = math.inf
     K = DyadicKernelMap.from_table(table)
     assert dlbo_constant(BarField(K, AtomicMeasure(pts, wts), window)) == want
@@ -317,9 +330,9 @@ def test_level_index_matches_per_level_sort_oracle(n, depth):
         inside = pts[window.contains(pts)]
         keys = []
         for level in range(window.coarse_level, window.fine_level + 1):
-            held = {window.cube_at(x, level).key for x in inside}
+            held = {cube_at(window, x, level).key for x in inside}
             keys += sorted(held, key=lambda key: key_of(window, key))
-        assert index.keys() == keys
+        assert index_keys(index) == keys
         assert [key_of(window, key) for key in keys] == flat.tolist()
 
 
@@ -333,10 +346,10 @@ def test_chain_keys_are_shifted_fine_keys_with_minus_one_outside(n, depth):
             if not window.contains(x)[0]:
                 assert np.all(chains[:, i] == -1)
                 continue
-            fine = window.cube_at(x, window.fine_level).index
+            fine = cube_at(window, x, window.fine_level).index
             for j, level in enumerate(range(window.coarse_level, window.fine_level + 1)):
                 idx = tuple(k >> (depth - j) for k in fine)
-                assert window.cube_at(x, level).index == idx
+                assert cube_at(window, x, level).index == idx
                 assert chains[j, i] == key_of(window, (level, idx))
 
 
@@ -409,7 +422,7 @@ def test_wolff_bar_with_infinite_k_above_a_sigma_free_cube():
     window = LatticeWindow.from_box([(0.0, 2.0)], 0, 2)
     sigma = AtomicMeasure([[0.1], [0.3], [1.2], [1.7]], [1.0, 2.0, 1.0, 3.0])
     mu = AtomicMeasure([[0.2], [0.6], [0.9], [1.3]], [1.0, 0.5, 2.0, 1.0])
-    table = {key: 1.0 + 0.25 * i for i, key in enumerate(window.keys())}
+    table = {key: 1.0 + 0.25 * i for i, key in enumerate(window_keys(window))}
     table[(0, (0,))] = math.inf
     scene = DyadicScene(DyadicKernelMap.from_table(table), sigma, mu, window)
     with np.errstate(invalid="ignore"):  # I(Q) below [0, 1) differences two infinite prefixes
@@ -431,7 +444,7 @@ def test_wolff_with_zero_k_above_an_infinite_k():
     window = LatticeWindow.from_box([(0.0, 2.0)], 0, 2)
     sigma = AtomicMeasure([[0.1], [0.3], [1.2], [1.7]], np.ones(4))
     mu = AtomicMeasure([[0.2], [0.6], [0.9], [1.3]], np.ones(4))
-    table = {key: 1.0 for key in window.keys()}
+    table = {key: 1.0 for key in window_keys(window)}
     table[(0, (0,))] = 0.0
     table[(2, (0,))] = math.inf
     K = DyadicKernelMap.from_table(table)
@@ -445,7 +458,7 @@ def test_wolff_with_zero_k_above_an_infinite_k():
         points = x.positions if isinstance(x, AtomicMeasure) else x
         # the chain sum with plain products, where 0 * inf = nan
         with np.errstate(invalid="ignore"):
-            want = np.array([sum(K(c) * sigma.cube_mass(c) * inner[c.key] for c in chain(window, p))
+            want = np.array([sum(K(c.key) * cube_mass(sigma, c) * inner[c.key] for c in chain(window, p))
                              for p in points])
         assert not np.isnan(got).any()
         finite = np.isfinite(want)

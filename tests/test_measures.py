@@ -14,6 +14,8 @@ from wolffpot import (
     reverse_doubling_check,
 )
 
+from oracles import cube_mass, level_keys, window_cube, window_keys
+
 
 def reverse_doubling(measure, window, gamma):
     """``reverse_doubling_check`` on an index holding the measure's atoms."""
@@ -28,9 +30,9 @@ def w2():
 
 def test_cube_mass(w2):
     mu = AtomicMeasure([0.1, 0.3], [1.0, 2.0])
-    assert mu.cube_mass(w2.cube(2, (1,))) == 2.0      # [0.25, 0.5)
-    assert mu.cube_mass(w2.cube(1, (0,))) == 3.0      # [0, 0.5)
-    assert AtomicMeasure.empty(1).cube_mass(w2.cube(0, (0,))) == 0.0
+    assert cube_mass(mu, window_cube(w2, 2, (1,))) == 2.0      # [0.25, 0.5)
+    assert cube_mass(mu, window_cube(w2, 1, (0,))) == 3.0      # [0, 0.5)
+    assert cube_mass(AtomicMeasure.empty(1), window_cube(w2, 0, (0,))) == 0.0
 
 
 def test_ball_mass_closed():
@@ -54,8 +56,8 @@ def test_lebesgue_grid_exact(w2):
     g = lebesgue_grid([(0.0, 1.0)], 8)
     assert g.n_atoms == 256
     assert g.total_mass == 1.0
-    assert g.cube_mass(w2.cube(1, (0,))) == 0.5
-    assert g.cube_mass(w2.cube(2, (1,))) == 0.25
+    assert cube_mass(g, window_cube(w2, 1, (0,))) == 0.5
+    assert cube_mass(g, window_cube(w2, 2, (1,))) == 0.25
 
 
 def test_lebesgue_grid_alignment_error():
@@ -67,10 +69,10 @@ def test_cube_mass_additive_over_children():
     rng = np.random.default_rng(5)
     w = LatticeWindow.from_box([(0.0, 1.0), (0.0, 1.0)], 0, 3)
     mu = AtomicMeasure(rng.uniform(0, 1, (80, 2)), rng.uniform(0, 3, 80))
-    for key in w.level_keys(1):
-        cube = w.cube(*key)
-        kids = sum(mu.cube_mass(c) for c in cube.children())
-        assert kids == pytest.approx(mu.cube_mass(cube), abs=0, rel=1e-15)
+    for key in level_keys(w, 1):
+        cube = window_cube(w, *key)
+        kids = sum(cube_mass(mu, c) for c in cube.children())
+        assert kids == pytest.approx(cube_mass(mu, cube), abs=0, rel=1e-15)
 
 
 def test_mass_table_matches_direct():
@@ -78,10 +80,10 @@ def test_mass_table_matches_direct():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 4)
     mu = AtomicMeasure(rng.uniform(0, 1, (30, 1)), rng.uniform(0, 2, 30))
     index = LevelIndex(w, mu.positions)
-    keys = list(w.keys())
+    keys = list(window_keys(w))
     table = index.gather(cube_mass_table(mu, index), index.lookup(keys))
     for key, mass in zip(keys, table):
-        assert mass == pytest.approx(mu.cube_mass(w.cube(*key)), rel=1e-14)
+        assert mass == pytest.approx(cube_mass(mu, window_cube(w, *key)), rel=1e-14)
 
 
 def test_reverse_doubling_lebesgue():
@@ -121,8 +123,8 @@ def test_cascade_child_masses():
     key = (0, (0,))
     for _ in range(depth):
         child = (key[0] + 1, tuple(2 * k for k in key[1]))
-        assert m.cube_mass(w.cube(*child)) == pytest.approx(
-            theta * m.cube_mass(w.cube(*key)), rel=1e-12
+        assert cube_mass(m, window_cube(w, *child)) == pytest.approx(
+            theta * cube_mass(m, window_cube(w, *key)), rel=1e-12
         )
         key = child
 

@@ -32,6 +32,8 @@ from wolffpot.cli import _field_values
 from wolffpot.scenario import build_scenario
 from wolffpot.verify import wolff_integral
 
+from oracles import translated
+
 
 K1 = DyadicKernelMap.from_radial(constant_kernel(1.0))
 
@@ -223,7 +225,7 @@ def test_translation_covariance():
     t = 0.3125
     wt = LatticeWindow.from_box([(t, 1.0 + t)], 0, w.fine_level, shift=[t])
     scene = DyadicScene(K, sigma, mu, w)
-    scene_t = DyadicScene(K, sigma.translated([t]), mu.translated([t]), wt)
+    scene_t = DyadicScene(K, translated(sigma, [t]), translated(mu, [t]), wt)
     for x in ([0.21], [0.86]):
         a = scene.wolff(x, ex.p_prime)
         b = scene_t.wolff([x[0] + t], ex.p_prime)

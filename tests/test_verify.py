@@ -38,7 +38,7 @@ from wolffpot.verify import (
     truncation_sweep,
 )
 
-from oracles import random_instance, ranges_1d
+from oracles import random_instance, ranges_1d, window_keys
 
 BETA, CEX = 1.5, math.e ** 1.5
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -99,7 +99,7 @@ def test_a_chain_proof_constants():
 def test_summation_by_parts_random_weights():
     rng = np.random.default_rng(12)
     inst = random_instance([103, 0], depth=6)
-    lam = {key: float(2.0 ** rng.uniform(-6, 6)) for key in inst.window.keys()}
+    lam = {key: float(2.0 ** rng.uniform(-6, 6)) for key in window_keys(inst.window)}
     pts = list(inst.sigma.positions) + list(inst.mu.positions)
     scene = scene_of(inst)  # holds every cube on the chains of pts
     for s in (1.0, 1.5, 2.0, 3.0):
@@ -441,6 +441,37 @@ def test_bar_lemmas_ratios():
     with pytest.raises(DegenerateInputError):
         check_bar_lemmas(radial_scene(riesz_kernel(0.5, 1), AtomicMeasure([[50.0]], [1.0]),
                                       empty, w), [([0.0], 0.25)])
+
+
+def test_bar_lemmas_with_every_sample_massless_is_degenerate():
+    w = LatticeWindow.from_box([(0.0, 1.0)], 0, 6)
+    scene = radial_scene(riesz_kernel(0.5, 1), lebesgue_grid([(0.0, 1.0)], 6),
+                         AtomicMeasure.empty(1), w)
+    # inside the window, outside it, and at scales above and below its levels
+    massless = [([3.0], 0.5), ([-2.0], 0.25), ([5.0], 4.0), ([0.3], 2.0 ** -10)]
+    for samples in (massless, []):
+        with pytest.raises(DegenerateInputError):
+            check_bar_lemmas(scene, samples)
+
+
+def test_bar_lemmas_samples_without_a_window_cube_leave_the_relation_nan():
+    w = LatticeWindow.from_box([(0.0, 1.0)], 0, 6)
+    scene = radial_scene(riesz_kernel(0.5, 1), lebesgue_grid([(0.0, 1.0)], 6),
+                         AtomicMeasure.empty(1), w)
+    atom = 19.5 / 64  # a grid atom; the sample centre sits 1e-3 from it
+    no_cube = [
+        ([0.3], 4.0),               # round(-log2 r) = -2, above the coarse level 0
+        ([atom + 1e-3], 2.0 ** -9),  # level 9, below the fine level 6
+        ([1.2], 0.5),               # level 1, centre outside the window
+        ([-0.1], 0.25),             # level 2, centre outside the window
+    ]
+    for samples in (no_cube, no_cube[:1], no_cube[1:2], no_cube[2:]):
+        reform, relation, doubling = check_bar_lemmas(scene, samples)
+        assert math.isnan(relation)
+        assert math.isfinite(reform) and math.isfinite(doubling)
+    # one sample with a cube gives the relation a value
+    reform, relation, doubling = check_bar_lemmas(scene, no_cube + [([0.3], 0.25)])
+    assert math.isfinite(relation) and relation >= 1.0
 
 
 def test_batched_bar_k_over_the_dilation_cubes_peaks_below_1_5_mib():
