@@ -1,10 +1,12 @@
 """Scenario-driven command line front end.
 
-Subcommands ``potential``, ``energy``, ``maximal`` evaluate fields at query
-points; ``verify`` runs a scenario's check list; ``counterexample`` and
-``trace`` are focused wrappers around the corresponding checks.  Reports are
-deterministic: identical (config, seed) pairs produce byte-identical JSON,
-with wall-clock timings written to a separate file.
+Subcommands ``potential`` and ``maximal`` evaluate a field at query points,
+``energy`` the dyadic energy and Wolff mass, and ``verify`` runs a scenario's
+check list.  Every check declares its fields once, in ``CHECK_FIELDS``;
+``run_checks`` reads them, rejects any it does not know, and sets each verdict
+from the bounds the report publishes.  Reports are deterministic: identical
+(config, seed) pairs produce byte-identical JSON, with wall-clock timings
+written to a separate file.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .potentials import (
     m_k_maximal,
     wolff_continuous,
 )
-from .scenario import Scenario, band_pair, config_value, json_bool, load_scenario, read_points_csv
+from .scenario import (Scenario, band_pair, config_value, json_bool, load_scenario,
+                       read_points_csv, reject_unknown)
 from .verify import CheckReport
 
 # -- deterministic serialization -----------------------------------------------
@@ -101,19 +104,11 @@ def write_ratio_csv(path: Path, reports: list[CheckReport]) -> None:
 
 
 # -- check registry ---------------------------------------------------------------
-
-
-def _param(cfg: dict, key: str, default, kind=float):
-    """A check's field ``key`` converted by ``kind``; a malformed value is a ScenarioError."""
-    return config_value(cfg, key, cfg["name"], kind, default)
-
-
-def _seed_of(scn: Scenario, cfg: dict, index: int) -> int:
-    return _param(cfg, "seed", scn.seed if scn.seed is not None else 0, int) + index
-
-
-def _band(scn: Scenario, cfg: dict) -> tuple[float, float]:
-    return _param(cfg, "band", scn.band, band_pair)
+#
+# A runner ``(scn, f, rep) -> bool`` gets the check's fields ``f``, fills
+# ``rep.values`` and ``rep.bounds`` (and ``rep.reason`` when the check does not
+# apply) and returns its extra pass condition; :func:`run_checks` reads the
+# fields, builds the report and sets the status.
 
 
 def _radial(scn: Scenario, what: str):
@@ -147,23 +142,20 @@ def _instance_descriptor(scn: Scenario) -> dict:
     }
 
 
-def run_fubini(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    tol = _param(cfg, "tol", 1e-9)
-    rep = CheckReport("fubini", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
+def run_fubini(scn: Scenario, f: dict, rep: CheckReport) -> bool:
     err, rep.reason = V.check_fubini(scn.scene, scn.exponents)
     rep.values = {"relative_error": err}
-    rep.bounds = {"relative_error": (0.0, tol)}
-    rep.status = "not-applicable" if rep.reason else ("pass" if err <= tol else "fail")
-    return rep
+    rep.bounds = {"relative_error": (0.0, f["tol"])}
+    return True
 
 
-def _lambda_weights(scn: Scenario, cfg: dict) -> np.ndarray:
+def _lambda_weights(scn: Scenario, entries: list) -> np.ndarray:
     """A check's ``lambda`` list of ``[level, [i_1, ..., i_n], weight]``, per scene cube.
 
     A cube the scene does not hold carries no sigma mass, so its weight drops out.
     """
     lam = {}
-    for entry in cfg["lambda"]:
+    for entry in entries:
         try:
             level, idx, weight = entry
             key, weight = (int(level), tuple(int(i) for i in idx)), float(weight)
@@ -180,145 +172,97 @@ def _lambda_weights(scn: Scenario, cfg: dict) -> np.ndarray:
     return scn.scene.index.table_values(lam)
 
 
-def run_a_chain(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    s = _param(cfg, "s", scn.exponents.p_prime)
-    lam = _lambda_weights(scn, cfg) if "lambda" in cfg else lambda_substitution(scn.scene)
+def run_a_chain(scn: Scenario, f: dict, rep: CheckReport) -> bool:
+    s = f["s"]
+    lam = lambda_substitution(scn.scene) if f["lambda"] is None else _lambda_weights(scn, f["lambda"])
     r1, r2, r3, r4 = V.check_a_chain(scn.scene, lam, s)
-    rep = CheckReport("a_chain", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
     rep.values = {"a1_over_a2": r1, "a2_over_holder": r2, "a3_over_a1": r3, "a1_over_a3": r4}
     rep.bounds = {"a2_over_holder": (0.0, 1.0 + 1e-12)}
-    ok = r2 <= 1.0 + 1e-12 and all(map(math.isfinite, (r1, r2, r3, r4)))
     if s <= 2.0:
         rep.bounds["a1_over_a2"] = (0.0, s)
-        ok = ok and r1 <= s
-    rep.status = "pass" if ok else "fail"
-    return rep
+    return all(map(math.isfinite, (r1, r2, r3, r4)))
 
 
-def run_energy_wolff_ratio(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    lo, hi = _band(scn, cfg)
-    rep = CheckReport("energy_wolff_ratio", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
+def run_energy_wolff_ratio(scn: Scenario, f: dict, rep: CheckReport) -> bool:
     ratio, rep.reason = V.check_energy_wolff_ratio(scn.scene, scn.exponents)
     rep.values = {"energy_over_wolff_mass": ratio}
-    rep.bounds = {"energy_over_wolff_mass": (lo, hi)}
-    rep.status = "not-applicable" if rep.reason else ("pass" if lo <= ratio <= hi else "fail")
-    return rep
+    rep.bounds = {"energy_over_wolff_mass": f["band"]}
+    return True
 
 
-def run_trace_q1(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    probes = _param(cfg, "probes", 200, int)
-    res = V.trace_constant_q1(
-        scn.scene, scn.exponents, probes=probes, seed=_seed_of(scn, cfg, index)
-    )
-    gap = abs(res.achieved_ratio - res.dual_constant) / max(res.dual_constant, 1e-300)
-    rep = CheckReport("trace_q1", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
+def run_trace_q1(scn: Scenario, f: dict, rep: CheckReport) -> bool:
+    res = V.trace_constant_q1(scn.scene, scn.exponents, probes=f["probes"], seed=rep.seed)
     rep.values = {
         "dual_constant": res.dual_constant,
         "achieved_ratio": res.achieved_ratio,
         "probe_max": res.probe_max,
-        "extremal_gap": gap,
+        "extremal_gap": abs(res.achieved_ratio - res.dual_constant) / max(res.dual_constant, 1e-300),
         "pairing_gap": res.pairing_gap,
     }
     rep.bounds = {"extremal_gap": (0.0, 1e-8)}
-    ok = gap <= 1e-8 and res.probe_max <= res.dual_constant * (1.0 + 1e-10)
-    rep.status = "pass" if ok else "fail"
-    return rep
+    return res.probe_max <= res.dual_constant * (1.0 + 1e-10)
 
 
-def run_trace_upper(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    trials = _param(cfg, "trials", 50, int)
-    res = V.trace_test_upper_triangle(
-        scn.scene, scn.exponents, trials=trials, seed=_seed_of(scn, cfg, index)
-    )
-    lo, hi = _band(scn, cfg)
-    rep = CheckReport("trace_upper", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
+def run_trace_upper(scn: Scenario, f: dict, rep: CheckReport) -> bool:
+    res = V.trace_test_upper_triangle(scn.scene, scn.exponents, trials=f["trials"], seed=rep.seed)
+    ratio = res.empirical_sup / res.wolff_norm if res.wolff_norm > 0 else math.inf
     rep.values = {
         "wolff_norm": res.wolff_norm,
         "empirical_sup": res.empirical_sup,
         "dlbo": res.dlbo,
         "equivalence_claimed": 1.0 if math.isfinite(res.dlbo) else 0.0,
+        "sup_over_wolff_norm": ratio,
     }
-    ratio = res.empirical_sup / res.wolff_norm if res.wolff_norm > 0 else math.inf
-    rep.values["sup_over_wolff_norm"] = ratio
-    rep.bounds = {"sup_over_wolff_norm": (lo, hi)}
-    rep.status = "pass" if (math.isfinite(ratio) and lo <= ratio <= hi) else "fail"
-    return rep
+    rep.bounds = {"sup_over_wolff_norm": f["band"]}
+    return math.isfinite(ratio)
 
 
-def run_dlbo(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    bound = _param(cfg, "bound", scn.band[1])
-    a = dlbo_constant(scn.scene.bar)
-    rep = CheckReport("dlbo", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
-    rep.values = {"oscillation_constant": a}
-    rep.bounds = {"oscillation_constant": (1.0, bound)}
-    rep.status = "pass" if a <= bound else "fail"
-    return rep
+def run_dlbo(scn: Scenario, f: dict, rep: CheckReport) -> bool:
+    rep.values = {"oscillation_constant": dlbo_constant(scn.scene.bar)}
+    rep.bounds = {"oscillation_constant": (1.0, f["bound"])}
+    return True
 
 
-def run_reverse_doubling(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    gamma = _param(cfg, "gamma", 1.0)
-    expect = _param(cfg, "expect_holds", True, json_bool)
-    holds, best = reverse_doubling_check(scn.scene.index, scn.scene.sigma_mass, gamma)
-    rep = CheckReport("reverse_doubling", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
+def run_reverse_doubling(scn: Scenario, f: dict, rep: CheckReport) -> bool:
+    holds, best = reverse_doubling_check(scn.scene.index, scn.scene.sigma_mass, f["gamma"])
     rep.values = {"best_constant": best, "holds": 1.0 if holds else 0.0}
-    rep.status = "pass" if holds == expect else "fail"
-    return rep
+    return holds == f["expect_holds"]
 
 
-def run_dilation(scn: Scenario, cfg: dict, index: int) -> CheckReport:
+def run_dilation(scn: Scenario, f: dict, rep: CheckReport) -> bool:
     _radial(scn, "dilation check")  # the check reads the scene's radial kernel
-    c = _param(cfg, "c", 0.25)
-    lo, hi = _band(scn, cfg)
-    sum_ratio, norm_ratio = V.check_kernel_dilation(scn.scene, scn.exponents, c)
-    rep = CheckReport("dilation", _instance_descriptor(scn), seed=_seed_of(scn, cfg, index))
-    rep.values = {"sum_ratio": sum_ratio, "norm_ratio": norm_ratio, "c": c}
-    rep.bounds = {"sum_ratio": (lo, hi), "norm_ratio": (lo, hi)}
-    ok = lo <= sum_ratio <= hi and lo <= norm_ratio <= hi
-    rep.status = "pass" if ok else "fail"
-    return rep
+    sum_ratio, norm_ratio = V.check_kernel_dilation(scn.scene, scn.exponents, f["c"])
+    rep.values = {"sum_ratio": sum_ratio, "norm_ratio": norm_ratio, "c": f["c"]}
+    rep.bounds = {"sum_ratio": f["band"], "norm_ratio": f["band"]}
+    return True
 
 
-def run_bar_lemmas(scn: Scenario, cfg: dict, index: int) -> CheckReport:
+def run_bar_lemmas(scn: Scenario, f: dict, rep: CheckReport) -> bool:
     _radial(scn, "bar_lemmas check")  # the check reads the scene's radial kernel
-    n_samples = _param(cfg, "samples", 20, int)
-    seed = _seed_of(scn, cfg, index)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(rep.seed)
     lows, highs = np.array(scn.window.box).T
     span = float(np.min(highs - lows))
     samples = []
-    for _ in range(n_samples):
+    for _ in range(f["samples"]):
         x = lows + (highs - lows) * rng.uniform(0.25, 0.75, scn.dimension)
         r = span * 2.0 ** rng.uniform(-5, -2)
         samples.append((x, float(r)))
-    ref, rel, dbl = V.check_bar_lemmas(scn.scene, samples)
-    lo, hi = _band(scn, cfg)
-    rep = CheckReport("bar_lemmas", _instance_descriptor(scn), seed=seed)
-    rep.values = {"reformulation": ref, "relationship": rel, "bar_doubling": dbl}
-    rep.bounds = {k: (1.0, hi) for k in rep.values}
-    ok = all(math.isfinite(v) and v <= hi for v in rep.values.values())
+    ratios = V.check_bar_lemmas(scn.scene, samples)
+    rep.values = dict(zip(("reformulation", "relationship", "bar_doubling"), ratios))
+    rep.bounds = {k: (1.0, f["band"][1]) for k in rep.values}
     # doubling diagnostic recorded alongside
-    rep.values["sigma_doubling"] = doubling_constant(
-        scn.sigma, [x for x, _ in samples[: max(4, n_samples // 4)]],
-        [r for _, r in samples[: max(4, n_samples // 4)]],
-    )
-    rep.status = "pass" if ok else "fail"
-    return rep
+    head = samples[: max(4, f["samples"] // 4)]
+    rep.values["sigma_doubling"] = doubling_constant(scn.sigma, [x for x, _ in head],
+                                                     [r for _, r in head])
+    return all(map(math.isfinite, ratios))
 
 
-def run_shifted_average(scn: Scenario, cfg: dict, index: int) -> CheckReport:
+def run_shifted_average(scn: Scenario, f: dict, rep: CheckReport) -> bool:
     kernel = _radial(scn, "shifted_average check")
-    j = _param(cfg, "j", 0, int)
-    draws = _param(cfg, "draws", 10000, int)
-    if draws < 2:
-        raise ScenarioError(f"shifted_average: field 'draws' must be at least 2, got {draws}")
-    n_x = _param(cfg, "x_samples", 5, int)
-    seed = _seed_of(scn, cfg, index)
-    rng = np.random.default_rng([seed, 1])
+    rng = np.random.default_rng([rep.seed, 1])
     lows, highs = np.array(scn.window.box).T
-    xs = lows + (highs - lows) * rng.uniform(0.0, 1.0, (n_x, scn.dimension))
-    out = V.shifted_average_check(kernel, scn.mu, j, draws, xs, seed)
-    lo, hi = _band(scn, cfg)
-    rep = CheckReport("shifted_average", _instance_descriptor(scn), seed=seed)
+    xs = lows + (highs - lows) * rng.uniform(0.0, 1.0, (f["x_samples"], scn.dimension))
+    out = V.shifted_average_check(kernel, scn.mu, f["j"], f["draws"], xs, rep.seed)
     rep.values = {
         "max_ratio": out["max_ratio"],
         "points": float(out["n_points"]),
@@ -326,49 +270,27 @@ def run_shifted_average(scn: Scenario, cfg: dict, index: int) -> CheckReport:
         "levels": float(out["levels"]),
         "max_rel_stderr": out["max_rel_stderr"],
     }
-    rep.bounds = {"max_ratio": (0.0, hi)}
-    rep.status = "pass" if out["max_ratio"] <= hi else "fail"
-    return rep
+    rep.bounds = {"max_ratio": (0.0, f["band"][1])}
+    return True
 
 
-def _ints(values) -> list[int]:
-    return [int(v) for v in values]
-
-
-def _int_pair(values) -> tuple[int, int]:
-    a, b = values
-    return int(a), int(b)
-
-
-def run_counterexample_series(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    beta = _param(cfg, "beta", 1.5)
-    C = _param(cfg, "C", math.exp(beta / scn.dimension))
-    terms = _param(cfg, "terms", (1000, 1000000), _int_pair)
-    growth_min = _param(cfg, "w_growth_min", 9.0)
-    tail_max = _param(cfg, "e_tail_max", 0.2)
-    se1, sw1 = V.counterexample_series(beta, C, scn.dimension, terms[0])
-    se2, sw2 = V.counterexample_series(beta, C, scn.dimension, terms[1])
-    rep = CheckReport("counterexample_series", {"beta": beta, "C": C}, seed=_seed_of(scn, cfg, index))
-    rep.values = {
-        "energy_series_tail": se2 - se1,
-        "wbar_series_growth": sw2 - sw1,
-    }
+def run_counterexample_series(scn: Scenario, f: dict, rep: CheckReport) -> bool:
+    beta, C, (short, long) = f["beta"], f["C"], f["terms"]
+    se1, sw1 = V.counterexample_series(beta, C, scn.dimension, short)
+    se2, sw2 = V.counterexample_series(beta, C, scn.dimension, long)
+    rep.instance = {"beta": beta, "C": C}
+    rep.values = {"energy_series_tail": se2 - se1, "wbar_series_growth": sw2 - sw1}
     rep.bounds = {
-        "energy_series_tail": (0.0, tail_max),
-        "wbar_series_growth": (growth_min, math.inf),
+        "energy_series_tail": (0.0, f["e_tail_max"]),
+        "wbar_series_growth": (f["w_growth_min"], math.inf),
     }
-    ok = (se2 - se1) <= tail_max and (sw2 - sw1) >= growth_min
-    rep.status = "pass" if ok else "fail"
-    return rep
+    return True
 
 
-def run_counterexample_fields(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    beta = _param(cfg, "beta", 1.5)
-    C = _param(cfg, "C", math.exp(beta / scn.dimension))
-    depths = _param(cfg, "depths", [6, 10, 14], _ints)
+def run_counterexample_fields(scn: Scenario, f: dict, rep: CheckReport) -> bool:
+    beta, C, depths = f["beta"], f["C"], f["depths"]
     rows = [V.check_counterexample_fields(beta, C, d) for d in depths]
-    rep = CheckReport("counterexample_fields", {"beta": beta, "C": C, "depths": depths},
-                      seed=_seed_of(scn, cfg, index))
+    rep.instance = {"beta": beta, "C": C, "depths": depths}
     for d, (e, wbar, iw) in zip(depths, rows):
         rep.values[f"energy_d{d}"] = e
         rep.values[f"min_wbar_d{d}"] = wbar
@@ -377,20 +299,12 @@ def run_counterexample_fields(scn: Scenario, cfg: dict, index: int) -> CheckRepo
     # pass means the divergence is reproduced: the bar-potential keeps growing
     # while the energy stays finite
     growing = all(b > a for a, b in zip(wbars, wbars[1:]))
-    finite_e = all(math.isfinite(r[0]) for r in rows)
     rep.values["wbar_strictly_increasing"] = 1.0 if growing else 0.0
-    rep.status = "pass" if (growing and finite_e) else "fail"
-    return rep
+    return growing and all(math.isfinite(r[0]) for r in rows)
 
 
-def run_truncation(scn: Scenario, cfg: dict, index: int) -> CheckReport:
-    target = cfg.get("target", "fubini")
-    if target not in ("fubini", "energy", "wolff_mass"):
-        raise ScenarioError(f"truncation: unknown target {target!r}")
-    depths = _param(cfg, "depths", [4, 6, 8], _ints)
-    expect_converged = _param(cfg, "expect_converged", True, json_bool)
-    rtol = _param(cfg, "rtol", 0.05)
-    atol = _param(cfg, "atol", 1e-9)
+def run_truncation(scn: Scenario, f: dict, rep: CheckReport) -> bool:
+    target = f["target"]
 
     def at_depth(depth: int) -> float:
         window = dataclasses.replace(scn.window, fine_level=scn.window.coarse_level + depth)
@@ -401,14 +315,12 @@ def run_truncation(scn: Scenario, cfg: dict, index: int) -> CheckReport:
             return V.wolff_integral(scene, scn.exponents)
         return V.check_fubini(scene, scn.exponents)[0]
 
-    sweep = V.truncation_sweep(at_depth, depths, rtol=rtol, atol=atol)
-    rep = CheckReport("truncation", {"target": target, "depths": depths},
-                      seed=_seed_of(scn, cfg, index))
+    sweep = V.truncation_sweep(at_depth, f["depths"], rtol=f["rtol"], atol=f["atol"])
+    rep.instance = {"target": target, "depths": f["depths"]}
     for d, v in zip(sweep.depths, sweep.values):
         rep.values[f"value_d{d}"] = v
     rep.values["converged"] = 1.0 if sweep.converged else 0.0
-    rep.status = "pass" if sweep.converged == expect_converged else "fail"
-    return rep
+    return sweep.converged == f["expect_converged"]
 
 
 CHECK_RUNNERS = {
@@ -428,24 +340,94 @@ CHECK_RUNNERS = {
 }
 
 
+def _at_least(low: int):
+    """The kind of an integer no less than ``low``."""
+    def kind(value) -> int:
+        if int(value) < low:
+            raise ValueError(f"{value!r} is less than {low}")
+        return int(value)
+    return kind
+
+
+def _depths(value) -> list[int]:
+    depths = [int(v) for v in value]
+    if not depths:
+        raise ValueError("no depths")
+    return depths
+
+
+def _int_pair(value) -> tuple[int, int]:
+    a, b = value
+    return int(a), int(b)
+
+
+def _target(value) -> str:
+    if value not in ("fubini", "energy", "wolff_mass"):
+        raise ValueError(f"{value!r} is no target")
+    return value
+
+
+# A callable default is read from the scenario and the fields declared before it.
+_BAND = (band_pair, lambda scn, f: scn.band)
+_LOG_C = (float, lambda scn, f: math.exp(f["beta"] / scn.dimension))
+
+# name -> (needs a seed, {field: (kind, default)}); every check also takes
+# "seed", which defaults to the scenario's
+CHECK_FIELDS = {
+    "fubini": (False, {"tol": (float, 1e-9)}),
+    "a_chain": (False, {"s": (float, lambda scn, f: scn.exponents.p_prime), "lambda": (list, None)}),
+    "energy_wolff_ratio": (False, {"band": _BAND}),
+    "trace_q1": (True, {"probes": (_at_least(1), 200)}),
+    "trace_upper": (True, {"trials": (_at_least(1), 50), "band": _BAND}),
+    "dlbo": (False, {"bound": (float, lambda scn, f: scn.band[1])}),
+    "reverse_doubling": (False, {"gamma": (float, 1.0), "expect_holds": (json_bool, True)}),
+    "dilation": (False, {"c": (float, 0.25), "band": _BAND}),
+    "bar_lemmas": (True, {"samples": (_at_least(1), 20), "band": _BAND}),
+    "shifted_average": (True, {"j": (int, 0), "draws": (_at_least(2), 10000),
+                               "x_samples": (_at_least(1), 5), "band": _BAND}),
+    "counterexample_series": (False, {"beta": (float, 1.5), "C": _LOG_C,
+                                      "terms": (_int_pair, (1000, 1000000)),
+                                      "w_growth_min": (float, 9.0), "e_tail_max": (float, 0.2)}),
+    "counterexample_fields": (False, {"beta": (float, 1.5), "C": _LOG_C,
+                                      "depths": (_depths, [6, 10, 14])}),
+    "truncation": (False, {"target": (_target, "fubini"), "depths": (_depths, [4, 6, 8]),
+                           "expect_converged": (json_bool, True),
+                           "rtol": (float, 0.05), "atol": (float, 1e-9)}),
+}
+
+
+def _check_job(scn: Scenario, cfg: dict, index: int, instance: dict) -> tuple[dict, CheckReport]:
+    """A check's fields and its report shell; a malformed or unknown field is a ScenarioError."""
+    name = cfg["name"]
+    if name not in CHECK_FIELDS:
+        raise ScenarioError(f"unknown check {name!r}")
+    seeded, fields = CHECK_FIELDS[name]
+    reject_unknown(cfg, name, ("name", "seed", *fields))
+    seed = config_value(cfg, "seed", name, int, scn.seed)
+    if seed is None and seeded:
+        raise ScenarioError(f"checks: {name} is randomized and needs a seed "
+                            "(scenario-level or per-check)")
+    params = {}
+    for key, (kind, default) in fields.items():
+        value = config_value(cfg, key, name, kind, default)
+        params[key] = value(scn, params) if callable(value) else value
+    return params, CheckReport(name, instance, seed=(seed or 0) + index)
+
+
 def run_checks(scn: Scenario, threads: int = 1) -> tuple[list[CheckReport], dict]:
+    """Every check's report and wall time; all fields are read before the first check runs."""
     if not scn.checks:
         raise ScenarioError("scenario lists no checks")
-    jobs = []
-    for index, cfg in enumerate(scn.checks):
-        name = cfg["name"]
-        runner = CHECK_RUNNERS.get(name)
-        if runner is None:
-            raise ScenarioError(f"unknown check {name!r}")
-        jobs.append((runner, cfg, index))
-
-    timings: dict[str, float] = {}
+    instance = _instance_descriptor(scn)
+    jobs = [_check_job(scn, cfg, index, instance) for index, cfg in enumerate(scn.checks)]
 
     def execute(job):
-        runner, cfg, index = job
+        params, rep = job
         t0 = time.perf_counter()
-        rep = runner(scn, cfg, index)
+        ok = CHECK_RUNNERS[rep.name](scn, params, rep)
         rep.wall_time = time.perf_counter() - t0
+        inside = all(lo <= rep.values[key] <= hi for key, (lo, hi) in rep.bounds.items())
+        rep.status = "not-applicable" if rep.reason else ("pass" if ok and inside else "fail")
         return rep
 
     if threads > 1:
@@ -453,8 +435,7 @@ def run_checks(scn: Scenario, threads: int = 1) -> tuple[list[CheckReport], dict
             reports = list(pool.map(execute, jobs))
     else:
         reports = [execute(job) for job in jobs]
-    for rep, (_, cfg, index) in zip(reports, jobs):
-        timings[f"{index}:{rep.name}"] = rep.wall_time
+    timings = {f"{index}:{rep.name}": rep.wall_time for index, rep in enumerate(reports)}
     return reports, timings
 
 
@@ -494,25 +475,22 @@ def write_values_csv(path: Path, points, values) -> None:
 
 
 def _summary(scn: Scenario, command: str, extra: dict) -> dict:
-    return {
-        "command": command,
-        "seed": scn.seed,
-        "instance": _instance_descriptor(scn),
-        **extra,
-    }
+    return {"command": command, "seed": scn.seed, "instance": _instance_descriptor(scn), **extra}
 
 
-def _load(args) -> Scenario:
+def _load(args) -> tuple[Scenario, Path]:
+    """The scenario with ``--seed`` applied, and the output directory, created."""
     scn = load_scenario(args.config)
     if args.seed is not None:
         scn.seed = args.seed
-    return scn
-
-
-def _field_command(args, kind_default: str, command: str) -> int:
-    scn = _load(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    return scn, out_dir
+
+
+def cmd_field(args) -> int:
+    """``potential`` and ``maximal``: the field ``args.kind`` at the query points."""
+    scn, out_dir = _load(args)
     t0 = time.perf_counter()
     if args.points:
         points = read_points_csv(args.points, scn.dimension)
@@ -520,28 +498,17 @@ def _field_command(args, kind_default: str, command: str) -> int:
         points = scn.mu.positions
         if points.shape[0] == 0:
             raise ScenarioError("no query points: pass --points or a nonempty mu")
-    kind = getattr(args, "kind", kind_default) or kind_default
-    values = _field_values(scn, points, kind)
+    values = _field_values(scn, points, args.kind)
     write_values_csv(out_dir / "values.csv", points, values)
-    summary = _summary(scn, command, {"kind": kind, "n_points": len(values)})
+    summary = _summary(scn, args.command, {"kind": args.kind, "n_points": len(values)})
     write_report(out_dir / "report.json", summary)
     write_report(out_dir / "timings.json", {"total_seconds": time.perf_counter() - t0})
-    print(f"{command}: wrote {len(values)} values to {out_dir/'values.csv'}")
+    print(f"{args.command}: wrote {len(values)} values to {out_dir/'values.csv'}")
     return 0
 
 
-def cmd_potential(args) -> int:
-    return _field_command(args, "wolff", "potential")
-
-
-def cmd_maximal(args) -> int:
-    return _field_command(args, "maximal", "maximal")
-
-
 def cmd_energy(args) -> int:
-    scn = _load(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    scn, out_dir = _load(args)
     t0 = time.perf_counter()
     e = energy_dyadic(scn.scene, scn.exponents)
     wm = V.wolff_integral(scn.scene, scn.exponents)
@@ -558,38 +525,14 @@ def cmd_energy(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    return cmd_verify_with(_load(args), args)
-
-
-def cmd_counterexample(args) -> int:
-    scn = _load(args)
-    checks = [c for c in scn.checks if c["name"].startswith("counterexample")]
-    if not checks:
-        checks = [{"name": "counterexample_series"}, {"name": "counterexample_fields"}]
-    scn.checks = checks
-    return cmd_verify_with(scn, args)
-
-
-def cmd_trace(args) -> int:
-    scn = _load(args)
-    name = "trace_q1" if scn.exponents.q in (None, 1.0) else "trace_upper"
-    configured = [c for c in scn.checks if c["name"] == name]
-    scn.checks = configured or [{"name": name}]
-    return cmd_verify_with(scn, args)
-
-
-def cmd_verify_with(scn: Scenario, args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    scn, out_dir = _load(args)
     t0 = time.perf_counter()
     reports, timings = run_checks(scn, threads=args.threads)
     payload = _summary(scn, "verify", {"checks": [rep.to_jsonable() for rep in reports]})
     write_report(out_dir / "report.json", payload)
     write_ratio_csv(out_dir / "ratios.csv", reports)
-    write_report(
-        out_dir / "timings.json",
-        {"total_seconds": time.perf_counter() - t0, "per_check": timings},
-    )
+    write_report(out_dir / "timings.json",
+                 {"total_seconds": time.perf_counter() - t0, "per_check": timings})
     failed = 0
     for rep in reports:
         print(f"[{rep.status.upper():>14}] {rep.name}  " +
@@ -618,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", help="CSV of query points (one per row)")
     p.add_argument("--kind", choices=["wolff", "wolff_bar", "wolff_continuous", "t"],
                    default="wolff")
-    p.set_defaults(fn=cmd_potential)
+    p.set_defaults(fn=cmd_field)
 
     p = sub.add_parser("energy", help="dyadic energy and Wolff mass")
     common(p)
@@ -628,19 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--points", help="CSV of query points (one per row)")
     p.add_argument("--kind", choices=["maximal", "maximal_continuous"], default="maximal")
-    p.set_defaults(fn=cmd_maximal)
+    p.set_defaults(fn=cmd_field)
 
     p = sub.add_parser("verify", help="run the scenario's check list")
     common(p)
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("counterexample", help="borderline log-kernel instance")
-    common(p)
-    p.set_defaults(fn=cmd_counterexample)
-
-    p = sub.add_parser("trace", help="trace-inequality test for the scenario exponents")
-    common(p)
-    p.set_defaults(fn=cmd_trace)
     return parser
 
 

@@ -64,6 +64,8 @@ def config_value(cfg: dict, key: str, where: str, kind=None, default=_REQUIRED):
     A missing required field, or a value that ``kind`` rejects, raises
     :class:`ScenarioError` naming ``where`` and the field.
     """
+    if not isinstance(cfg, dict):
+        raise ScenarioError(f"{where}: expected an object, got {cfg!r}")
     value = cfg.get(key)
     if value is None:
         if default is _REQUIRED:
@@ -75,6 +77,13 @@ def config_value(cfg: dict, key: str, where: str, kind=None, default=_REQUIRED):
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: field {key!r} has the invalid value {value!r}") from exc
+
+
+def reject_unknown(cfg: dict, where: str, known) -> None:
+    """Raise :class:`ScenarioError` naming ``where`` and the first field of ``cfg`` not in ``known``."""
+    for key in cfg:
+        if key not in known:
+            raise ScenarioError(f"{where}: unknown field {key!r}")
 
 
 def band_pair(value) -> tuple[float, float]:
@@ -114,6 +123,7 @@ def box_sides(dimension: int):
 
 def build_window(cfg: dict, dimension: int) -> LatticeWindow:
     box = config_value(cfg, "box", "window", box_sides(dimension))
+    reject_unknown(cfg, "window", ("box", "coarse_level", "fine_level", "shift"))
     shift = config_value(cfg, "shift", "window", numbers(dimension), None)
     try:
         return LatticeWindow.from_box(
@@ -132,16 +142,19 @@ def build_measure(cfg: dict, dimension: int, where: str) -> AtomicMeasure:
     kind = config_value(cfg, "type", where)
     try:
         if kind == "atoms":
+            reject_unknown(cfg, where, ("type", "positions", "weights"))
             pos = np.asarray(config_value(cfg, "positions", where), dtype=float)
             if pos.ndim == 1:
                 pos = pos.reshape(-1, 1)
             return AtomicMeasure(pos, config_value(cfg, "weights", where))
         if kind == "lebesgue_grid":
+            reject_unknown(cfg, where, ("type", "box", "level"))
             return lebesgue_grid(
                 config_value(cfg, "box", where, box_sides(dimension)),
                 config_value(cfg, "level", where, int),
             )
         if kind == "bernoulli_cascade":
+            reject_unknown(cfg, where, ("type", "gamma", "depth"))
             if dimension != 1:
                 raise ScenarioError(f"{where}: bernoulli_cascade needs dimension 1")
             return bernoulli_cascade(
@@ -180,16 +193,20 @@ def build_kernel(cfg: dict, dimension: int) -> DyadicKernelMap:
     cutoff = config_value(cfg, "cutoff", "kernel", float, None)
     try:
         if kind == "riesz":
+            reject_unknown(cfg, "kernel", ("type", "alpha", "cutoff"))
             alpha = config_value(cfg, "alpha", "kernel", float)
             return DyadicKernelMap.from_radial(riesz_kernel(alpha, dimension, cutoff=cutoff))
         if kind == "log":
+            reject_unknown(cfg, "kernel", ("type", "beta", "C"))
             beta = config_value(cfg, "beta", "kernel", float)
             C = config_value(cfg, "C", "kernel", float)
             return DyadicKernelMap.from_radial(log_kernel(beta, C, dimension))
         if kind == "constant":
+            reject_unknown(cfg, "kernel", ("type", "value", "cutoff"))
             value = config_value(cfg, "value", "kernel", float, 1.0)
             return DyadicKernelMap.from_radial(constant_kernel(value, cutoff=cutoff))
         if kind == "table":
+            reject_unknown(cfg, "kernel", ("type", "path"))
             return DyadicKernelMap.from_table(read_kernel_table(config_value(cfg, "path", "kernel")))
     except ScenarioError:
         raise  # it names its field already
@@ -198,11 +215,10 @@ def build_kernel(cfg: dict, dimension: int) -> DyadicKernelMap:
     raise ScenarioError(f"kernel: unknown type {kind!r}")
 
 
-RANDOMIZED_CHECKS = {"trace_upper", "shifted_average", "trace_q1"}
-
-
 def build_scenario(cfg: dict) -> Scenario:
     dimension = config_value(cfg, "dimension", "scenario", int)
+    reject_unknown(cfg, "scenario", ("dimension", "seed", "window", "sigma", "mu", "kernel",
+                                     "exponents", "bands", "checks"))
     if dimension < 1:
         raise ScenarioError(f"scenario: dimension must be >= 1, got {dimension}")
     window = build_window(config_value(cfg, "window", "scenario"), dimension)
@@ -213,22 +229,20 @@ def build_scenario(cfg: dict) -> Scenario:
     kernel = build_kernel(config_value(cfg, "kernel", "scenario"), dimension)
     exp_cfg = config_value(cfg, "exponents", "scenario")
     p = config_value(exp_cfg, "p", "exponents", float)
+    reject_unknown(exp_cfg, "exponents", ("p", "q"))
     q = config_value(exp_cfg, "q", "exponents", float, None)
     try:
         exponents = Exponents(p, q)
     except WolffpotError as exc:
         raise ScenarioError(f"exponents: {exc}") from exc
-    checks = list(cfg.get("checks", []))
+    checks = config_value(cfg, "checks", "scenario", list, [])
     seed = config_value(cfg, "seed", "scenario", int, None)
     for chk in checks:
-        if not isinstance(chk, dict) or "name" not in chk:
+        if not isinstance(chk, dict) or not isinstance(chk.get("name"), str):
             raise ScenarioError(f"checks: every entry needs a name, got {chk!r}")
-        if chk["name"] in RANDOMIZED_CHECKS and seed is None and "seed" not in chk:
-            raise ScenarioError(
-                f"checks: {chk['name']} is randomized and needs a seed "
-                "(scenario-level or per-check)"
-            )
-    band = config_value(cfg.get("bands") or {}, "default", "bands", band_pair, DEFAULT_BAND)
+    bands = cfg.get("bands") or {}
+    band = config_value(bands, "default", "bands", band_pair, DEFAULT_BAND)
+    reject_unknown(bands, "bands", ("default",))
     return Scenario(
         dimension=dimension,
         window=window,

@@ -12,6 +12,7 @@ import pytest
 
 import wolffpot
 from wolffpot import LatticeWindow, LevelIndex
+from wolffpot import cli
 from wolffpot.cli import build_parser, dumps_canonical, format_float, main, write_values_csv
 from wolffpot.scenario import ScenarioError, load_scenario, read_kernel_table
 
@@ -57,19 +58,21 @@ def test_parse_error_has_location(tmp_path):
         load_scenario(cfg)
 
 
-def test_missing_seed_for_randomized_check(tmp_path):
+def test_missing_seed_for_randomized_check(tmp_path, capsys):
     cfg = tmp_path / "noseed.json"
-    cfg.write_text(json.dumps({
-        "dimension": 1,
-        "window": {"coarse_level": 0, "fine_level": 2, "box": [[0, 1]]},
-        "sigma": {"type": "lebesgue_grid", "box": [[0, 1]], "level": 2},
-        "mu": {"type": "atoms", "positions": [[0.5]], "weights": [1.0]},
-        "kernel": {"type": "riesz", "alpha": 0.5},
-        "exponents": {"p": 2.0, "q": 1.5},
-        "checks": [{"name": "trace_upper"}],
-    }))
-    with pytest.raises(ScenarioError, match="seed"):
-        load_scenario(cfg)
+    for check in ("trace_q1", "trace_upper", "shifted_average", "bar_lemmas"):
+        cfg.write_text(json.dumps({
+            "dimension": 1,
+            "window": {"coarse_level": 0, "fine_level": 2, "box": [[0, 1]]},
+            "sigma": {"type": "lebesgue_grid", "box": [[0, 1]], "level": 2},
+            "mu": {"type": "atoms", "positions": [[0.5]], "weights": [1.0]},
+            "kernel": {"type": "riesz", "alpha": 0.5},
+            "exponents": {"p": 2.0, "q": 1.5},
+            "checks": [{"name": check}],
+        }))
+        assert run(["verify", "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (f"error: checks: {check} is randomized and needs "
+                                           "a seed (scenario-level or per-check)\n")
 
 
 def test_counterexample_scenario_flags_divergence(tmp_path):
@@ -79,7 +82,7 @@ def test_counterexample_scenario_flags_divergence(tmp_path):
     # shallow depths keep the test fast; divergence already shows
     base["checks"][1]["depths"] = [4, 6, 8]
     cfg.write_text(json.dumps(base))
-    code = run(["counterexample", "--config", cfg, "--out-dir", out])
+    code = run(["verify", "--config", cfg, "--out-dir", out])
     assert code == 0  # expected-divergence checks pass
     report = json.loads((out / "report.json").read_text())
     fields = next(c for c in report["checks"] if c["name"] == "counterexample_fields")
@@ -103,12 +106,63 @@ def test_shifted_average_reports_its_sweep(tmp_path):
 
 
 def test_determinism_byte_identical(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out, threads in ((a, 1), (b, 2)):
-        assert run(["verify", "--config", SCENARIOS / "single_cube.json",
-                    "--out-dir", out, "--threads", threads]) == 0
-    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
-    assert (a / "ratios.csv").read_bytes() == (b / "ratios.csv").read_bytes()
+    for scenario in ("single_cube", "cascade_dlbo", "riesz_lebesgue", "counterexample"):
+        a, b = tmp_path / scenario / "a", tmp_path / scenario / "b"
+        for out, threads in ((a, 1), (b, 2)):
+            assert run(["verify", "--config", SCENARIOS / f"{scenario}.json",
+                        "--out-dir", out, "--threads", threads]) == 0
+        assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+        assert (a / "ratios.csv").read_bytes() == (b / "ratios.csv").read_bytes()
+        # every check passes, and a pass has each bounded value inside its bounds
+        for check in json.loads((a / "report.json").read_text())["checks"]:
+            assert check["status"] == "pass"
+            for key, (lo, hi) in check["bounds"].items():
+                assert float(lo) <= float(check["values"][key]) <= float(hi), (check["name"], key)
+
+
+def test_fields_are_read_before_the_first_check_runs(monkeypatch, tmp_path, capsys):
+    first, runner = next(iter(cli.CHECK_RUNNERS.items()))
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return runner(*args)
+
+    monkeypatch.setitem(cli.CHECK_RUNNERS, first, counted)
+    cfg = json.loads((SCENARIOS / "single_cube.json").read_text())
+    assert cfg["checks"][0]["name"] == first
+    cfg["checks"][-1]["probes"] = "x"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["verify", "--config", path, "--out-dir", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith("error: trace_q1: field 'probes'")
+    assert calls == []
+
+
+def test_readme_table_lists_every_check_field():
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    table = readme.split("| check | fields (default) | needs a seed |\n|---|---|---|\n")[1]
+    rows = {}
+    for line in table.split("\n\n")[0].splitlines():
+        name, fields, seeded = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[name.strip("`")] = (seeded == "yes", fields)
+    assert rows.keys() == cli.CHECK_FIELDS.keys() == cli.CHECK_RUNNERS.keys()
+    for name, (seeded, fields) in cli.CHECK_FIELDS.items():
+        assert rows[name][0] == seeded, name
+        assert all(f"`{key}` (" in rows[name][1] or rows[name][1].endswith(f"`{key}`")
+                   for key in fields), name
+
+
+def test_null_lambda_is_absent(tmp_path):
+    cfg = json.loads((SCENARIOS / "single_cube.json").read_text())
+    reports = []
+    for name, lam in (("absent", {}), ("null", {"lambda": None})):
+        cfg["checks"] = [{"name": "a_chain", **lam}]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["verify", "--config", path, "--out-dir", tmp_path / name]) == 0
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_report_roundtrip_byte_identical(tmp_path):
@@ -161,19 +215,6 @@ def test_energy_command(tmp_path):
     assert report["energy"] == pytest.approx(0.49)
     assert report["wolff_mass"] == pytest.approx(0.49)
     assert (out / "timings.json").exists()
-
-
-def test_trace_command_picks_regime(tmp_path):
-    code = run(["trace", "--config", SCENARIOS / "single_cube.json",
-                "--out-dir", tmp_path / "q1"])
-    assert code == 0
-    report = json.loads((tmp_path / "q1" / "report.json").read_text())
-    assert report["checks"][0]["name"] == "trace_q1"
-    code = run(["trace", "--config", SCENARIOS / "cascade_dlbo.json",
-                "--out-dir", tmp_path / "up"])
-    assert code == 0
-    report = json.loads((tmp_path / "up" / "report.json").read_text())
-    assert report["checks"][0]["name"] == "trace_upper"
 
 
 def test_kernel_table_csv(tmp_path):
@@ -364,6 +405,10 @@ def _edit(cfg, path, value):
     ("single_cube", ("checks", 2, "lambda"), [[0, [0], 1.0], [0, [0], 2.0]],
      "a_chain: field 'lambda' repeats"),
     ("riesz_lebesgue", ("checks", 6, "draws"), 1, "shifted_average: field 'draws'"),
+    ("riesz_lebesgue", ("checks", 6, "x_samples"), 0, "shifted_average: field 'x_samples'"),
+    ("riesz_lebesgue", ("checks", 5, "samples"), 0, "bar_lemmas: field 'samples'"),
+    ("riesz_lebesgue", ("checks", 7, "probes"), 0, "trace_q1: field 'probes'"),
+    ("riesz_lebesgue", ("checks", 8, "trials"), 0, "trace_upper: field 'trials'"),
     ("counterexample", ("checks", 0, "terms"), [1000], "counterexample_series: field 'terms'"),
     ("cascade_dlbo", ("window", "shift"), "x", "window: field 'shift'"),
     ("cascade_dlbo", ("window", "shift"), ["a"], "window: field 'shift'"),
@@ -383,14 +428,35 @@ def _edit(cfg, path, value):
     ("riesz_lebesgue", ("mu", "level"), "x", "mu: field 'level'"),
     ("riesz_lebesgue", ("window", "coarse_level"), "x", "window: field 'coarse_level'"),
     ("riesz_lebesgue", ("kernel", "alpha"), "x", "kernel: field 'alpha'"),
-], ids=["tol", "band", "p", "dimension", "lambda_dimension", "lambda_repeat", "draws", "terms",
+    ("cascade_dlbo", ("checks", 4, "trails"), 3, "trace_upper: unknown field 'trails'"),
+    ("cascade_dlbo", ("checks", 1, "bund"), 1.0, "dlbo: unknown field 'bund'"),
+    ("riesz_lebesgue", ("sigma", "scale"), 1e-3, "sigma: unknown field 'scale'"),
+    ("single_cube", ("windw",), {}, "scenario: unknown field 'windw'"),
+    ("cascade_dlbo", ("window", "shfit"), [0.0], "window: unknown field 'shfit'"),
+    ("cascade_dlbo", ("mu", "level"), 3, "mu: unknown field 'level'"),
+    ("counterexample", ("kernel", "cutoff"), 1.0, "kernel: unknown field 'cutoff'"),
+    ("single_cube", ("exponents", "r"), 2.0, "exponents: unknown field 'r'"),
+    ("single_cube", ("bands",), {"defualt": [1.0, 2.0]}, "bands: unknown field 'defualt'"),
+    ("counterexample", ("checks", 1, "depths"), [], "counterexample_fields: field 'depths'"),
+    ("riesz_lebesgue", ("checks", 9, "depths"), [], "truncation: field 'depths'"),
+    ("riesz_lebesgue", ("checks", 9, "target"), "mass", "truncation: field 'target'"),
+    ("cascade_dlbo", ("window",), "x", "window: expected an object"),
+    ("single_cube", ("kernel",), [1], "kernel: expected an object"),
+    ("single_cube", ("exponents",), 2, "exponents: expected an object"),
+    ("single_cube", ("checks",), 5, "scenario: field 'checks'"),
+    ("single_cube", ("checks", 0, "name"), ["fubini"], "checks: every entry needs a name"),
+], ids=["tol", "band", "p", "dimension", "lambda_dimension", "lambda_repeat", "draws", "x_samples", "samples",
+        "probes", "trials", "terms",
         "shift_string", "shift_list", "shift_dimension", "shift_nan", "shift_bool", "expect_holds",
         "expect_converged", "box_string", "box_nan", "box_dimension", "box_pair", "box_bool",
-        "grid_box_string", "grid_box_inf", "grid_level", "coarse_level", "alpha"])
+        "grid_box_string", "grid_box_inf", "grid_level", "coarse_level", "alpha", "trails", "bund",
+        "scale", "windw", "window_key", "measure_key", "kernel_key", "exponents_key", "bands_key",
+        "fields_depths", "truncation_depths", "target", "window_object", "kernel_object",
+        "exponents_object", "checks_list", "check_name"])
 def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, base, path, value, message):
     cfg = json.loads((SCENARIOS / f"{base}.json").read_text())
     _edit(cfg, path, value)
-    if path[0] == "checks":  # run the malformed check alone
+    if path[0] == "checks" and len(path) > 1:  # run the malformed check alone
         cfg["checks"] = [cfg["checks"][path[1]]]
     path_json = tmp_path / "bad.json"
     path_json.write_text(json.dumps(cfg))
