@@ -160,14 +160,14 @@ def _lambda_weights(scn: Scenario, entries: list) -> np.ndarray:
             level, idx, weight = entry
             key, weight = (int(level), tuple(int(i) for i in idx)), float(weight)
         except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"a_chain: field 'lambda' has the invalid entry {entry!r}") from exc
+            raise ScenarioError(f"field 'lambda' has the invalid entry {entry!r}") from exc
         if len(key[1]) != scn.dimension:
-            raise ScenarioError(f"a_chain: field 'lambda' entry {entry!r} has an index of "
+            raise ScenarioError(f"field 'lambda' entry {entry!r} has an index of "
                                 f"dimension {len(key[1])}, not {scn.dimension}")
         if key in lam:
-            raise ScenarioError(f"a_chain: field 'lambda' repeats the cube {key}")
+            raise ScenarioError(f"field 'lambda' repeats the cube {key}")
         if not weight >= 0.0:
-            raise ScenarioError(f"a_chain: field 'lambda' entry {entry!r} has a negative weight")
+            raise ScenarioError(f"field 'lambda' entry {entry!r} has a negative weight")
         lam[key] = weight
     return scn.scene.index.table_values(lam)
 
@@ -230,7 +230,7 @@ def run_reverse_doubling(scn: Scenario, f: dict, rep: CheckReport) -> bool:
 
 
 def run_dilation(scn: Scenario, f: dict, rep: CheckReport) -> bool:
-    _radial(scn, "dilation check")  # the check reads the scene's radial kernel
+    _radial(scn, "the check")  # the check reads the scene's radial kernel
     sum_ratio, norm_ratio = V.check_kernel_dilation(scn.scene, scn.exponents, f["c"])
     rep.values = {"sum_ratio": sum_ratio, "norm_ratio": norm_ratio, "c": f["c"]}
     rep.bounds = {"sum_ratio": f["band"], "norm_ratio": f["band"]}
@@ -238,7 +238,7 @@ def run_dilation(scn: Scenario, f: dict, rep: CheckReport) -> bool:
 
 
 def run_bar_lemmas(scn: Scenario, f: dict, rep: CheckReport) -> bool:
-    _radial(scn, "bar_lemmas check")  # the check reads the scene's radial kernel
+    _radial(scn, "the check")  # the check reads the scene's radial kernel
     rng = np.random.default_rng(rep.seed)
     lows, highs = np.array(scn.window.box).T
     span = float(np.min(highs - lows))
@@ -258,7 +258,7 @@ def run_bar_lemmas(scn: Scenario, f: dict, rep: CheckReport) -> bool:
 
 
 def run_shifted_average(scn: Scenario, f: dict, rep: CheckReport) -> bool:
-    kernel = _radial(scn, "shifted_average check")
+    kernel = _radial(scn, "the check")
     rng = np.random.default_rng([rep.seed, 1])
     lows, highs = np.array(scn.window.box).T
     xs = lows + (highs - lows) * rng.uniform(0.0, 1.0, (f["x_samples"], scn.dimension))
@@ -276,10 +276,9 @@ def run_shifted_average(scn: Scenario, f: dict, rep: CheckReport) -> bool:
 
 def run_counterexample_series(scn: Scenario, f: dict, rep: CheckReport) -> bool:
     beta, C, (short, long) = f["beta"], f["C"], f["terms"]
-    se1, sw1 = V.counterexample_series(beta, C, scn.dimension, short)
-    se2, sw2 = V.counterexample_series(beta, C, scn.dimension, long)
+    e_tail, w_growth = V.counterexample_series(beta, C, scn.dimension, long, first=short + 1)
     rep.instance = {"beta": beta, "C": C}
-    rep.values = {"energy_series_tail": se2 - se1, "wbar_series_growth": sw2 - sw1}
+    rep.values = {"energy_series_tail": e_tail, "wbar_series_growth": w_growth}
     rep.bounds = {
         "energy_series_tail": (0.0, f["e_tail_max"]),
         "wbar_series_growth": (f["w_growth_min"], math.inf),
@@ -356,9 +355,13 @@ def _depths(value) -> list[int]:
     return depths
 
 
-def _int_pair(value) -> tuple[int, int]:
-    a, b = value
-    return int(a), int(b)
+def _terms(value) -> tuple[int, int]:
+    if not isinstance(value, list):  # a string would unpack into its digits
+        raise ValueError(f"{value!r} is not a list")
+    short, long = (int(v) for v in value)
+    if not 0 <= short < long <= 2 ** 53:  # beyond 2^53, l is no exact float64
+        raise ValueError(f"{value!r} is not 0 <= short < long <= 2^53")
+    return short, long
 
 
 def _target(value) -> str:
@@ -386,7 +389,7 @@ CHECK_FIELDS = {
     "shifted_average": (True, {"j": (int, 0), "draws": (_at_least(2), 10000),
                                "x_samples": (_at_least(1), 5), "band": _BAND}),
     "counterexample_series": (False, {"beta": (float, 1.5), "C": _LOG_C,
-                                      "terms": (_int_pair, (1000, 1000000)),
+                                      "terms": (_terms, (1000, 1000000)),
                                       "w_growth_min": (float, 9.0), "e_tail_max": (float, 0.2)}),
     "counterexample_fields": (False, {"beta": (float, 1.5), "C": _LOG_C,
                                       "depths": (_depths, [6, 10, 14])}),
@@ -424,7 +427,10 @@ def run_checks(scn: Scenario, threads: int = 1) -> tuple[list[CheckReport], dict
     def execute(job):
         params, rep = job
         t0 = time.perf_counter()
-        ok = CHECK_RUNNERS[rep.name](scn, params, rep)
+        try:
+            ok = CHECK_RUNNERS[rep.name](scn, params, rep)
+        except WolffpotError as exc:
+            raise type(exc)(f"{rep.name}: {exc}") from exc
         rep.wall_time = time.perf_counter() - t0
         inside = all(lo <= rep.values[key] <= hi for key, (lo, hi) in rep.bounds.items())
         rep.status = "not-applicable" if rep.reason else ("pass" if ok and inside else "fail")

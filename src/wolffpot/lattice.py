@@ -226,7 +226,8 @@ class LevelIndex:
         out = np.array(values, dtype=float)
         for j in range(len(self.start) - 2, 0, -1):
             s = slice(self.start[j], self.start[j + 1])
-            ufunc.at(out, self.parent[s], out[s])
+            # a copy: ufunc.at takes a far slower path when its values overlap its target
+            ufunc.at(out, self.parent[s], out[s].copy())
         return out
 
     def locate(self, points) -> np.ndarray:

@@ -9,8 +9,10 @@ window enumerations (``window_keys``, ``window_cubes``, ``level_keys``,
 tree, the id arrays of a :class:`LevelIndex`.  ``bar_per_cube`` is the
 earlier one-cube form of :meth:`BarField.bar`.  The two level-array oracles
 keep earlier array forms that sum in another order: cube masses from every
-level's ids at once, and ``Wbar`` from each point's gathered chain.  The 1-D
-shifted-lattice oracle is the earlier form of the range sampler, which sweeps
+level's ids at once, and ``Wbar`` from each point's gathered chain.
+``subtree_loop`` reduces subtrees one cube at a time, and
+``counterexample_series_summed`` is the earlier scalar series, ``np.sum`` over
+every term up to ``L``.  The 1-D shifted-lattice oracle is the earlier form of the range sampler, which sweeps
 every shift in draw order and searches all the atoms at each level.
 ``random_instance`` builds the seeded instances of the tests.
 """
@@ -252,6 +254,19 @@ def cube_mass_table_all_levels(measure: AtomicMeasure, index, first: int = 0, we
     ).astype(float, copy=False)
 
 
+def subtree_loop(index, values, ufunc=np.add) -> np.ndarray:
+    """Subtree reduction one cube at a time, fine level first, ids ascending.
+
+    A cube's own value comes first, then its children's results in id order.
+    """
+    out = [float(v) for v in values]
+    for j in range(len(index.start) - 2, 0, -1):
+        for q in range(index.start[j], index.start[j + 1]):
+            up = index.parent[q]
+            out[up] = float(ufunc(out[up], out[q]))
+    return np.array(out, dtype=float)
+
+
 def wolff_bar_gathered(scene, x, p_prime: float) -> np.ndarray:
     """``Wbar`` at each point from its gathered chain, one term per cube.
 
@@ -263,6 +278,24 @@ def wolff_bar_gathered(scene, x, p_prime: float) -> np.ndarray:
     prefix = np.cumsum(scene.index.gather(scene.bar.weight, chains), axis=0)
     above = np.vstack([np.zeros((1, prefix.shape[1])), prefix[:-1]])
     return np.cumsum(weigh(prefix[-1] - above, power), axis=0)[-1]
+
+
+# -- the borderline series --------------------------------------------------------------
+
+
+def log_power_terms(beta: float, C: float, L: int):
+    """The terms ``ln(C 2^l)^{-beta}`` and ``ln(C 2^l)^{-(2 beta - 2)}`` for ``l = 0..L``."""
+    logs = math.log(C) + np.arange(L + 1, dtype=float) * math.log(2.0)
+    return logs ** -beta, logs ** -(2.0 * beta - 2.0)
+
+
+def counterexample_series_summed(beta: float, C: float, n: int, L: int) -> tuple[float, float]:
+    """Both partial sums of the borderline series by ``np.sum`` over all ``L + 1`` terms."""
+    energy, wbar = log_power_terms(beta, C, L)
+    return float(np.sum(energy)), float(np.sum(wbar))
+
+
+# -- the 1-D shifted-lattice sampler ----------------------------------------------------
 
 
 def first_at_least(padded, z, thr):

@@ -90,6 +90,30 @@ def test_counterexample_scenario_flags_divergence(tmp_path):
     assert fields["values"]["min_wbar_d8"] > fields["values"]["min_wbar_d4"]
 
 
+def test_series_check_cost_does_not_depend_on_the_terms(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "cex.json"
+    base = json.loads((SCENARIOS / "counterexample.json").read_text())
+    base["checks"] = [dict(base["checks"][0], terms=[1000, 10 ** 15])]
+    cfg.write_text(json.dumps(base))
+    t0 = time.perf_counter()
+    assert run(["verify", "--config", cfg, "--out-dir", out]) == 0
+    assert time.perf_counter() - t0 < 1.0  # the series cost does not depend on the terms
+    values = json.loads((out / "report.json").read_text())["checks"][0]["values"]
+    assert values["wbar_series_growth"] == pytest.approx(39.8593, abs=1e-4)
+    assert values["energy_series_tail"] == pytest.approx(0.10945, abs=1e-5)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_numeric_error_names_its_check(tmp_path, capsys, threads):
+    cfg = json.loads((SCENARIOS / "cascade_dlbo.json").read_text())
+    cfg["sigma"] = {"type": "atoms", "positions": [[1.5]], "weights": [1.0]}  # outside the window
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["verify", "--config", path, "--threads", threads, "--out-dir", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == "error: reverse_doubling: no window cube has positive mass\n"
+
+
 def test_shifted_average_reports_its_sweep(tmp_path):
     out = tmp_path / "out"
     cfg = tmp_path / "shifted.json"
@@ -410,6 +434,12 @@ def _edit(cfg, path, value):
     ("riesz_lebesgue", ("checks", 7, "probes"), 0, "trace_q1: field 'probes'"),
     ("riesz_lebesgue", ("checks", 8, "trials"), 0, "trace_upper: field 'trials'"),
     ("counterexample", ("checks", 0, "terms"), [1000], "counterexample_series: field 'terms'"),
+    ("counterexample", ("checks", 0, "terms"), [1000, 1000], "counterexample_series: field 'terms'"),
+    ("counterexample", ("checks", 0, "terms"), [10, 5], "counterexample_series: field 'terms'"),
+    ("counterexample", ("checks", 0, "terms"), [-1, 10], "counterexample_series: field 'terms'"),
+    ("counterexample", ("checks", 0, "terms"), [0, 2 ** 53 + 1], "counterexample_series: field 'terms'"),
+    ("counterexample", ("checks", 0, "terms"), 1000, "counterexample_series: field 'terms'"),
+    ("counterexample", ("checks", 0, "terms"), "19", "counterexample_series: field 'terms'"),
     ("cascade_dlbo", ("window", "shift"), "x", "window: field 'shift'"),
     ("cascade_dlbo", ("window", "shift"), ["a"], "window: field 'shift'"),
     ("cascade_dlbo", ("window", "shift"), [0.0, 0.0], "window: field 'shift'"),
@@ -446,7 +476,8 @@ def _edit(cfg, path, value):
     ("single_cube", ("checks",), 5, "scenario: field 'checks'"),
     ("single_cube", ("checks", 0, "name"), ["fubini"], "checks: every entry needs a name"),
 ], ids=["tol", "band", "p", "dimension", "lambda_dimension", "lambda_repeat", "draws", "x_samples", "samples",
-        "probes", "trials", "terms",
+        "probes", "trials", "terms", "terms_equal", "terms_order", "terms_negative", "terms_huge",
+        "terms_scalar", "terms_string",
         "shift_string", "shift_list", "shift_dimension", "shift_nan", "shift_bool", "expect_holds",
         "expect_converged", "box_string", "box_nan", "box_dimension", "box_pair", "box_bool",
         "grid_box_string", "grid_box_inf", "grid_level", "coarse_level", "alpha", "trails", "bund",

@@ -52,6 +52,7 @@ from oracles import (
     cube_mass_table_all_levels,
     descendant_keys,
     index_keys,
+    subtree_loop,
     window_cube,
     window_cubes,
     window_keys,
@@ -306,6 +307,32 @@ def index_cases(n, depth):
         yield window, b + rng.uniform(0.0, 1.0, (5, n))
         yield window, np.vstack([mixed, mixed[rng.integers(0, 30, 30)]])
         yield window, dense
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 1, 3, 6])
+def test_subtree_matches_the_per_cube_oracle(n, depth):
+    rng = np.random.default_rng(2000 + 10 * n + depth)
+    interleaved = False
+    for window, pts in index_cases(n, depth):
+        index = LevelIndex(window, pts)
+        # in 2-D and up, a level's children are not grouped by parent in id order
+        interleaved |= any(np.any(np.diff(index.parent[a:b]) < 0)
+                           for a, b in zip(index.start[1:], index.start[2:]))
+        w = 2.0 ** rng.uniform(-3, 3, len(pts))
+        w[rng.uniform(size=len(pts)) < 0.2] = 0.0
+        leaf = index.rows[-1]
+        leaves = np.bincount(leaf[leaf >= 0], w[leaf >= 0], minlength=index.n)
+        mass = cube_mass_table(AtomicMeasure(pts, w), index)
+        assert np.array_equal(mass, subtree_loop(index, leaves))
+        own = 2.0 ** rng.uniform(-3, 3, index.n)
+        own[rng.uniform(size=index.n) < 0.3] = np.inf
+        for ufunc in (np.add, np.minimum, np.maximum):
+            assert np.array_equal(index.subtree(own, ufunc), subtree_loop(index, own, ufunc))
+            assert np.array_equal(index.subtree(-own, ufunc), subtree_loop(index, -own, ufunc))
+        finite = 2.0 ** rng.uniform(-3, 3, index.n)
+        assert np.array_equal(index.subtree(finite), subtree_loop(index, finite))
+    assert interleaved == (n > 1 and depth > 0)
 
 
 def key_of(window, key):

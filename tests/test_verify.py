@@ -38,7 +38,13 @@ from wolffpot.verify import (
     truncation_sweep,
 )
 
-from oracles import random_instance, ranges_1d, window_keys
+from oracles import (
+    counterexample_series_summed,
+    log_power_terms,
+    random_instance,
+    ranges_1d,
+    window_keys,
+)
 
 BETA, CEX = 1.5, math.e ** 1.5
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -179,6 +185,26 @@ def test_counterexample_series_growth_exponent():
     _, s1 = counterexample_series(1.25, math.e ** 1.25, 1, 10 ** 4)
     _, s4 = counterexample_series(1.25, math.e ** 1.25, 1, 4 * 10 ** 4)
     assert s4 / s1 == pytest.approx(2.0, rel=0.05)
+
+
+@pytest.mark.parametrize("beta", [1.1, 1.25, 1.5])
+def test_counterexample_series_matches_fsum_of_the_terms(beta):
+    # beta = 1.5 puts the divergent series on its e = 1 branch, the others on e != 1
+    C, m = math.e ** beta, verify._SERIES_DIRECT
+    terms = log_power_terms(beta, C, 10 ** 6)
+
+    def close(got, lo, hi):
+        for value, t in zip(got, terms):
+            want = math.fsum(t[lo:hi + 1])
+            assert abs(value - want) <= 1e-14 * want, (lo, hi, value, want)
+
+    for L in (0, m - 1, m, m + 1, 1000, 10 ** 6):
+        close(counterexample_series(beta, C, 1, L), 0, L)
+        np.testing.assert_allclose(counterexample_series(beta, C, 1, L),
+                                   counterexample_series_summed(beta, C, 1, L), rtol=1e-14)
+    for L1, L2 in ((0, 1), (m - 2, m), (m - 1, m + 1), (10, 10 + 2 * m), (999, 1000),
+                   (1000, 10 ** 6), (123456, 654321), (10 ** 6 - 1, 10 ** 6)):
+        close(counterexample_series(beta, C, 1, L2, first=L1 + 1), L1 + 1, L2)
 
 
 def test_counterexample_fields_small_depths():
