@@ -20,10 +20,9 @@ from wolffpot import (
     DyadicScene,
     Exponents,
     LatticeWindow,
-    energy_dyadic,
     riesz_kernel,
 )
-from wolffpot.verify import check_fubini, check_energy_wolff_ratio, wolff_integral
+from wolffpot.verify import check_fubini, check_energy_wolff_ratio
 
 
 def random_measure(rng, n_atoms):
@@ -51,11 +50,9 @@ def main():
         mu = random_measure(rng, 80)
 
         scene = DyadicScene(K, sigma, mu, window)
-        e = energy_dyadic(scene, exps)
-        wm = wolff_integral(scene, exps)
+        e, wm, ratio, _ = check_energy_wolff_ratio(scene, exps)
         mm = sum(w * m ** exps.p_prime for m, w in zip(scene.maximal(sigma), sigma.weights))
         fub, _ = check_fubini(scene, exps)
-        ratio, _ = check_energy_wolff_ratio(scene, exps)
         ratios.append(ratio)
         print(f"{seed:>4} {alpha:>6.3f} {e:>12.4g} {wm:>12.4g} "
               f"{mm:>12.4g} {ratio:>8.3f} {fub:>9.1e}")

@@ -1,12 +1,12 @@
 """Scenario-driven command line front end.
 
 Subcommands ``potential`` and ``maximal`` evaluate a field at query points,
-``energy`` the dyadic energy and Wolff mass, and ``verify`` runs a scenario's
-check list.  Every check declares its fields once, in ``CHECK_FIELDS``;
-``run_checks`` reads them, rejects any it does not know, and sets each verdict
-from the bounds the report publishes.  Reports are deterministic: identical
-(config, seed) pairs produce byte-identical JSON, with wall-clock timings
-written to a separate file.
+and ``verify`` runs a scenario's check list.  Every check declares its fields
+once, in ``CHECK_FIELDS``; ``run_checks`` reads them, rejects any it does not
+know, records them in the report with their defaults resolved, and sets each
+verdict from the bounds the report publishes.  Reports are deterministic:
+identical (config, seed) pairs produce byte-identical JSON, with wall-clock
+timings written to a separate file.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from .verify import CheckReport
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal form; infinities become the string inf."""
-    if isinstance(x, (bool,)):
-        return "true" if x else "false"
     if math.isnan(x):
         return "nan"
     if math.isinf(x):
@@ -89,16 +87,14 @@ def write_report(path: Path, obj) -> None:
 
 
 def write_ratio_csv(path: Path, reports: list[CheckReport]) -> None:
-    lines = ["check,seed,value,lower_band,upper_band,pass"]
+    lines = ["check,seed,value,lower_band,upper_band,status"]
     for rep in reports:
-        seed = "" if rep.seed is None else str(rep.seed)
         for key, val in rep.values.items():
             lo, hi = rep.bounds.get(key, (None, None))
             lines.append(
-                f"{rep.name}:{key},{seed},{format_float(float(val))},"
+                f"{rep.name}:{key},{rep.seed},{format_float(float(val))},"
                 f"{'' if lo is None else format_float(lo)},"
-                f"{'' if hi is None else format_float(hi)},"
-                f"{'pass' if rep.passed else 'fail'}"
+                f"{'' if hi is None else format_float(hi)},{rep.status}"
             )
     path.write_text("\n".join(lines) + "\n")
 
@@ -184,8 +180,8 @@ def run_a_chain(scn: Scenario, f: dict, rep: CheckReport) -> bool:
 
 
 def run_energy_wolff_ratio(scn: Scenario, f: dict, rep: CheckReport) -> bool:
-    ratio, rep.reason = V.check_energy_wolff_ratio(scn.scene, scn.exponents)
-    rep.values = {"energy_over_wolff_mass": ratio}
+    energy, wolff_mass, ratio, rep.reason = V.check_energy_wolff_ratio(scn.scene, scn.exponents)
+    rep.values = {"energy_over_wolff_mass": ratio, "energy": energy, "wolff_mass": wolff_mass}
     rep.bounds = {"energy_over_wolff_mass": f["band"]}
     return True
 
@@ -277,7 +273,6 @@ def run_shifted_average(scn: Scenario, f: dict, rep: CheckReport) -> bool:
 def run_counterexample_series(scn: Scenario, f: dict, rep: CheckReport) -> bool:
     beta, C, (short, long) = f["beta"], f["C"], f["terms"]
     e_tail, w_growth = V.counterexample_series(beta, C, scn.dimension, long, first=short + 1)
-    rep.instance = {"beta": beta, "C": C}
     rep.values = {"energy_series_tail": e_tail, "wbar_series_growth": w_growth}
     rep.bounds = {
         "energy_series_tail": (0.0, f["e_tail_max"]),
@@ -289,7 +284,6 @@ def run_counterexample_series(scn: Scenario, f: dict, rep: CheckReport) -> bool:
 def run_counterexample_fields(scn: Scenario, f: dict, rep: CheckReport) -> bool:
     beta, C, depths = f["beta"], f["C"], f["depths"]
     rows = [V.check_counterexample_fields(beta, C, d) for d in depths]
-    rep.instance = {"beta": beta, "C": C, "depths": depths}
     for d, (e, wbar, iw) in zip(depths, rows):
         rep.values[f"energy_d{d}"] = e
         rep.values[f"min_wbar_d{d}"] = wbar
@@ -315,7 +309,6 @@ def run_truncation(scn: Scenario, f: dict, rep: CheckReport) -> bool:
         return V.check_fubini(scene, scn.exponents)[0]
 
     sweep = V.truncation_sweep(at_depth, f["depths"], rtol=f["rtol"], atol=f["atol"])
-    rep.instance = {"target": target, "depths": f["depths"]}
     for d, v in zip(sweep.depths, sweep.values):
         rep.values[f"value_d{d}"] = v
     rep.values["converged"] = 1.0 if sweep.converged else 0.0
@@ -349,6 +342,8 @@ def _at_least(low: int):
 
 
 def _depths(value) -> list[int]:
+    if not isinstance(value, list):  # a string would iterate over its digits
+        raise ValueError(f"{value!r} is not a list")
     depths = [int(v) for v in value]
     if not depths:
         raise ValueError("no depths")
@@ -399,8 +394,8 @@ CHECK_FIELDS = {
 }
 
 
-def _check_job(scn: Scenario, cfg: dict, index: int, instance: dict) -> tuple[dict, CheckReport]:
-    """A check's fields and its report shell; a malformed or unknown field is a ScenarioError."""
+def _check_report(scn: Scenario, cfg: dict, index: int, instance: dict) -> CheckReport:
+    """A check's report shell with its fields; a malformed or unknown field is a ScenarioError."""
     name = cfg["name"]
     if name not in CHECK_FIELDS:
         raise ScenarioError(f"unknown check {name!r}")
@@ -414,7 +409,7 @@ def _check_job(scn: Scenario, cfg: dict, index: int, instance: dict) -> tuple[di
     for key, (kind, default) in fields.items():
         value = config_value(cfg, key, name, kind, default)
         params[key] = value(scn, params) if callable(value) else value
-    return params, CheckReport(name, instance, seed=(seed or 0) + index)
+    return CheckReport(name, instance, params, seed=(seed or 0) + index)
 
 
 def run_checks(scn: Scenario, threads: int = 1) -> tuple[list[CheckReport], dict]:
@@ -422,13 +417,12 @@ def run_checks(scn: Scenario, threads: int = 1) -> tuple[list[CheckReport], dict
     if not scn.checks:
         raise ScenarioError("scenario lists no checks")
     instance = _instance_descriptor(scn)
-    jobs = [_check_job(scn, cfg, index, instance) for index, cfg in enumerate(scn.checks)]
+    shells = [_check_report(scn, cfg, index, instance) for index, cfg in enumerate(scn.checks)]
 
-    def execute(job):
-        params, rep = job
+    def execute(rep):
         t0 = time.perf_counter()
         try:
-            ok = CHECK_RUNNERS[rep.name](scn, params, rep)
+            ok = CHECK_RUNNERS[rep.name](scn, rep.params, rep)
         except WolffpotError as exc:
             raise type(exc)(f"{rep.name}: {exc}") from exc
         rep.wall_time = time.perf_counter() - t0
@@ -438,9 +432,9 @@ def run_checks(scn: Scenario, threads: int = 1) -> tuple[list[CheckReport], dict
 
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(execute, jobs))
+            reports = list(pool.map(execute, shells))
     else:
-        reports = [execute(job) for job in jobs]
+        reports = [execute(rep) for rep in shells]
     timings = {f"{index}:{rep.name}": rep.wall_time for index, rep in enumerate(reports)}
     return reports, timings
 
@@ -513,23 +507,6 @@ def cmd_field(args) -> int:
     return 0
 
 
-def cmd_energy(args) -> int:
-    scn, out_dir = _load(args)
-    t0 = time.perf_counter()
-    e = energy_dyadic(scn.scene, scn.exponents)
-    wm = V.wolff_integral(scn.scene, scn.exponents)
-    fub, reason = V.check_fubini(scn.scene, scn.exponents)
-    extra = {"energy": e, "wolff_mass": wm, "fubini_relative_error": fub,
-             "p_prime": scn.exponents.p_prime}
-    if reason is not None:
-        extra["fubini_reason"] = reason
-    summary = _summary(scn, "energy", extra)
-    write_report(out_dir / "report.json", summary)
-    write_report(out_dir / "timings.json", {"total_seconds": time.perf_counter() - t0})
-    print(f"energy: E={format_float(e)} wolff_mass={format_float(wm)}")
-    return 0
-
-
 def cmd_verify(args) -> int:
     scn, out_dir = _load(args)
     t0 = time.perf_counter()
@@ -539,11 +516,10 @@ def cmd_verify(args) -> int:
     write_ratio_csv(out_dir / "ratios.csv", reports)
     write_report(out_dir / "timings.json",
                  {"total_seconds": time.perf_counter() - t0, "per_check": timings})
-    failed = 0
     for rep in reports:
         print(f"[{rep.status.upper():>14}] {rep.name}  " +
               " ".join(f"{k}={format_float(float(v))}" for k, v in list(rep.values.items())[:3]))
-        failed += 0 if rep.passed else 1
+    failed = sum(rep.status == "fail" for rep in reports)
     print(f"verify: {len(reports) - failed}/{len(reports)} checks passed")
     return 0 if failed == 0 else 1
 
@@ -568,10 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["wolff", "wolff_bar", "wolff_continuous", "t"],
                    default="wolff")
     p.set_defaults(fn=cmd_field)
-
-    p = sub.add_parser("energy", help="dyadic energy and Wolff mass")
-    common(p)
-    p.set_defaults(fn=cmd_energy)
 
     p = sub.add_parser("maximal", help="maximal functions at query points")
     common(p)

@@ -19,7 +19,7 @@ is zero, and both may legitimately take the value ``+inf``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -130,7 +130,6 @@ class RadialKernel:
     cutoff: float | None = None
     limit_at_zero: float = math.inf
     name: str = "radial"
-    params: dict = field(default_factory=dict)
 
     def __call__(self, r: float) -> float:
         if r <= 0:
@@ -207,9 +206,7 @@ def riesz_kernel(alpha: float, n: int, cutoff: float | None = None) -> RadialKer
         # e < 0, so b = inf contributes inf^e = 0
         return (a ** e - b ** e) / (n - alpha)
 
-    return RadialKernel(
-        prof, prim, cutoff=cutoff, name="riesz", params={"alpha": alpha, "n": n}
-    )
+    return RadialKernel(prof, prim, cutoff=cutoff, name="riesz")
 
 
 def quad(*args, **kwargs):
@@ -256,9 +253,7 @@ def log_kernel(beta: float, C: float, n: int) -> RadialKernel:
                                  epsrel=PRIMITIVE_REL_TOL, limit=200)
         return out
 
-    kern = RadialKernel(
-        prof, prim, cutoff=1.0, name="log", params={"beta": beta, "C": C, "n": n}
-    )
+    kern = RadialKernel(prof, prim, cutoff=1.0, name="log")
     _validate_nonincreasing(kern, 2.0 ** -30, 1.0)
     return kern
 
@@ -280,7 +275,6 @@ def constant_kernel(value: float = 1.0, cutoff: float | None = None) -> RadialKe
         cutoff=cutoff,
         limit_at_zero=value,
         name="constant",
-        params={"value": value},
     )
 
 

@@ -99,14 +99,36 @@ def json_bool(value) -> bool:
     return value
 
 
+def number_list(value) -> np.ndarray:
+    """A list of finite JSON numbers as a float array."""
+    # type(), not isinstance(): a JSON boolean is no number here
+    if not (type(value) is list
+            and all(type(v) in (int, float) and math.isfinite(v) for v in value)):
+        raise ValueError(f"{value!r} is not a list of finite numbers")
+    return np.array(value, dtype=float)
+
+
 def numbers(dimension: int):
     """The kind of a list of ``dimension`` finite JSON numbers, read as a tuple of floats."""
     def kind(value) -> tuple[float, ...]:
-        # type(), not isinstance(): a JSON boolean is no number here
-        if not (type(value) is list and len(value) == dimension
-                and all(type(v) in (int, float) and math.isfinite(v) for v in value)):
+        out = number_list(value)
+        if len(out) != dimension:
             raise ValueError(f"{value!r} is not a list of {dimension} finite numbers")
-        return tuple(float(v) for v in value)
+        return tuple(out.tolist())
+    return kind
+
+
+def atom_positions(dimension: int):
+    """The kind of a list of points of ``dimension`` finite numbers, read as an
+    ``(atoms, dimension)`` array; in 1-D a point may also be a bare number."""
+    point = numbers(dimension)
+
+    def kind(value) -> np.ndarray:
+        if type(value) is not list:
+            raise ValueError(f"{value!r} is not a list of points")
+        if dimension == 1:
+            value = [v if type(v) is list else [v] for v in value]
+        return np.array([point(v) for v in value]).reshape(len(value), dimension)
     return kind
 
 
@@ -143,10 +165,8 @@ def build_measure(cfg: dict, dimension: int, where: str) -> AtomicMeasure:
     try:
         if kind == "atoms":
             reject_unknown(cfg, where, ("type", "positions", "weights"))
-            pos = np.asarray(config_value(cfg, "positions", where), dtype=float)
-            if pos.ndim == 1:
-                pos = pos.reshape(-1, 1)
-            return AtomicMeasure(pos, config_value(cfg, "weights", where))
+            return AtomicMeasure(config_value(cfg, "positions", where, atom_positions(dimension)),
+                                 config_value(cfg, "weights", where, number_list))
         if kind == "lebesgue_grid":
             reject_unknown(cfg, where, ("type", "box", "level"))
             return lebesgue_grid(
@@ -167,22 +187,35 @@ def build_measure(cfg: dict, dimension: int, where: str) -> AtomicMeasure:
     raise ScenarioError(f"{where}: unknown measure type {kind!r}")
 
 
-def read_kernel_table(path: str | Path) -> dict:
-    """CSV kernel table with columns level, index components, value."""
+def _csv_rows(path: str | Path, what: str) -> list[list[str]]:
+    """The rows of a CSV file; a file that cannot be read is a ScenarioError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+    except OSError as exc:
+        raise ScenarioError(f"{what} {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{what} {path}: not UTF-8 text") from exc
+
+
+def read_kernel_table(path: str | Path, dimension: int) -> dict:
+    """CSV kernel table with columns level, ``dimension`` index components, value."""
     table = {}
-    with open(path, newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), 1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if row_no == 1 and not row[0].lstrip("-").isdigit():
-                continue  # header line
-            try:
-                level = int(row[0])
-                idx = tuple(int(v) for v in row[1:-1])
-                val = float(row[-1])
-            except ValueError as exc:
-                raise ScenarioError(f"kernel table {path} line {row_no}: {exc}") from exc
-            table[(level, idx)] = val
+    for row_no, row in enumerate(_csv_rows(path, "kernel table"), 1):
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        if row_no == 1 and not row[0].lstrip("-").isdigit():
+            continue  # header line
+        try:
+            level = int(row[0])
+            idx = tuple(int(v) for v in row[1:-1])
+            val = float(row[-1])
+        except ValueError as exc:
+            raise ScenarioError(f"kernel table {path} line {row_no}: {exc}") from exc
+        if len(idx) != dimension:
+            raise ScenarioError(f"kernel table {path} line {row_no}: "
+                                f"{len(idx)} index components, not {dimension}")
+        table[(level, idx)] = val
     if not table:
         raise ScenarioError(f"kernel table {path} holds no entries")
     return table
@@ -207,7 +240,8 @@ def build_kernel(cfg: dict, dimension: int) -> DyadicKernelMap:
             return DyadicKernelMap.from_radial(constant_kernel(value, cutoff=cutoff))
         if kind == "table":
             reject_unknown(cfg, "kernel", ("type", "path"))
-            return DyadicKernelMap.from_table(read_kernel_table(config_value(cfg, "path", "kernel")))
+            path = config_value(cfg, "path", "kernel")
+            return DyadicKernelMap.from_table(read_kernel_table(path, dimension))
     except ScenarioError:
         raise  # it names its field already
     except WolffpotError as exc:
@@ -224,8 +258,6 @@ def build_scenario(cfg: dict) -> Scenario:
     window = build_window(config_value(cfg, "window", "scenario"), dimension)
     sigma = build_measure(config_value(cfg, "sigma", "scenario"), dimension, "sigma")
     mu = build_measure(config_value(cfg, "mu", "scenario"), dimension, "mu")
-    if sigma.dimension != dimension or mu.dimension != dimension:
-        raise ScenarioError("scenario: measure dimension does not match")
     kernel = build_kernel(config_value(cfg, "kernel", "scenario"), dimension)
     exp_cfg = config_value(cfg, "exponents", "scenario")
     p = config_value(exp_cfg, "p", "exponents", float)
@@ -258,12 +290,14 @@ def build_scenario(cfg: dict) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text") from exc
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     return build_scenario(cfg)
@@ -271,21 +305,20 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def read_points_csv(path: str | Path, dimension: int) -> np.ndarray:
     pts = []
-    with open(path, newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), 1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                vals = [float(v) for v in row]
-            except ValueError:
-                if row_no == 1:
-                    continue  # header
-                raise ScenarioError(f"{path} line {row_no}: not a numeric row")
-            if len(vals) != dimension:
-                raise ScenarioError(
-                    f"{path} line {row_no}: expected {dimension} coordinates, got {len(vals)}"
-                )
-            pts.append(vals)
+    for row_no, row in enumerate(_csv_rows(path, "points file"), 1):
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        try:
+            vals = [float(v) for v in row]
+        except ValueError:
+            if row_no == 1:
+                continue  # header
+            raise ScenarioError(f"{path} line {row_no}: not a numeric row")
+        if len(vals) != dimension:
+            raise ScenarioError(
+                f"{path} line {row_no}: expected {dimension} coordinates, got {len(vals)}"
+            )
+        pts.append(vals)
     if not pts:
         raise ScenarioError(f"{path}: no query points")
     return np.asarray(pts)

@@ -48,30 +48,26 @@ class CheckReport:
 
     name: str
     instance: dict
+    params: dict = field(default_factory=dict)  # the check's fields, defaults resolved
     values: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
     status: str = "pass"  # pass | fail | not-applicable
-    seed: int | None = None
+    seed: int = 0
     wall_time: float = 0.0
     reason: str | None = None  # why a check is not applicable
 
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
-
-    def to_jsonable(self, include_timing: bool = False) -> dict:
+    def to_jsonable(self) -> dict:
         out = {
             "name": self.name,
             "status": self.status,
             "seed": self.seed,
             "instance": self.instance,
+            "params": self.params,
             "values": dict(self.values),
             "bounds": {k: list(v) for k, v in self.bounds.items()},
         }
         if self.reason is not None:
             out["reason"] = self.reason
-        if include_timing:
-            out["wall_time"] = self.wall_time
         return out
 
 
@@ -144,12 +140,14 @@ def wolff_integral(scene: DyadicScene, exps: Exponents, power: float = 1.0) -> f
     return weighted_sum(scene.mu.weights, np.power(scene.wolff(scene.mu, exps.p_prime), power))
 
 
-def check_energy_wolff_ratio(scene: DyadicScene, exps: Exponents) -> tuple[float, str | None]:
-    """Energy over Wolff mass, ``E / int W dmu``; NaN and the reason when either is 0 or inf."""
+def check_energy_wolff_ratio(scene: DyadicScene,
+                             exps: Exponents) -> tuple[float, float, float, str | None]:
+    """``(E, int W dmu, E / int W dmu, reason)``; the ratio is NaN, with the reason, when
+    either is 0 or inf."""
     e, wm = energy_dyadic(scene, exps), wolff_integral(scene, exps)
     bad = " and ".join(f"the {name} is {'zero' if v <= 0.0 else 'infinite'}"
                        for name, v in (("energy", e), ("Wolff mass", wm)) if not 0.0 < v < math.inf)
-    return (math.nan, bad) if bad else (e / wm, None)
+    return (e, wm, math.nan, bad) if bad else (e, wm, e / wm, None)
 
 
 # -- duality (q = 1) -------------------------------------------------------------

@@ -132,7 +132,7 @@ def test_criterion_03_explicit_proof_constants(suite):
 def test_criterion_04_energy_wolff_band(suite):
     per_pp: dict = {pp: [] for pp in P_PRIMES}
     for inst, exps in suite:
-        ratio, _ = check_energy_wolff_ratio(scene_of(inst), exps)
+        _, _, ratio, _ = check_energy_wolff_ratio(scene_of(inst), exps)
         if not math.isnan(ratio):
             per_pp[exps.p_prime].append(ratio)
     lo = min(min(v) for v in per_pp.values())
@@ -140,7 +140,7 @@ def test_criterion_04_energy_wolff_band(suite):
     ok_band = 1e-3 <= lo and hi <= 1e3
 
     w0 = LatticeWindow.from_box([(0.0, 1.0)], 0, 0)
-    single, _ = check_energy_wolff_ratio(
+    _, _, single, _ = check_energy_wolff_ratio(
         DyadicScene(DyadicKernelMap.from_radial(constant_kernel(1.0)),
                     lebesgue_grid([(0.0, 1.0)], 0),
                     AtomicMeasure([[0.5]], [0.7]), w0),

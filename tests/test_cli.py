@@ -14,9 +14,12 @@ import wolffpot
 from wolffpot import LatticeWindow, LevelIndex
 from wolffpot import cli
 from wolffpot.cli import build_parser, dumps_canonical, format_float, main, write_values_csv
+from wolffpot.potentials import energy_dyadic
 from wolffpot.scenario import ScenarioError, load_scenario, read_kernel_table
+from wolffpot.verify import wolff_integral
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+SHIPPED = ["single_cube", "cascade_dlbo", "riesz_lebesgue", "counterexample"]
 
 
 def run(args):
@@ -34,7 +37,7 @@ def test_single_cube_scenario(tmp_path):
     assert checks["energy_wolff_ratio"]["values"]["energy_over_wolff_mass"] == pytest.approx(1.0)
     assert checks["trace_q1"]["values"]["dual_constant"] == pytest.approx(0.7)
     assert (out / "ratios.csv").read_text().splitlines()[0] == \
-        "check,seed,value,lower_band,upper_band,pass"
+        "check,seed,value,lower_band,upper_band,status"
 
 
 def test_validation_error_exit_code(tmp_path):
@@ -231,20 +234,10 @@ def test_potential_and_maximal_commands(tmp_path):
     assert code == 0
 
 
-def test_energy_command(tmp_path):
-    out = tmp_path / "out"
-    code = run(["energy", "--config", SCENARIOS / "single_cube.json", "--out-dir", out])
-    assert code == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["energy"] == pytest.approx(0.49)
-    assert report["wolff_mass"] == pytest.approx(0.49)
-    assert (out / "timings.json").exists()
-
-
 def test_kernel_table_csv(tmp_path):
     path = tmp_path / "k.csv"
     path.write_text("level,i0,value\n0,0,1.0\n1,0,2.0\n1,1,0.5\n")
-    table = read_kernel_table(path)
+    table = read_kernel_table(path, 1)
     assert table[(0, (0,))] == 1.0
     assert table[(1, (1,))] == 0.5
     cfg = tmp_path / "scn.json"
@@ -272,7 +265,6 @@ def test_empty_check_list_rejected(tmp_path):
     ("verify", "riesz_lebesgue", 4),  # the scene plus one per truncation depth
     ("verify", "cascade_dlbo", 1),
     ("verify", "single_cube", 1),
-    ("energy", "cascade_dlbo", 1),
 ])
 def test_one_level_index_per_instance(monkeypatch, tmp_path, command, scenario, built):
     init = LevelIndex.__init__
@@ -357,23 +349,78 @@ def test_not_applicable_checks_say_why(tmp_path, value, reasons):
     assert run(["verify", "--config", cfg, "--out-dir", tmp_path / "o"]) == 0
     checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
     assert {c["name"]: c.get("reason") for c in checks} == reasons
-    values = {"fubini": ["relative_error"], "energy_wolff_ratio": ["energy_over_wolff_mass"]}
+    values = {"fubini": ["relative_error"],
+              "energy_wolff_ratio": ["energy_over_wolff_mass", "energy", "wolff_mass"]}
     for c in checks:
         assert (c["status"] == "not-applicable") == (reasons[c["name"]] is not None)
         assert list(c["values"]) == values[c["name"]]
-    assert "reason" not in (tmp_path / "o" / "ratios.csv").read_text()
+    ratios = (tmp_path / "o" / "ratios.csv").read_text()
+    assert "reason" not in ratios
+    # the last column is each check's status, not-applicable included
+    assert [row.rsplit(",", 1)[1] for row in ratios.splitlines()[1:]] == \
+        [c["status"] for c in checks for _ in c["values"]]
 
 
-@pytest.mark.parametrize("value, reason", [
-    ("inf", "the energy identity has an infinite left and an infinite right side"),
-    ("0.0", None),
-])
-def test_energy_report_says_why_fubini_is_nan(tmp_path, value, reason):
-    cfg = _table_scenario(tmp_path, value)
-    assert run(["energy", "--config", cfg, "--out-dir", tmp_path / "o"]) == 0
-    report = json.loads((tmp_path / "o" / "report.json").read_text())
-    assert report.get("fubini_reason") == reason
-    assert (report["fubini_relative_error"] == "nan") == (reason is not None)
+@pytest.mark.parametrize("source", [*SHIPPED, "inf", "0.0"])
+def test_energy_and_wolff_mass_are_published_exactly(tmp_path, source):
+    base = SCENARIOS / f"{source}.json" if source in SHIPPED else _table_scenario(tmp_path, source)
+    cfg = json.loads(base.read_text())
+    cfg["checks"] = [{"name": "energy_wolff_ratio"}]
+    path = tmp_path / "ratio.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["verify", "--config", path, "--out-dir", tmp_path / "o"]) in (0, 1)
+    values = json.loads((tmp_path / "o" / "report.json").read_text())["checks"][0]["values"]
+    scn = load_scenario(path)
+    assert float(values["energy"]) == energy_dyadic(scn.scene, scn.exponents)
+    assert float(values["wolff_mass"]) == wolff_integral(scn.scene, scn.exponents)
+
+
+def _resolved_fields(scn, cfg) -> dict:
+    """A check's fields as the scenario gives them, else their defaults, resolved in order."""
+    out = {}
+    for key, (_, default) in cli.CHECK_FIELDS[cfg["name"]][1].items():
+        if cfg.get(key) is not None:
+            out[key] = cfg[key]
+        else:
+            out[key] = default(scn, out) if callable(default) else default
+    return out
+
+
+@pytest.mark.parametrize("scenario", SHIPPED)
+def test_every_report_records_its_fields_and_the_run_instance(tmp_path, scenario):
+    assert run(["verify", "--config", SCENARIOS / f"{scenario}.json", "--out-dir", tmp_path]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    scn = load_scenario(SCENARIOS / f"{scenario}.json")
+    assert len(report["checks"]) == len(scn.checks)
+    for cfg, check in zip(scn.checks, report["checks"]):
+        assert list(check)[:5] == ["name", "status", "seed", "instance", "params"]
+        assert check["params"] == json.loads(dumps_canonical(_resolved_fields(scn, cfg))), cfg
+        assert check["instance"] == report["instance"], cfg["name"]
+
+
+@pytest.mark.parametrize("case", ["missing_table", "table_index", "table_bytes", "missing_points",
+                                  "scenario_bytes"])
+def test_bad_input_files_exit_2_with_one_line(tmp_path, capsys, case):
+    cfg = _table_scenario(tmp_path, "1.0")
+    table, points = tmp_path / "kernel.csv", tmp_path / "points.csv"
+    args = ["verify", "--config", cfg]
+    if case == "missing_table":
+        table.unlink()
+        message = f"kernel table {table}: No such file or directory"
+    elif case == "table_index":
+        table.write_text("level,i0,value\n0,0,0,1.0\n")  # a 2-D index in a 1-D scenario
+        message = f"kernel table {table} line 2: 2 index components, not 1"
+    elif case == "table_bytes":
+        table.write_bytes(b"level,i0,value\n0,0,\xff\n")
+        message = f"kernel table {table}: not UTF-8 text"
+    elif case == "scenario_bytes":
+        cfg.write_bytes(b'{"dimension": "\xff"}')
+        message = f"{cfg}: not UTF-8 text"
+    else:
+        args = ["potential", "--config", cfg, "--points", points]
+        message = f"points file {points}: No such file or directory"
+    assert run([*args, "--out-dir", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_scene_is_built_once_when_checks_race(monkeypatch):
@@ -475,6 +522,10 @@ def _edit(cfg, path, value):
     ("single_cube", ("exponents",), 2, "exponents: expected an object"),
     ("single_cube", ("checks",), 5, "scenario: field 'checks'"),
     ("single_cube", ("checks", 0, "name"), ["fubini"], "checks: every entry needs a name"),
+    ("counterexample", ("checks", 1, "depths"), "68", "counterexample_fields: field 'depths'"),
+    ("cascade_dlbo", ("mu", "positions"), [[0.5], [0.1, 0.2]], "mu: field 'positions'"),
+    ("cascade_dlbo", ("mu", "positions"), "a", "mu: field 'positions'"),
+    ("cascade_dlbo", ("mu", "weights"), "x", "mu: field 'weights'"),
 ], ids=["tol", "band", "p", "dimension", "lambda_dimension", "lambda_repeat", "draws", "x_samples", "samples",
         "probes", "trials", "terms", "terms_equal", "terms_order", "terms_negative", "terms_huge",
         "terms_scalar", "terms_string",
@@ -483,7 +534,8 @@ def _edit(cfg, path, value):
         "grid_box_string", "grid_box_inf", "grid_level", "coarse_level", "alpha", "trails", "bund",
         "scale", "windw", "window_key", "measure_key", "kernel_key", "exponents_key", "bands_key",
         "fields_depths", "truncation_depths", "target", "window_object", "kernel_object",
-        "exponents_object", "checks_list", "check_name"])
+        "exponents_object", "checks_list", "check_name", "depths_string", "positions_ragged",
+        "positions_string", "weights_string"])
 def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, base, path, value, message):
     cfg = json.loads((SCENARIOS / f"{base}.json").read_text())
     _edit(cfg, path, value)

@@ -117,12 +117,12 @@ def test_energy_wolff_ratio_single_cube_and_consistency():
     sigma = lebesgue_grid([(0.0, 1.0)], 0)
     mu = AtomicMeasure([[0.5]], [0.7])
     scene = DyadicScene(K1, sigma, mu, w)
-    assert check_energy_wolff_ratio(scene, Exponents(p=2.0))[0] == pytest.approx(1.0, abs=1e-12)
+    assert check_energy_wolff_ratio(scene, Exponents(p=2.0))[2] == pytest.approx(1.0, abs=1e-12)
     # the ratio equals A1/A2 under the weight substitution
     inst = random_instance([104, 1], depth=5)
     ex = Exponents(p=2.0)
     scene = scene_of(inst)
-    ratio, _ = check_energy_wolff_ratio(scene, ex)
+    _, _, ratio, _ = check_energy_wolff_ratio(scene, ex)
     a_ratio = check_a_chain(scene, lambda_substitution(scene), ex.p_prime)[0]
     assert ratio == pytest.approx(a_ratio, rel=1e-12)
 
