@@ -32,7 +32,7 @@ from .potentials import (
     m_k_maximal,
     wolff_continuous,
 )
-from .scenario import (Scenario, band_pair, config_value, json_bool, load_scenario,
+from .scenario import (Scenario, at_least, band_pair, config_value, json_bool, load_scenario,
                        read_points_csv, reject_unknown)
 from .verify import CheckReport
 
@@ -332,15 +332,6 @@ CHECK_RUNNERS = {
 }
 
 
-def _at_least(low: int):
-    """The kind of an integer no less than ``low``."""
-    def kind(value) -> int:
-        if int(value) < low:
-            raise ValueError(f"{value!r} is less than {low}")
-        return int(value)
-    return kind
-
-
 def _depths(value) -> list[int]:
     if not isinstance(value, list):  # a string would iterate over its digits
         raise ValueError(f"{value!r} is not a list")
@@ -375,14 +366,14 @@ CHECK_FIELDS = {
     "fubini": (False, {"tol": (float, 1e-9)}),
     "a_chain": (False, {"s": (float, lambda scn, f: scn.exponents.p_prime), "lambda": (list, None)}),
     "energy_wolff_ratio": (False, {"band": _BAND}),
-    "trace_q1": (True, {"probes": (_at_least(1), 200)}),
-    "trace_upper": (True, {"trials": (_at_least(1), 50), "band": _BAND}),
+    "trace_q1": (True, {"probes": (at_least(1), 200)}),
+    "trace_upper": (True, {"trials": (at_least(1), 50), "band": _BAND}),
     "dlbo": (False, {"bound": (float, lambda scn, f: scn.band[1])}),
     "reverse_doubling": (False, {"gamma": (float, 1.0), "expect_holds": (json_bool, True)}),
     "dilation": (False, {"c": (float, 0.25), "band": _BAND}),
-    "bar_lemmas": (True, {"samples": (_at_least(1), 20), "band": _BAND}),
-    "shifted_average": (True, {"j": (int, 0), "draws": (_at_least(2), 10000),
-                               "x_samples": (_at_least(1), 5), "band": _BAND}),
+    "bar_lemmas": (True, {"samples": (at_least(1), 20), "band": _BAND}),
+    "shifted_average": (True, {"j": (int, 0), "draws": (at_least(2), 10000),
+                               "x_samples": (at_least(1), 5), "band": _BAND}),
     "counterexample_series": (False, {"beta": (float, 1.5), "C": _LOG_C,
                                       "terms": (_terms, (1000, 1000000)),
                                       "w_growth_min": (float, 9.0), "e_tail_max": (float, 0.2)}),
@@ -401,7 +392,7 @@ def _check_report(scn: Scenario, cfg: dict, index: int, instance: dict) -> Check
         raise ScenarioError(f"unknown check {name!r}")
     seeded, fields = CHECK_FIELDS[name]
     reject_unknown(cfg, name, ("name", "seed", *fields))
-    seed = config_value(cfg, "seed", name, int, scn.seed)
+    seed = config_value(cfg, "seed", name, at_least(0), scn.seed)
     if seed is None and seeded:
         raise ScenarioError(f"checks: {name} is randomized and needs a seed "
                             "(scenario-level or per-check)")
@@ -445,7 +436,7 @@ def run_checks(scn: Scenario, threads: int = 1) -> tuple[list[CheckReport], dict
 def _field_values(scn: Scenario, points, kind: str):
     if kind == "wolff_continuous":
         kernel = _radial(scn, "continuous potential")
-        return [wolff_continuous(kernel, scn.sigma, scn.mu, scn.exponents, x) for x in points]
+        return wolff_continuous(kernel, scn.sigma, scn.mu, scn.exponents, points)
     if kind == "maximal_continuous":
         kernel = _radial(scn, "continuous maximal")
         return [m_k_maximal(kernel, scn.sigma, scn.mu, x) for x in points]
@@ -482,6 +473,8 @@ def _load(args) -> tuple[Scenario, Path]:
     """The scenario with ``--seed`` applied, and the output directory, created."""
     scn = load_scenario(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ScenarioError(f"--seed must be a nonnegative integer, got {args.seed}")
         scn.seed = args.seed
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

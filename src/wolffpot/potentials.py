@@ -260,6 +260,8 @@ def a_functionals(scene: DyadicScene, lam, s: float) -> tuple[float, float, floa
 
 #: query points times atoms per block of the truncated-convolution matrix
 TRUNC_BLOCK = 1 << 16
+#: segments per block of the continuous Wolff sweep (bounds its temporaries)
+SWEEP_BLOCK = 1024
 
 
 def _truncated_sums(kernel: RadialKernel, nu: AtomicMeasure, R: float, points) -> np.ndarray:
@@ -301,6 +303,20 @@ def energy_continuous(
     return weighted_sum(sigma.weights[pos], np.power(t, exps.p_prime))
 
 
+def _on_heavy_atom(sigma: AtomicMeasure, points) -> np.ndarray:
+    """Whether each row of ``points`` is the position of a sigma-atom of positive weight.
+
+    Coordinates are compared in blocks of at most ``TRUNC_BLOCK`` point-atom
+    pairs; nothing is sorted.
+    """
+    heavy = sigma.positions[sigma.weights > 0.0]
+    out = np.zeros(len(points), dtype=bool)
+    rows = max(1, TRUNC_BLOCK // max(1, len(heavy)))
+    for lo in range(0, len(points), rows):
+        out[lo:lo + rows] = np.any(np.all(heavy == points[lo:lo + rows, None, :], axis=2), axis=1)
+    return out
+
+
 def wolff_continuous(
     kernel: RadialKernel,
     sigma: AtomicMeasure,
@@ -308,63 +324,110 @@ def wolff_continuous(
     exps: Exponents,
     x,
     R: float = math.inf,
-) -> float:
+):
     """Continuous Wolff potential ``W_k^R(x)``, exact per radial segment.
 
-    The radii where any ingredient jumps are the distances from ``x`` to the
-    sigma- and mu-atoms and from each mu-atom to the sigma-atoms.  Between
+    ``x`` is one point (the result is a float) or one point per row (an
+    array).  The radii where any ingredient jumps are the distances from the
+    points to the sigma- and mu-atoms and from each mu-atom within reach
+    (``|x - b| <= min(R, cutoff)``, ``w_b > 0``) to the sigma-atoms.  Between
     consecutive jump radii every ball mass is constant, so the inner integral
     is affine in ``u(r) = int k ds/s`` and the whole segment integrates in
     closed form:
 
         ``int k(r) S (A + B u(r))^{p'-1} dr/r = S [(A+Bu)^{p'} - A^{p'}]/(p' B)``.
 
+    All points share one grid, the union of their jump radii up to
+    ``min(R, cutoff)``, so each segment's log-primitive is computed once.
     Each ball mass is read off a radial profile at the segment starts:
-    ``S = sigma(B(x,a))`` and, per mu-atom ``b`` within reach, ``sigma(B(b,a))``,
-    whose running integral against ``k ds/s`` is one cumulative sum.  The cost
-    is one sort of the sigma-atoms per such mu-atom plus one array
-    log-primitive call over all segments; no mu-by-sigma distance matrix is
-    formed.  No outer quadrature is
-    needed; only kernels without a closed-form log-primitive introduce
-    quadrature error (inside ``u``).
+    ``S = sigma(B(x,a))`` per point and ``M_b = sigma(B(b,a))`` per mu-atom
+    within reach of any point, whose running integral ``N_b`` against
+    ``k ds/s`` is a cumulative sum.  ``N_b`` and ``w_b N_b / M_b`` are
+    computed once; a point adds them over its own mu-atoms ``b`` with
+    ``|x - b| <= a``.  The cost is one sort of the
+    sigma-atoms per point and per such mu-atom, plus one lookup per segment
+    and profile; no mu-by-sigma distance matrix is formed.  The grid is swept
+    in blocks of ``SWEEP_BLOCK`` segments, each running sum carried into the
+    next block, so every sum adds its terms in grid order; a call on one
+    point sweeps exactly that point's grid.  No outer quadrature is needed;
+    only kernels without a closed-form log-primitive introduce quadrature
+    error (inside ``u``).
+
+    A point is ``+inf``, found before any sort, when ``limit_at_zero > 0`` and
+    a mu-atom ``b`` it tracks at ``d = |x - b| < min(R, cutoff)`` sits on a
+    sigma-atom of positive weight, and ``k > 0`` just above ``d`` (at the next
+    float; for ``d = 0`` that is ``limit_at_zero > 0``).  Then
+    ``N_b = int_0 k sigma(B(b,s)) ds/s`` is infinite at every radius above 0,
+    and the segments from ``d`` on are live.
     """
     if R <= 0:
         raise WolffpotError(f"truncation radius must be positive, got {R}")
-    pp = exps.p_prime
-    x = np.asarray(x, dtype=float)
+    points = np.atleast_2d(np.asarray(x, dtype=float))
     upper = R if kernel.cutoff is None else min(R, kernel.cutoff)
-    mu_dist = np.linalg.norm(mu.positions - x, axis=1)
+    mu_dist = np.linalg.norm(mu.positions - points[:, None, :], axis=2)
     track = (mu_dist <= upper) & (mu.weights > 0.0)
-    if not track.any():
-        return 0.0  # no mu-mass within reach: every inner integral vanishes
-    around_x = sigma.radial_profile(x)
-    around_mu = [sigma.radial_profile(b) for b in mu.positions[track]]
+    out = np.zeros(len(points))
+    if kernel.limit_at_zero > 0.0:
+        near = track & (mu_dist < upper)
+        cols = np.flatnonzero(np.any(near, axis=0))
+        near[:, cols[~_on_heavy_atom(sigma, mu.positions[cols])]] = False
+        hit = np.flatnonzero(np.any(near, axis=1))
+        if hit.size:
+            # k is nonincreasing, so it is positive just above some such d
+            # exactly when it is just above the smallest
+            d = np.min(np.where(near[hit], mu_dist[hit], math.inf), axis=1)
+            rises = d == 0.0
+            rises[~rises] = kernel.profile(np.nextafter(d[~rises], math.inf)) > 0.0
+            out[hit[rises]] = math.inf
+    # a point with no mu-mass within reach keeps 0: every inner integral vanishes
+    rows = np.flatnonzero(np.any(track, axis=1) & (out == 0.0))
+    if rows.size:
+        out[rows] = _wolff_sweep(kernel, sigma, mu, exps.p_prime, points[rows],
+                                 mu_dist[rows], track[rows], upper)
+    return _per_point(out, x)
 
+
+def _wolff_sweep(kernel, sigma, mu, pp, points, mu_dist, track, upper) -> np.ndarray:
+    """:func:`wolff_continuous` at each row of ``points`` by the segment sweep."""
+    cols = np.flatnonzero(np.any(track, axis=0))  # mu-atoms within reach of a point, in order
+    dist, track, weights = mu_dist[:, cols], track[:, cols], mu.weights[cols]
+    around_x = [sigma.radial_profile(p, upper) for p in points]
+    around_mu = [sigma.radial_profile(b, upper) for b in mu.positions[cols]]
     ends = np.unique(np.concatenate(
-        [around_x[0], mu_dist[track], *(d for d, _ in around_mu), [upper]]))
-    ends = ends[(ends > 0.0) & (ends <= upper)]
+        [*(d for d, _ in around_x), dist[track], *(d for d, _ in around_mu), [upper]]))
+    ends = ends[ends > 0.0]  # none lies beyond upper, where the profiles stop
+    total = np.zeros(len(points))
     if not ends.size:
-        return 0.0
+        return total
     starts = np.append(0.0, ends[:-1])
-    L = kernel.log_primitive(starts, ends)
 
-    # A = sum_b w_b bar-numerator_b / sigma(B(b,a)) and B = sum_b w_b over the
-    # mu-atoms b in B(x,a) with sigma(B(b,a)) > 0, at each segment start a
-    A = np.zeros(starts.size)
-    B = np.zeros(starts.size)
-    for d, w, prof in zip(mu_dist[track], mu.weights[track], around_mu):
-        M = profile_mass(prof, starts)
-        N = np.append(0.0, np.cumsum(weigh(L, M))[:-1])  # int_0^a k(s) sigma(B(b,s)) ds/s
-        active = d <= starts
-        A += np.where(active, per_mass(w * N, M), 0.0)
-        B += np.where(active & (M > 0.0), w, 0.0)
-    S = profile_mass(around_x, starts)
-    live = (L > 0.0) & (S > 0.0) & (B > 0.0)
-    A, B, L, S = A[live], B[live], L[live], S[live]
-    if np.any(np.isinf(A) | np.isinf(L)):
-        return math.inf
-    terms = S * (np.power(A + B * L, pp) - np.power(A, pp)) / (pp * B)
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+    n_carry = np.zeros(cols.size)  # N_b at the first start of the block
+    diverges = np.zeros(len(points), dtype=bool)
+    for lo in range(0, starts.size, SWEEP_BLOCK):
+        a = starts[lo:lo + SWEEP_BLOCK]
+        L = kernel.log_primitive(a, ends[lo:lo + SWEEP_BLOCK])
+        # A = sum_b w_b bar-numerator_b / sigma(B(b,a)) and B = sum_b w_b over the
+        # mu-atoms b in B(x,a) with sigma(B(b,a)) > 0, per point and segment start a
+        A = np.zeros((len(points), a.size))
+        B = np.zeros(A.shape)
+        for j, prof in enumerate(around_mu):
+            M = profile_mass(prof, a)
+            N = np.cumsum(np.append(n_carry[j], weigh(L, M)))  # int_0^a k(s) sigma(B(b,s)) ds/s
+            n_carry[j] = N[-1]
+            active = track[:, j, None] & (dist[:, j, None] <= a)
+            A += np.where(active, per_mass(weights[j] * N[:-1], M), 0.0)
+            B += np.where(active & (M > 0.0), weights[j], 0.0)
+        S = np.array([profile_mass(prof, a) for prof in around_x])
+        live = (L > 0.0) & (S > 0.0) & (B > 0.0)
+        diverges |= np.any(live & (np.isinf(A) | np.isinf(L)), axis=1)
+        live &= ~diverges[:, None]
+        A, B, S, L = A[live], B[live], S[live], np.broadcast_to(L, live.shape)[live]
+        terms = np.zeros(live.shape)
+        terms[live] = S * (np.power(A + B * L, pp) - np.power(A, pp)) / (pp * B)
+        # a zero term leaves the running total as it is
+        total = np.cumsum(np.column_stack([total, terms]), axis=1)[:, -1]
+    total[diverges] = math.inf
+    return total
 
 
 def m_k_maximal(kernel: RadialKernel, sigma: AtomicMeasure, mu: AtomicMeasure, x) -> float:

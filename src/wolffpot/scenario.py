@@ -92,6 +92,15 @@ def band_pair(value) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
+def at_least(low: int):
+    """The kind of an integer no less than ``low``."""
+    def kind(value) -> int:
+        if int(value) < low:
+            raise ValueError(f"{value!r} is less than {low}")
+        return int(value)
+    return kind
+
+
 def json_bool(value) -> bool:
     """A JSON boolean; any other value, the string ``"false"`` included, is rejected."""
     if not isinstance(value, bool):
@@ -268,7 +277,7 @@ def build_scenario(cfg: dict) -> Scenario:
     except WolffpotError as exc:
         raise ScenarioError(f"exponents: {exc}") from exc
     checks = config_value(cfg, "checks", "scenario", list, [])
-    seed = config_value(cfg, "seed", "scenario", int, None)
+    seed = config_value(cfg, "seed", "scenario", at_least(0), None)
     for chk in checks:
         if not isinstance(chk, dict) or not isinstance(chk.get("name"), str):
             raise ScenarioError(f"checks: every entry needs a name, got {chk!r}")

@@ -7,7 +7,9 @@ window enumerations (``window_keys``, ``window_cubes``, ``level_keys``,
 ``descendant_keys``), ``cube_at``, ``index_keys``, ``cube_mass`` and
 ``translated``; the package itself keeps one representation of the dyadic
 tree, the id arrays of a :class:`LevelIndex`.  ``bar_per_cube`` is the
-earlier one-cube form of :meth:`BarField.bar`.  The two level-array oracles
+earlier one-cube form of :meth:`BarField.bar`, and ``wolff_continuous_per_point``
+the earlier one-point form of ``wolff_continuous``, with a segment grid of
+its own.  The two level-array oracles
 keep earlier array forms that sum in another order: cube masses from every
 level's ids at once, and ``Wbar`` from each point's gathered chain.
 ``subtree_loop`` reduces subtrees one cube at a time, and
@@ -37,8 +39,9 @@ from wolffpot.errors import (
     OutOfWindowError,
     WolffpotError,
 )
-from wolffpot.kernels import BarField, weigh, weighted_sum
+from wolffpot.kernels import BarField, per_mass, weigh, weighted_sum
 from wolffpot.lattice import Key
+from wolffpot.measures import profile_mass
 
 
 # -- the single-cube surface ---------------------------------------------------------
@@ -237,6 +240,48 @@ def bar_k_per_ball(kernel: RadialKernel, sigma: AtomicMeasure, x, r: float) -> f
     starts = dists[:np.searchsorted(dists, r)]  # the sorted distances below r
     seg = kernel.log_primitive(starts, np.concatenate((starts[1:], [r]))[:starts.size])
     return weighted_sum(cums[:starts.size], seg) / den
+
+
+def wolff_continuous_per_point(kernel: RadialKernel, sigma: AtomicMeasure, mu: AtomicMeasure,
+                               exps, x, R: float = math.inf) -> float:
+    """``W_k^R(x)`` at one point by its own segment grid: the earlier form of
+    :func:`wolff_continuous`, which sorts sigma around every mu-atom within
+    reach of this point and sweeps all its segments at once."""
+    if R <= 0:
+        raise WolffpotError(f"truncation radius must be positive, got {R}")
+    pp = exps.p_prime
+    x = np.asarray(x, dtype=float)
+    upper = R if kernel.cutoff is None else min(R, kernel.cutoff)
+    mu_dist = np.linalg.norm(mu.positions - x, axis=1)
+    track = (mu_dist <= upper) & (mu.weights > 0.0)
+    if not track.any():
+        return 0.0
+    around_x = sigma.radial_profile(x)
+    around_mu = [sigma.radial_profile(b) for b in mu.positions[track]]
+
+    ends = np.unique(np.concatenate(
+        [around_x[0], mu_dist[track], *(d for d, _ in around_mu), [upper]]))
+    ends = ends[(ends > 0.0) & (ends <= upper)]
+    if not ends.size:
+        return 0.0
+    starts = np.append(0.0, ends[:-1])
+    L = kernel.log_primitive(starts, ends)
+
+    A = np.zeros(starts.size)
+    B = np.zeros(starts.size)
+    for d, w, prof in zip(mu_dist[track], mu.weights[track], around_mu):
+        M = profile_mass(prof, starts)
+        N = np.append(0.0, np.cumsum(weigh(L, M))[:-1])
+        active = d <= starts
+        A += np.where(active, per_mass(w * N, M), 0.0)
+        B += np.where(active & (M > 0.0), w, 0.0)
+    S = profile_mass(around_x, starts)
+    live = (L > 0.0) & (S > 0.0) & (B > 0.0)
+    A, B, L, S = A[live], B[live], L[live], S[live]
+    if np.any(np.isinf(A) | np.isinf(L)):
+        return math.inf
+    terms = S * (np.power(A + B * L, pp) - np.power(A, pp)) / (pp * B)
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def cube_mass_table_all_levels(measure: AtomicMeasure, index, first: int = 0, weights=None):

@@ -526,6 +526,8 @@ def _edit(cfg, path, value):
     ("cascade_dlbo", ("mu", "positions"), [[0.5], [0.1, 0.2]], "mu: field 'positions'"),
     ("cascade_dlbo", ("mu", "positions"), "a", "mu: field 'positions'"),
     ("cascade_dlbo", ("mu", "weights"), "x", "mu: field 'weights'"),
+    ("riesz_lebesgue", ("seed",), -5, "scenario: field 'seed'"),
+    ("cascade_dlbo", ("checks", 4, "seed"), -1, "trace_upper: field 'seed'"),
 ], ids=["tol", "band", "p", "dimension", "lambda_dimension", "lambda_repeat", "draws", "x_samples", "samples",
         "probes", "trials", "terms", "terms_equal", "terms_order", "terms_negative", "terms_huge",
         "terms_scalar", "terms_string",
@@ -535,7 +537,7 @@ def _edit(cfg, path, value):
         "scale", "windw", "window_key", "measure_key", "kernel_key", "exponents_key", "bands_key",
         "fields_depths", "truncation_depths", "target", "window_object", "kernel_object",
         "exponents_object", "checks_list", "check_name", "depths_string", "positions_ragged",
-        "positions_string", "weights_string"])
+        "positions_string", "weights_string", "seed_negative", "check_seed_negative"])
 def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, base, path, value, message):
     cfg = json.loads((SCENARIOS / f"{base}.json").read_text())
     _edit(cfg, path, value)
@@ -546,3 +548,12 @@ def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, base, path, val
     assert run(["verify", "--config", path_json, "--out-dir", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["verify", "potential"])
+def test_negative_seed_flag_exits_2_with_one_line(tmp_path, capsys, command):
+    code = run([command, "--config", SCENARIOS / "single_cube.json", "--seed", "-5",
+                "--out-dir", tmp_path / "o"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed must be a nonnegative integer") and err.count("\n") == 1, err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,11 +29,12 @@ from wolffpot import (
     t_continuous_trunc,
     wolff_continuous,
 )
+from wolffpot import potentials
 from wolffpot.cli import _field_values
 from wolffpot.scenario import build_scenario
 from wolffpot.verify import wolff_integral
 
-from oracles import translated
+from oracles import translated, wolff_continuous_per_point
 
 
 K1 = DyadicKernelMap.from_radial(constant_kernel(1.0))
@@ -416,6 +418,170 @@ def test_wolff_continuous_coincident_mu_and_sigma_atoms_diverge():
     # out of reach (beyond R from x), the same atom adds nothing
     far = np.linalg.norm(sigma.positions[0] - x)
     assert math.isfinite(wolff_continuous(kernel, sigma, mu, Exponents(p=2.0), x, R=far * 0.99))
+
+
+# -- wolff_continuous at many points against the per-point sweep ----------------------
+
+
+LOG_C = 4.4816890703380645
+ROW_KERNELS = {
+    "riesz_cutoff": lambda n: riesz_kernel(0.5 if n == 1 else 1.25, n, cutoff=0.9),
+    "log": lambda n: log_kernel(1.5, LOG_C, n),
+    "constant": lambda n: constant_kernel(1.0, cutoff=0.8),
+}
+
+
+def rows_instance(n):
+    """Sigma with massless atoms, a mu-atom of zero weight, and 10 query points.
+
+    The points are random ones, one on a mu-atom, one next to the heavy
+    sigma-atom at ``0.1`` and one out of every kernel's reach.
+    """
+    rng = np.random.default_rng([n, 43])
+    sp = rng.uniform(-1.0, 1.0, (30, n))
+    sp[:2] = [[-0.1] * n, [0.1] * n]
+    sw = rng.uniform(0.2, 2.0, 30)
+    sw[::6] = 0.0  # among them the atom at -0.1
+    mp = rng.uniform(-0.6, 0.6, (5, n))
+    mw = rng.uniform(0.5, 2.0, 5)
+    mw[2] = 0.0
+    pts = np.vstack([rng.uniform(-0.5, 0.5, (7, n)), mp[:1], np.full((1, n), 0.15),
+                     np.full((1, n), 5.0)])
+    return AtomicMeasure(sp, sw), AtomicMeasure(mp, mw), pts
+
+
+def assert_rows_match(got, want):
+    """Equal infinities, and finite values within 1e-13 relative."""
+    want = np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("block", [potentials.SWEEP_BLOCK, 7])
+@pytest.mark.parametrize("R", [math.inf, 0.6])
+@pytest.mark.parametrize("name", list(ROW_KERNELS))
+@pytest.mark.parametrize("n", [1, 2])
+def test_wolff_continuous_rows_match_the_per_point_sweep(n, name, R, block, monkeypatch):
+    monkeypatch.setattr(potentials, "SWEEP_BLOCK", block)
+    kernel = ROW_KERNELS[name](n)
+    sigma, mu, pts = rows_instance(n)
+    ex = Exponents.from_p_prime(1.7)
+    # mu-atoms on the heavy sigma-atom at 0.1 and on the massless one at -0.1
+    on = AtomicMeasure(np.vstack([mu.positions, sigma.positions[[1, 0]]]),
+                       np.append(mu.weights, [1.0, 1.0]))
+    for m in (mu, on, AtomicMeasure.empty(n)):
+        want = [wolff_continuous_per_point(kernel, sigma, m, ex, p, R=R) for p in pts]
+        for p, value in zip(pts, want):
+            got = wolff_continuous(kernel, sigma, m, ex, p, R=R)
+            assert type(got) is float and got == value  # bit for bit
+        assert_rows_match(wolff_continuous(kernel, sigma, m, ex, pts, R=R), want)
+        assert want[-1] == 0.0  # out of reach
+        if m is mu:
+            assert all(0.0 <= v < math.inf for v in want) and max(want) > 0.0
+        elif m is on:
+            assert want[-2] == math.inf
+        else:
+            assert want == [0.0] * len(pts)
+
+
+def _step_kernel(radius: float) -> RadialKernel:
+    """``k = 1`` on ``(0, radius]`` and 0 beyond, with no declared cutoff."""
+    def prim(a, b):
+        return np.where(a < radius, np.log(np.minimum(b, radius) / np.minimum(a, radius)), 0.0)
+
+    return RadialKernel(lambda r: np.where(np.asarray(r) <= radius, 1.0, 0.0), prim,
+                        limit_at_zero=1.0, name="step")
+
+
+def test_wolff_continuous_coincident_atoms_end_before_any_sort(monkeypatch):
+    # sigma: heavy atoms at 0 and 0.8, a massless one at 0.5; mu: atoms on the
+    # sigma-atoms at 0, 0.5 and 0.8, and one at 0.2 on none
+    sigma = AtomicMeasure([0.0, 0.5, 0.8, -0.35], [1.0, 0.0, 2.0, 0.5])
+    mu = AtomicMeasure([0.0, 0.5, 0.2, 0.8], [1.0, 3.0, 0.5, 1.0])
+    riesz, ex = riesz_kernel(0.5, 1), Exponents(p=2.0)
+    cases = [
+        (riesz, 0.1, math.inf, True),        # d(x, 0) = 0.1 < R
+        (riesz, 0.0, math.inf, True),        # x on the coincident atoms: d = 0
+        (riesz, 0.25, 0.25, False),          # d(x, 0) == R: no segment starts there
+        (riesz, 0.45, 0.3, False),           # on the massless sigma-atom only; 0 is beyond R
+        (riesz, 0.15, 0.1, False),           # R cuts the coincident atom off
+        (_step_kernel(0.2), 0.1, math.inf, True),
+        (_step_kernel(0.2), 0.3, math.inf, False),  # k = 0 just above d(x, 0) = 0.3
+        (_step_kernel(0.2), 0.65, math.inf, True),  # k > 0 just above d(x, 0.8) only
+        (constant_kernel(0.0), 0.1, math.inf, False),  # limit_at_zero = 0
+    ]
+    sorts = []
+    original = AtomicMeasure.radial_profile
+
+    def counted(self, *args, **kwargs):
+        sorts.append(1)
+        return original(self, *args, **kwargs)
+
+    for kernel, x, R, diverges in cases:
+        want = wolff_continuous_per_point(kernel, sigma, mu, ex, [x], R=R)
+        monkeypatch.setattr(AtomicMeasure, "radial_profile", counted)
+        sorts.clear()
+        got = wolff_continuous(kernel, sigma, mu, ex, [x], R=R)
+        monkeypatch.setattr(AtomicMeasure, "radial_profile", original)
+        assert got == want, (kernel.name, x, R)
+        assert (want == math.inf) is diverges
+        assert (not sorts) is diverges, (kernel.name, x, R)
+    # in one call the diverging points take no part in the grid
+    xs = np.array([[0.1], [0.0], [0.35], [0.45]])
+    monkeypatch.setattr(AtomicMeasure, "radial_profile", counted)
+    sorts.clear()
+    got = wolff_continuous(riesz, sigma, mu, ex, xs, R=0.3)
+    monkeypatch.setattr(AtomicMeasure, "radial_profile", original)
+    assert_rows_match(got, [wolff_continuous_per_point(riesz, sigma, mu, ex, x, R=0.3) for x in xs])
+    assert list(np.isinf(got)) == [True, True, False, False]
+    assert len(sorts) == 2 + 2  # the two finite points and the mu-atoms at 0.5 and 0.2
+
+
+def continuous_field_instance(seed: int = 11):
+    """The kernel, measures and query points of the ``continuous_field`` benchmark workload."""
+    rng = np.random.default_rng([seed, 20030917])
+    mu = AtomicMeasure(rng.uniform(0.0, 1.0, (4, 1)), 2.0 ** rng.uniform(-1.0, 1.0, 4))
+    points = rng.uniform(0.0, 1.0, (4, 1))
+    return log_kernel(1.5, LOG_C, 1), lebesgue_grid([(-1.0, 2.0)], 10), mu, points
+
+
+def test_wolff_continuous_rows_sweep_one_grid_within_the_loops_memory(monkeypatch):
+    kernel, sigma, mu, pts = continuous_field_instance()
+    ex = Exponents(p=2.0)
+
+    def loop():
+        return [wolff_continuous_per_point(kernel, sigma, mu, ex, p) for p in pts]
+
+    def rows():
+        return wolff_continuous(kernel, sigma, mu, ex, pts)
+
+    segments = []
+    original = RadialKernel.log_primitive
+
+    def counted(self, a, b):
+        segments.append(np.size(a))
+        return original(self, a, b)
+
+    monkeypatch.setattr(RadialKernel, "log_primitive", counted)
+    want = loop()
+    per_point = sum(segments)
+    segments.clear()
+    assert_rows_match(rows(), want)
+    # the union of the four grids, swept in blocks
+    assert potentials.SWEEP_BLOCK < sum(segments) < per_point
+    assert len(segments) == -(-sum(segments) // potentials.SWEEP_BLOCK)
+    monkeypatch.setattr(RadialKernel, "log_primitive", original)
+    peaks = []
+    for f in (rows, loop):
+        tracemalloc.start()
+        try:
+            f()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
 
 
 @pytest.mark.parametrize("n", [1, 2])
