@@ -337,21 +337,28 @@ def wolff_continuous(
 
         ``int k(r) S (A + B u(r))^{p'-1} dr/r = S [(A+Bu)^{p'} - A^{p'}]/(p' B)``.
 
-    All points share one grid, the union of their jump radii up to
-    ``min(R, cutoff)``, so each segment's log-primitive is computed once.
-    Each ball mass is read off a radial profile at the segment starts:
-    ``S = sigma(B(x,a))`` per point and ``M_b = sigma(B(b,a))`` per mu-atom
-    within reach of any point, whose running integral ``N_b`` against
-    ``k ds/s`` is a cumulative sum.  ``N_b`` and ``w_b N_b / M_b`` are
-    computed once; a point adds them over its own mu-atoms ``b`` with
-    ``|x - b| <= a``.  The cost is one sort of the
-    sigma-atoms per point and per such mu-atom, plus one lookup per segment
-    and profile; no mu-by-sigma distance matrix is formed.  The grid is swept
-    in blocks of ``SWEEP_BLOCK`` segments, each running sum carried into the
-    next block, so every sum adds its terms in grid order; a call on one
-    point sweeps exactly that point's grid.  No outer quadrature is needed;
-    only kernels without a closed-form log-primitive introduce quadrature
-    error (inside ``u``).
+    Points are taken in row order in groups, and the points of a group share
+    one grid, the union of their jump radii up to ``min(R, cutoff)``, so each
+    segment's log-primitive is computed once per group.  A group takes the
+    next point while it then holds at most one point more than the fewest
+    mu-atoms any of its points tracks, and while its radii, counted once per
+    profile they come from, number at most twice those of each of its points
+    alone.  So no point sweeps more than about twice its own grid, however
+    many points the call has: sharing pays when a call has about as many
+    points as tracked mu-atoms, and many points cost what they would one by
+    one.  Each ball mass is read off a radial profile at the segment starts:
+    ``S = sigma(B(x,a))`` per point and ``M_b = sigma(B(b,a))`` per mu-atom,
+    whose running integral ``N_b`` against ``k ds/s`` is a cumulative sum.
+    ``N_b`` and ``w_b N_b / M_b`` are computed once per group; a point adds
+    them over its own mu-atoms ``b`` with ``|x - b| <= a``.  The cost is one
+    sort of the sigma-atoms per point and per mu-atom within reach of any
+    point (shared by all groups), plus one lookup per segment and profile; no
+    mu-by-sigma distance matrix is formed.  A group's grid is swept in blocks
+    of ``SWEEP_BLOCK`` segments, each running sum carried into the next
+    block, so every sum adds its terms in grid order; a point alone in its
+    group, as a call on one point is, sweeps exactly its own grid.  No outer
+    quadrature is needed; only kernels without a closed-form log-primitive
+    introduce quadrature error (inside ``u``).
 
     A point is ``+inf``, found before any sort, when ``limit_at_zero > 0`` and
     a mu-atom ``b`` it tracks at ``d = |x - b| < min(R, cutoff)`` sits on a
@@ -364,68 +371,107 @@ def wolff_continuous(
         raise WolffpotError(f"truncation radius must be positive, got {R}")
     points = np.atleast_2d(np.asarray(x, dtype=float))
     upper = R if kernel.cutoff is None else min(R, kernel.cutoff)
-    mu_dist = np.linalg.norm(mu.positions - points[:, None, :], axis=2)
-    track = (mu_dist <= upper) & (mu.weights > 0.0)
     out = np.zeros(len(points))
-    if kernel.limit_at_zero > 0.0:
-        near = track & (mu_dist < upper)
-        cols = np.flatnonzero(np.any(near, axis=0))
-        near[:, cols[~_on_heavy_atom(sigma, mu.positions[cols])]] = False
-        hit = np.flatnonzero(np.any(near, axis=1))
-        if hit.size:
-            # k is nonincreasing, so it is positive just above some such d
-            # exactly when it is just above the smallest
-            d = np.min(np.where(near[hit], mu_dist[hit], math.inf), axis=1)
-            rises = d == 0.0
-            rises[~rises] = kernel.profile(np.nextafter(d[~rises], math.inf)) > 0.0
-            out[hit[rises]] = math.inf
-    # a point with no mu-mass within reach keeps 0: every inner integral vanishes
-    rows = np.flatnonzero(np.any(track, axis=1) & (out == 0.0))
-    if rows.size:
-        out[rows] = _wolff_sweep(kernel, sigma, mu, exps.p_prime, points[rows],
-                                 mu_dist[rows], track[rows], upper)
+    around_mu = [None] * mu.n_atoms  # sigma about each tracked mu-atom, for all groups
+    size = np.full(mu.n_atoms, -1)  # its number of radii, -1 before it is made
+    heavy = np.full(mu.n_atoms, -1)  # whether it sits on a sigma-atom of positive weight
+    # the open group: its points (row, profile, mu-distances), the mu-atoms they
+    # track, its radii counted once per profile, the fewest mu-atoms and the
+    # fewest radii of any of its points alone
+    group, held = [], np.zeros(mu.n_atoms, dtype=bool)
+    radii = fewest = least = 0
+
+    def sweep():
+        cols = np.flatnonzero(held)
+        rows, around_x, dist = zip(*group)
+        out[list(rows)] = _wolff_sweep(kernel, exps.p_prime, around_x, np.array(dist)[:, cols],
+                                       mu.weights[cols], [around_mu[b] for b in cols], upper)
+        group.clear()
+        held[:] = False
+
+    for i, p in enumerate(points):
+        d = np.linalg.norm(mu.positions - p, axis=1)
+        cols = np.flatnonzero((d <= upper) & (mu.weights > 0.0))
+        if not cols.size:
+            continue  # no mu-mass within reach: every inner integral vanishes
+        if kernel.limit_at_zero > 0.0:
+            near = cols[d[cols] < upper]
+            fresh = near[heavy[near] < 0]
+            heavy[fresh] = _on_heavy_atom(sigma, mu.positions[fresh])
+            on = near[heavy[near] == 1]
+            if on.size:
+                # k is nonincreasing, so it is positive just above some such d
+                # exactly when it is just above the smallest
+                d_on = np.min(d[on], keepdims=True)
+                if d_on[0] == 0.0 or kernel.profile(np.nextafter(d_on, math.inf))[0] > 0.0:
+                    out[i] = math.inf
+                    continue
+        prof = sigma.radial_profile(p, upper)
+        for b in cols[size[cols] < 0]:
+            around_mu[b] = sigma.radial_profile(mu.positions[b], upper)
+            size[b] = around_mu[b][0].size
+        own = prof[0].size + cols.size + size[cols].sum() + 1  # + 1 for upper
+        grown = radii + prof[0].size + cols.size + size[cols[~held[cols]]].sum()
+        if group and (len(group) > min(fewest, cols.size) or grown > 2 * min(least, own)):
+            sweep()
+        if group:
+            radii, fewest, least = grown, min(fewest, cols.size), min(least, own)
+        else:
+            radii, fewest, least = own, cols.size, own
+        group.append((i, prof, d))
+        held[cols] = True
+    if group:
+        sweep()
     return _per_point(out, x)
 
 
-def _wolff_sweep(kernel, sigma, mu, pp, points, mu_dist, track, upper) -> np.ndarray:
-    """:func:`wolff_continuous` at each row of ``points`` by the segment sweep."""
-    cols = np.flatnonzero(np.any(track, axis=0))  # mu-atoms within reach of a point, in order
-    dist, track, weights = mu_dist[:, cols], track[:, cols], mu.weights[cols]
-    around_x = [sigma.radial_profile(p, upper) for p in points]
-    around_mu = [sigma.radial_profile(b, upper) for b in mu.positions[cols]]
+def _wolff_sweep(kernel, pp, around_x, dist, weights, around_mu, upper) -> np.ndarray:
+    """:func:`wolff_continuous` at the points of one group by the segment sweep.
+
+    ``around_x`` holds the points' profiles, ``dist`` their distances to the
+    mu-atoms of ``weights`` and ``around_mu``, of which each point tracks those
+    within ``upper``.
+    """
     ends = np.unique(np.concatenate(
-        [*(d for d, _ in around_x), dist[track], *(d for d, _ in around_mu), [upper]]))
+        [*(d for d, _ in around_x), dist[dist <= upper], *(d for d, _ in around_mu), [upper]]))
     ends = ends[ends > 0.0]  # none lies beyond upper, where the profiles stop
-    total = np.zeros(len(points))
+    total = np.zeros(len(around_x))
     if not ends.size:
         return total
     starts = np.append(0.0, ends[:-1])
 
-    n_carry = np.zeros(cols.size)  # N_b at the first start of the block
-    diverges = np.zeros(len(points), dtype=bool)
+    n_carry = np.zeros(len(around_mu))  # N_b at the first start of the block
+    diverges = np.zeros(len(around_x), dtype=bool)
     for lo in range(0, starts.size, SWEEP_BLOCK):
         a = starts[lo:lo + SWEEP_BLOCK]
         L = kernel.log_primitive(a, ends[lo:lo + SWEEP_BLOCK])
         # A = sum_b w_b bar-numerator_b / sigma(B(b,a)) and B = sum_b w_b over the
-        # mu-atoms b in B(x,a) with sigma(B(b,a)) > 0, per point and segment start a
-        A = np.zeros((len(points), a.size))
+        # mu-atoms b in B(x,a) with sigma(B(b,a)) > 0, per point and segment start a;
+        # a < upper, so a mu-atom the point does not track is never in B(x,a)
+        A = np.zeros((len(around_x), a.size))
         B = np.zeros(A.shape)
         for j, prof in enumerate(around_mu):
             M = profile_mass(prof, a)
             N = np.cumsum(np.append(n_carry[j], weigh(L, M)))  # int_0^a k(s) sigma(B(b,s)) ds/s
             n_carry[j] = N[-1]
-            active = track[:, j, None] & (dist[:, j, None] <= a)
+            active = dist[:, j, None] <= a
             A += np.where(active, per_mass(weights[j] * N[:-1], M), 0.0)
             B += np.where(active & (M > 0.0), weights[j], 0.0)
         S = np.array([profile_mass(prof, a) for prof in around_x])
         live = (L > 0.0) & (S > 0.0) & (B > 0.0)
         diverges |= np.any(live & (np.isinf(A) | np.isinf(L)), axis=1)
         live &= ~diverges[:, None]
-        A, B, S, L = A[live], B[live], S[live], np.broadcast_to(L, live.shape)[live]
-        terms = np.zeros(live.shape)
-        terms[live] = S * (np.power(A + B * L, pp) - np.power(A, pp)) / (pp * B)
-        # a zero term leaves the running total as it is
-        total = np.cumsum(np.column_stack([total, terms]), axis=1)[:, -1]
+        # terms S [(A + B L)^{p'} - A^{p'}] / (p' B) where live, else 0; A and B
+        # are not read again, so they hold the temporaries
+        terms = np.multiply(B, L, out=np.zeros(live.shape), where=live)
+        np.add(A, terms, out=terms, where=live)
+        np.power(terms, pp, out=terms, where=live)
+        np.subtract(terms, np.power(A, pp, out=A, where=live), out=terms, where=live)
+        np.multiply(S, terms, out=terms, where=live)
+        np.divide(terms, np.multiply(pp, B, out=B), out=terms, where=live)
+        terms[:, 0] += total  # carried in, so each point's sum keeps grid order
+        total = np.cumsum(terms, axis=1, out=terms)[:, -1].copy()
+        del A, B, S, terms  # before the next block makes its own
     total[diverges] = math.inf
     return total
 

@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,8 @@ from wolffpot.scenario import build_scenario
 from wolffpot.verify import wolff_integral
 
 from oracles import translated, wolff_continuous_per_point
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 K1 = DyadicKernelMap.from_radial(constant_kernel(1.0))
@@ -582,6 +586,94 @@ def test_wolff_continuous_rows_sweep_one_grid_within_the_loops_memory(monkeypatc
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1], peaks
+
+
+def sweep_groups(monkeypatch):
+    """Record the points and ``log_primitive`` segments of each group ``wolff_continuous`` sweeps."""
+    groups = []
+    sweep, primitive = potentials._wolff_sweep, RadialKernel.log_primitive
+
+    def counted_sweep(kernel, pp, around_x, *args):
+        groups.append([len(around_x), 0])
+        return sweep(kernel, pp, around_x, *args)
+
+    def counted_primitive(self, a, b):
+        if groups:
+            groups[-1][1] += np.size(a)
+        return primitive(self, a, b)
+
+    monkeypatch.setattr(potentials, "_wolff_sweep", counted_sweep)
+    monkeypatch.setattr(RadialKernel, "log_primitive", counted_primitive)
+    return groups
+
+
+def test_wolff_continuous_groups_points_in_row_order(monkeypatch):
+    # 300 sigma-atoms and 12 mu-atoms in [0, 1), a cutoff of 0.15: each point
+    # tracks its own few mu-atoms, and two points track none
+    rng = np.random.default_rng(20)
+    sigma = AtomicMeasure(rng.uniform(0.0, 1.0, (300, 1)), rng.uniform(0.5, 2.0, 300))
+    mu = AtomicMeasure(rng.uniform(0.0, 1.0, (12, 1)), rng.uniform(0.5, 2.0, 12))
+    pts = np.vstack([rng.uniform(0.0, 1.0, (40, 1)), [[3.0], [-2.0]]])
+    kernel, ex = riesz_kernel(0.5, 1, cutoff=0.15), Exponents.from_p_prime(1.7)
+    tracks = np.sum(np.abs(mu.positions[:, 0] - pts) <= 0.15, axis=1)
+    tracks = tracks[tracks > 0]  # the points that are swept, in order
+    want = [wolff_continuous_per_point(kernel, sigma, mu, ex, p) for p in pts]
+    groups = sweep_groups(monkeypatch)
+    for p in pts:
+        wolff_continuous(kernel, sigma, mu, ex, p)
+    own = [segments for _, segments in groups]  # the grid of each point alone
+    assert len(own) == tracks.size >= 38
+    groups.clear()
+    got = wolff_continuous(kernel, sigma, mu, ex, pts)
+    assert_rows_match(got, want)
+    assert got[-2:].tolist() == [0.0, 0.0]
+    # consecutive rows, at most one point more than the fewest mu-atoms any of
+    # them tracks, and a grid at most twice that of each of its points alone
+    sizes = [points for points, _ in groups]
+    assert sum(sizes) == tracks.size and 1 < len(sizes) < tracks.size and max(sizes) > 1
+    first = np.cumsum([0, *sizes])
+    for (points, segments), lo in zip(groups, first):
+        assert points <= 1 + min(tracks[lo:lo + points])
+        assert segments <= 2 * min(own[lo:lo + points])
+
+
+def test_wolff_continuous_group_size_is_capped_by_the_tracked_mu_atoms(monkeypatch):
+    # sigma on [0, 0.05], one mu-atom at 0.06, a cutoff of 0.3 and 30 points on
+    # [0.33, 0.36]: each point tracks the mu-atom but holds few sigma-atoms in
+    # reach, so its own grid is about the mu-atom's; the groups stay at 2 points
+    sigma = AtomicMeasure(np.linspace(0.0, 0.05, 50)[:, None], np.ones(50))
+    mu = AtomicMeasure([[0.06]], [1.0])
+    pts = np.linspace(0.33, 0.36, 30)[:, None]
+    kernel, ex = riesz_kernel(0.5, 1, cutoff=0.3), Exponents(p=2.0)
+    want = [wolff_continuous_per_point(kernel, sigma, mu, ex, p) for p in pts]
+    groups = sweep_groups(monkeypatch)
+    # the small values sum differences of large powers, so rounding shows at 1e-13
+    np.testing.assert_allclose(wolff_continuous(kernel, sigma, mu, ex, pts), want, rtol=1e-12)
+    assert [points for points, _ in groups] == [2] * 15
+
+
+def test_wolff_continuous_many_points_within_the_loops_memory(monkeypatch):
+    # cascade_dlbo: a Riesz kernel, 1,024 sigma-atoms and 3 mu-atoms, at 1,000
+    # points: they go in groups of at most 4, so the peak is that of one group
+    # however many points the call has
+    scn = build_scenario(json.loads((SCENARIOS / "cascade_dlbo.json").read_text()))
+    kernel, sigma, mu, ex = scn.kernel.radial, scn.sigma, scn.mu, scn.exponents
+    pts = np.random.default_rng(7).uniform(0.0, 1.0, (1000, 1))
+
+    def peak(f):
+        tracemalloc.start()
+        try:
+            return f(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    got, rows_peak = peak(lambda: wolff_continuous(kernel, sigma, mu, ex, pts))
+    want, loop_peak = peak(lambda: [wolff_continuous_per_point(kernel, sigma, mu, ex, p) for p in pts])
+    assert_rows_match(got, want)
+    assert rows_peak <= loop_peak, (rows_peak, loop_peak)
+    groups = sweep_groups(monkeypatch)
+    wolff_continuous(kernel, sigma, mu, ex, pts[:100])
+    assert [points for points, _ in groups] == [4] * 25
 
 
 @pytest.mark.parametrize("n", [1, 2])
