@@ -33,7 +33,6 @@ from .kernels import (
     bar_k,
     constant_kernel,
     dlbo_constant,
-    lbo_constant,
     log_kernel,
     riesz_kernel,
 )
@@ -43,7 +42,6 @@ from .potentials import (
     a_functionals,
     energy_continuous,
     energy_dyadic,
-    hl_maximal_dyadic,
     lambda_substitution,
     m_k_maximal,
     t_continuous_trunc,

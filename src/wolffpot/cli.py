@@ -439,7 +439,7 @@ def _field_values(scn: Scenario, points, kind: str):
         return wolff_continuous(kernel, scn.sigma, scn.mu, scn.exponents, points)
     if kind == "maximal_continuous":
         kernel = _radial(scn, "continuous maximal")
-        return [m_k_maximal(kernel, scn.sigma, scn.mu, x) for x in points]
+        return m_k_maximal(kernel, scn.sigma, scn.mu, points)
     if kind not in ("t", "wolff", "wolff_bar", "maximal"):
         raise ScenarioError(f"unknown field kind {kind!r}")
     # the default query points are mu's atoms, whose chains the scene's index holds

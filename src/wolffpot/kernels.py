@@ -403,20 +403,38 @@ class BarField:
         return per_mass(segment[-1], mass)
 
 
+def radial_sums(kernel: RadialKernel, dists, cum, r):
+    """``int_0^t k(s) sigma(B(x,s)) ds/s`` along each row of a radial profile.
+
+    ``dists`` and ``cum`` are the rows of an :meth:`AtomicMeasure.radial_profile`
+    over balls ``B(x, r)``, ``r`` of shape ``(b, 1)``.  A segment runs from
+    each distinct distance below ``r`` to the next distance, or to ``r``, and
+    its mass is the ball mass at its start; none starts at a tied distance,
+    at ``r`` or in the padding.  Returns ``(start, sums)``: whether entry
+    ``j`` starts a segment, and the integral up to the end of the last
+    segment so far, the terms added in distance order.  Only segments with
+    mass get a log-primitive (``0 * inf = 0``).
+    """
+    mass = cum[:, 1:]
+    ends = np.minimum(np.append(dists[:, 1:], r, axis=1), r)
+    start = dists < ends
+    live = start & (mass > 0.0)
+    terms = np.zeros(dists.shape)
+    terms[live] = kernel.log_primitive(dists[live], ends[live]) * mass[live]
+    return start, np.cumsum(terms, axis=1)
+
+
 def bar_k(kernel: RadialKernel, sigma: AtomicMeasure, xs, rs):
     """Continuous bar-kernel ``bar_k(r)(x)`` of each ball ``B(x, r)``, evaluated exactly.
 
     ``xs`` holds the centres ``(b, n)`` and ``rs`` the radii ``(b,)``; the
-    result is an array of ``b`` values.  One centre and one float radius give
-    a float.  ``s -> sigma(B(x,s))`` is a right-continuous step function with
-    jumps at the atom distances, so the integral is a finite sum of
-    cumulative masses times log-primitive increments, one per segment between
-    consecutive atom distances below ``r``, added in order.  A ball gets 0
-    when it carries no mass (or all of it sits at distance exactly ``r``) and
-    ``+inf`` when an atom sits exactly at ``x`` (the integral then diverges at
-    the origin for every kernel that is not identically zero).  The balls go
-    in chunks of at most ``BALL_BLOCK`` ball-atom pairs, each with one
-    :meth:`AtomicMeasure.radial_profile` and one ``log_primitive`` call.
+    result is an array of ``b`` values, and one centre with one float radius
+    gives a float.  The integral is the :func:`radial_sums` of the ball.  A
+    ball gets 0 when it carries no mass (or all of it sits at distance
+    exactly ``r``) and ``+inf`` when an atom sits exactly at ``x`` (the
+    integral diverges at the origin for every kernel not identically zero).
+    The balls go in chunks of at most ``BALL_BLOCK`` ball-atom pairs, each
+    with one :meth:`AtomicMeasure.radial_profile` and one ``log_primitive`` call.
     """
     if np.ndim(rs) == 0:
         return float(bar_k(kernel, sigma, [xs], [rs])[0])
@@ -431,14 +449,7 @@ def bar_k(kernel: RadialKernel, sigma: AtomicMeasure, xs, rs):
         dists, cum = sigma.radial_profile(xs[lo:lo + step], r)
         if not dists.size:
             continue  # no atom in any of these balls
-        # a segment runs from each distinct distance below r to the next one,
-        # or to r: none starts at a tied distance, at r or in the padding
-        ends = np.minimum(np.append(dists[:, 1:], r, axis=1), r)
-        start = dists < ends
-        seg = np.zeros(dists.shape)
-        seg[start] = kernel.log_primitive(dists[start], ends[start])
-        num = np.cumsum(weigh(seg, cum), axis=1)[:, -1]
-        out[lo:lo + step] = per_mass(num, cum[:, -1])
+        out[lo:lo + step] = per_mass(radial_sums(kernel, dists, cum, r)[1][:, -1], cum[:, -1])
     return out
 
 
@@ -470,25 +481,3 @@ def dlbo_constant(bf: BarField) -> float:
         ratio = np.where(inf_val <= 0.0, np.inf, sup_val / inf_val)
     # A ratio an infinite K leaves undefined (inf - inf, inf / inf) is skipped.
     return float(np.fmax.reduce(ratio, initial=1.0))
-
-
-def lbo_constant(kernel: RadialKernel, sigma: AtomicMeasure, samples) -> float:
-    """Empirical oscillation of ``bar_k(r)(.)`` over sampled balls.
-
-    ``samples`` is an iterable of ``(x, r, ys)`` with ``ys`` points of
-    ``B(x, r)``; each ball contributes ``sup_y bar_k(r)(y) / inf_y``.  Balls
-    with no sigma-mass, and sample points whose own balls are massless, are
-    skipped.
-    """
-    balls = [(np.asarray(ys, dtype=float).reshape(-1, sigma.dimension), r)
-             for x, r, ys in samples if sigma.ball_mass(x, r) > 0.0]
-    if not balls:
-        raise DegenerateInputError("all sampled balls are degenerate")
-    # one bar_k call over every sample point, each with its ball's radius
-    vals = bar_k(kernel, sigma, np.concatenate([ys for ys, _ in balls]),
-                 np.concatenate([np.full(len(ys), r) for ys, r in balls]))
-    pos = [v[v > 0.0] for v in np.split(vals, np.cumsum([len(ys) for ys, _ in balls])[:-1])]
-    ratios = [float(v.max() / v.min()) for v in pos if v.size]
-    if not ratios:
-        raise DegenerateInputError("all sampled balls are degenerate")
-    return max(ratios)

@@ -9,7 +9,9 @@ every cube at or above the grid level).
 Balls are closed, so ``r -> ball_mass(x, r)`` is a right-continuous step
 function, which :func:`profile_mass` reads off a radial profile at any
 radii; cubes are half-open, so same-level cube masses are exactly additive
-over children.
+over children.  A profile's cumulative masses start with a zero, the mass
+of the empty ball below the nearest atom, so ``cum[j]`` is the mass of the
+``j`` nearest atoms and a ``searchsorted`` count indexes it directly.
 """
 
 from __future__ import annotations
@@ -54,10 +56,6 @@ class AtomicMeasure:
     def n_atoms(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
     def scaled(self, c: float) -> "AtomicMeasure":
         return AtomicMeasure(self.positions, c * self.weights)
 
@@ -75,15 +73,16 @@ class AtomicMeasure:
     def radial_profile(self, centers, radii=np.inf):
         """Sorted atom distances from each centre and cumulative masses.
 
-        For one point ``centers`` returns ``(dists, cum)`` with ``cum[j]`` the
-        mass of the atoms up to the ``j``-th nearest, tied atoms in atom
-        order.  At the last of tied distances ``cum[j]`` is the mass of the
-        closed ball of radius ``dists[j]``, so this is the jump representation
-        of ``r -> ball_mass(center, r)`` that :func:`profile_mass` reads.  For
-        centres ``(b, n)`` and ``radii`` ``(b,)`` the arrays are
-        ``(b, width)``, one profile per row over the atoms of the closed ball
-        ``B(center, radius)``, padded at the end with distance ``inf`` and the
-        row's last mass.  Each row adds its masses in distance order.
+        For one point ``centers`` returns ``(dists, cum)`` with ``cum[0] = 0``
+        and ``cum[j + 1]`` the mass of the atoms up to the ``j``-th nearest,
+        tied atoms in atom order.  At the last of tied distances ``cum[j + 1]``
+        is the mass of the closed ball of radius ``dists[j]``, so this is the
+        jump representation of ``r -> ball_mass(center, r)`` that
+        :func:`profile_mass` reads.  For centres ``(b, n)`` and ``radii``
+        ``(b,)`` the arrays are ``(b, width)`` and ``(b, width + 1)``, one
+        profile per row over the atoms of the closed ball ``B(center, radius)``,
+        padded at the end with distance ``inf`` and the row's last mass.  Each
+        row adds its masses in distance order.
         """
         c = np.asarray(centers, dtype=float)
         rows = c.reshape(-1, self.dimension)
@@ -95,8 +94,8 @@ class AtomicMeasure:
         order = np.lexsort((d, np.repeat(np.arange(len(rows)), count)))
         held = np.arange(count.max(initial=0)) < count[:, None]
         dists = np.full(held.shape, np.inf)
-        cum = np.zeros(held.shape)
-        dists[held], cum[held] = d[order], w[order]
+        cum = np.zeros((len(rows), held.shape[1] + 1))  # column 0: the empty ball
+        dists[held], cum[:, 1:][held] = d[order], w[order]
         np.cumsum(cum, axis=1, out=cum)  # row by row, so the zero padding adds nothing
         return (dists, cum) if c.ndim > 1 else (dists[0], cum[0])
 
@@ -109,7 +108,7 @@ def profile_mass(profile, radii):
     function; below the nearest atom it is zero.
     """
     dists, cum = profile
-    return np.append(0.0, cum)[np.searchsorted(dists, radii, side="right")]
+    return cum[np.searchsorted(dists, radii, side="right")]
 
 
 def lebesgue_grid(box, level: int) -> AtomicMeasure:

@@ -41,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, OutOfWindowError, WolffpotError
-from .kernels import BarField, DyadicKernelMap, RadialKernel, per_mass, weigh, weighted_sum
+from .errors import WolffpotError
+from .kernels import (BALL_BLOCK, BarField, DyadicKernelMap, RadialKernel, per_mass, radial_sums,
+                      weigh, weighted_sum)
 from .lattice import LatticeWindow, LevelIndex
 from .measures import AtomicMeasure, cube_mass_table, profile_mass
 
@@ -63,12 +64,6 @@ class Exponents:
     @property
     def p_prime(self) -> float:
         return self.p / (self.p - 1.0)
-
-    @classmethod
-    def from_p_prime(cls, p_prime: float, q: float | None = None) -> "Exponents":
-        if not (p_prime > 1.0):
-            raise WolffpotError(f"need p' > 1, got {p_prime}")
-        return cls(p_prime / (p_prime - 1.0), q)
 
     @property
     def trace_exponent(self) -> float:
@@ -210,16 +205,6 @@ def energy_dyadic(scene: DyadicScene, exps: Exponents, t_sigma=None) -> float:
     """``E = int T[mu]^{p'} dsigma``, exact for atomic sigma; ``t_sigma`` is ``T[mu]`` on sigma if known."""
     t = scene.t_mu(scene.sigma) if t_sigma is None else t_sigma
     return weighted_sum(scene.sigma.weights, np.power(t, exps.p_prime))
-
-
-def hl_maximal_dyadic(scene: DyadicScene, x):
-    """Dyadic Hardy-Littlewood maximal function ``sup_{x in Q} mu(Q)/sigma(Q)`` of the scene."""
-    if not scene.index.window.contains(x).all():
-        raise OutOfWindowError(f"a point of {np.asarray(x).tolist()} lies outside the window")
-    # the largest sigma mass on a chain is its root cube's, zero when the root is not held
-    if np.any(scene.chain_values(scene.sigma_mass, x, np.maximum) <= 0.0):
-        raise DegenerateInputError("chain of x carries no sigma mass")
-    return scene.chain_values(per_mass(scene.mu_mass, scene.sigma_mass), x, np.maximum)
 
 
 def lambda_substitution(scene: DyadicScene) -> np.ndarray:
@@ -476,29 +461,38 @@ def _wolff_sweep(kernel, pp, around_x, dist, weights, around_mu, upper) -> np.nd
     return total
 
 
-def m_k_maximal(kernel: RadialKernel, sigma: AtomicMeasure, mu: AtomicMeasure, x) -> float:
+def m_k_maximal(kernel: RadialKernel, sigma: AtomicMeasure, mu: AtomicMeasure, x):
     """Kernel maximal function ``M_k(x) = sup_{r>0} bar_k(r)(x) mu(B(x,r))``.
 
-    Between consecutive atom distances both ball masses are constant while the
-    bar-kernel numerator grows, so the supremum over each segment is its
-    left-limit at the right end; the scan over these finitely many values is
-    exact.  The final unbounded segment contributes its limit value, which is
-    finite exactly when ``int^inf k(s) ds/s`` is.
+    ``x`` is one point (the result is a float) or one point per row (an
+    array).  Between consecutive atom distances both ball masses are
+    constant while the bar-kernel numerator grows, so the supremum over each
+    segment is its left-limit at the right end; the scan over these finitely
+    many values is exact.  The final unbounded segment contributes its limit
+    value, which is finite exactly when ``int^inf k(s) ds/s`` is.  An
+    infinite ``bar_k`` counts only where ``mu(B(x,r)) > 0``.  The segments
+    are the :func:`radial_sums` of the sigma- and mu-atoms stacked, in
+    chunks of at most ``BALL_BLOCK`` point-atom pairs.  A point on a
+    sigma-atom of positive weight is ``+inf``, found before any sort, when
+    ``limit_at_zero > 0`` and mu has mass: ``bar_k`` is infinite at every
+    radius.
     """
+    points = np.atleast_2d(np.asarray(x, dtype=float))
+    out = np.zeros(len(points))
     if not (sigma.n_atoms and mu.n_atoms):
-        return 0.0
-    x = np.asarray(x, dtype=float)
-    sigma_prof = sigma.radial_profile(x)
-    mu_prof = mu.radial_profile(x)
-    radii = np.unique(np.concatenate([sigma_prof[0], mu_prof[0]]))
-    den = profile_mass(sigma_prof, radii)
-    ends = np.append(radii[1:], math.inf)
-    # the numerator grows only where the ball already holds sigma-mass
-    held = den > 0.0
-    L = np.zeros(radii.size)
-    L[held] = kernel.log_primitive(radii[held], ends[held])
-    num = np.cumsum(weigh(L, den))  # bar-kernel numerator at each segment's right end
-    if math.isinf(num[-1]):
-        # bar_k is infinite from there on; mu is nonempty, so the sup is too
-        return math.inf
-    return float(np.max(per_mass(num, den) * profile_mass(mu_prof, radii), initial=0.0))
+        return _per_point(out, x)
+    if kernel.limit_at_zero > 0.0 and np.any(mu.weights > 0.0):
+        out[_on_heavy_atom(sigma, points)] = math.inf
+    rest = np.flatnonzero(np.isfinite(out))
+    stacked = np.vstack([sigma.positions, mu.positions])
+    by_sigma = AtomicMeasure(stacked, np.append(sigma.weights, np.zeros(mu.n_atoms)))
+    by_mu = AtomicMeasure(stacked, np.append(np.zeros(sigma.n_atoms), mu.weights))
+    step = max(1, BALL_BLOCK // len(stacked))
+    for lo in range(0, rest.size, step):
+        rows = rest[lo:lo + step]
+        dists, cum = by_sigma.radial_profile(points[rows])
+        start, num = radial_sums(kernel, dists, cum, np.full((rows.size, 1), math.inf))
+        # bar_k and mu(B(x,r)) at each segment's right end, zero where none starts
+        mu_mass = np.where(start, by_mu.radial_profile(points[rows])[1][:, 1:], 0.0)
+        out[rows] = np.max(weigh(per_mass(num, cum[:, 1:]), mu_mass), axis=1, initial=0.0)
+    return _per_point(out, x)

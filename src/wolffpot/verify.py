@@ -97,29 +97,6 @@ def check_fubini(scene: DyadicScene, exps: Exponents) -> tuple[float, str | None
     return abs(lhs - rhs) / max(lhs, 1e-300), None
 
 
-def summation_by_parts_min_slack(scene: DyadicScene, lam, points, s: float) -> float:
-    """Minimum relative slack of the chain-telescoping power inequality.
-
-    ``lam`` holds a weight per cube of ``scene.index``.  For each point ``x``
-    with chain weights ``c_l`` (coarse to fine) the inequality reads
-    ``(sum c)^s <= s * sum_l c_l (suffix_l)^{s-1}`` with ``suffix_l`` the sum
-    of the chain weights at levels ``>= l``.  Returns the minimum of
-    ``(rhs - lhs)/max(lhs, tiny)`` over the points: the scene's sigma or mu,
-    or query points.
-    """
-    if s < 1.0:
-        raise WolffpotError("need s >= 1")
-    if not isinstance(points, AtomicMeasure):
-        points = np.asarray(points, dtype=float).reshape(len(points), scene.index.window.dimension)
-    c = scene.index.gather(lam, scene.chain_ids(points))  # (levels, points), coarse to fine
-    if not c.shape[1]:
-        return math.inf
-    suffix = np.cumsum(c[::-1], axis=0)[::-1]
-    lhs = np.power(np.cumsum(c, axis=0)[-1], s)
-    rhs = s * np.cumsum(c * suffix ** (s - 1.0), axis=0)[-1]
-    return float(np.min((rhs - lhs) / np.maximum(lhs, 1e-300)))
-
-
 def check_a_chain(scene: DyadicScene, lam, s: float):
     """Ratios of the three aggregates: ``(A1/A2, A2/(A1^{1/s} A3^{1/s'}), A3/A1, A1/A3)``."""
     a1, a2, a3 = a_functionals(scene, lam, s)

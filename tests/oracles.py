@@ -17,6 +17,12 @@ level's ids at once, and ``Wbar`` from each point's gathered chain.
 every term up to ``L``.  The 1-D shifted-lattice oracle is the earlier form of the range sampler, which sweeps
 every shift in draw order and searches all the atoms at each level.
 ``random_instance`` builds the seeded instances of the tests.
+
+``m_k_maximal_per_point`` is the earlier one-point form of ``m_k_maximal``,
+which merges the sigma and mu distances with ``np.unique``.  The functions
+no command, demo or check reaches live here too, with the tests that use
+them: ``lbo_constant``, ``hl_maximal_dyadic``,
+``summation_by_parts_min_slack`` and ``exponents_from_p_prime``.
 """
 
 import math
@@ -28,12 +34,15 @@ import numpy as np
 from wolffpot import (
     AtomicMeasure,
     DyadicKernelMap,
+    Exponents,
     LatticeWindow,
     LevelIndex,
     RadialKernel,
+    bar_k,
     riesz_kernel,
 )
 from wolffpot.errors import (
+    DegenerateInputError,
     DimensionMismatchError,
     LevelRangeError,
     OutOfWindowError,
@@ -216,9 +225,10 @@ class BarFieldNaive:
 
 
 def radial_profile_of_one(sigma: AtomicMeasure, center):
-    """Sorted distinct distances from ``center`` and the closed-ball masses at them."""
+    """Sorted distinct distances from ``center`` and the closed-ball masses at them,
+    after a leading zero for the empty ball."""
     if sigma.n_atoms == 0:
-        return np.zeros(0), np.zeros(0)
+        return np.zeros(0), np.zeros(1)
     d = np.linalg.norm(sigma.positions - np.asarray(center, dtype=float), axis=1)
     order = np.argsort(d, kind="stable")
     d = d[order]
@@ -226,7 +236,7 @@ def radial_profile_of_one(sigma: AtomicMeasure, center):
     dists, start = np.unique(d, return_index=True)
     cum = np.cumsum(w)
     ends = np.append(start[1:], len(w)) - 1
-    return dists, cum[ends]
+    return dists, np.append(0.0, cum[ends])
 
 
 def bar_k_per_ball(kernel: RadialKernel, sigma: AtomicMeasure, x, r: float) -> float:
@@ -234,12 +244,53 @@ def bar_k_per_ball(kernel: RadialKernel, sigma: AtomicMeasure, x, r: float) -> f
     if r <= 0:
         raise WolffpotError(f"radius must be positive, got {r}")
     dists, cums = radial_profile_of_one(sigma, x)
-    den = float(np.append(0.0, cums)[np.searchsorted(dists, r, side="right")])
+    den = float(cums[np.searchsorted(dists, r, side="right")])
     if den <= 0.0:
         return 0.0
     starts = dists[:np.searchsorted(dists, r)]  # the sorted distances below r
     seg = kernel.log_primitive(starts, np.concatenate((starts[1:], [r]))[:starts.size])
-    return weighted_sum(cums[:starts.size], seg) / den
+    return weighted_sum(cums[1:starts.size + 1], seg) / den
+
+
+def lbo_constant(kernel: RadialKernel, sigma: AtomicMeasure, samples) -> float:
+    """Empirical oscillation of ``bar_k(r)(.)`` over sampled balls.
+
+    ``samples`` is an iterable of ``(x, r, ys)`` with ``ys`` points of
+    ``B(x, r)``; each ball contributes ``sup_y bar_k(r)(y) / inf_y``.  Balls
+    with no sigma-mass, and sample points whose own balls are massless, are
+    skipped.
+    """
+    balls = [(np.asarray(ys, dtype=float).reshape(-1, sigma.dimension), r)
+             for x, r, ys in samples if sigma.ball_mass(x, r) > 0.0]
+    if not balls:
+        raise DegenerateInputError("all sampled balls are degenerate")
+    # one bar_k call over every sample point, each with its ball's radius
+    vals = bar_k(kernel, sigma, np.concatenate([ys for ys, _ in balls]),
+                 np.concatenate([np.full(len(ys), r) for ys, r in balls]))
+    pos = [v[v > 0.0] for v in np.split(vals, np.cumsum([len(ys) for ys, _ in balls])[:-1])]
+    ratios = [float(v.max() / v.min()) for v in pos if v.size]
+    if not ratios:
+        raise DegenerateInputError("all sampled balls are degenerate")
+    return max(ratios)
+
+
+def m_k_maximal_per_point(kernel: RadialKernel, sigma: AtomicMeasure, mu: AtomicMeasure, x) -> float:
+    """``M_k(x)`` at one point over the distinct sigma and mu distances merged by ``np.unique``:
+    the earlier one-point form of ``m_k_maximal``, its sup taken over ``weigh(bar, mu-mass)``."""
+    if not (sigma.n_atoms and mu.n_atoms):
+        return 0.0
+    x = np.asarray(x, dtype=float)
+    sigma_prof = sigma.radial_profile(x)
+    mu_prof = mu.radial_profile(x)
+    radii = np.unique(np.concatenate([sigma_prof[0], mu_prof[0]]))
+    den = profile_mass(sigma_prof, radii)
+    ends = np.append(radii[1:], math.inf)
+    # the numerator grows only where the ball already holds sigma-mass
+    held = den > 0.0
+    L = np.zeros(radii.size)
+    L[held] = kernel.log_primitive(radii[held], ends[held])
+    num = np.cumsum(weigh(L, den))  # bar-kernel numerator at each segment's right end
+    return float(np.max(weigh(per_mass(num, den), profile_mass(mu_prof, radii)), initial=0.0))
 
 
 def wolff_continuous_per_point(kernel: RadialKernel, sigma: AtomicMeasure, mu: AtomicMeasure,
@@ -282,6 +333,49 @@ def wolff_continuous_per_point(kernel: RadialKernel, sigma: AtomicMeasure, mu: A
         return math.inf
     terms = S * (np.power(A + B * L, pp) - np.power(A, pp)) / (pp * B)
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+# -- dyadic functionals the package does not reach ---------------------------------------
+
+
+def exponents_from_p_prime(p_prime: float, q: float | None = None) -> Exponents:
+    """The :class:`Exponents` whose dual exponent is ``p'``."""
+    if not (p_prime > 1.0):
+        raise WolffpotError(f"need p' > 1, got {p_prime}")
+    return Exponents(p_prime / (p_prime - 1.0), q)
+
+
+def hl_maximal_dyadic(scene, x):
+    """Dyadic Hardy-Littlewood maximal function ``sup_{x in Q} mu(Q)/sigma(Q)`` of the scene."""
+    if not scene.index.window.contains(x).all():
+        raise OutOfWindowError(f"a point of {np.asarray(x).tolist()} lies outside the window")
+    # the largest sigma mass on a chain is its root cube's, zero when the root is not held
+    if np.any(scene.chain_values(scene.sigma_mass, x, np.maximum) <= 0.0):
+        raise DegenerateInputError("chain of x carries no sigma mass")
+    return scene.chain_values(per_mass(scene.mu_mass, scene.sigma_mass), x, np.maximum)
+
+
+def summation_by_parts_min_slack(scene, lam, points, s: float) -> float:
+    """Minimum relative slack of the chain-telescoping power inequality.
+
+    ``lam`` holds a weight per cube of ``scene.index``.  For each point ``x``
+    with chain weights ``c_l`` (coarse to fine) the inequality reads
+    ``(sum c)^s <= s * sum_l c_l (suffix_l)^{s-1}`` with ``suffix_l`` the sum
+    of the chain weights at levels ``>= l``.  Returns the minimum of
+    ``(rhs - lhs)/max(lhs, tiny)`` over the points: the scene's sigma or mu,
+    or query points.
+    """
+    if s < 1.0:
+        raise WolffpotError("need s >= 1")
+    if not isinstance(points, AtomicMeasure):
+        points = np.asarray(points, dtype=float).reshape(len(points), scene.index.window.dimension)
+    c = scene.index.gather(lam, scene.chain_ids(points))  # (levels, points), coarse to fine
+    if not c.shape[1]:
+        return math.inf
+    suffix = np.cumsum(c[::-1], axis=0)[::-1]
+    lhs = np.power(np.cumsum(c, axis=0)[-1], s)
+    rhs = s * np.cumsum(c * suffix ** (s - 1.0), axis=0)[-1]
+    return float(np.min((rhs - lhs) / np.maximum(lhs, 1e-300)))
 
 
 def cube_mass_table_all_levels(measure: AtomicMeasure, index, first: int = 0, weights=None):

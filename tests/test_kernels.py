@@ -15,7 +15,6 @@ from wolffpot import (
     bernoulli_cascade,
     constant_kernel,
     dlbo_constant,
-    lbo_constant,
     lebesgue_grid,
     log_kernel,
     riesz_kernel,
@@ -32,6 +31,7 @@ from oracles import (
     cube_at,
     cube_mass,
     index_keys,
+    lbo_constant,
     radial_profile_of_one,
     window_cube,
     window_keys,

@@ -7,12 +7,14 @@ import wolffpot
 from wolffpot import (
     AtomicMeasure,
     DimensionMismatchError,
+    Exponents,
     GridAlignmentError,
     LatticeWindow,
     LevelIndex,
     LevelRangeError,
     OutOfWindowError,
 )
+from wolffpot import kernels, potentials, verify
 
 from oracles import cube_at, index_keys, level_keys, window_cube, window_cubes, window_keys
 
@@ -163,13 +165,18 @@ def test_table_values_match_per_key_lookup():
 
 
 def test_the_single_cube_surface_lives_in_the_tests_only():
-    # one representation of the dyadic tree in the package: LevelIndex ids
+    # one representation of the dyadic tree in the package: LevelIndex ids;
+    # and the names no command, demo or check reaches live in tests/oracles.py
     moved = {
-        wolffpot: ["DyadicCube"],
+        wolffpot: ["DyadicCube", "lbo_constant", "hl_maximal_dyadic"],
         wolffpot.lattice: ["DyadicCube"],
+        kernels: ["lbo_constant"],
+        potentials: ["hl_maximal_dyadic"],
+        verify: ["summation_by_parts_min_slack"],
         LatticeWindow: ["cube", "cube_at", "level_keys", "keys", "cubes", "descendant_keys"],
         LevelIndex: ["keys"],
-        AtomicMeasure: ["translated", "cube_mass"],
+        AtomicMeasure: ["translated", "cube_mass", "total_mass"],
+        Exponents: ["from_p_prime"],
     }
     assert [name for name in wolffpot.__all__
             if any(name in names for names in moved.values())] == []

@@ -35,7 +35,6 @@ from wolffpot import (
     a_functionals,
     dlbo_constant,
     energy_dyadic,
-    hl_maximal_dyadic,
     lambda_substitution,
     LevelRangeError,
     riesz_kernel,
@@ -43,7 +42,6 @@ from wolffpot import (
 from wolffpot.cli import main as cli_main
 from wolffpot.kernels import log_kernel, per_mass
 from wolffpot.measures import bernoulli_cascade, cube_mass_table, lebesgue_grid
-from wolffpot.verify import summation_by_parts_min_slack
 
 from oracles import (
     BarFieldNaive,
@@ -51,8 +49,11 @@ from oracles import (
     cube_mass,
     cube_mass_table_all_levels,
     descendant_keys,
+    exponents_from_p_prime,
+    hl_maximal_dyadic,
     index_keys,
     subtree_loop,
+    summation_by_parts_min_slack,
     window_cube,
     window_cubes,
     window_keys,
@@ -246,7 +247,7 @@ def test_a_functionals_match_brute_force(data, s):
 @given(data=st.data(), c=st.floats(0.1, 10.0), pp=st.sampled_from([1.5, 2.0, 3.0]))
 def test_energy_homogeneity(data, c, pp):
     window, sigma, mu, K, _ = data.draw(instances(data.draw(st.booleans())))
-    exps = Exponents.from_p_prime(pp)
+    exps = exponents_from_p_prime(pp)
     e = c ** pp * energy_dyadic(DyadicScene(K, sigma, mu, window), exps)
     assert abs(energy_dyadic(DyadicScene(K, sigma, mu.scaled(c), window), exps) - e) <= REL * e
 

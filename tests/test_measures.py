@@ -55,7 +55,7 @@ def test_ball_mass_monotone_right_continuous():
 def test_lebesgue_grid_exact(w2):
     g = lebesgue_grid([(0.0, 1.0)], 8)
     assert g.n_atoms == 256
-    assert g.total_mass == 1.0
+    assert np.sum(g.weights) == 1.0
     assert cube_mass(g, window_cube(w2, 1, (0,))) == 0.5
     assert cube_mass(g, window_cube(w2, 2, (1,))) == 0.25
 
@@ -118,7 +118,7 @@ def test_cascade_child_masses():
     depth = 6
     m = bernoulli_cascade(gamma, depth)
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, depth)
-    assert m.total_mass == pytest.approx(1.0, rel=1e-12)
+    assert np.sum(m.weights) == pytest.approx(1.0, rel=1e-12)
     # heavy (left) child carries exactly theta of its parent
     key = (0, (0,))
     for _ in range(depth):

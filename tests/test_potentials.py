@@ -22,7 +22,6 @@ from wolffpot import (
     constant_kernel,
     energy_continuous,
     energy_dyadic,
-    hl_maximal_dyadic,
     lambda_substitution,
     lebesgue_grid,
     log_kernel,
@@ -36,7 +35,13 @@ from wolffpot.cli import _field_values
 from wolffpot.scenario import build_scenario
 from wolffpot.verify import wolff_integral
 
-from oracles import translated, wolff_continuous_per_point
+from oracles import (
+    exponents_from_p_prime,
+    hl_maximal_dyadic,
+    m_k_maximal_per_point,
+    translated,
+    wolff_continuous_per_point,
+)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -69,7 +74,7 @@ def test_exponents():
     assert ex.p_prime == 2.0
     assert abs(ex.p_prime * (ex.p - 1.0) - ex.p) <= 1e-14
     assert ex.trace_exponent == pytest.approx(1.5 * 1.0 / 0.5)
-    assert Exponents.from_p_prime(3.0).p == pytest.approx(1.5)
+    assert exponents_from_p_prime(3.0).p == pytest.approx(1.5)
     with pytest.raises(WolffpotError):
         Exponents(p=1.0)
     with pytest.raises(WolffpotError):
@@ -129,7 +134,7 @@ def test_homogeneity_degrees():
     mu_c = mu.scaled(c)
     scene, scene_c = DyadicScene(K, sigma, mu, w), DyadicScene(K, sigma, mu_c, w)
     for pp in (1.5, 2.0, 3.0):
-        ex = Exponents.from_p_prime(pp)
+        ex = exponents_from_p_prime(pp)
         assert energy_dyadic(scene_c, ex) == pytest.approx(
             c ** pp * energy_dyadic(scene, ex), rel=1e-11
         )
@@ -211,7 +216,7 @@ def test_a_functionals_match_dedicated_operations():
     for seed, pp in ((3, 1.5), (4, 2.0), (5, 3.0)):
         w, sigma, mu = random_pair(seed)
         K = DyadicKernelMap.from_radial(riesz_kernel(0.55, 1))
-        ex = Exponents.from_p_prime(pp)
+        ex = exponents_from_p_prime(pp)
         scene = DyadicScene(K, sigma, mu, w)
         a1, a2, a3 = a_functionals(scene, lambda_substitution(scene), pp)
         e = energy_dyadic(scene, ex)
@@ -406,7 +411,7 @@ def test_wolff_continuous_matches_quadrature_of_definition(seed, n):
         (riesz_kernel(alpha, n, cutoff=0.7), 0.5, 3.0),  # R below the cutoff
     ]
     for kernel, R, pp in cases:
-        got = wolff_continuous(kernel, sigma, mu, Exponents.from_p_prime(pp), x, R=R)
+        got = wolff_continuous(kernel, sigma, mu, exponents_from_p_prime(pp), x, R=R)
         want = wolff_by_quad(kernel, sigma, mu, pp, x, min(R, kernel.cutoff or math.inf))
         assert want > 0.0
         assert got == pytest.approx(want, rel=1e-8)
@@ -471,7 +476,7 @@ def test_wolff_continuous_rows_match_the_per_point_sweep(n, name, R, block, monk
     monkeypatch.setattr(potentials, "SWEEP_BLOCK", block)
     kernel = ROW_KERNELS[name](n)
     sigma, mu, pts = rows_instance(n)
-    ex = Exponents.from_p_prime(1.7)
+    ex = exponents_from_p_prime(1.7)
     # mu-atoms on the heavy sigma-atom at 0.1 and on the massless one at -0.1
     on = AtomicMeasure(np.vstack([mu.positions, sigma.positions[[1, 0]]]),
                        np.append(mu.weights, [1.0, 1.0]))
@@ -614,7 +619,7 @@ def test_wolff_continuous_groups_points_in_row_order(monkeypatch):
     sigma = AtomicMeasure(rng.uniform(0.0, 1.0, (300, 1)), rng.uniform(0.5, 2.0, 300))
     mu = AtomicMeasure(rng.uniform(0.0, 1.0, (12, 1)), rng.uniform(0.5, 2.0, 12))
     pts = np.vstack([rng.uniform(0.0, 1.0, (40, 1)), [[3.0], [-2.0]]])
-    kernel, ex = riesz_kernel(0.5, 1, cutoff=0.15), Exponents.from_p_prime(1.7)
+    kernel, ex = riesz_kernel(0.5, 1, cutoff=0.15), exponents_from_p_prime(1.7)
     tracks = np.sum(np.abs(mu.positions[:, 0] - pts) <= 0.15, axis=1)
     tracks = tracks[tracks > 0]  # the points that are swept, in order
     want = [wolff_continuous_per_point(kernel, sigma, mu, ex, p) for p in pts]
@@ -691,6 +696,81 @@ def test_m_k_maximal_matches_scan_of_bar_k(seed, n):
     assert max(vals) > 0.0
     assert got == pytest.approx(max(vals), rel=1e-8)
     assert max(vals) <= got * (1.0 + 1e-12)
+
+
+def m_k_row_cases(n):
+    """Kernels, measures and points at which the row ``M_k`` meets its one-point oracle.
+
+    Coordinates are rounded to 0.1, so sigma and mu distances tie; the points
+    include every sigma-atom (some of zero weight) and every mu-atom (some of
+    zero weight), and random points between them.
+    """
+    rng = np.random.default_rng([n, 20261019])
+    sp = np.round(rng.uniform(-1.0, 1.0, (24, n)), 1)
+    sw = rng.uniform(0.5, 2.0, 24)
+    sw[::5] = 0.0
+    mp = np.round(rng.uniform(-1.0, 1.0, (10, n)), 1)
+    mw = rng.uniform(0.5, 2.0, 10)
+    mw[::4] = 0.0
+    pts = np.vstack([sp, mp, np.round(rng.uniform(-1.2, 1.2, (12, n)), 1),
+                     rng.uniform(-1.2, 1.2, (6, n))])
+    sigma, mu = AtomicMeasure(sp, sw), AtomicMeasure(mp, mw)
+    kernels = [riesz_kernel(0.5 * n, n), riesz_kernel(0.5 * n, n, cutoff=0.35),
+               constant_kernel(1.0), constant_kernel(1.0, cutoff=0.35),
+               constant_kernel(0.0), log_kernel(1.5, LOG_C, n)]
+    for kernel in kernels:
+        yield kernel, sigma, mu, pts
+
+
+@pytest.mark.filterwarnings("ignore:The algorithm does not converge")
+@pytest.mark.parametrize("block", [None, 100])
+def test_m_k_rows_equal_the_per_point_oracle_exactly(block, monkeypatch):
+    cases = [case for n in (1, 2) for case in m_k_row_cases(n)]
+    if block is None:
+        # 3,076 atoms stacked: chunks of 2 of the 4 points
+        cases += map(continuous_field_instance, range(64))
+    else:
+        # 34 atoms stacked: chunks of 2 of the 52 points
+        monkeypatch.setattr(potentials, "BALL_BLOCK", block)
+    n_inf = n_finite = 0
+    for kernel, sigma, mu, pts in cases:
+        got = m_k_maximal(kernel, sigma, mu, pts)
+        want = [m_k_maximal_per_point(kernel, sigma, mu, p) for p in pts]
+        assert np.array_equal(got, want), kernel.name
+        n_inf += int(np.count_nonzero(np.isinf(got)))
+        n_finite += int(np.count_nonzero(np.isfinite(got) & (got > 0.0)))
+    assert n_inf > 0 and n_finite > 0
+    kernel, sigma, mu, pts = cases[0]
+    assert isinstance(m_k_maximal(kernel, sigma, mu, pts[-1]), float)
+
+
+def test_m_k_is_inf_before_any_sort_on_a_heavy_sigma_atom(monkeypatch):
+    sigma = AtomicMeasure([0.0, 0.5, 1.0], [1.0, 0.0, 2.0])
+    mu = AtomicMeasure([0.2], [1.0])
+    sorts = []
+    original = AtomicMeasure.radial_profile
+
+    def counted(self, *args, **kwargs):
+        sorts.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AtomicMeasure, "radial_profile", counted)
+    got = m_k_maximal(riesz_kernel(0.5, 1), sigma, mu, [[0.0], [1.0]])
+    assert list(got) == [math.inf, math.inf] and not sorts
+    # a massless sigma-atom is no atom at all
+    assert math.isfinite(m_k_maximal(riesz_kernel(0.5, 1), sigma, mu, [0.5])) and sorts
+
+
+def test_m_k_is_zero_where_mu_has_no_mass():
+    sigma = AtomicMeasure([0.0, 1.0], [1.0, 1.0])
+    massless = AtomicMeasure([0.5], [0.0])
+    # on a heavy sigma-atom bar_k is inf at every radius, but mu(B(x,r)) = 0
+    # at each, and 0 * inf = 0
+    assert m_k_maximal(riesz_kernel(0.5, 1), sigma, massless, [0.0]) == 0.0
+    assert m_k_maximal(riesz_kernel(0.5, 1), sigma, massless, [0.3]) == 0.0
+    # with no cutoff int^inf k ds/s diverges, so bar_k is inf on the last segment
+    assert m_k_maximal(constant_kernel(1.0), sigma, massless, [0.3]) == 0.0
+    assert m_k_maximal(constant_kernel(1.0), sigma, AtomicMeasure([0.5], [1.0]), [0.3]) == math.inf
 
 
 def test_bar_k_edge_cases():

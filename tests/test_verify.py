@@ -32,7 +32,6 @@ from wolffpot.verify import (
     check_energy_wolff_ratio,
     counterexample_series,
     shifted_average_check,
-    summation_by_parts_min_slack,
     trace_constant_q1,
     trace_test_upper_triangle,
     truncation_sweep,
@@ -40,9 +39,11 @@ from wolffpot.verify import (
 
 from oracles import (
     counterexample_series_summed,
+    exponents_from_p_prime,
     log_power_terms,
     random_instance,
     ranges_1d,
+    summation_by_parts_min_slack,
     window_keys,
 )
 
@@ -74,7 +75,7 @@ def test_fubini_random_instances():
     for i in range(20):
         inst = random_instance([101, i], n=1 + i % 2, depth=4 + i % 4,
                                n_sigma=40, n_mu=40)
-        ex = Exponents.from_p_prime((1.5, 2.0, 3.0)[i % 3])
+        ex = exponents_from_p_prime((1.5, 2.0, 3.0)[i % 3])
         worst = max(worst, check_fubini(scene_of(inst), ex)[0])
     assert worst <= 1e-9
 
