@@ -32,8 +32,6 @@ from .measures import AtomicMeasure, cube_mass_table
 MONOTONICITY_POINTS_PER_DECADE = 512
 #: relative tolerance of the adaptive quadrature behind non-closed-form primitives
 PRIMITIVE_REL_TOL = 1e-10
-#: segments per block of the array Gauss-Kronrod step (bounds its temporaries)
-PRIMITIVE_BLOCK = 1024
 #: ball-atom pairs per chunk of the batched bar-kernel (bounds its temporaries)
 BALL_BLOCK = 1 << 13
 
@@ -67,15 +65,11 @@ _UFLOW = np.finfo(float).tiny
 
 
 def _qk21_first_step(f, a, b, epsrel: float):
-    """QUADPACK's dqk21 on each segment ``[a_i, b_i]``, ``a_i < b_i``, at once.
-
-    ``f`` maps an array of abscissae to integrand values.  The nodes, the
-    summation order and the error estimate are dqk21's, so ``result`` is the
-    value QAGS (``scipy.integrate.quad`` on a finite interval) computes in its
-    first step.  QAGS returns that value unchanged when ``abserr <= epsrel
-    |result|`` and ``abserr != resasc``; ``accepted`` marks the segments that
-    pass this test with a factor-2 margin on both sides, so rounding in the
-    error formula cannot flip it.  The other segments need QAGS's bisection.
+    """QUADPACK's dqk21 (nodes, summation order, error estimate ``abserr``) on
+    each segment ``[a_i, b_i]``, ``a_i < b_i``, at once; ``f`` maps an array of
+    abscissae to values.  Returns ``(result, abserr, accepted)``: ``accepted``
+    where ``abserr`` is within ``epsrel |result|`` and below ``resasc``, each
+    with a factor-2 margin, so rounding in the error formula cannot flip it.
     """
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)  # positive: dqk21's |hlgth| is hlgth here
@@ -107,7 +101,7 @@ def _qk21_first_step(f, a, b, epsrel: float):
     abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
                       np.maximum(50.0 * _EPMACH * resabs, abserr), abserr)
     accepted = (abserr <= 0.5 * epsrel * np.abs(result)) & (abserr < 0.5 * resasc)
-    return result, accepted
+    return result, abserr, accepted
 
 
 @dataclass(frozen=True)
@@ -139,11 +133,8 @@ class RadialKernel:
         return float(self.profile(r))
 
     def log_primitive(self, a, b):
-        """``int_a^b k(s) ds/s`` per segment, with cutoff clamping; ``a=0`` may give inf.
-
-        ``a`` and ``b`` are floats (the result is a float) or equal-length
-        1-D arrays of segment ends (the result is an array of that length).
-        """
+        """``int_a^b k(s) ds/s`` per segment, with cutoff clamping (``a=0`` may give
+        inf): a float for floats ``a`` and ``b``, an array for equal-length arrays."""
         if np.ndim(a) == 0 and np.ndim(b) == 0:
             return float(self.log_primitive(np.array([a], dtype=float), np.array([b], dtype=float))[0])
         a = np.asarray(a, dtype=float)
@@ -172,13 +163,11 @@ def _validate_nonincreasing(kernel: RadialKernel, r_lo: float, r_hi: float) -> N
     if kernel.cutoff is not None:
         rs = rs[rs <= kernel.cutoff]  # the profile vanishes beyond: no increase there
     vals = kernel.profile(rs)
-    bad = np.nonzero(np.diff(vals) > 1e-12 * np.maximum(vals[:-1], 1.0))[0]
+    bad = np.flatnonzero(np.diff(vals) > 1e-12 * np.maximum(vals[:-1], 1.0))
     if bad.size:
-        r = rs[bad[0]]
-        raise InvalidKernelError(
-            f"kernel {kernel.name} increases near r={r:.6g}: "
-            f"k({rs[bad[0]]:.6g})={vals[bad[0]]:.6g} < k({rs[bad[0]+1]:.6g})={vals[bad[0]+1]:.6g}"
-        )
+        i = bad[0]
+        raise InvalidKernelError(f"kernel {kernel.name} increases near r={rs[i]:.6g}: "
+                                 f"k({rs[i]:.6g})={vals[i]:.6g} < k({rs[i + 1]:.6g})={vals[i + 1]:.6g}")
 
 
 def _validate_cutoff(cutoff) -> None:
@@ -209,12 +198,31 @@ def riesz_kernel(alpha: float, n: int, cutoff: float | None = None) -> RadialKer
     return RadialKernel(prof, prim, cutoff=cutoff, name="riesz")
 
 
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on the first call: the import takes
-    longer than most runs, and only log-kernel fallback segments need it."""
-    from scipy.integrate import quad as scipy_quad
+def quad(f, a, b):
+    """``int_a^b f(s) ds`` on the segments ``0 < a_i < b_i`` one dqk21 step rejects.
 
-    return scipy_quad(*args, **kwargs)
+    dqk21 runs once on pieces of equal width in ``log s`` and end ratio at most
+    2, each segment adding its own in order, and again on halved pieces while
+    one misses ``abserr <= PRIMITIVE_REL_TOL |value|``, down to end ratio
+    ``2^(1/64)``, where a miss raises.  Returns the values and the worst ``abserr``.
+    """
+    log_a = np.log(a)
+    width = np.log(b) - log_a  # not log(b / a): b / a may overflow
+    count = np.maximum(np.ceil(width / math.log(2.0)), 1.0).astype(np.int64)
+    for _ in range(7):
+        seg = np.repeat(np.arange(a.size), count)
+        first = np.cumsum(count) - count
+        lo = np.exp(log_a[seg] + width[seg] * ((np.arange(seg.size) - first[seg]) / count[seg]))
+        lo[first] = a
+        hi = np.append(lo[1:], 0.0)  # a piece ends where the next begins, a segment's last at b
+        hi[first + count - 1] = b
+        value, abserr, _ = _qk21_first_step(f, lo, hi, PRIMITIVE_REL_TOL)
+        missed = ~(abserr <= PRIMITIVE_REL_TOL * np.abs(value))
+        if not missed.any():
+            return np.bincount(seg, value, minlength=a.size), float(abserr.max())
+        count = 2 * count
+    i = seg[np.argmax(missed)]
+    raise WolffpotError(f"quadrature on [{a[i]}, {b[i]}] misses its tolerance at end ratio 2^(1/64)")
 
 
 def log_kernel(beta: float, C: float, n: int) -> RadialKernel:
@@ -222,11 +230,8 @@ def log_kernel(beta: float, C: float, n: int) -> RadialKernel:
 
     Vanishes for ``r > 1``.  Monotonicity forces ``C >= e^(beta/n)``; the
     constructor rejects smaller ``C`` and re-validates on a log-spaced grid.
-    The log-primitive has no elementary closed form.  It is QUADPACK's QAGS
-    at relative tolerance ``PRIMITIVE_REL_TOL``: one array 21-point step on
-    all segments (blocks of ``PRIMITIVE_BLOCK``), which is QAGS's own value
-    wherever its first-step test passes, and ``scipy.integrate.quad`` on each
-    segment where it does not.
+    The log-primitive has no elementary closed form: one array dqk21 step on
+    all segments, and :func:`quad` on those it rejects.
     """
     if beta <= 1.0:
         raise InvalidKernelError(f"need beta > 1, got {beta}")
@@ -236,7 +241,6 @@ def log_kernel(beta: float, C: float, n: int) -> RadialKernel:
         )
 
     # numpy ufuncs throughout, so a float and an array element evaluate alike
-    # and the array quadrature step sees the integrand quad sees
     def prof(r):
         return 1.0 / (np.power(r, n) * np.power(np.log(C / r), beta))
 
@@ -244,13 +248,14 @@ def log_kernel(beta: float, C: float, n: int) -> RadialKernel:
         return prof(s) / s
 
     def prim(a, b):
-        out = np.empty(a.shape)
-        for lo in range(0, a.size, PRIMITIVE_BLOCK):
-            blk = slice(lo, lo + PRIMITIVE_BLOCK)
-            out[blk], accepted = _qk21_first_step(integrand, a[blk], b[blk], PRIMITIVE_REL_TOL)
-            for i in lo + np.flatnonzero(~accepted):
-                out[i], _ = quad(integrand, float(a[i]), float(b[i]), epsabs=0.0,
-                                 epsrel=PRIMITIVE_REL_TOL, limit=200)
+        low = a.min(initial=1.0)
+        # k(s)/s is largest at the smallest start: near overflow there, or with
+        # s^n subnormal, the rule's sums overflow or lose digits
+        if not (low ** n >= _UFLOW and prof(low) < 1e300 * low):
+            raise WolffpotError(f"log-primitive on [{low}, {b[np.argmin(a)]}] is out of floating-point range")
+        out, _, accepted = _qk21_first_step(integrand, a, b, PRIMITIVE_REL_TOL)
+        if not accepted.all():
+            out[~accepted], _ = quad(integrand, a[~accepted], b[~accepted])
         return out
 
     kern = RadialKernel(prof, prim, cutoff=1.0, name="log")

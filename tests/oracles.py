@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from scipy.integrate import quad
 
 from wolffpot import (
     AtomicMeasure,
@@ -250,6 +251,16 @@ def bar_k_per_ball(kernel: RadialKernel, sigma: AtomicMeasure, x, r: float) -> f
     starts = dists[:np.searchsorted(dists, r)]  # the sorted distances below r
     seg = kernel.log_primitive(starts, np.concatenate((starts[1:], [r]))[:starts.size])
     return weighted_sum(cums[1:starts.size + 1], seg) / den
+
+
+def log_primitive_by_pieces(kernel: RadialKernel, a: float, b: float) -> float:
+    """``int_a^b k(s) ds/s``, ``0 < a < b``, as scipy's ``quad`` summed over
+    geometric pieces of end ratio at most 1.25, each at ``epsrel=1e-13``."""
+    count = max(1, math.ceil((math.log(b) - math.log(a)) / math.log(1.25)))
+    edges = np.geomspace(a, b, count + 1)
+    edges[0], edges[-1] = a, b
+    return math.fsum(quad(lambda s: kernel.profile(s) / s, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                     for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()))
 
 
 def lbo_constant(kernel: RadialKernel, sigma: AtomicMeasure, samples) -> float:

@@ -449,15 +449,52 @@ def test_threads_default_to_one():
     assert build_parser().parse_args(["verify", "--config", "x.json"]).threads == 1
 
 
-def test_scipy_integrate_is_imported_on_the_first_quad_call():
-    code = ("import sys, wolffpot.cli, wolffpot.kernels as k\n"
-            "print('scipy.integrate' in sys.modules)\n"
-            "print(abs(k.quad(lambda s: s * s, 0.0, 3.0)[0] - 9.0) < 1e-12)\n"
-            "print('scipy.integrate' in sys.modules)\n")
+# 3e-9, 1e-9 and 3e-10 to the right of the sigma atom at 0.46533203125 of
+# counterexample.json: the segment from that atom's distance out to the next
+# atom's is too wide for one dqk21 step
+NEAR_ATOM = "x\n0.46533203425\n0.46533203225\n0.46533203155\n"
+
+
+def _python(tmp_path, *args):
     env = {**os.environ, "PYTHONPATH": str(Path(wolffpot.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.split() == ["False", "True", "True"]
+    return subprocess.run([sys.executable, "-W", "error", *map(str, args)], env=env,
+                          capture_output=True, text=True, cwd=tmp_path)
+
+
+def test_maximal_continuous_rises_toward_a_sigma_atom(tmp_path):
+    (tmp_path / "points.csv").write_text(NEAR_ATOM)
+    out = _python(tmp_path, "-m", "wolffpot", "maximal", "--kind", "maximal_continuous",
+                  "--config", SCENARIOS / "counterexample.json", "--points", "points.csv",
+                  "--out-dir", "out")
+    assert out.returncode == 0, out.stderr
+    rows = (tmp_path / "out" / "values.csv").read_text().splitlines()[1:]
+    values = [float(row.split(",")[1]) for row in rows]
+    assert all(math.isfinite(v) for v in values)
+    assert values[0] < values[1] < values[2]
+    assert values[1] == pytest.approx(1.0037e4, rel=1e-4)
+
+
+def test_bar_k_beside_a_sigma_atom_is_positive():
+    scn = load_scenario(SCENARIOS / "counterexample.json")
+    value = wolffpot.bar_k(scn.kernel.radial, scn.sigma, [0.46533203125 + 1e-10], 9e-4)
+    assert math.isfinite(value) and value > 0.0
+
+
+def test_no_command_imports_scipy(tmp_path):
+    (tmp_path / "points.csv").write_text(NEAR_ATOM)
+    counterexample = ["--config", str(SCENARIOS / "counterexample.json"), "--points", "points.csv"]
+    commands = [
+        ["verify", "--config", str(SCENARIOS / "riesz_lebesgue.json"), "--out-dir", "verify"],
+        ["potential", "--kind", "wolff_continuous", *counterexample, "--out-dir", "wolff"],
+        ["maximal", "--kind", "maximal_continuous", *counterexample, "--out-dir", "maximal"],
+    ]
+    code = ("import sys\n"
+            "from wolffpot.cli import main\n"
+            f"print([main(args) for args in {commands!r}])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = _python(tmp_path, "-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-2:] == ["[0, 0, 0]", "[]"]
 
 
 def _edit(cfg, path, value):

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wolffpot import (
     AtomicMeasure,
@@ -32,6 +34,7 @@ from oracles import (
     cube_mass,
     index_keys,
     lbo_constant,
+    log_primitive_by_pieces,
     radial_profile_of_one,
     window_cube,
     window_keys,
@@ -394,43 +397,81 @@ def test_log_primitive_array_matches_scalar_quad(n, C):
     assert got.shape == a.shape
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
     # the array step is dqk21 itself (nodes, weights, summation order), and the
-    # profile evaluates a float as it does an array element, so where QAGS
-    # stops after its first step the values agree bit for bit
-    np.testing.assert_array_equal(got, want)
+    # profile evaluates a float as it does an array element, so where that step
+    # accepts a segment QAGS stops after its own first step with the same value
+    _, _, accepted = kernels._qk21_first_step(lambda s: k.profile(s) / s, a, b,
+                                              kernels.PRIMITIVE_REL_TOL)
+    assert 0 < np.count_nonzero(accepted) < a.size
+    np.testing.assert_array_equal(got[accepted], want[accepted])
 
 
 def test_log_primitive_wide_and_borderline_segments_fall_back_to_quad(monkeypatch):
     from scipy.integrate import quad
-    from wolffpot import kernels
 
     calls = []
+    adaptive = kernels.quad
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return quad(*args, **kwargs)
+    def counted(f, a, b):
+        calls.append((a.tolist(), b.tolist()))
+        return adaptive(f, a, b)
 
     monkeypatch.setattr(kernels, "quad", counted)
     k = log_kernel(1.5, math.e ** 1.5, 1)
-    # b/a = 3 passes QAGS's first-step test with room to spare; b/a = 800 (as
-    # at benchmark seed 0) needs bisection; b/a = 3.5 passes it only within a
-    # factor 2 of the tolerance, so it is left to quad as well
+    # b/a = 3 passes the first step's test with room to spare; b/a = 800 (as
+    # at benchmark seed 0) does not; b/a = 3.5 passes it only within a factor
+    # 2 of the tolerance, so it goes to quad as well, in the same call
     a = np.array([0.01, 0.00125, 0.01, 0.2])
     b = np.array([0.03, 1.0, 0.035, 0.21])
     got = k.log_primitive(a, b)
-    assert calls == [(0.00125, 1.0), (0.01, 0.035)]
+    assert calls == [([0.00125, 0.01], [1.0, 0.035])]
     for i in range(a.size):
         want = quad(lambda s: k(s) / s, a[i], b[i], epsabs=0.0, epsrel=1e-10, limit=200)[0]
         assert got[i] == pytest.approx(want, rel=1e-14)
 
 
-def test_log_primitive_blocks_do_not_change_values(monkeypatch):
-    from wolffpot import kernels
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("beta", [1.1, 1.5, 2.0])
+def test_log_primitive_matches_the_geometric_pieces_oracle(n, beta):
+    k = log_kernel(beta, math.exp(beta / n), n)
+    # wide segments, a 2-D segment beside an atom on which QAGS warned, the
+    # whole support below the cutoff, and one segment the first step accepts
+    a = np.array([1e-9, 1e-30, 1.414e-6, 1e-60, 0.5])
+    b = np.array([1e-3, 1e-2, 0.3536, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = k.log_primitive(a, b)
+        want = [log_primitive_by_pieces(k, lo, hi) for lo, hi in zip(a.tolist(), b.tolist())]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
-    k = log_kernel(1.5, math.e ** 1.5, 1)
-    a, b = _log_segments(3)
-    whole = k.log_primitive(a, b)
-    monkeypatch.setattr(kernels, "PRIMITIVE_BLOCK", 7)
-    np.testing.assert_array_equal(k.log_primitive(a, b), whole)
+
+def test_log_primitive_out_of_floating_point_range_raises():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = log_kernel(1.5, math.e ** 1.5, 1)
+        got = k.log_primitive(1e-100, 1e-3)
+        assert got == pytest.approx(2.85285e96, rel=1e-5)
+        assert got == pytest.approx(log_primitive_by_pieces(k, 1e-100, 1e-3), rel=1e-13, abs=0.0)
+        # k(s)/s overflows near a, or s^n is subnormal there: the segment is named
+        for n, a in [(1, 1e-160), (3, 1e-100), *[(n, a) for n in (1, 2, 3) for a in (1e-200, 5e-324)]]:
+            k = log_kernel(1.5, math.exp(1.5 / n), n)
+            with pytest.raises(WolffpotError, match=rf"\[{a}, 0.001\]"):
+                k.log_primitive(np.array([0.1, a]), np.array([0.2, 1e-3]))
+        # the piece count comes from log(b) - log(a): b / a overflows here
+        got, _ = kernels.quad(lambda s: s, np.array([5e-324]), np.array([1e-3]))
+        assert got[0] == pytest.approx(5e-7, rel=1e-14)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(n=st.integers(1, 3), beta=st.floats(1.05, 3.0),
+       ends=st.lists(st.floats(-60.0, 0.0), min_size=3, max_size=3))
+def test_log_primitive_is_nonnegative_and_additive(n, beta, ends):
+    k = log_kernel(beta, math.exp(beta / n), n)
+    a, m, b = sorted(10.0 ** e for e in ends)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        whole, left, right = k.log_primitive(np.array([a, a, m]), np.array([b, m, b]))
+    assert min(whole, left, right) >= 0.0
+    assert left + right == pytest.approx(whole, rel=1e-13, abs=0.0)
 
 
 def test_log_primitive_array_edge_cases():
@@ -483,7 +524,7 @@ def test_profiles_take_arrays():
         vals = k.profile(rs)
         assert vals.shape == rs.shape
         np.testing.assert_allclose(vals, [k(float(r)) for r in rs], rtol=5e-16, atol=0.0)
-    # the log profile evaluates a float exactly as an array element, so the
-    # array quadrature step and the scalar quad fallback share one integrand
+    # the log profile evaluates a float exactly as an array element, so an
+    # array quadrature and a scalar one see the same integrand
     k = log_kernel(1.5, math.e ** 1.5, 1)
     assert k.profile(rs).tolist() == [k(float(r)) for r in rs]
