@@ -30,78 +30,24 @@ from .measures import AtomicMeasure, cube_mass_table
 
 #: points per decade used by the construction-time monotonicity scan
 MONOTONICITY_POINTS_PER_DECADE = 512
-#: relative tolerance of the adaptive quadrature behind non-closed-form primitives
-PRIMITIVE_REL_TOL = 1e-10
-#: ball-atom pairs per chunk of the batched bar-kernel (bounds its temporaries)
+#: ball-atom pairs per bar-kernel chunk, pieces per :func:`quad` block (bounds temporaries)
 BALL_BLOCK = 1 << 13
+#: ``n`` times the largest log-width of a piece of :func:`quad`; its bound ties it to the order
+PIECE_WIDTH = 0.35
 
-# The 21-point Gauss-Kronrod rule of QUADPACK's dqk21 (Piessens et al. 1983):
-# Kronrod abscissae (the odd indices 1, 3, ..., 9 are the 10-point Gauss
-# nodes; the last one is the centre), Kronrod weights, and the Gauss weights
-# of those nodes in the same order.
-_XGK = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.000000000000000000000000000000000,
+# the 8-point Gauss-Legendre rule on [-1, 1]: increasing nodes, their weights
+_GL_X = np.array([
+    -0.9602898564975363, -0.7966664774136267, -0.525532409916329, -0.1834346424956498,
+    0.1834346424956498, 0.525532409916329, 0.7966664774136267, 0.9602898564975363,
 ])
-_WGK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077208643474262, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
+_GL_W = np.array([
+    0.10122853629037626, 0.22238103445337448, 0.31370664587788727, 0.362683783378362,
+    0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853629037626,
 ])
-_WG = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-])
-_EPMACH = np.finfo(float).eps
 _UFLOW = np.finfo(float).tiny
-
-
-def _qk21_first_step(f, a, b, epsrel: float):
-    """QUADPACK's dqk21 (nodes, summation order, error estimate ``abserr``) on
-    each segment ``[a_i, b_i]``, ``a_i < b_i``, at once; ``f`` maps an array of
-    abscissae to values.  Returns ``(result, abserr, accepted)``: ``accepted``
-    where ``abserr`` is within ``epsrel |result|`` and below ``resasc``, each
-    with a factor-2 margin, so rounding in the error formula cannot flip it.
-    """
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)  # positive: dqk21's |hlgth| is hlgth here
-    absc = hlgth[:, None] * _XGK[:10]
-    fv1 = f(centr[:, None] - absc)
-    fv2 = f(centr[:, None] + absc)
-    fc = f(centr)
-    resg = np.zeros(a.shape)
-    resk = _WGK[10] * fc
-    resabs = np.abs(resk)
-    # the Gauss nodes first, then the Kronrod-only nodes, as dqk21 adds them
-    for j in (*range(1, 10, 2), *range(0, 10, 2)):
-        fsum = fv1[:, j] + fv2[:, j]
-        if j % 2:
-            resg = resg + _WG[j // 2] * fsum
-        resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
-    reskh = resk * 0.5
-    resasc = _WGK[10] * np.abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK[j] * (np.abs(fv1[:, j] - reskh) + np.abs(fv2[:, j] - reskh))
-    result = resk * hlgth
-    resabs = resabs * hlgth
-    resasc = resasc * hlgth
-    abserr = np.abs((resk - resg) * hlgth)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, np.power(200.0 * abserr / resasc, 1.5))
-    abserr = np.where((resasc != 0.0) & (abserr != 0.0), scaled, abserr)
-    abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
-                      np.maximum(50.0 * _EPMACH * resabs, abserr), abserr)
-    accepted = (abserr <= 0.5 * epsrel * np.abs(result)) & (abserr < 0.5 * resasc)
-    return result, abserr, accepted
+# the relative error bound of :func:`quad` for m = 8 nodes and x = PIECE_WIDTH
+_QUAD_REL_BOUND = (math.exp(1.0 + 2.0 * PIECE_WIDTH) * PIECE_WIDTH ** 16 * math.factorial(8) ** 4
+                   / (17 * math.factorial(16) ** 2))
 
 
 @dataclass(frozen=True)
@@ -198,31 +144,41 @@ def riesz_kernel(alpha: float, n: int, cutoff: float | None = None) -> RadialKer
     return RadialKernel(prof, prim, cutoff=cutoff, name="riesz")
 
 
-def quad(f, a, b):
-    """``int_a^b f(s) ds`` on the segments ``0 < a_i < b_i`` one dqk21 step rejects.
+def quad(f, a, b, n):
+    """``int_a^b f(s) ds/s`` on segments ``0 < a_i < b_i``, by one a-priori rule.
 
-    dqk21 runs once on pieces of equal width in ``log s`` and end ratio at most
-    2, each segment adding its own in order, and again on halved pieces while
-    one misses ``abserr <= PRIMITIVE_REL_TOL |value|``, down to end ratio
-    ``2^(1/64)``, where a miss raises.  Returns the values and the worst ``abserr``.
+    The 8-point (``m = 8``) Gauss-Legendre rule runs in ``t = ln s`` on
+    ``ceil(n H / PIECE_WIDTH)`` equal pieces of each segment, ``H = ln(b_i/a_i)``,
+    so a piece's log-width is ``h <= PIECE_WIDTH / n``.  For the log kernel,
+    ``g(t) = k(e^t) = e^(-nt) (ln C - t)^(-beta)`` with ``ln C - t >= beta/n`` and
+    ``beta >= 1`` give ``|g^(k)| <= e k! n^k g`` and ``max g / min g <= e^(2nh)``
+    on a piece, so the Gauss-Legendre error term bounds a piece's relative
+    error by ``e^(1+2x) x^(2m) (m!)^4 / ((2m+1) ((2m)!)^2)``, ``x = nh <= 0.35``:
+    below 1e-16, before any evaluation.  Pieces go in blocks of ``BALL_BLOCK``,
+    each segment adding its own in order, so a value depends only on its own
+    segment.  Returns the values and that bound times the largest value.
     """
     log_a = np.log(a)
-    width = np.log(b) - log_a  # not log(b / a): b / a may overflow
-    count = np.maximum(np.ceil(width / math.log(2.0)), 1.0).astype(np.int64)
-    for _ in range(7):
-        seg = np.repeat(np.arange(a.size), count)
-        first = np.cumsum(count) - count
-        lo = np.exp(log_a[seg] + width[seg] * ((np.arange(seg.size) - first[seg]) / count[seg]))
-        lo[first] = a
-        hi = np.append(lo[1:], 0.0)  # a piece ends where the next begins, a segment's last at b
-        hi[first + count - 1] = b
-        value, abserr, _ = _qk21_first_step(f, lo, hi, PRIMITIVE_REL_TOL)
-        missed = ~(abserr <= PRIMITIVE_REL_TOL * np.abs(value))
-        if not missed.any():
-            return np.bincount(seg, value, minlength=a.size), float(abserr.max())
-        count = 2 * count
-    i = seg[np.argmax(missed)]
-    raise WolffpotError(f"quadrature on [{a[i]}, {b[i]}] misses its tolerance at end ratio 2^(1/64)")
+    with np.errstate(over="ignore"):
+        width = np.log1p((b - a) / a)  # not log(b) - log(a): it cancels on narrow segments
+    width = np.where(np.isinf(width), np.log(b) - log_a, width)  # where b / a overflows
+    count = np.maximum(np.ceil(width * (n / PIECE_WIDTH)), 1.0).astype(np.int64)
+    step = width / count
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if a.size else 0
+    out = np.zeros(a.size)
+    for p0 in range(0, total, BALL_BLOCK):
+        p = np.arange(p0, min(p0 + BALL_BLOCK, total))
+        seg = np.searchsorted(ends, p, side="right")
+        j = p - (ends[seg] - count[seg])
+        # a piece ends where the next begins, a segment's first at a and last at b
+        lo = np.where(j == 0, a[seg], np.exp(log_a[seg] + j * step[seg]))
+        hi = np.where(j + 1 == count[seg], b[seg], np.exp(log_a[seg] + (j + 1) * step[seg]))
+        half = 0.5 * np.log1p((hi - lo) / lo)
+        fv = f(lo[:, None] * np.exp(half[:, None] * (1.0 + _GL_X)))
+        value = sum(w * fv[:, i] for i, w in enumerate(_GL_W))  # in order, not a BLAS mat-vec
+        np.add.at(out, seg, value * half)
+    return out, _QUAD_REL_BOUND * out.max(initial=0.0)
 
 
 def log_kernel(beta: float, C: float, n: int) -> RadialKernel:
@@ -230,8 +186,8 @@ def log_kernel(beta: float, C: float, n: int) -> RadialKernel:
 
     Vanishes for ``r > 1``.  Monotonicity forces ``C >= e^(beta/n)``; the
     constructor rejects smaller ``C`` and re-validates on a log-spaced grid.
-    The log-primitive has no elementary closed form: one array dqk21 step on
-    all segments, and :func:`quad` on those it rejects.
+    The log-primitive has no elementary closed form: one :func:`quad` call on
+    all segments, whose Gauss-Legendre rule has an a-priori error bound.
     """
     if beta <= 1.0:
         raise InvalidKernelError(f"need beta > 1, got {beta}")
@@ -244,19 +200,13 @@ def log_kernel(beta: float, C: float, n: int) -> RadialKernel:
     def prof(r):
         return 1.0 / (np.power(r, n) * np.power(np.log(C / r), beta))
 
-    def integrand(s):
-        return prof(s) / s
-
     def prim(a, b):
         low = a.min(initial=1.0)
         # k(s)/s is largest at the smallest start: near overflow there, or with
         # s^n subnormal, the rule's sums overflow or lose digits
         if not (low ** n >= _UFLOW and prof(low) < 1e300 * low):
             raise WolffpotError(f"log-primitive on [{low}, {b[np.argmin(a)]}] is out of floating-point range")
-        out, _, accepted = _qk21_first_step(integrand, a, b, PRIMITIVE_REL_TOL)
-        if not accepted.all():
-            out[~accepted], _ = quad(integrand, a[~accepted], b[~accepted])
-        return out
+        return quad(prof, a, b, n)[0]
 
     kern = RadialKernel(prof, prim, cutoff=1.0, name="log")
     _validate_nonincreasing(kern, 2.0 ** -30, 1.0)

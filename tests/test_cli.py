@@ -451,7 +451,7 @@ def test_threads_default_to_one():
 
 # 3e-9, 1e-9 and 3e-10 to the right of the sigma atom at 0.46533203125 of
 # counterexample.json: the segment from that atom's distance out to the next
-# atom's is too wide for one dqk21 step
+# atom's spans many quadrature pieces
 NEAR_ATOM = "x\n0.46533203425\n0.46533203225\n0.46533203155\n"
 
 

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,9 +280,9 @@ def test_batched_bar_k_equals_the_per_ball_sum_exactly(name, n, monkeypatch):
         "constant": constant_kernel(1.0),
         "log": log_kernel(1.5, math.e ** 1.5, n),
     }[name]
-    fallbacks = []
+    quad_calls = []
     quad = kernels.quad
-    monkeypatch.setattr(kernels, "quad", lambda *a, **k: fallbacks.append(a) or quad(*a, **k))
+    monkeypatch.setattr(kernels, "quad", lambda *a, **k: quad_calls.append(a) or quad(*a, **k))
     n_inf = n_zero = 0
     for sigma, xs, rs in bar_k_sweep(n, seed=20261018):
         got = bar_k(kernel, sigma, xs, rs)
@@ -295,7 +299,7 @@ def test_batched_bar_k_equals_the_per_ball_sum_exactly(name, n, monkeypatch):
             assert np.array_equal(profile_mass(new, radii), profile_mass(old, radii))
     assert n_inf > 0 and n_zero > 0  # atoms at centres and massless balls were reached
     if name == "log":
-        assert fallbacks  # some segments fell back to quad
+        assert quad_calls  # the log kernel's segments reached its quadrature rule
 
 
 def test_bar_k_rejects_a_nonpositive_radius_anywhere_in_the_batch():
@@ -396,47 +400,56 @@ def test_log_primitive_array_matches_scalar_quad(n, C):
     ])
     assert got.shape == a.shape
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-    # the array step is dqk21 itself (nodes, weights, summation order), and the
-    # profile evaluates a float as it does an array element, so where that step
-    # accepts a segment QAGS stops after its own first step with the same value
-    _, _, accepted = kernels._qk21_first_step(lambda s: k.profile(s) / s, a, b,
-                                              kernels.PRIMITIVE_REL_TOL)
-    assert 0 < np.count_nonzero(accepted) < a.size
-    np.testing.assert_array_equal(got[accepted], want[accepted])
 
 
-def test_log_primitive_wide_and_borderline_segments_fall_back_to_quad(monkeypatch):
+def test_gauss_legendre_tables_are_the_8_point_rule():
+    x, w = np.polynomial.legendre.leggauss(8)
+    np.testing.assert_allclose(kernels._GL_X, x, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(kernels._GL_W, w, rtol=0.0, atol=1e-15)
+
+
+def test_log_primitive_sends_all_segments_to_one_quad_call(monkeypatch):
     from scipy.integrate import quad
 
     calls = []
-    adaptive = kernels.quad
+    rule = kernels.quad
 
-    def counted(f, a, b):
-        calls.append((a.tolist(), b.tolist()))
-        return adaptive(f, a, b)
+    def counted(f, a, b, n):
+        calls.append((a.tolist(), b.tolist(), n))
+        return rule(f, a, b, n)
 
     monkeypatch.setattr(kernels, "quad", counted)
     k = log_kernel(1.5, math.e ** 1.5, 1)
-    # b/a = 3 passes the first step's test with room to spare; b/a = 800 (as
-    # at benchmark seed 0) does not; b/a = 3.5 passes it only within a factor
-    # 2 of the tolerance, so it goes to quad as well, in the same call
+    # narrow and wide segments alike (b/a = 800 as at benchmark seed 0)
     a = np.array([0.01, 0.00125, 0.01, 0.2])
     b = np.array([0.03, 1.0, 0.035, 0.21])
     got = k.log_primitive(a, b)
-    assert calls == [([0.00125, 0.01], [1.0, 0.035])]
+    assert calls == [(a.tolist(), b.tolist(), 1)]
     for i in range(a.size):
         want = quad(lambda s: k(s) / s, a[i], b[i], epsabs=0.0, epsrel=1e-10, limit=200)[0]
         assert got[i] == pytest.approx(want, rel=1e-14)
 
 
+def test_quad_value_depends_only_on_its_own_segment(monkeypatch):
+    k = log_kernel(1.5, math.e ** 1.5, 1)
+    a, b = _log_segments(3)
+    together, _ = kernels.quad(k.profile, a, b, 1)
+    monkeypatch.setattr(kernels, "BALL_BLOCK", 7)  # block boundaries inside segments
+    alone = [kernels.quad(k.profile, a[i:i + 1], b[i:i + 1], 1)[0][0] for i in range(a.size)]
+    assert np.array_equal(together, alone)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("beta", [1.1, 1.5, 2.0])
+@pytest.mark.parametrize("beta", [1.01, 1.1, 1.5, 2.0, 10.0])
 def test_log_primitive_matches_the_geometric_pieces_oracle(n, beta):
     k = log_kernel(beta, math.exp(beta / n), n)
     # wide segments, a 2-D segment beside an atom on which QAGS warned, the
-    # whole support below the cutoff, and one segment the first step accepts
-    a = np.array([1e-9, 1e-30, 1.414e-6, 1e-60, 0.5])
-    b = np.array([1e-3, 1e-2, 0.3536, 1.0, 1.0])
+    # whole support below the cutoff, a narrow segment, and segments ending at
+    # 1 whose log-width is just below, at and just above one piece's
+    h = kernels.PIECE_WIDTH / n
+    a = np.array([1e-9, 1e-30, 1.414e-6, 1e-60, 0.5, math.exp(-0.999 * h), math.exp(-h),
+                  math.exp(-1.001 * h)])
+    b = np.array([1e-3, 1e-2, 0.3536, 1.0, 1.0, 1.0, 1.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = k.log_primitive(a, b)
@@ -456,9 +469,35 @@ def test_log_primitive_out_of_floating_point_range_raises():
             k = log_kernel(1.5, math.exp(1.5 / n), n)
             with pytest.raises(WolffpotError, match=rf"\[{a}, 0.001\]"):
                 k.log_primitive(np.array([0.1, a]), np.array([0.2, 1e-3]))
-        # the piece count comes from log(b) - log(a): b / a overflows here
-        got, _ = kernels.quad(lambda s: s, np.array([5e-324]), np.array([1e-3]))
+        # b / a overflows here, so the piece count comes from log(b) - log(a)
+        got, _ = kernels.quad(lambda s: s * s, np.array([5e-324]), np.array([1e-3]), 2)
         assert got[0] == pytest.approx(5e-7, rel=1e-14)
+
+
+# 20,000 balls of radius 0.9 whose centres lie 1e-12 to 1e-2 from one atom:
+# one segment of up to 79 quadrature pieces per ball
+WIDE_BALLS = """
+import resource
+import numpy as np
+from wolffpot.kernels import bar_k, log_kernel
+from wolffpot.measures import AtomicMeasure
+k = log_kernel(1.5, np.e ** 1.5, 1)
+sigma = AtomicMeasure([[0.0]], [1.0])
+xs = 10.0 ** np.linspace(-12.0, -2.0, 20_000)[:, None]
+bar_k(k, sigma, xs[:10], np.full(10, 0.9))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert np.all(bar_k(k, sigma, xs, np.full(len(xs), 0.9)) > 0.0)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+def test_quad_on_many_wide_segments_keeps_its_peak_memory_bounded():
+    env = {**os.environ, "PYTHONPATH": str(Path(kernels.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-W", "error", "-c", WIDE_BALLS], env=env,
+                         capture_output=True, text=True, check=True)
+    # ru_maxrss is in KiB on Linux; the pieces in one block take about 5 MiB,
+    # all pieces at once about 140 MiB
+    assert float(out.stdout) < 24.0
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
