@@ -282,10 +282,7 @@ class DyadicKernelMap:
 
 def weigh(k, m) -> np.ndarray:
     """``k * m`` where ``m > 0`` and zero elsewhere: the convention ``0 * inf = 0``."""
-    out = np.zeros(np.shape(m))
-    pos = m > 0.0
-    out[pos] = k[pos] * m[pos]
-    return out
+    return np.multiply(k, m, out=np.zeros(np.shape(m)), where=m > 0.0)
 
 
 def weighted_sum(weights, values) -> float:
@@ -300,10 +297,7 @@ def weighted_sum(weights, values) -> float:
 
 def per_mass(v, m) -> np.ndarray:
     """``v / m`` where ``m > 0`` and zero elsewhere: over a vanishing mass a quantity is zero."""
-    out = np.zeros(np.shape(m))
-    pos = m > 0.0
-    out[pos] = v[pos] / m[pos]
-    return out
+    return np.divide(v, m, out=np.zeros(np.shape(m)), where=m > 0.0)
 
 
 class BarField:

@@ -7,10 +7,10 @@ Cube coordinates are stored as integers; the shift enters only when a point is
 tested for membership, which keeps containment and ancestry exact.
 
 Every dyadic sum of the package runs on a :class:`LevelIndex`: the cubes that
-hold a fixed point set, one int64 key per cube and level, with the points'
-ancestor chains as integer arrays.  ``(level, index)`` keys enter only at the
-input boundary, where a kernel table or a ``lambda`` list becomes a per-cube
-array through :meth:`LevelIndex.lookup`.
+hold a fixed point set, one int64 key and parent id per cube and one fine-cube
+id per point.  ``(level, index)`` keys enter only at the input boundary, where
+a kernel table or a ``lambda`` list becomes a per-cube array through
+:meth:`LevelIndex.lookup`.
 """
 
 from __future__ import annotations
@@ -166,41 +166,38 @@ class LevelIndex:
     """The window cubes holding at least one of a fixed set of points.
 
     Cube ids run coarse to fine and, within a level, in key order, so the
-    cubes of one level form a contiguous id range.  ``rows[j, i]`` is the id
-    of point ``i``'s level-``coarse + j`` cube (``-1`` for a point outside the
-    window) and ``parent[q]`` the id of cube ``q``'s parent (``-1`` at the
-    coarse level).  Per-cube quantities are float arrays indexed by id; an id
-    of ``-1`` stands for a cube the index does not hold.
+    cubes of one level form a contiguous id range.  ``leaf[i]`` is the id of
+    point ``i``'s fine-level cube (``-1`` for a point outside the window) and
+    ``parent[q]`` the id of cube ``q``'s parent (``-1`` at the coarse level);
+    nothing is held per point and level.  Per-cube quantities are float
+    arrays indexed by id; an id of ``-1`` stands for a cube the index does
+    not hold.
 
-    The points are sorted once, by fine-level key; each coarser level sorts its
-    keys at one point per cube below, and that inverse maps child to parent.
+    The points' fine-level keys are sorted once; each coarser level sorts the
+    parents of the cubes below, and that inverse maps child to parent.
     """
 
     def __init__(self, window: LatticeWindow, positions):
         self.window = window
-        self.rows = rows = window.chain_keys(positions)
-        inside = rep = np.flatnonzero(rows[-1] >= 0)
+        fine, inside = window._leaf(positions)
+        idx = fine[inside]
         # maps[0] takes an inside point to its fine cube, maps[i] a cube to its parent
         keys, maps = [], []
-        for row in rows[::-1]:
-            cubes, first, inv = np.unique(row[rep], return_index=True, return_inverse=True)
-            rep = rep[first]
+        for level in range(window.fine_level, window.coarse_level - 1, -1):
+            cubes, first, inv = np.unique(window._ravel(idx, level), return_index=True,
+                                          return_inverse=True)
+            idx = idx[first] >> 1  # the parents of the level's cubes, one per cube
             keys.append(cubes)
             maps.append(inv)
-        self._keys = keys[::-1]
-        self.start = np.cumsum([0] + [len(k) for k in self._keys])
+        self.start = np.cumsum([0] + [len(k) for k in keys[::-1]])
         self.n = int(self.start[-1])
-        self._flat = np.concatenate(self._keys)
-        self.level = np.repeat(
-            np.arange(window.coarse_level, window.fine_level + 1), np.diff(self.start)
-        )
-        # rows in place over the keys; "wrap" reads the trailing -1 for an id -1
-        parent = np.concatenate([np.full(len(self._keys[0]), -1)]
-                                + [s + m for s, m in zip(self.start, maps[:0:-1])] + [[-1]])
-        rows[-1, inside] = self.start[-2] + maps[0]
-        for j in range(len(rows) - 2, -1, -1):
-            np.take(parent, rows[j + 1], out=rows[j], mode="wrap")
-        self.parent = parent[:-1]
+        self._flat = np.concatenate(keys[::-1])
+        self.level = np.repeat(np.arange(window.coarse_level, window.fine_level + 1),
+                               np.diff(self.start))
+        self.parent = np.concatenate([np.full(self.start[1], -1)]
+                                     + [s + m for s, m in zip(self.start, maps[:0:-1])])
+        self.leaf = np.full(len(inside), -1, dtype=np.int64)
+        self.leaf[inside] = self.start[-2] + maps[0]
 
     def gather(self, values, ids) -> np.ndarray:
         """``values[ids]``, with zero where an id is ``-1``."""
@@ -245,7 +242,7 @@ class LevelIndex:
         levels = np.array([k[0] for k in keys], dtype=np.int64)
         idx = np.array([k[1] for k in keys], dtype=np.int64).reshape(len(keys), n)
         ids = np.full(len(keys), -1, dtype=np.int64)
-        for j in range(len(self._keys)):
+        for j in range(len(self.start) - 1):
             level = self.window.coarse_level + j
             sel = np.flatnonzero(levels == level)
             sel = sel[self.window._held(idx[sel], level)]
@@ -270,7 +267,7 @@ class LevelIndex:
         return idx + (w._lo << d)
 
     def _at_level(self, j: int, keys) -> np.ndarray:
-        cubes = self._keys[j]
+        cubes = self._flat[self.start[j]:self.start[j + 1]]
         pos = np.searchsorted(cubes, keys)
         hit = pos < len(cubes)
         hit[hit] = cubes[pos[hit]] == keys[hit]

@@ -16,6 +16,8 @@ of the empty ball below the nearest atom, so ``cum[j]`` is the mass of the
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateInputError, GridAlignmentError, WolffpotError
@@ -111,17 +113,21 @@ def profile_mass(profile, radii):
     return cum[np.searchsorted(dists, radii, side="right")]
 
 
+#: most cells a :func:`lebesgue_grid` may hold; a finer grid is refused before it allocates
+GRID_CELLS = 1 << 22
+
+
 def lebesgue_grid(box, level: int) -> AtomicMeasure:
     """Midpoint-grid surrogate of Lebesgue measure on an aligned box.
 
     One atom sits at the center of every level-``level`` cell of the unshifted
     lattice inside ``box``; each weight is the cell volume.  Cube masses then
     equal Lebesgue volumes exactly for every dyadic cube at level <= ``level``
-    that meets the box.
+    that meets the box.  A grid of more than ``GRID_CELLS`` cells is refused.
     """
     n = len(box)
     scale = 2.0 ** level
-    axes = []
+    sides = []
     for d, (lo, hi) in enumerate(box):
         a, b = lo * scale, hi * scale
         ka, kb = round(a), round(b)
@@ -129,7 +135,12 @@ def lebesgue_grid(box, level: int) -> AtomicMeasure:
             raise GridAlignmentError(
                 f"box side {d} [{lo}, {hi}) is not a union of level-{level} cells"
             )
-        axes.append((np.arange(ka, kb) + 0.5) * 2.0 ** (-level))
+        sides.append((ka, kb))
+    cells = math.prod(kb - ka for ka, kb in sides)
+    if cells > GRID_CELLS:
+        raise WolffpotError(f"lebesgue_grid on box {[list(side) for side in box]} at level "
+                            f"{level} has {cells} cells, over the budget of {GRID_CELLS}")
+    axes = [(np.arange(ka, kb) + 0.5) * 2.0 ** (-level) for ka, kb in sides]
     mesh = np.meshgrid(*axes, indexing="ij")
     positions = np.stack([m.ravel() for m in mesh], axis=1)
     weights = np.full(positions.shape[0], 2.0 ** (-level * n))
@@ -168,7 +179,7 @@ def cube_mass_table(
     masses in id order.  Atoms outside the window's root region add nothing.
     Re-weighting the same positions re-runs only these two passes.
     """
-    leaf = index.rows[-1, first:first + measure.n_atoms]
+    leaf = index.leaf[first:first + measure.n_atoms]
     held = leaf >= 0
     w = (measure.weights if weights is None else np.asarray(weights, dtype=float))[held]
     return index.subtree(np.bincount(leaf[held], w, minlength=index.n))

@@ -21,8 +21,8 @@ The dyadic objects are computed on level arrays: every per-cube quantity is
 a float array over the cubes of one :class:`LevelIndex` holding the atoms,
 each chain sum is one coarse-to-fine pass per level (:meth:`LevelIndex.chain`)
 and each sum over subcubes one fine-to-coarse pass (:meth:`LevelIndex.subtree`).
-Per-atom work ends at the atom's fine-level cube, read from the index's rows;
-only other points are looked up, and ``Wbar`` swaps its two sums
+Per-atom work ends at the atom's fine-level cube, read from the index's
+``leaf`` ids; only other points are looked up, and ``Wbar`` swaps its two sums
 (:meth:`DyadicScene.wolff_bar`).  Sums have a fixed order (atoms in order in a
 fine-level cube, children in id order in a coarser one, coarse to fine along a
 chain), so the values do not depend on the layout.
@@ -86,7 +86,7 @@ class DyadicScene:
     integrals and subtree sums) is a float array over the same cube ids, and
     a query is one chain reduction of such an array, evaluated at all query
     points at once.  Query methods take the scene's own ``sigma`` or ``mu``
-    (one value per atom, read from the index's rows), a single point (a float)
+    (one value per atom, read from the index's leaf ids), a single point (a float)
     or one point per row (an array); a point outside the window gets zero.
     Inner integrals and subtree sums are built on first use.
 
@@ -121,11 +121,11 @@ class DyadicScene:
 
     # -- generic chain sums ----------------------------------------------------
 
-    def chain_ids(self, x) -> np.ndarray:
-        """Ids ``(levels, points)`` of the chains of the scene's sigma or mu, or of query points."""
+    def leaf_ids(self, x) -> np.ndarray:
+        """The deepest held cube of each atom of the scene's sigma or mu, or of each query point."""
         if isinstance(x, AtomicMeasure):
-            return self.index.rows[:, self._columns(x)]
-        return self.index.locate(x)
+            return self.index.leaf[self._columns(x)]
+        return self.index.locate(x).max(axis=0, initial=-1)  # ids grow coarse to fine
 
     def reweighted(self, measure: AtomicMeasure, weights) -> np.ndarray:
         """Cube masses of the atoms of ``measure`` (the scene's sigma or mu) under new weights."""
@@ -133,11 +133,7 @@ class DyadicScene:
 
     def chain_values(self, values, x, ufunc=np.add):
         """Reduce per-cube values along the ancestor chain of each point of ``x``."""
-        ids = self.chain_ids(x)
-        # the deepest held cube, -1 (a zero) outside the window; an atom's whole chain is held
-        held = len(ids) if isinstance(x, AtomicMeasure) else np.count_nonzero(ids >= 0, axis=0)
-        leaf = ids[held - 1, np.arange(ids.shape[1])]
-        return _per_point(self.index.gather(self.index.chain(values, ufunc), leaf), x)
+        return _per_point(self.index.gather(self.index.chain(values, ufunc), self.leaf_ids(x)), x)
 
     def t(self, masses, x):
         """``sum over the ancestor chain of x of K(Q) * masses(Q)``."""
@@ -156,7 +152,7 @@ class DyadicScene:
         gives ``(S(Q) - mu(Q) P(parent Q)) / sigma(Q)``.
         """
         if self._inner is None:
-            p_leaf = self.bar.prefix(self.chain_ids(self.mu)[-1])
+            p_leaf = self.bar.prefix(self.leaf_ids(self.mu))
             s = self.reweighted(self.mu, weigh(p_leaf, self.mu.weights))
             live = (self.sigma_mass > 0.0) & (self.mu_mass > 0.0)
             above = self.bar.prefix(self.index.parent)[live]

@@ -378,9 +378,10 @@ def summation_by_parts_min_slack(scene, lam, points, s: float) -> float:
     """
     if s < 1.0:
         raise WolffpotError("need s >= 1")
-    if not isinstance(points, AtomicMeasure):
-        points = np.asarray(points, dtype=float).reshape(len(points), scene.index.window.dimension)
-    c = scene.index.gather(lam, scene.chain_ids(points))  # (levels, points), coarse to fine
+    if isinstance(points, AtomicMeasure):
+        points = points.positions
+    points = np.asarray(points, dtype=float).reshape(len(points), scene.index.window.dimension)
+    c = scene.index.gather(lam, scene.index.locate(points))  # (levels, points), coarse to fine
     if not c.shape[1]:
         return math.inf
     suffix = np.cumsum(c[::-1], axis=0)[::-1]
@@ -389,12 +390,12 @@ def summation_by_parts_min_slack(scene, lam, points, s: float) -> float:
     return float(np.min((rhs - lhs) / np.maximum(lhs, 1e-300)))
 
 
-def cube_mass_table_all_levels(measure: AtomicMeasure, index, first: int = 0, weights=None):
-    """Cube masses from one ``np.bincount`` over the atoms' ids at every level.
+def cube_mass_table_all_levels(measure: AtomicMeasure, index, weights=None):
+    """Cube masses from one ``np.bincount`` over the atoms' located ids at every level.
 
     Every cube adds its own atoms' weights in atom order.
     """
-    rows = index.rows[:, first:first + measure.n_atoms]
+    rows = index.locate(measure.positions)
     held = rows[0] >= 0
     w = (measure.weights if weights is None else np.asarray(weights, dtype=float))[held]
     return np.bincount(
@@ -423,7 +424,7 @@ def wolff_bar_gathered(scene, x, p_prime: float) -> np.ndarray:
     ``sigma(Q) bar_K(Q)(x) = P(leaf(x)) - P(parent Q)`` with ``P`` the chain
     prefix of ``D = K sigma``; a term is zero where ``I(Q)^{p'-1}`` is.
     """
-    chains = scene.chain_ids(x)
+    chains = scene.index.locate(x.positions if isinstance(x, AtomicMeasure) else x)
     power = scene.index.gather(scene._inner_power(p_prime), chains)
     prefix = np.cumsum(scene.index.gather(scene.bar.weight, chains), axis=0)
     above = np.vstack([np.zeros((1, prefix.shape[1])), prefix[:-1]])

@@ -290,7 +290,7 @@ def test_own_atoms_are_never_located_again(monkeypatch, tmp_path, scenario):
 
     monkeypatch.setattr(LatticeWindow, "chain_keys", counted)
     assert run(["verify", "--config", SCENARIOS / f"{scenario}.json", "--out-dir", tmp_path]) == 0
-    assert len(calls) == 1  # the scene's index build; every check reads its rows
+    assert len(calls) == 0  # every check reads the atoms' fine cubes from the index
 
 
 @pytest.mark.parametrize("command, kind", [
@@ -307,7 +307,7 @@ def test_default_field_points_are_read_from_the_index(monkeypatch, tmp_path, com
     monkeypatch.setattr(LatticeWindow, "chain_keys", counted)
     assert run([command, "--kind", kind, "--config", SCENARIOS / "cascade_dlbo.json",
                 "--out-dir", tmp_path]) == 0
-    assert len(calls) == 1  # the scene's index build; mu's chains are read from its rows
+    assert len(calls) == 0  # mu's fine cubes are read from the index
 
 
 @pytest.mark.parametrize("command", ["potential", "maximal"])
@@ -583,6 +583,26 @@ def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, base, path, val
     path_json = tmp_path / "bad.json"
     path_json.write_text(json.dumps(cfg))
     assert run(["verify", "--config", path_json, "--out-dir", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("checks", 1, "depths"), [6, 40],
+     "counterexample_fields: lebesgue_grid on box [[-1.0, 2.0]] at level 40 has 3298534883328 cells"),
+    (("sigma", "level"), 40,
+     "sigma: lebesgue_grid on box [[-1.0, 2.0]] at level 40 has 3298534883328 cells"),
+], ids=["fields_depth_40", "sigma_level_40"])
+def test_grids_past_the_cell_budget_exit_2_before_they_allocate(tmp_path, capsys, path, value,
+                                                               message):
+    cfg = json.loads((SCENARIOS / "counterexample.json").read_text())
+    _edit(cfg, path, value)
+    cfg["checks"] = [cfg["checks"][1]]
+    path_json = tmp_path / "deep.json"
+    path_json.write_text(json.dumps(cfg))
+    t0 = time.perf_counter()
+    assert run(["verify", "--config", path_json, "--out-dir", tmp_path / "o"]) == 2
+    assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 

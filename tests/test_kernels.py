@@ -567,3 +567,32 @@ def test_profiles_take_arrays():
     # array quadrature and a scalar one see the same integrand
     k = log_kernel(1.5, math.e ** 1.5, 1)
     assert k.profile(rs).tolist() == [k(float(r)) for r in rs]
+
+
+def test_weigh_and_per_mass_equal_their_masked_forms_bit_for_bit():
+    def masked(op, v, m):
+        out = np.zeros(np.shape(m))
+        pos = m > 0.0
+        out[pos] = op(v[pos], m[pos])
+        return out
+
+    ops = ((kernels.weigh, np.multiply), (kernels.per_mass, np.divide))
+    special = [0.0, -0.0, -1.5, 2.0, 1e-300, np.inf, -np.inf, np.nan]
+    v, m = np.meshgrid(special, special[:6] + [np.nan], indexing="ij")  # masses are not -inf
+    for values, masses in ((v, m), (v.ravel(), m.ravel())):
+        for fn, op in ops:
+            with np.errstate(all="ignore"):  # 0 * inf, inf / inf: in both forms where m > 0
+                got, want = fn(values, masses), masked(op, values, masses)
+            assert got.shape == want.shape == masses.shape
+            assert got.tobytes() == want.tobytes(), (fn.__name__, got, want)
+    # where m > 0 no entry warns; an entry computed elsewhere would (0 * inf, x / 0, 0 / 0)
+    values = np.array([np.inf, 1.0, 0.0, -np.inf, np.nan, 3.0, -2.0, 3.0])
+    masses = np.array([0.0, 0.0, -0.0, -1.5, np.nan, np.inf, 4.0, 1e-300])
+    for shape in ((8,), (2, 4)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn, op in ops:
+                got = fn(values.reshape(shape), masses.reshape(shape))
+                want = masked(op, values.reshape(shape), masses.reshape(shape))
+                assert got.shape == want.shape == shape
+                assert got.tobytes() == want.tobytes(), (fn.__name__, got, want)

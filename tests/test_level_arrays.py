@@ -184,7 +184,7 @@ def test_hl_maximal_matches_brute_force(data):
 @PROPERTY
 @given(data=st.data(), table=st.booleans(),
        case=st.sampled_from(["drawn", "repeated atoms", "sigma is mu", "empty mu"]))
-def test_own_atoms_read_from_rows_match_located_points(data, table, case):
+def test_own_atoms_read_from_leaf_ids_match_located_points(data, table, case):
     """A query at the scene's own sigma or mu equals, bit for bit, the query at its positions."""
     window, sigma, mu, K, _ = data.draw(instances(table))
     if case == "repeated atoms":
@@ -322,7 +322,7 @@ def test_subtree_matches_the_per_cube_oracle(n, depth):
                            for a, b in zip(index.start[1:], index.start[2:]))
         w = 2.0 ** rng.uniform(-3, 3, len(pts))
         w[rng.uniform(size=len(pts)) < 0.2] = 0.0
-        leaf = index.rows[-1]
+        leaf = index.leaf
         leaves = np.bincount(leaf[leaf >= 0], w[leaf >= 0], minlength=index.n)
         mass = cube_mass_table(AtomicMeasure(pts, w), index)
         assert np.array_equal(mass, subtree_loop(index, leaves))
@@ -350,7 +350,9 @@ def test_level_index_matches_per_level_sort_oracle(n, depth):
     for window, pts in index_cases(n, depth):
         index = LevelIndex(window, pts)
         rows, start, parent, flat = index_oracle(window, pts)
-        assert np.array_equal(index.rows, rows) and index.rows.dtype == np.int64
+        assert not hasattr(index, "rows")
+        assert np.array_equal(index.leaf, rows[-1]) and index.leaf.dtype == np.int64
+        assert np.array_equal(index.locate(pts), rows)
         assert np.array_equal(index.start, start)
         assert np.array_equal(index.parent, parent) and index.parent.dtype == np.int64
         assert index.n == start[-1] == len(flat)
@@ -381,11 +383,16 @@ def test_chain_keys_are_shifted_fine_keys_with_minus_one_outside(n, depth):
                 assert chains[j, i] == key_of(window, (level, idx))
 
 
-def test_level_index_build_peaks_below_two_and_a_half_rows():
-    # the depth-12 borderline instance: sigma on [-1, 2), mu on [0, 1)
-    window = LatticeWindow.from_box([(-1.0, 2.0)], 0, 12)
-    pts = np.vstack([lebesgue_grid([(-1.0, 2.0)], 12).positions,
-                     lebesgue_grid([(0.0, 1.0)], 12).positions])
+def borderline_points(depth):
+    """The borderline instance's atoms: sigma on [-1, 2), then mu on [0, 1)."""
+    return np.vstack([lebesgue_grid([(-1.0, 2.0)], depth).positions,
+                      lebesgue_grid([(0.0, 1.0)], depth).positions])
+
+
+def index_build_peak(depth):
+    """The index of the depth-``depth`` borderline instance and the peak of its build, in bytes."""
+    window = LatticeWindow.from_box([(-1.0, 2.0)], 0, depth)
+    pts = borderline_points(depth)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -393,8 +400,19 @@ def test_level_index_build_peaks_below_two_and_a_half_rows():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert index.rows.shape == (13, 4 * 2 ** 12)
-    assert peak <= 2.5 * index.rows.nbytes
+    return index, peak
+
+
+def test_level_index_build_peaks_below_six_times_points_and_cubes():
+    index, peak = index_build_peak(12)
+    assert (len(index.leaf), index.n) == (4 * 2 ** 12, 3 * (2 ** 13 - 1))
+    assert peak <= 6 * 8 * (len(index.leaf) + index.n)
+
+
+def test_depth_14_index_build_peaks_below_the_old_chain_matrix():
+    # the (levels, points) int64 matrix of every point's ancestor ids the index once kept
+    index, peak = index_build_peak(14)
+    assert peak < 8 * 15 * len(index.leaf)
 
 
 def mass_scenes(n, depth):
@@ -426,11 +444,11 @@ def test_leaf_masses_and_chain_wbar_match_all_level_oracles(n, depth):
         sigma, mu, index = scene.sigma, scene.mu, scene.index
         np.testing.assert_allclose(scene.sigma_mass, cube_mass_table_all_levels(sigma, index),
                                    rtol=1e-13, atol=0)
-        np.testing.assert_allclose(scene.mu_mass, cube_mass_table_all_levels(
-            mu, index, sigma.n_atoms), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(scene.mu_mass, cube_mass_table_all_levels(mu, index),
+                                   rtol=1e-13, atol=0)
         w = rng.uniform(0.0, 2.0, mu.n_atoms)
-        np.testing.assert_allclose(scene.reweighted(mu, w), cube_mass_table_all_levels(
-            mu, index, sigma.n_atoms, w), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(scene.reweighted(mu, w),
+                                   cube_mass_table_all_levels(mu, index, w), rtol=1e-13, atol=0)
         for pp in (1.5, 2.0, 3.0):
             for x in (sigma, mu, xs):
                 np.testing.assert_allclose(scene.wolff_bar(x, pp), wolff_bar_gathered(scene, x, pp),
@@ -494,8 +512,8 @@ def test_wolff_with_zero_k_above_an_infinite_k():
         assert finite.any() and not finite.all()
 
 
-def test_scene_build_and_wbar_energy_queries_peak_below_fractions_of_rows():
-    # the depth-12 borderline instance of test_level_index_build_peaks_below_two_and_a_half_rows
+def test_scene_build_and_wbar_energy_queries_peak_below_multiples_of_points_and_cubes():
+    # the depth-12 borderline instance of the index build test above
     window = LatticeWindow.from_box([(-1.0, 2.0)], 0, 12)
     sigma = lebesgue_grid([(-1.0, 2.0)], 12)
     mu = lebesgue_grid([(0.0, 1.0)], 12)
@@ -512,9 +530,9 @@ def test_scene_build_and_wbar_energy_queries_peak_below_fractions_of_rows():
         query = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    rows = scene.index.rows.nbytes
-    assert build <= 2.5 * rows
-    assert query <= 0.75 * rows
+    size = 8 * (len(scene.index.leaf) + scene.index.n)
+    assert build <= 8 * size
+    assert query <= 3.75 * size
 
 
 def test_window_too_deep_for_int64_keys():

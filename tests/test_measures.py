@@ -13,6 +13,8 @@ from wolffpot import (
     lebesgue_grid,
     reverse_doubling_check,
 )
+from wolffpot import measures
+from wolffpot.errors import WolffpotError
 
 from oracles import cube_mass, level_keys, window_cube, window_keys
 
@@ -63,6 +65,18 @@ def test_lebesgue_grid_exact(w2):
 def test_lebesgue_grid_alignment_error():
     with pytest.raises(GridAlignmentError):
         lebesgue_grid([(0.0, 0.3)], 2)
+
+
+def test_lebesgue_grid_refuses_more_cells_than_the_budget(monkeypatch):
+    monkeypatch.setattr(measures, "GRID_CELLS", 16)
+    assert lebesgue_grid([(0.0, 1.0)], 4).n_atoms == 16
+    assert lebesgue_grid([(0.0, 1.0)] * 2, 2).n_atoms == 16
+    for box, level, cells in (([(0.0, 1.0)], 5, 32), ([(0.0, 1.0)] * 2, 3, 64),
+                              ([(-1.0, 2.0)], 40, 3 << 40)):
+        with pytest.raises(WolffpotError) as err:
+            lebesgue_grid(box, level)
+        assert str(err.value) == (f"lebesgue_grid on box {[list(side) for side in box]} at level "
+                                  f"{level} has {cells} cells, over the budget of 16")
 
 
 def test_cube_mass_additive_over_children():
