@@ -383,16 +383,12 @@ def test_chain_keys_are_shifted_fine_keys_with_minus_one_outside(n, depth):
                 assert chains[j, i] == key_of(window, (level, idx))
 
 
-def borderline_points(depth):
-    """The borderline instance's atoms: sigma on [-1, 2), then mu on [0, 1)."""
-    return np.vstack([lebesgue_grid([(-1.0, 2.0)], depth).positions,
-                      lebesgue_grid([(0.0, 1.0)], depth).positions])
-
-
 def index_build_peak(depth):
-    """The index of the depth-``depth`` borderline instance and the peak of its build, in bytes."""
+    """The index of the depth-``depth`` borderline instance (sigma on [-1, 2), then mu on
+    [0, 1)) and the peak of its build, in bytes."""
     window = LatticeWindow.from_box([(-1.0, 2.0)], 0, depth)
-    pts = borderline_points(depth)
+    pts = np.vstack([lebesgue_grid([(-1.0, 2.0)], depth).positions,
+                     lebesgue_grid([(0.0, 1.0)], depth).positions])
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
