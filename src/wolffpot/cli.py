@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import math
 import sys
 import time
@@ -517,6 +518,7 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache  # one per process: a build costs about as much as a small command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wolffpot",

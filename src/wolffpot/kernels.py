@@ -281,23 +281,31 @@ class DyadicKernelMap:
 
 
 def weigh(k, m) -> np.ndarray:
-    """``k * m`` where ``m > 0`` and zero elsewhere: the convention ``0 * inf = 0``."""
+    """``k * m`` where ``m > 0`` and zero elsewhere: the convention ``0 * inf = 0``.
+
+    A 1-D ``k`` against a ``(cubes, probes)`` ``m`` is one value per row."""
+    k = np.reshape(k, np.shape(k) + (1,) * (np.ndim(m) - np.ndim(k)))
     return np.multiply(k, m, out=np.zeros(np.shape(m)), where=m > 0.0)
 
 
-def weighted_sum(weights, values) -> float:
-    """``sum_i w_i v_i`` over the entries with ``w_i > 0``, added in order.
+def weighted_sum(weights, values):
+    """``sum_i w_i v_i`` over the entries with ``w_i > 0``, added in order; a float, or
+    one sum per column of a 2-D ``values``.
 
     Entries of zero weight are left out, so ``0 * inf = 0``.
     """
     pos = weights > 0.0
-    terms = weights[pos] * values[pos]
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+    terms = np.reshape(weights[pos], (-1,) + (1,) * (np.ndim(values) - 1)) * values[pos]
+    total = np.cumsum(terms, axis=0)[-1] if len(terms) else np.zeros(terms.shape[1:])
+    return float(total) if terms.ndim == 1 else total
 
 
 def per_mass(v, m) -> np.ndarray:
-    """``v / m`` where ``m > 0`` and zero elsewhere: over a vanishing mass a quantity is zero."""
-    return np.divide(v, m, out=np.zeros(np.shape(m)), where=m > 0.0)
+    """``v / m`` where ``m > 0`` and zero elsewhere: over a vanishing mass a quantity is zero.
+
+    A 1-D ``m`` against a ``(cubes, probes)`` ``v`` is one mass per row."""
+    m = np.reshape(m, np.shape(m) + (1,) * (np.ndim(v) - np.ndim(m)))
+    return np.divide(v, m, out=np.zeros(np.broadcast_shapes(np.shape(v), np.shape(m))), where=m > 0.0)
 
 
 class BarField:

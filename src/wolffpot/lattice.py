@@ -200,8 +200,10 @@ class LevelIndex:
         self.leaf[inside] = self.start[-2] + maps[0]
 
     def gather(self, values, ids) -> np.ndarray:
-        """``values[ids]``, with zero where an id is ``-1``."""
-        return np.append(values, 0.0)[ids]
+        """``values[ids]``, with zero where an id is ``-1``; rows of a ``(cubes, probes)`` array."""
+        out = values[ids] if len(values) else np.zeros(np.shape(ids) + np.shape(values)[1:])
+        out[ids < 0] = 0.0
+        return out
 
     def chain(self, values, ufunc=np.add) -> np.ndarray:
         """Reduce per-cube values down every ancestor chain, coarse to fine.
@@ -212,20 +214,36 @@ class LevelIndex:
         out = np.array(values, dtype=float)
         for j in range(1, len(self.start) - 1):
             s = slice(self.start[j], self.start[j + 1])
-            out[s] = ufunc(out[self.parent[s]], out[s])
+            ufunc(out[self.parent[s]], out[s], out=out[s])
         return out
 
     def subtree(self, values, ufunc=np.add) -> np.ndarray:
         """Reduce per-cube values over every subtree, fine to coarse.
 
-        A cube's own value comes first, then its children's results in id order.
+        A cube's own value comes first, then its children's results in id order,
+        in each column of a ``(cubes, probes)`` array too: ``ufunc.at`` runs on
+        the flat array, one index per cube and probe, as on rows it is slower.
         """
-        out = np.array(values, dtype=float)
+        out = np.array(values, dtype=float, order="C")
+        m, flat = math.prod(out.shape[1:]), out.reshape(-1)  # probes per cube; a view
         for j in range(len(self.start) - 2, 0, -1):
             s = slice(self.start[j], self.start[j + 1])
+            up = self.parent[s] if out.ndim == 1 else (self.parent[s, None] * m + np.arange(m)).ravel()
             # a copy: ufunc.at takes a far slower path when its values overlap its target
-            ufunc.at(out, self.parent[s], out[s].copy())
+            ufunc.at(flat, up, flat[s.start * m:s.stop * m].copy())
         return out
+
+    def deepest(self, points) -> np.ndarray:
+        """Id of the deepest held cube holding each point, ``-1`` outside the window; the
+        fine level is searched first, each coarser one for the points not found yet."""
+        w = self.window
+        fine, inside = w._leaf(points)
+        ids, todo = np.full(len(inside), -1, dtype=np.int64), np.flatnonzero(inside)
+        for j in range(w.depth, -1, -1):
+            ids[todo] = self._at_level(j, w._ravel(fine[todo] >> (w.depth - j), w.coarse_level + j))
+            if not (todo := todo[ids[todo] < 0]).size:
+                break
+        return ids
 
     def locate(self, points) -> np.ndarray:
         """Ids ``(levels, n_points)`` of each point's chain, coarse to fine; ``-1`` where not held."""

@@ -177,12 +177,17 @@ def cube_mass_table(
     A fine-level cube sums its atoms' weights (``weights`` in place of the
     measure's own, when given) in atom order, a coarser cube its children's
     masses in id order.  Atoms outside the window's root region add nothing.
-    Re-weighting the same positions re-runs only these two passes.
+    Re-weighting the same positions re-runs only these two passes; ``weights``
+    of shape ``(atoms, probes)`` give one table column per probe.
     """
     leaf = index.leaf[first:first + measure.n_atoms]
     held = leaf >= 0
-    w = (measure.weights if weights is None else np.asarray(weights, dtype=float))[held]
-    return index.subtree(np.bincount(leaf[held], w, minlength=index.n))
+    w = measure.weights if weights is None else np.asarray(weights, dtype=float)
+    if w.ndim == 1:
+        return index.subtree(np.bincount(leaf[held], w[held], minlength=index.n))
+    m = w.shape[1]  # one bin per cube and probe, the atoms added in order in each
+    fine = np.bincount((leaf[held, None] * m + np.arange(m)).ravel(), w[held].ravel(), minlength=index.n * m)
+    return index.subtree(fine.reshape(-1, m))
 
 
 def reverse_doubling_check(index: LevelIndex, mass, gamma: float):

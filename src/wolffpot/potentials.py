@@ -25,7 +25,8 @@ Per-atom work ends at the atom's fine-level cube, read from the index's
 ``leaf`` ids; only other points are looked up, and ``Wbar`` swaps its two sums
 (:meth:`DyadicScene.wolff_bar`).  Sums have a fixed order (atoms in order in a
 fine-level cube, children in id order in a coarser one, coarse to fine along a
-chain), so the values do not depend on the layout.
+chain), so the values do not depend on the layout; a ``(cubes, probes)`` array
+reduces each column as its own 1-D array would.
 
 All dyadic integrals against atomic measures are exact weighted sums; the
 only quadrature anywhere is inside kernels whose log-primitive has no closed
@@ -125,7 +126,7 @@ class DyadicScene:
         """The deepest held cube of each atom of the scene's sigma or mu, or of each query point."""
         if isinstance(x, AtomicMeasure):
             return self.index.leaf[self._columns(x)]
-        return self.index.locate(x).max(axis=0, initial=-1)  # ids grow coarse to fine
+        return self.index.deepest(x)
 
     def reweighted(self, measure: AtomicMeasure, weights) -> np.ndarray:
         """Cube masses of the atoms of ``measure`` (the scene's sigma or mu) under new weights."""

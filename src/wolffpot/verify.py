@@ -127,6 +127,40 @@ def check_energy_wolff_ratio(scene: DyadicScene,
     return (e, wm, math.nan, bad) if bad else (e, wm, e / wm, None)
 
 
+# -- random trace probes ------------------------------------------------------------
+
+
+#: most entries a block of trace probes holds: probes times the scene's cubes or atoms
+PROBE_BLOCK = 1 << 14
+
+
+def _probe_blocks(scene: DyadicScene, count: int):
+    """``(first, size)`` of the consecutive blocks of ``count`` probes."""
+    m = max(1, PROBE_BLOCK // max(scene.index.n, scene.sigma.n_atoms, scene.mu.n_atoms, 1))
+    return ((lo, min(m, count - lo)) for lo in range(0, count, m))
+
+
+def _draw(rng, m: int, n: int) -> np.ndarray:
+    """``m`` probes on ``n`` atoms, one per row: the numbers of ``m`` draws of
+    ``f = 2.0 ** rng.uniform(-8, 8, n)`` zeroed where ``rng.uniform(size=n) < 0.2``."""
+    u = rng.random((m, 2, n))
+    f = 2.0 ** (-8.0 + 16.0 * u[:, 0])
+    f[u[:, 1] < 0.2] = 0.0
+    return f
+
+
+def _probe_ratios(scene: DyadicScene, source, target, fs, r: float, s: float) -> list:
+    """``(||T[f dsource]||_{L^s(target)}, ||f||_{L^r(source)})`` of each row ``f`` of ``fs``.
+
+    Each sum adds its terms as for one probe alone (a row sum of the C-ordered
+    ``fs``, a column of the table) and each root is taken on a float.
+    """
+    tf = scene.t(scene.reweighted(source, (source.weights * fs).T), target)
+    nums = weighted_sum(target.weights, tf ** s).tolist()
+    dens = np.sum(source.weights * fs ** r, axis=1).tolist()
+    return [(num ** (1.0 / s), den ** (1.0 / r)) for num, den in zip(nums, dens)]
+
+
 # -- duality (q = 1) -------------------------------------------------------------
 
 
@@ -144,41 +178,34 @@ def trace_constant_q1(
     """Duality constant of the ``q = 1`` trace inequality and its extremal probe.
 
     The extremal function ``f* = (T[mu])^{p'-1}`` achieves the dual constant
-    ``E^{1/p'}``; it is pushed through the full operator path.  Random probes
-    use the exact pairing ``int T[f dsigma] dmu = int T[mu] f dsigma`` (a few
-    are cross-checked against the operator path; the gap is reported).
+    ``E^{1/p'}``; it is pushed through the full operator path.  Random probes,
+    in blocks of at most ``PROBE_BLOCK`` entries, use the exact pairing
+    ``int T[f dsigma] dmu = int T[mu] f dsigma`` (the first 8 are cross-checked
+    against the operator path; the gap is reported).
     """
     sigma, mu = scene.sigma, scene.mu
     tvals = scene.t_mu(sigma)
     e = energy_dyadic(scene, exps, tvals)
     if math.isinf(e):
         raise DegenerateInputError("energy is infinite; trace inequality fails")
-    pp = exps.p_prime
-    p = exps.p
-    sw = sigma.weights
+    pp, p, sw = exps.p_prime, exps.p, sigma.weights
 
-    def ratio_operator(fvals) -> float:
-        num = weighted_sum(mu.weights, scene.t(scene.reweighted(sigma, sw * fvals), mu))
-        den = float(np.sum(sw * fvals ** p)) ** (1.0 / p)
-        return num / den if den > 0 else math.nan
+    def ratio_operator(fs) -> list:
+        return [n / d if d > 0 else math.nan for n, d in _probe_ratios(scene, sigma, mu, fs, p, 1.0)]
 
-    fstar = tvals ** (pp - 1.0)
-    achieved = ratio_operator(fstar)
-
-    probe_max = 0.0
-    gap = 0.0
-    if probes:
-        rng = np.random.default_rng(seed)
-        for t in range(probes):
-            f = 2.0 ** rng.uniform(-8, 8, sigma.n_atoms)
-            f[rng.uniform(size=sigma.n_atoms) < 0.2] = 0.0
-            den = float(np.sum(sw * f ** p)) ** (1.0 / p)
-            if den <= 0:
+    achieved = ratio_operator(tvals[None] ** (pp - 1.0))[0]
+    probe_max = gap = 0.0
+    rng = np.random.default_rng(seed)
+    for lo, m in _probe_blocks(scene, probes):
+        f = _draw(rng, m, sigma.n_atoms)
+        nums = np.sum(sw * f * tvals, axis=1).tolist()  # pairing identity
+        heads = ratio_operator(f[:8 - lo]) if lo < 8 else []
+        for t, (num, den) in enumerate(zip(nums, np.sum(sw * f ** p, axis=1).tolist())):
+            if (den := den ** (1.0 / p)) <= 0:
                 continue
-            num = float(np.sum(sw * f * tvals))  # pairing identity
             probe_max = max(probe_max, num / den)
-            if t < 8:
-                gap = max(gap, abs(ratio_operator(f) - num / den) / max(num / den, 1e-300))
+            if t < len(heads):
+                gap = max(gap, abs(heads[t] - num / den) / max(num / den, 1e-300))
     return DualityResult(e ** (1.0 / pp), achieved, probe_max, gap)
 
 
@@ -201,7 +228,8 @@ def trace_test_upper_triangle(
     side) and with dual probes ``g = (HL-maximal of psi)^{1/p'}`` (the adjoint
     ratio equals the primal one), and reports the Wolff-potential norm at the
     trace exponent plus the measured oscillation constant; equivalence is only
-    claimed when the latter is finite.
+    claimed when the latter is finite.  Each block of probes, of at most
+    ``PROBE_BLOCK`` entries, is one table, one chain pass and one gather.
     """
     if exps.q is None or not (1.0 < exps.q < exps.p):
         raise WolffpotError("upper-triangle test needs 1 < q < p")
@@ -213,27 +241,20 @@ def trace_test_upper_triangle(
     wolff_norm = wolff_integral(scene, exps, t_exp) ** (1.0 / t_exp)
 
     rng = np.random.default_rng(seed)
-    sup_ratio = 0.0
-    for _ in range(trials):
-        f = 2.0 ** rng.uniform(-8, 8, sigma.n_atoms)
-        f[rng.uniform(size=sigma.n_atoms) < 0.2] = 0.0
-        den = float(np.sum(sigma.weights * f ** p)) ** (1.0 / p)
-        if den <= 0:
-            continue
-        tf = scene.t(scene.reweighted(sigma, sigma.weights * f), mu)
-        num = weighted_sum(mu.weights, tf ** q) ** (1.0 / q)
-        sup_ratio = max(sup_ratio, num / den)
-    for _ in range(trials):
-        psi = 2.0 ** rng.uniform(-8, 8, mu.n_atoms)
-        ratio = per_mass(scene.reweighted(mu, mu.weights * psi), scene.mu_mass)
+    ratios = []  # (numerator, denominator) of each probe in draw order, primal first
+    for _, m in _probe_blocks(scene, trials):
+        ratios += _probe_ratios(scene, sigma, mu, _draw(rng, m, sigma.n_atoms), p, q)
+    for _, m in _probe_blocks(scene, trials):
+        psi = 2.0 ** (-8.0 + 16.0 * rng.random((m, mu.n_atoms)))
+        ratio = per_mass(scene.reweighted(mu, (mu.weights * psi).T), scene.mu_mass)
         best = scene.chain_values(ratio, mu, np.maximum)
-        g = np.where(mu.weights > 0, best, 0.0) ** (1.0 / pp)
-        den = float(np.sum(mu.weights * g ** qp)) ** (1.0 / qp)
-        if den <= 0:
-            continue
-        tg = scene.t(scene.reweighted(mu, mu.weights * g), sigma)
-        num = weighted_sum(sigma.weights, tg ** pp) ** (1.0 / pp)
-        sup_ratio = max(sup_ratio, num / den)
+        g = np.ascontiguousarray(np.where(mu.weights[:, None] > 0, best, 0.0).T) ** (1.0 / pp)
+        del psi, ratio, best  # before the block's second table
+        ratios += _probe_ratios(scene, mu, sigma, g, qp, pp)
+    sup_ratio = 0.0
+    for num, den in ratios:
+        if den > 0:
+            sup_ratio = max(sup_ratio, num / den)
     return TraceTestResult(wolff_norm, sup_ratio, dlbo_constant(scene.bar))
 
 
@@ -316,7 +337,7 @@ def check_counterexample_fields(
 # -- shifted-lattice averaging ------------------------------------------------------
 
 
-def _shifted_dyadic_potential(kernel, mu, xs, zs, j: int, j0: int):
+def _shifted_dyadic_potential(kernel, mu, xs, zs, j: int, j0: int, by_z=None):
     """``T`` over shifted lattices with the quarter-dilated kernel.
 
     Evaluates ``sum_l k(2^-l / 4) mu(Q_{l,z}(x))`` for each shift ``z`` in
@@ -329,8 +350,8 @@ def _shifted_dyadic_potential(kernel, mu, xs, zs, j: int, j0: int):
     In 1-D the cubes of ``x`` are runs of the sorted atoms, found by at most
     ``levels + 1`` binary searches per shift (:func:`_ranges_1d`); in more
     dimensions they are found by common dyadic depth
-    (:func:`_common_depth`).  Returns the values per shift and the number of
-    live levels.
+    (:func:`_common_depth`).  ``by_z`` is the 1-D shifts' ``argsort``, when
+    known.  Returns the values per shift and the number of live levels.
     """
     pos, w = mu.positions, mu.weights
     x = np.asarray(xs, dtype=float)
@@ -351,7 +372,8 @@ def _shifted_dyadic_potential(kernel, mu, xs, zs, j: int, j0: int):
     kvals[seen] = kernel.profile(radii[seen])
     live = kvals > 0.0
     if x.size == 1:
-        out = _ranges_1d(pos[:, 0], w, float(x[0]), zs, l_min, kvals)
+        by_z = np.argsort(zs[:, 0]) if by_z is None else by_z
+        out = _ranges_1d(pos[:, 0], w, float(x[0]), zs, l_min, kvals, by_z)
     else:
         out = _common_depth(pos, w, x, zs, l_min, l_max, kvals, live)
     return out, int(np.count_nonzero(live))
@@ -386,7 +408,7 @@ def _first_at_least(padded, z, thr):
     return c
 
 
-def _ranges_1d(pos, w, x: float, zs, l_min: int, kvals):
+def _ranges_1d(pos, w, x: float, zs, l_min: int, kvals, by_z):
     """1-D ``T`` per shift from the runs of sorted atoms in ``x``'s cubes.
 
     ``fl(p - z)`` is monotone in ``p``, so the atoms of ``x``'s level-``l``
@@ -400,7 +422,7 @@ def _ranges_1d(pos, w, x: float, zs, l_min: int, kvals):
     its mass is read from cumulative sums running outward from ``ix``: a sum
     of the cube's own weights, never a difference of large sums.
 
-    The shifts are swept in sorted order, so the search keys of one level
+    The shifts are swept in sorted order, ``by_z``, so the search keys of one level
     ascend between the jumps of ``k``; each value is stored at its shift's
     draw index.  A shift whose run is empty (``lo == hi == ix``) leaves the
     sweep: the finer cubes are empty too, and each of their terms would add
@@ -414,8 +436,7 @@ def _ranges_1d(pos, w, x: float, zs, l_min: int, kvals):
     mass = np.concatenate((np.cumsum(w[:ix][::-1])[::-1], [0.0], np.cumsum(w[ix:])))
     # live: the draw indices of the shifts still swept, by z (equal shifts have
     # equal values, so their order is free); sums: their values
-    live = np.argsort(zs[:, 0])
-    z = zs[live, 0]
+    live, z = by_z, zs[by_z, 0]
     dx = x - z
     out = np.zeros(z.size)
     sums = np.zeros(z.size)
@@ -527,12 +548,13 @@ def shifted_average_check(
     rng = np.random.default_rng(seed)
     if n == 1:
         zs = rng.uniform(-R, R, (shift_samples, 1))
+        by_z = np.argsort(zs[:, 0])  # once for all points
         vol = 2.0 * R
     else:
         direc = rng.normal(size=(shift_samples, n))
         direc /= np.linalg.norm(direc, axis=1, keepdims=True)
         rad = R * rng.uniform(size=shift_samples) ** (1.0 / n)
-        zs = direc * rad[:, None]
+        zs, by_z = direc * rad[:, None], None
         vol = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * R ** n
     ratios = []
     details = []
@@ -541,7 +563,7 @@ def shifted_average_check(
         lhs = t_continuous_trunc(kernel, mu, 2.0 ** j, x)
         if lhs == 0.0:
             continue  # vacuous point
-        vals, n_levels = _shifted_dyadic_potential(kernel, mu, x, zs, j, j0)
+        vals, n_levels = _shifted_dyadic_potential(kernel, mu, x, zs, j, j0, by_z)
         levels = max(levels, n_levels)
         est = vol * float(np.mean(vals))
         se = vol * float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
@@ -585,24 +607,17 @@ def check_kernel_dilation(scene: DyadicScene, exps: Exponents, c: float) -> tupl
     ok = (bar_vals > 0.0) & np.isfinite(bar_vals)
     support, bar_vals = support[ok], bar_vals[ok]
     levels = range(window.coarse_level, window.fine_level + 1)
-
-    def factors(dilation):
-        """``k(dilation r_Q) sigma(Q) bar(Q)^{p'-1}`` on the support."""
-        per_level = np.array([kernel(dilation * 2.0 ** -lvl) for lvl in levels])
-        k = per_level[index.level[support] - window.coarse_level]
-        return k * sig[support] * np.power(bar_vals, pp - 1.0)
-
+    # k(d r_Q) sigma(Q) bar(Q)^{p'-1} on the support, one column per dilation d = c, 1
+    per_level = np.array([[kernel(d * 2.0 ** -lvl) for d in (c, 1.0)] for lvl in levels])
+    fac = (per_level[index.level[support] - window.coarse_level] * sig[support, None]
+           * np.power(bar_vals, pp - 1.0)[:, None])
     mu_pp = np.power(mut[support], pp)
-    s_dil, s_one = weighted_sum(factors(c), mu_pp), weighted_sum(factors(1.0), mu_pp)
+    s_dil, s_one = weighted_sum(fac[:, 0], mu_pp), weighted_sum(fac[:, 1], mu_pp)
     sum_ratio = s_dil / s_one if s_one > 0 else math.nan
-
-    def chain_norm(dilation):
-        terms = np.zeros(index.n)
-        terms[support] = factors(dilation) * np.power(mut[support], pp - 1.0)
-        vals = scene.chain_values(terms, mu)
-        return weighted_sum(mu.weights, np.power(vals, r_exp)) ** (1.0 / r_exp)
-
-    n_dil, n_one = chain_norm(c), chain_norm(1.0)
+    terms = np.zeros((index.n, 2))
+    terms[support] = fac * np.power(mut[support], pp - 1.0)[:, None]
+    vals = weighted_sum(mu.weights, np.power(scene.chain_values(terms, mu), r_exp)).tolist()
+    n_dil, n_one = (v ** (1.0 / r_exp) for v in vals)
     norm_ratio = n_dil / n_one if n_one > 0 else math.nan
     return sum_ratio, norm_ratio
 

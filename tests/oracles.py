@@ -18,6 +18,10 @@ every term up to ``L``.  The 1-D shifted-lattice oracle is the earlier form of t
 every shift in draw order and searches all the atoms at each level.
 ``random_instance`` builds the seeded instances of the tests.
 
+``trace_constant_q1_per_probe`` and ``trace_upper_sup_per_probe`` are the
+earlier probe-by-probe forms of the two trace checks: each probe draws its own
+numbers and runs its own table and chain pass.
+
 ``m_k_maximal_per_point`` is the earlier one-point form of ``m_k_maximal``,
 which merges the sigma and mu distances with ``np.unique``.  The functions
 no command, demo or check reaches live here too, with the tests that use
@@ -431,6 +435,72 @@ def wolff_bar_gathered(scene, x, p_prime: float) -> np.ndarray:
     return np.cumsum(weigh(prefix[-1] - above, power), axis=0)[-1]
 
 
+# -- the trace probes --------------------------------------------------------------------
+
+
+def trace_constant_q1_per_probe(scene, exps: Exponents, probes: int, seed: int):
+    """:func:`trace_constant_q1` one probe at a time: its own draws, table and chain pass.
+
+    Returns ``(dual_constant, achieved_ratio, probe_max, pairing_gap)``.
+    """
+    sigma, mu = scene.sigma, scene.mu
+    tvals = scene.t_mu(sigma)
+    e = weighted_sum(sigma.weights, np.power(tvals, exps.p_prime))
+    if math.isinf(e):
+        raise DegenerateInputError("energy is infinite; trace inequality fails")
+    pp, p, sw = exps.p_prime, exps.p, sigma.weights
+
+    def ratio_operator(fvals) -> float:
+        num = weighted_sum(mu.weights, scene.t(scene.reweighted(sigma, sw * fvals), mu))
+        den = float(np.sum(sw * fvals ** p)) ** (1.0 / p)
+        return num / den if den > 0 else math.nan
+
+    achieved = ratio_operator(tvals ** (pp - 1.0))
+    probe_max = gap = 0.0
+    rng = np.random.default_rng(seed)
+    for t in range(probes):
+        f = 2.0 ** rng.uniform(-8, 8, sigma.n_atoms)
+        f[rng.uniform(size=sigma.n_atoms) < 0.2] = 0.0
+        den = float(np.sum(sw * f ** p)) ** (1.0 / p)
+        if den <= 0:
+            continue
+        num = float(np.sum(sw * f * tvals))  # pairing identity
+        probe_max = max(probe_max, num / den)
+        if t < 8:
+            gap = max(gap, abs(ratio_operator(f) - num / den) / max(num / den, 1e-300))
+    return e ** (1.0 / pp), achieved, probe_max, gap
+
+
+def trace_upper_sup_per_probe(scene, exps: Exponents, trials: int, seed: int) -> float:
+    """The probe supremum of :func:`trace_test_upper_triangle`, one probe at a time."""
+    q, p, pp = exps.q, exps.p, exps.p_prime
+    qp = q / (q - 1.0)
+    sigma, mu = scene.sigma, scene.mu
+    rng = np.random.default_rng(seed)
+    sup_ratio = 0.0
+    for _ in range(trials):
+        f = 2.0 ** rng.uniform(-8, 8, sigma.n_atoms)
+        f[rng.uniform(size=sigma.n_atoms) < 0.2] = 0.0
+        den = float(np.sum(sigma.weights * f ** p)) ** (1.0 / p)
+        if den <= 0:
+            continue
+        tf = scene.t(scene.reweighted(sigma, sigma.weights * f), mu)
+        num = weighted_sum(mu.weights, tf ** q) ** (1.0 / q)
+        sup_ratio = max(sup_ratio, num / den)
+    for _ in range(trials):
+        psi = 2.0 ** rng.uniform(-8, 8, mu.n_atoms)
+        ratio = per_mass(scene.reweighted(mu, mu.weights * psi), scene.mu_mass)
+        best = scene.chain_values(ratio, mu, np.maximum)
+        g = np.where(mu.weights > 0, best, 0.0) ** (1.0 / pp)
+        den = float(np.sum(mu.weights * g ** qp)) ** (1.0 / qp)
+        if den <= 0:
+            continue
+        tg = scene.t(scene.reweighted(mu, mu.weights * g), sigma)
+        num = weighted_sum(sigma.weights, tg ** pp) ** (1.0 / pp)
+        sup_ratio = max(sup_ratio, num / den)
+    return sup_ratio
+
+
 # -- the borderline series --------------------------------------------------------------
 
 
@@ -477,7 +547,7 @@ def first_at_least(padded, z, thr):
     return c
 
 
-def ranges_1d(pos, w, x: float, zs, l_min: int, kvals):
+def ranges_1d(pos, w, x: float, zs, l_min: int, kvals, by_z=None):
     """1-D ``T`` per shift from the runs of sorted atoms in ``x``'s cubes.
 
     ``fl(p - z)`` is monotone in ``p``, so the atoms of ``x``'s level-``l``
@@ -489,7 +559,8 @@ def ranges_1d(pos, w, x: float, zs, l_min: int, kvals):
     and a shift costs ``levels + 1`` searches.  The cube always holds ``x``,
     whose insertion index ``ix`` lies in its run, so its mass is read from
     cumulative sums running outward from ``ix``: a sum of the cube's own
-    weights, never a difference of large sums.
+    weights, never a difference of large sums.  The shifts are swept in draw
+    order, so ``by_z``, their sort order, is not read.
     """
     order = np.argsort(pos, kind="stable")
     p, w = pos[order], w[order]

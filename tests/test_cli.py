@@ -449,6 +449,17 @@ def test_threads_default_to_one():
     assert build_parser().parse_args(["verify", "--config", "x.json"]).threads == 1
 
 
+def test_one_parser_serves_every_call_of_main(tmp_path):
+    # building one costs about as much as a small command, so main reuses it
+    parser = build_parser()
+    assert build_parser() is parser
+    args = ["verify", "--config", str(SCENARIOS / "single_cube.json")]
+    assert main(args + ["--out-dir", str(tmp_path / "a")]) == 0
+    assert main(args + ["--seed", "3", "--out-dir", str(tmp_path / "b")]) == 0
+    assert build_parser() is parser
+    assert parser.parse_args(["verify", "--config", "x.json"]).seed is None
+
+
 # 3e-9, 1e-9 and 3e-10 to the right of the sigma atom at 0.46533203125 of
 # counterexample.json: the segment from that atom's distance out to the next
 # atom's spans many quadrature pieces

@@ -596,3 +596,19 @@ def test_weigh_and_per_mass_equal_their_masked_forms_bit_for_bit():
                 want = masked(op, values.reshape(shape), masses.reshape(shape))
                 assert got.shape == want.shape == shape
                 assert got.tobytes() == want.tobytes(), (fn.__name__, got, want)
+
+
+def test_a_per_cube_array_meets_a_probe_axis_row_by_row():
+    special = np.array([0.0, -0.0, -1.5, 2.0, 1e-300, np.inf, 3.0])
+    block = np.stack([np.roll(special, c) for c in range(4)], axis=1)  # (cubes, probes)
+    with np.errstate(all="ignore"):  # inf * 0 and 0 / 0 where m > 0 fails, as in 1-D
+        weighed, ratio = kernels.weigh(special, block), kernels.per_mass(block, special)
+        sums = kernels.weighted_sum(np.abs(special), block)
+        assert weighed.shape == ratio.shape == block.shape and sums.shape == (4,)
+        for c in range(4):
+            assert weighed[:, c].tobytes() == kernels.weigh(special, block[:, c]).tobytes()
+            assert ratio[:, c].tobytes() == kernels.per_mass(block[:, c], special).tobytes()
+            want = kernels.weighted_sum(np.abs(special), block[:, c])
+            assert sums[c].tobytes() == np.float64(want).tobytes()
+    assert kernels.weighted_sum(np.zeros(7), block).tolist() == [0.0] * 4
+    assert kernels.weighted_sum(np.zeros(0), np.zeros((0, 3))).tolist() == [0.0] * 3

@@ -336,6 +336,54 @@ def test_subtree_matches_the_per_cube_oracle(n, depth):
     assert interleaved == (n > 1 and depth > 0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 1, 3, 6])
+def test_level_arrays_with_a_probe_axis_equal_their_columns_bit_for_bit(n, depth):
+    rng = np.random.default_rng(3000 + 10 * n + depth)
+    for window, pts in index_cases(n, depth):
+        index = LevelIndex(window, pts)
+        own = 2.0 ** rng.uniform(-3, 3, (index.n, 5))
+        own[rng.uniform(size=own.shape) < 0.2] = np.inf
+        own[rng.uniform(size=own.shape) < 0.2] = 0.0
+        ids = [index.leaf, index.locate(pts), index.deepest(pts[: len(pts) // 2])]
+        for values in (own, -own):
+            for ufunc in (np.add, np.minimum, np.maximum):
+                for reduce in (index.subtree, index.chain):
+                    got = reduce(values, ufunc)
+                    want = np.column_stack([reduce(v, ufunc) for v in values.T])
+                    assert got.shape == values.shape and got.tobytes() == want.tobytes()
+            for i in ids:
+                got = index.gather(values, i)
+                assert got.shape == i.shape + (5,)
+                for c in range(5):
+                    assert got[..., c].tobytes() == index.gather(values[:, c], i).tobytes()
+        w = 2.0 ** rng.uniform(-3, 3, (len(pts), 4))
+        w[rng.uniform(size=w.shape) < 0.2] = 0.0
+        measure = AtomicMeasure(pts, w[:, 0])
+        for first in (0, len(pts) // 3):
+            part = AtomicMeasure(pts[first:], w[first:, 0])
+            got = cube_mass_table(part, index, first, w[first:])
+            assert got.shape == (index.n, 4)
+            for c in range(4):
+                want = cube_mass_table(part, index, first, w[first:, c])
+                assert got[:, c].tobytes() == want.tobytes()
+        assert cube_mass_table(measure, index).tobytes() == cube_mass_table(
+            measure, index, 0, w[:, :1])[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 1, 3, 6])
+def test_deepest_is_the_last_held_cube_of_each_located_chain(n, depth):
+    rng = np.random.default_rng(4000 + 10 * n + depth)
+    for window, pts in index_cases(n, depth):
+        # held for half the points only, so other points stop above the fine level
+        index = LevelIndex(window, pts[: len(pts) // 2])
+        queries = np.vstack([pts, pts + rng.uniform(-0.5, 0.5, pts.shape)])
+        got = index.deepest(queries)
+        assert got.dtype == np.int64 and got.shape == (len(queries),)
+        assert np.array_equal(got, index.locate(queries).max(axis=0, initial=-1))
+
+
 def key_of(window, key):
     """Row-major position of a ``(level, index)`` cube inside the box at its level."""
     level, idx = key

@@ -44,6 +44,8 @@ from oracles import (
     random_instance,
     ranges_1d,
     summation_by_parts_min_slack,
+    trace_constant_q1_per_probe,
+    trace_upper_sup_per_probe,
     window_keys,
 )
 
@@ -171,6 +173,85 @@ def test_trace_upper_empty_mu():
     assert res.wolff_norm == 0.0 and res.empirical_sup == 0.0
 
 
+def trace_cases():
+    """``(label, scene, exps)`` on which the blocked trace probes must equal the
+    per-probe oracles bit for bit."""
+    ex = Exponents(p=2.0, q=1.5)
+    w = LatticeWindow.from_box([(0.0, 1.0)], 0, 4)
+    grid, half = lebesgue_grid([(0.0, 1.0)], 4), lebesgue_grid([(0.0, 0.5)], 5)
+    K = DyadicKernelMap.from_radial(riesz_kernel(0.5, 1))
+    yield "empty mu", DyadicScene(K, grid, AtomicMeasure.empty(1), w), ex
+    # a probe that zeroes the one atom has den = 0 and is skipped
+    yield "one-atom sigma", DyadicScene(K, AtomicMeasure([[0.3]], [1.0]), grid, w), ex
+    table = {key: 2.0 ** (key[0] % 3 - 1) for key in window_keys(w)}
+    yield "inf in K off mu", DyadicScene(DyadicKernelMap.from_table(
+        {**table, (2, (3,)): math.inf}), grid, half, w), ex
+    yield "inf in K on mu", DyadicScene(DyadicKernelMap.from_table(
+        {**table, (3, (1,)): math.inf}), grid, half, w), ex
+    outside = AtomicMeasure([[-0.5], [0.2], [1.5], [0.7], [0.71]], [1.0, 2.0, 3.0, 0.5, 0.0])
+    yield "atoms outside", DyadicScene(K, outside, AtomicMeasure([[0.25], [2.0]], [1.0, 1.0]), w), ex
+    inst = random_instance(7, n=2, depth=3, n_sigma=40, n_mu=30)
+    yield "2-D window", scene_of(inst), ex
+    inst = random_instance(8, n=2, depth=2, n_sigma=20, n_mu=20, kernel="table")
+    yield "2-D table", scene_of(inst), ex
+
+
+def assert_trace_probes_match_oracles(scene, exps, seed, probes=200, trials=30):
+    def same(a, b):
+        return a == b or (math.isnan(a) and math.isnan(b))
+
+    try:
+        want = trace_constant_q1_per_probe(scene, exps, probes, seed)
+    except DegenerateInputError:
+        with pytest.raises(DegenerateInputError):
+            trace_constant_q1(scene, exps, probes=probes, seed=seed)
+    else:
+        res = trace_constant_q1(scene, exps, probes=probes, seed=seed)
+        got = (res.dual_constant, res.achieved_ratio, res.probe_max, res.pairing_gap)
+        assert all(map(same, got, want)), (seed, got, want)
+    ex = exps if exps.q is not None else Exponents(exps.p, 1.5)
+    got = trace_test_upper_triangle(scene, ex, trials=trials, seed=seed).empirical_sup
+    want = trace_upper_sup_per_probe(scene, ex, trials, seed)
+    assert same(got, want), (seed, got, want)
+
+
+@pytest.mark.parametrize("name", ["cascade_dlbo", "riesz_lebesgue", "single_cube"])
+def test_blocked_trace_probes_equal_the_per_probe_oracles_bit_for_bit(name):
+    # same draws, same sums in the same order: every value, at every seed
+    scn = load_scenario(SCENARIOS / f"{name}.json")
+    for seed in range(64):
+        assert_trace_probes_match_oracles(scn.scene, scn.exponents, seed)
+
+
+def test_blocked_trace_probes_equal_the_oracles_on_edge_cases():
+    with np.errstate(invalid="ignore"):  # the Wolff norm of an inf K, not compared here
+        for label, scene, exps in trace_cases():
+            for seed in range(8):
+                assert_trace_probes_match_oracles(scene, exps, seed), label
+
+
+def test_trace_probes_spanning_several_blocks_equal_the_oracles(monkeypatch):
+    scn = load_scenario(SCENARIOS / "riesz_lebesgue.json")
+    blocks = []
+
+    def counted(rng, m, n):
+        blocks.append(m)
+        return draw(rng, m, n)
+
+    draw = verify._draw
+    monkeypatch.setattr(verify, "_draw", counted)
+    for seed in (0, 11):
+        assert_trace_probes_match_oracles(scn.scene, scn.exponents, seed, probes=1000, trials=200)
+    # 511 cubes: blocks of 32 probes, the last one short
+    assert blocks[:32] == [32] * 31 + [8] and blocks[32:39] == [32] * 6 + [8]
+    # blocks of 3, so the 8 operator-path probes of trace_q1 span three of them
+    monkeypatch.setattr(verify, "PROBE_BLOCK", 3 * scn.scene.index.n + 2)
+    blocks.clear()
+    for seed in range(4):
+        assert_trace_probes_match_oracles(scn.scene, scn.exponents, seed, probes=50, trials=10)
+    assert blocks[:17] == [3] * 16 + [2]
+
+
 def test_counterexample_series_bounds():
     se1, sw1 = counterexample_series(BETA, CEX, 1, 10 ** 3)
     se2, sw2 = counterexample_series(BETA, CEX, 1, 10 ** 6)
@@ -243,9 +324,9 @@ def test_shifted_average_skips_vacuous_points_and_reports_its_sweep(monkeypatch)
     xs = [[0.1], [5.0], [0.7]]  # 5.0 lies beyond the cutoff: T^1[mu] = 0 there
     swept = []
 
-    def counted(kernel, mu, x, zs, j, j0):
+    def counted(kernel, mu, x, zs, j, j0, by_z):
         swept.append(np.asarray(x).tolist())
-        return _shifted_dyadic_potential(kernel, mu, x, zs, j, j0)
+        return _shifted_dyadic_potential(kernel, mu, x, zs, j, j0, by_z)
 
     monkeypatch.setattr(verify, "_shifted_dyadic_potential", counted)
     out = shifted_average_check(k, mu, 0, 1000, xs, 4)
