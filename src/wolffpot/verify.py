@@ -134,9 +134,9 @@ def check_energy_wolff_ratio(scene: DyadicScene,
 PROBE_BLOCK = 1 << 14
 
 
-def _probe_blocks(scene: DyadicScene, count: int):
-    """``(first, size)`` of the consecutive blocks of ``count`` probes."""
-    m = max(1, PROBE_BLOCK // max(scene.index.n, scene.sigma.n_atoms, scene.mu.n_atoms, 1))
+def _probe_blocks(count: int, width: int):
+    """``(first, size)`` of the consecutive blocks of ``count`` probes of ``width`` entries each."""
+    m = max(1, PROBE_BLOCK // max(width, 1))
     return ((lo, min(m, count - lo)) for lo in range(0, count, m))
 
 
@@ -178,10 +178,10 @@ def trace_constant_q1(
     """Duality constant of the ``q = 1`` trace inequality and its extremal probe.
 
     The extremal function ``f* = (T[mu])^{p'-1}`` achieves the dual constant
-    ``E^{1/p'}``; it is pushed through the full operator path.  Random probes,
-    in blocks of at most ``PROBE_BLOCK`` entries, use the exact pairing
-    ``int T[f dsigma] dmu = int T[mu] f dsigma`` (the first 8 are cross-checked
-    against the operator path; the gap is reported).
+    ``E^{1/p'}``; it is pushed through the full operator path.  Random probes use
+    the exact pairing ``int T[f dsigma] dmu = int T[mu] f dsigma``, in blocks of
+    ``PROBE_BLOCK`` entries, one per sigma atom; the first 8 are cross-checked
+    against the operator path in blocks of its table budget (the gap is reported).
     """
     sigma, mu = scene.sigma, scene.mu
     tvals = scene.t_mu(sigma)
@@ -196,10 +196,11 @@ def trace_constant_q1(
     achieved = ratio_operator(tvals[None] ** (pp - 1.0))[0]
     probe_max = gap = 0.0
     rng = np.random.default_rng(seed)
-    for lo, m in _probe_blocks(scene, probes):
+    width = max(scene.index.n, sigma.n_atoms, mu.n_atoms)
+    for lo, m in _probe_blocks(probes, sigma.n_atoms):  # a pairing probe builds no table
         f = _draw(rng, m, sigma.n_atoms)
         nums = np.sum(sw * f * tvals, axis=1).tolist()  # pairing identity
-        heads = ratio_operator(f[:8 - lo]) if lo < 8 else []
+        heads = [r for a, b in _probe_blocks(min(8 - lo, m), width) for r in ratio_operator(f[a:a + b])]
         for t, (num, den) in enumerate(zip(nums, np.sum(sw * f ** p, axis=1).tolist())):
             if (den := den ** (1.0 / p)) <= 0:
                 continue
@@ -241,10 +242,11 @@ def trace_test_upper_triangle(
     wolff_norm = wolff_integral(scene, exps, t_exp) ** (1.0 / t_exp)
 
     rng = np.random.default_rng(seed)
+    blocks = list(_probe_blocks(trials, max(scene.index.n, sigma.n_atoms, mu.n_atoms)))
     ratios = []  # (numerator, denominator) of each probe in draw order, primal first
-    for _, m in _probe_blocks(scene, trials):
+    for _, m in blocks:
         ratios += _probe_ratios(scene, sigma, mu, _draw(rng, m, sigma.n_atoms), p, q)
-    for _, m in _probe_blocks(scene, trials):
+    for _, m in blocks:
         psi = 2.0 ** (-8.0 + 16.0 * rng.random((m, mu.n_atoms)))
         ratio = per_mass(scene.reweighted(mu, (mu.weights * psi).T), scene.mu_mass)
         best = scene.chain_values(ratio, mu, np.maximum)
@@ -379,26 +381,46 @@ def _shifted_dyadic_potential(kernel, mu, xs, zs, j: int, j0: int, by_z=None):
     return out, int(np.count_nonzero(live))
 
 
-def _first_at_least(padded, z, thr):
+def _bin_table(p):
+    """``(origin, width, scale, firsts)``: bin ``b`` of ``2 x atoms`` equal bins over the hull of
+    the sorted atoms ``p`` starts at ``origin + b / scale``, and ``firsts[b]`` is the first atom at
+    or above that start.  A hull of width 0, or of no float bin width, is one bin."""
+    origin, bins, width = float(p[0]), 2 * p.size, float(p[-1] - p[0])
+    if not bins * 2.0 ** -1022 < width < math.inf:
+        bins, width = 0, 0.0
+    edges = origin + np.arange(bins + 1) * (width / max(bins, 1))
+    return origin, width, bins / width if bins else 0.0, np.searchsorted(p, edges)
+
+
+def _first_at_least(padded, z, thr, table):
     """Per shift, the first index of the sorted atoms with ``fl(p - z) >= thr``.
 
-    ``padded`` is a run of the sorted atoms between two bounds, which may be
-    ``-inf`` and ``+inf`` or the atoms just outside the run; every answer must
-    lie in the run, or at its end.  As ``fl(p - z)`` is monotone in ``p``, the
-    atoms that pass form a suffix.  The ``searchsorted`` guess from
-    ``thr + z`` is checked against the atoms on either side of it; where it is
-    off, a bisection over the indices on the wrong side finds the start.  The
-    bisection does not step one atom at a time, because many atoms can share
-    one ``fl(p - z)`` (repeated atoms, or atoms that a large ``|z|`` absorbs).
+    ``padded`` is the sorted atoms between ``-inf`` and ``+inf``, and ``table``
+    their :func:`_bin_table`.  As ``fl(p - z)`` is monotone in ``p``, the atoms
+    that pass form a suffix.  The guess is the first atom of the bin of
+    ``thr + z``, one step forward where that atom fails.  Where the atom beyond
+    the step fails too, or, with no step, the atom before the guess passes, a
+    bisection over the indices on the wrong side finds the start; it does not
+    step one atom at a time, because many atoms can share one ``fl(p - z)``
+    (repeated atoms, or atoms that a large ``|z|`` absorbs).  So the guess sets
+    only the speed: every index is exact.
     """
-    c = np.searchsorted(padded[1:-1], thr + z)
-    late = padded.take(c) - z >= thr  # the atom before the guess passes
-    early = padded[1:].take(c) - z < thr  # the atom at the guess fails
-    bad = np.flatnonzero(late | early)
+    origin, width, scale, firsts = table
+    at = np.add(thr, z)
+    at -= origin
+    np.clip(at, 0.0, width, out=at)  # a needle outside the hull reads an end bin
+    at *= scale
+    c = at.astype(np.intp)
+    firsts.take(c, out=c, mode="clip")
+    # the step, then the test of the atom beyond it (with no step, before the guess), in place
+    c += (step := np.subtract(padded[1:].take(c, out=at, mode="clip"), z, out=at) < thr)
+    c += step
+    bad = np.flatnonzero((np.subtract(padded.take(c, out=at, mode="clip"), z, out=at) < thr) == step)
+    c -= step
     if bad.size:
         zb, tb = z[bad], thr[bad]
-        lo = np.where(early[bad], c[bad] + 1, 0)
-        hi = np.where(early[bad], padded.size - 2, c[bad] - 1)
+        lo = np.where(step[bad], c[bad] + 1, 0)
+        hi = np.where(step[bad], padded.size - 2, c[bad] - 1)
         while np.any(open_ := lo < hi):
             mid = (lo + hi) // 2
             up = padded[mid + 1] - zb >= tb
@@ -417,10 +439,10 @@ def _ranges_1d(pos, w, x: float, zs, l_min: int, kvals, by_z):
     to the first with ``fl(p - z)`` at the upper bound.  Where ``k + 1`` is not
     a float (``|k| >= 2^53``) the upper bound is ``nextafter(k, +inf) 2^-l``.
     Each finer cube is one half of its parent, so it shares one bound with it,
-    and its other bound is searched for only among its parent's atoms.  The
-    cube always holds ``x``, whose insertion index ``ix`` lies in its run, so
-    its mass is read from cumulative sums running outward from ``ix``: a sum
-    of the cube's own weights, never a difference of large sums.
+    and only its other bound is searched for, through one bin table of the atoms
+    (:func:`_first_at_least`).  The cube always holds ``x``, whose insertion index
+    ``ix`` lies in its run, so its mass is read from cumulative sums running outward
+    from ``ix``: a sum of the cube's own weights, never a difference of large sums.
 
     The shifts are swept in sorted order, ``by_z``, so the search keys of one level
     ascend between the jumps of ``k``; each value is stored at its shift's
@@ -431,49 +453,45 @@ def _ranges_1d(pos, w, x: float, zs, l_min: int, kvals, by_z):
     order = np.argsort(pos, kind="stable")
     p, w = pos[order], w[order]
     padded = np.concatenate(([-np.inf], p, [np.inf]))
+    table = _bin_table(p)
     ix = int(np.searchsorted(p, x))
     # mass[i]: the weights between i and ix, summed outward from ix, for i on either side
     mass = np.concatenate((np.cumsum(w[:ix][::-1])[::-1], [0.0], np.cumsum(w[ix:])))
     # live: the draw indices of the shifts still swept, by z (equal shifts have
     # equal values, so their order is free); sums: their values
     live, z = by_z, zs[by_z, 0]
-    dx = x - z
     out = np.zeros(z.size)
     sums = np.zeros(z.size)
-    reach = float(np.max(np.abs(dx), initial=0.0))
+    reach = float(np.max(np.abs(x - z), initial=0.0))
     # an infinite kernel value times an empty cube's 0 is nan, which dropping would hide
     drop = bool(np.all(np.isfinite(kvals)))
     lo = hi = parent_lower = None
     for i in range(kvals.size):
         level = l_min + i
-        k = np.floor(dx * 2.0 ** level)
+        k = np.floor((x - z) * 2.0 ** level)
         lower = k * 2.0 ** -level
         # the upper bound is (k + gap) 2^-level; |k| <= reach 2^level + 1, so
         # below 2^52 the next float above k is k + 1
-        if reach * 2.0 ** level < 2.0 ** 52:
-            gap = 1.0
-        else:
-            gap = np.maximum(k + 1.0, np.nextafter(k, np.inf)) - k
-        if lo is None:
-            lo = _first_at_least(padded, z, lower)
-            hi = _first_at_least(padded, z, (k + gap) * 2.0 ** -level)
-        else:
-            # the cube keeps its parent's lower bound, and gets a new upper one,
-            # or else the reverse; the new bound lies in its parent's run
-            kept = lower == parent_lower
-            thr = (k + kept * gap) * 2.0 ** -level
-            a, b = int(lo.min()), int(hi.max())
-            new = a + _first_at_least(padded[a : b + 2], z, thr)
-            # lo <= new <= hi: new replaces lo where not kept, and hi where kept
-            lo = np.maximum(lo, new * ~kept)
-            hi = hi - (hi - new) * kept
+        gap = 1.0 if reach * 2.0 ** level < 2.0 ** 52 else np.maximum(k + 1.0, np.nextafter(k, np.inf)) - k
+        if lo is None:  # the first level searches both bounds
+            lo, hi, parent_lower = _first_at_least(padded, z, lower, table), np.empty_like(live), lower
+        # the cube keeps its parent's lower bound, and gets a new upper one,
+        # or else the reverse; the new bound lies in its parent's run
+        kept = lower == parent_lower
+        np.add(k, gap, out=k, where=kept)
+        k *= 2.0 ** -level
+        new = _first_at_least(padded, z, k, table)
+        np.copyto(hi, new, where=kept)
+        np.copyto(lo, new, where=~kept)
+        del k, new  # before this level's sums and compaction
         parent_lower = lower
         sums += kvals[i] * (mass[lo] + mass[hi])
-        if drop and (empty := lo == hi).any():
-            out[live[empty]] = sums[empty]
-            full = ~empty
-            live, sums, z, dx = live[full], sums[full], z[full], dx[full]
-            lo, hi, parent_lower = lo[full], hi[full], parent_lower[full]
+        if drop and (m := (keep := np.flatnonzero(lo != hi)).size) < live.size:
+            out[live] = sums
+            live = live[keep]
+            for a in (sums, z, lo, hi, parent_lower):  # each into its own front
+                a[:m] = a[keep]
+            sums, z, lo, hi, parent_lower = sums[:m], z[:m], lo[:m], hi[:m], parent_lower[:m]
         if not live.size:
             break
     out[live] = sums

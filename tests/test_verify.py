@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wolffpot import (
     AtomicMeasure,
@@ -40,6 +41,7 @@ from wolffpot.verify import (
 from oracles import (
     counterexample_series_summed,
     exponents_from_p_prime,
+    first_at_least,
     log_power_terms,
     random_instance,
     ranges_1d,
@@ -230,26 +232,50 @@ def test_blocked_trace_probes_equal_the_oracles_on_edge_cases():
                 assert_trace_probes_match_oracles(scene, exps, seed), label
 
 
+def count_probe_blocks(monkeypatch):
+    """The probes of each ``_draw`` call and the rows of each ``_probe_ratios`` call, as made."""
+    blocks, rows = [], []
+    draw, probe_ratios = verify._draw, verify._probe_ratios
+    monkeypatch.setattr(verify, "_draw", lambda rng, m, n: blocks.append(m) or draw(rng, m, n))
+    monkeypatch.setattr(verify, "_probe_ratios",
+                        lambda *args: rows.append(len(args[3])) or probe_ratios(*args))
+    return blocks, rows
+
+
 def test_trace_probes_spanning_several_blocks_equal_the_oracles(monkeypatch):
     scn = load_scenario(SCENARIOS / "riesz_lebesgue.json")
-    blocks = []
-
-    def counted(rng, m, n):
-        blocks.append(m)
-        return draw(rng, m, n)
-
-    draw = verify._draw
-    monkeypatch.setattr(verify, "_draw", counted)
+    blocks, rows = count_probe_blocks(monkeypatch)
     for seed in (0, 11):
         assert_trace_probes_match_oracles(scn.scene, scn.exponents, seed, probes=1000, trials=200)
-    # 511 cubes: blocks of 32 probes, the last one short
-    assert blocks[:32] == [32] * 31 + [8] and blocks[32:39] == [32] * 6 + [8]
-    # blocks of 3, so the 8 operator-path probes of trace_q1 span three of them
+    # 256 sigma atoms: trace_q1 pairs in blocks of 64 probes; 511 cubes: trace_upper
+    # blocks of 32 probes, the last one short
+    assert blocks[:16] == [64] * 15 + [40] and blocks[16:23] == [32] * 6 + [8]
+    # tables of 3 probes, so the 8 operator-path probes of trace_q1 span three of them
     monkeypatch.setattr(verify, "PROBE_BLOCK", 3 * scn.scene.index.n + 2)
     blocks.clear()
+    rows.clear()
     for seed in range(4):
         assert_trace_probes_match_oracles(scn.scene, scn.exponents, seed, probes=50, trials=10)
-    assert blocks[:17] == [3] * 16 + [2]
+    assert blocks[:10] == [5] * 10 and blocks[10:14] == [3, 3, 3, 1]
+    assert rows[:4] == [1, 3, 2, 3]  # f*, then the 8 operator-path probes
+
+
+def test_trace_q1_pairing_blocks_are_sized_by_sigma_atoms(monkeypatch):
+    blocks, rows = count_probe_blocks(monkeypatch)
+    # a pairing probe builds no table: 256 sigma atoms give blocks of 64, not
+    # the 32 of the 511-cube table budget
+    scn = load_scenario(SCENARIOS / "riesz_lebesgue.json")
+    trace_constant_q1(scn.scene, scn.exponents, probes=200, seed=11)
+    assert blocks == [64, 64, 64, 8] and rows == [1, 8]
+    # 4,095 cubes: the 8 operator-path probes still keep within the table budget
+    w = LatticeWindow.from_box([(0.0, 1.0)], 0, 11)
+    g = lebesgue_grid([(0.0, 1.0)], 11)
+    scene = radial_scene(riesz_kernel(0.5, 1, cutoff=1.0), g, g, w)
+    assert scene.index.n == 4095
+    blocks.clear()
+    rows.clear()
+    assert_trace_probes_match_oracles(scene, Exponents(2.0, 1.5), 3, probes=20, trials=0)
+    assert blocks == [8, 8, 4] and rows == [1, 4, 4]
 
 
 def test_counterexample_series_bounds():
@@ -510,14 +536,63 @@ def test_1d_sweep_stops_once_every_cube_is_empty(monkeypatch):
     zs = np.random.default_rng(3).uniform(-4.0, 4.0, (500, 1))
     needles, search = [], verify._first_at_least
 
-    def counted(padded, z, thr):
+    def counted(padded, z, thr, table):
         needles.append(z.size)
-        return search(padded, z, thr)
+        return search(padded, z, thr, table)
 
     monkeypatch.setattr(verify, "_first_at_least", counted)
     vals, levels = _shifted_dyadic_potential(scn.kernel.radial, scn.mu, [100.0], zs, 0, 2)
     assert levels == 2 and not vals.any()
     assert needles == [500, 500]  # both edges of the first level, then no search
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       atoms=st.sampled_from(["spread", "repeated", "clustered", "single", "equal", "subnormal"]),
+       z_scale=st.sampled_from([1.0, 2.0 ** 14, 2.0 ** 45]), level=st.integers(-6, 70))
+def test_bin_table_search_equals_the_bisection_oracle(seed, atoms, z_scale, level):
+    # the bin guess sets only the speed: every index is the oracle's, for atoms
+    # that repeat, cluster 2^-43 apart (absorbed by |z| >= 2^14) or span a hull
+    # of width 0 or of a few subnormals, for needles far outside the hull, and
+    # for levels where |k| >= 2^52; a bin from an inf or a nan raises here
+    rng = np.random.default_rng(seed)
+    n = 1 if atoms == "single" else int(rng.integers(2, 64))
+    base = rng.uniform(-2.0, 2.0)
+    p = np.sort({
+        "spread": base + rng.uniform(0.0, 1.0, n),
+        "repeated": base + rng.integers(0, 4, n) / 8.0,
+        "clustered": base + rng.integers(-16, 16, n) * 2.0 ** -43,
+        "single": np.full(n, base),
+        "equal": np.full(n, base),
+        "subnormal": rng.integers(0, 8, n) * 5e-324,
+    }[atoms])
+    padded = np.concatenate(([-np.inf], p, [np.inf]))
+    z = rng.uniform(-1.0, 1.0, 200) * z_scale
+    # x on an atom, next to one, or far from all of them
+    x = rng.choice(p) + rng.choice([0.0, 1.0, -1.0]) * 2.0 ** rng.uniform(-50.0, 60.0)
+    k = np.floor((x - z) * 2.0 ** level)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = verify._bin_table(p)
+        for edge in (k, np.maximum(k + 1.0, np.nextafter(k, np.inf))):
+            thr = edge * 2.0 ** -level
+            assert np.array_equal(verify._first_at_least(padded, z, thr, table),
+                                  first_at_least(padded, z, thr))
+
+
+def test_shifted_average_check_peaks_at_most_1377_kib():
+    # riesz_lebesgue's shifted_average at seed 11: 5 points, 10,000 shifts; the
+    # sampler's arrays are updated in place, not allocated afresh per level
+    scn = load_scenario(SCENARIOS / "riesz_lebesgue.json")
+    xs = np.random.default_rng([11, 1]).uniform(0.0, 1.0, (5, 1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        shifted_average_check(scn.kernel.radial, scn.mu, 0, 10000, xs, 11)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1377 * 1024
 
 
 def test_kernel_dilation_ratios():
