@@ -30,8 +30,8 @@ from .measures import AtomicMeasure, cube_mass_table
 
 #: points per decade used by the construction-time monotonicity scan
 MONOTONICITY_POINTS_PER_DECADE = 512
-#: ball-atom pairs per bar-kernel chunk, pieces per :func:`quad` block (bounds temporaries)
-BALL_BLOCK = 1 << 13
+#: entries in the widest temporary of one block of any loop whose temporaries grow with its input
+BLOCK = 1 << 14
 #: ``n`` times the largest log-width of a piece of :func:`quad`; its bound ties it to the order
 PIECE_WIDTH = 0.35
 
@@ -144,6 +144,16 @@ def riesz_kernel(alpha: float, n: int, cutoff: float | None = None) -> RadialKer
     return RadialKernel(prof, prim, cutoff=cutoff, name="riesz")
 
 
+def blocks(count: int, width: int):
+    """Consecutive slices of ``range(count)``, each of at most ``max(1, BLOCK // width)`` rows.
+
+    ``width`` is the number of entries per row of the block's widest
+    temporary, counting the dimension axis where a temporary has one.
+    """
+    step = max(1, BLOCK // max(width, 1))
+    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
+
+
 def quad(f, a, b, n):
     """``int_a^b f(s) ds/s`` on segments ``0 < a_i < b_i``, by one a-priori rule.
 
@@ -154,9 +164,9 @@ def quad(f, a, b, n):
     ``beta >= 1`` give ``|g^(k)| <= e k! n^k g`` and ``max g / min g <= e^(2nh)``
     on a piece, so the Gauss-Legendre error term bounds a piece's relative
     error by ``e^(1+2x) x^(2m) (m!)^4 / ((2m+1) ((2m)!)^2)``, ``x = nh <= 0.35``:
-    below 1e-16, before any evaluation.  Pieces go in blocks of ``BALL_BLOCK``,
-    each segment adding its own in order, so a value depends only on its own
-    segment.  Returns the values and that bound times the largest value.
+    below 1e-16, before any evaluation.  Pieces go in :func:`blocks` of 8 nodes a
+    row, each segment adding its own in order, so a value depends only on its
+    own segment.  Returns the values and that bound times the largest value.
     """
     log_a = np.log(a)
     with np.errstate(over="ignore"):
@@ -167,8 +177,8 @@ def quad(f, a, b, n):
     ends = np.cumsum(count)
     total = int(ends[-1]) if a.size else 0
     out = np.zeros(a.size)
-    for p0 in range(0, total, BALL_BLOCK):
-        p = np.arange(p0, min(p0 + BALL_BLOCK, total))
+    for piece in blocks(total, _GL_X.size):
+        p = np.arange(piece.start, piece.stop)
         seg = np.searchsorted(ends, p, side="right")
         j = p - (ends[seg] - count[seg])
         # a piece ends where the next begins, a segment's first at a and last at b
@@ -390,8 +400,9 @@ def bar_k(kernel: RadialKernel, sigma: AtomicMeasure, xs, rs):
     ball gets 0 when it carries no mass (or all of it sits at distance
     exactly ``r``) and ``+inf`` when an atom sits exactly at ``x`` (the
     integral diverges at the origin for every kernel not identically zero).
-    The balls go in chunks of at most ``BALL_BLOCK`` ball-atom pairs, each
-    with one :meth:`AtomicMeasure.radial_profile` and one ``log_primitive`` call.
+    The balls go in :func:`blocks` of sigma's atoms times the dimension a
+    row, each with one :meth:`AtomicMeasure.radial_profile` and one
+    ``log_primitive`` call.
     """
     if np.ndim(rs) == 0:
         return float(bar_k(kernel, sigma, [xs], [rs])[0])
@@ -400,13 +411,12 @@ def bar_k(kernel: RadialKernel, sigma: AtomicMeasure, xs, rs):
         raise WolffpotError(f"radius must be positive, got {rs[rs <= 0][0]}")
     xs = np.asarray(xs, dtype=float).reshape(rs.size, sigma.dimension)
     out = np.zeros(rs.size)
-    step = max(1, BALL_BLOCK // max(sigma.n_atoms, 1))
-    for lo in range(0, rs.size, step):
-        r = rs[lo:lo + step, None]
-        dists, cum = sigma.radial_profile(xs[lo:lo + step], r)
+    for rows in blocks(rs.size, sigma.n_atoms * sigma.dimension):
+        r = rs[rows, None]
+        dists, cum = sigma.radial_profile(xs[rows], r)
         if not dists.size:
             continue  # no atom in any of these balls
-        out[lo:lo + step] = per_mass(radial_sums(kernel, dists, cum, r)[1][:, -1], cum[:, -1])
+        out[rows] = per_mass(radial_sums(kernel, dists, cum, r)[1][:, -1], cum[:, -1])
     return out
 
 

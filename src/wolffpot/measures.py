@@ -72,7 +72,7 @@ class AtomicMeasure:
         d = np.linalg.norm(self.positions - np.asarray(center, dtype=float), axis=1)
         return float(np.sum(self.weights[d <= radius]))
 
-    def radial_profile(self, centers, radii=np.inf):
+    def radial_profile(self, centers, radii=np.inf, other=None):
         """Sorted atom distances from each centre and cumulative masses.
 
         For one point ``centers`` returns ``(dists, cum)`` with ``cum[0] = 0``
@@ -84,22 +84,32 @@ class AtomicMeasure:
         ``(b,)`` the arrays are ``(b, width)`` and ``(b, width + 1)``, one
         profile per row over the atoms of the closed ball ``B(center, radius)``,
         padded at the end with distance ``inf`` and the row's last mass.  Each
-        row adds its masses in distance order.
+        row adds its masses in distance order.  With an ``other`` measure the
+        profile runs over the atoms of both, this one's first, from one sort,
+        and ``cum`` is a pair: this measure's masses, then the other's.
         """
+        pos, weights = self.positions, self.weights[None]
+        if other is not None:
+            pos = np.vstack([pos, other.positions])
+            weights = np.zeros((2, len(pos)))
+            weights[0, :self.n_atoms], weights[1, self.n_atoms:] = self.weights, other.weights
         c = np.asarray(centers, dtype=float)
         rows = c.reshape(-1, self.dimension)
-        d = np.linalg.norm(self.positions - rows[:, None, :], axis=2)
+        d = np.linalg.norm(pos - rows[:, None, :], axis=2)
         inside = d <= np.reshape(radii, (-1, 1))
         count = inside.sum(axis=1)
-        d, w = d[inside], (self.weights * inside)[inside]
+        d = d[inside]
         # stable: tied atoms stay in atom order
         order = np.lexsort((d, np.repeat(np.arange(len(rows)), count)))
         held = np.arange(count.max(initial=0)) < count[:, None]
         dists = np.full(held.shape, np.inf)
-        cum = np.zeros((len(rows), held.shape[1] + 1))  # column 0: the empty ball
-        dists[held], cum[:, 1:][held] = d[order], w[order]
-        np.cumsum(cum, axis=1, out=cum)  # row by row, so the zero padding adds nothing
-        return (dists, cum) if c.ndim > 1 else (dists[0], cum[0])
+        dists[held] = d[order]
+        cum = np.zeros((len(weights), len(rows), held.shape[1] + 1))  # column 0: the empty ball
+        for masses, w in zip(cum, weights):
+            masses[:, 1:][held] = np.broadcast_to(w, inside.shape)[inside][order]
+        np.cumsum(cum, axis=2, out=cum)  # row by row, so the zero padding adds nothing
+        cum = cum if other is not None else cum[0]
+        return (dists, cum) if c.ndim > 1 else (dists[0], cum[..., 0, :])
 
 
 def profile_mass(profile, radii):

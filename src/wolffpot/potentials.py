@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WolffpotError
-from .kernels import (BALL_BLOCK, BarField, DyadicKernelMap, RadialKernel, per_mass, radial_sums,
-                      weigh, weighted_sum)
+from .kernels import (BarField, DyadicKernelMap, RadialKernel, blocks, per_mass, radial_sums, weigh,
+                      weighted_sum)
 from .lattice import LatticeWindow, LevelIndex
 from .measures import AtomicMeasure, cube_mass_table, profile_mass
 
@@ -146,20 +146,15 @@ class DyadicScene:
     # -- inner integrals int_Q bar_K(Q) dmu -------------------------------------
 
     def inner(self) -> np.ndarray:
-        """``I(Q) = int_Q bar_K(Q) dmu`` per cube, zero when ``sigma(Q) = 0``.
+        """``I(Q) = int_Q bar_K(Q) dmu = N(Q) / sigma(Q)`` per cube, zero when ``sigma(Q) = 0``.
 
-        Uses the chain-sum identity: with ``S(Q)`` the sum over mu-atoms
-        ``b in Q`` of ``w_b P(leaf(b))``, summing ``bar_K(Q)(b)`` over them
-        gives ``(S(Q) - mu(Q) P(parent Q)) / sigma(Q)``.
+        ``sigma(Q) bar_K(Q)(b)`` sums ``D(Q') = K(Q') sigma(Q')`` over the cubes
+        ``b in Q' subset Q``, so the sums swapped, integrating it against mu over
+        ``Q`` gives the subtree sum ``N(Q)`` of :meth:`subtree`: nonnegative
+        terms only, no difference of prefixes.
         """
         if self._inner is None:
-            p_leaf = self.bar.prefix(self.leaf_ids(self.mu))
-            s = self.reweighted(self.mu, weigh(p_leaf, self.mu.weights))
-            live = (self.sigma_mass > 0.0) & (self.mu_mass > 0.0)
-            above = self.bar.prefix(self.index.parent)[live]
-            inner = np.zeros(self.index.n)
-            inner[live] = (s[live] - self.mu_mass[live] * above) / self.sigma_mass[live]
-            self._inner = inner
+            self._inner = per_mass(self.subtree(), self.sigma_mass)
         return self._inner
 
     # -- subtree sums for the maximal function ----------------------------------
@@ -173,8 +168,8 @@ class DyadicScene:
     # -- potentials --------------------------------------------------------------
 
     def _inner_power(self, p_prime: float) -> np.ndarray:
-        """``I(Q)^{p'-1}``, zero where ``I(Q)`` vanishes (or rounds below zero)."""
-        return np.power(np.maximum(self.inner(), 0.0), p_prime - 1.0)
+        """``I(Q)^{p'-1}``, zero where ``I(Q)`` vanishes."""
+        return np.power(self.inner(), p_prime - 1.0)
 
     def wolff(self, x, p_prime: float):
         """``W(x) = sum_{Q ni x} K(Q) sigma(Q) I(Q)^{p'-1}``, a term zero if either factor is."""
@@ -192,7 +187,7 @@ class DyadicScene:
         return self.chain_values(weigh(d, np.where(d > 0.0, a, 0.0)), x)
 
     def maximal(self, x):
-        return self.chain_values(per_mass(self.subtree(), self.sigma_mass), x, np.maximum)
+        return self.chain_values(self.inner(), x, np.maximum)
 
 
 # -- functional surface -------------------------------------------------------------
@@ -240,32 +235,25 @@ def a_functionals(scene: DyadicScene, lam, s: float) -> tuple[float, float, floa
 # -- continuous (radial) operations ------------------------------------------------
 
 
-#: query points times atoms per block of the truncated-convolution matrix
-TRUNC_BLOCK = 1 << 16
-#: segments per block of the continuous Wolff sweep (bounds its temporaries)
-SWEEP_BLOCK = 1024
-
-
 def _truncated_sums(kernel: RadialKernel, nu: AtomicMeasure, R: float, points) -> np.ndarray:
     """``T_k^R[nu]`` at each row of ``points``, the atoms of ``nu`` added in order.
 
     An atom at distance 0 contributes ``limit_at_zero``; atoms of zero weight
-    or beyond ``R`` contribute nothing.  Rows are taken in blocks of at most
-    ``TRUNC_BLOCK`` point-atom pairs.
+    or beyond ``R`` contribute nothing.  Rows are taken in :func:`blocks` of
+    the atoms times the dimension a row.
     """
     out = np.zeros(len(points))
     if not nu.n_atoms:
         return out
     reach = R if kernel.cutoff is None else min(R, kernel.cutoff)
-    rows = max(1, TRUNC_BLOCK // nu.n_atoms)
-    for lo in range(0, len(points), rows):
-        d = np.linalg.norm(nu.positions[None, :, :] - points[lo:lo + rows, None, :], axis=2)
+    for rows in blocks(len(points), nu.n_atoms * nu.dimension):
+        d = np.linalg.norm(nu.positions[None, :, :] - points[rows, None, :], axis=2)
         near = (d <= R) & (nu.weights > 0.0)
         k = np.where(d == 0.0, kernel.limit_at_zero, 0.0)
         inside = near & (d > 0.0) & (d <= reach)
         k[inside] = kernel.profile(d[inside])
         terms = weigh(k, np.where(near, nu.weights, 0.0))
-        out[lo:lo + rows] = np.cumsum(terms, axis=1)[:, -1]
+        out[rows] = np.cumsum(terms, axis=1)[:, -1]
     return out
 
 
@@ -288,14 +276,13 @@ def energy_continuous(
 def _on_heavy_atom(sigma: AtomicMeasure, points) -> np.ndarray:
     """Whether each row of ``points`` is the position of a sigma-atom of positive weight.
 
-    Coordinates are compared in blocks of at most ``TRUNC_BLOCK`` point-atom
-    pairs; nothing is sorted.
+    Coordinates are compared in :func:`blocks` of the heavy atoms times the
+    dimension a row; nothing is sorted.
     """
     heavy = sigma.positions[sigma.weights > 0.0]
     out = np.zeros(len(points), dtype=bool)
-    rows = max(1, TRUNC_BLOCK // max(1, len(heavy)))
-    for lo in range(0, len(points), rows):
-        out[lo:lo + rows] = np.any(np.all(heavy == points[lo:lo + rows, None, :], axis=2), axis=1)
+    for rows in blocks(len(points), heavy.size):
+        out[rows] = np.any(np.all(heavy == points[rows, None, :], axis=2), axis=1)
     return out
 
 
@@ -335,10 +322,10 @@ def wolff_continuous(
     them over its own mu-atoms ``b`` with ``|x - b| <= a``.  The cost is one
     sort of the sigma-atoms per point and per mu-atom within reach of any
     point (shared by all groups), plus one lookup per segment and profile; no
-    mu-by-sigma distance matrix is formed.  A group's grid is swept in blocks
-    of ``SWEEP_BLOCK`` segments, each running sum carried into the next
-    block, so every sum adds its terms in grid order; a point alone in its
-    group, as a call on one point is, sweeps exactly its own grid.  No outer
+    mu-by-sigma distance matrix is formed.  A group's grid is swept in
+    :func:`blocks` of four columns per point, each running sum carried into
+    the next block, so every sum adds its terms in grid order; a point alone
+    in its group, as a call on one point is, sweeps exactly its own grid.  No outer
     quadrature is needed; only kernels without a closed-form log-primitive
     introduce quadrature error (inside ``u``).
 
@@ -424,9 +411,10 @@ def _wolff_sweep(kernel, pp, around_x, dist, weights, around_mu, upper) -> np.nd
 
     n_carry = np.zeros(len(around_mu))  # N_b at the first start of the block
     diverges = np.zeros(len(around_x), dtype=bool)
-    for lo in range(0, starts.size, SWEEP_BLOCK):
-        a = starts[lo:lo + SWEEP_BLOCK]
-        L = kernel.log_primitive(a, ends[lo:lo + SWEEP_BLOCK])
+    # a block holds A, B, S and the terms at once, each with one column per point
+    for segments in blocks(starts.size, 4 * len(around_x)):
+        a = starts[segments]
+        L = kernel.log_primitive(a, ends[segments])
         # A = sum_b w_b bar-numerator_b / sigma(B(b,a)) and B = sum_b w_b over the
         # mu-atoms b in B(x,a) with sigma(B(b,a)) > 0, per point and segment start a;
         # a < upper, so a mu-atom the point does not track is never in B(x,a)
@@ -437,8 +425,8 @@ def _wolff_sweep(kernel, pp, around_x, dist, weights, around_mu, upper) -> np.nd
             N = np.cumsum(np.append(n_carry[j], weigh(L, M)))  # int_0^a k(s) sigma(B(b,s)) ds/s
             n_carry[j] = N[-1]
             active = dist[:, j, None] <= a
-            A += np.where(active, per_mass(weights[j] * N[:-1], M), 0.0)
-            B += np.where(active & (M > 0.0), weights[j], 0.0)
+            np.add(A, per_mass(weights[j] * N[:-1], M), out=A, where=active)
+            np.add(B, weights[j], out=B, where=active & (M > 0.0))
         S = np.array([profile_mass(prof, a) for prof in around_x])
         live = (L > 0.0) & (S > 0.0) & (B > 0.0)
         diverges |= np.any(live & (np.isinf(A) | np.isinf(L)), axis=1)
@@ -468,11 +456,11 @@ def m_k_maximal(kernel: RadialKernel, sigma: AtomicMeasure, mu: AtomicMeasure, x
     many values is exact.  The final unbounded segment contributes its limit
     value, which is finite exactly when ``int^inf k(s) ds/s`` is.  An
     infinite ``bar_k`` counts only where ``mu(B(x,r)) > 0``.  The segments
-    are the :func:`radial_sums` of the sigma- and mu-atoms stacked, in
-    chunks of at most ``BALL_BLOCK`` point-atom pairs.  A point on a
-    sigma-atom of positive weight is ``+inf``, found before any sort, when
-    ``limit_at_zero > 0`` and mu has mass: ``bar_k`` is infinite at every
-    radius.
+    are the :func:`radial_sums` of the sigma- and mu-atoms together, one
+    profile with sigma's and mu's masses per :func:`blocks` of all atoms
+    times the dimension a row.  A point on a sigma-atom of positive weight
+    is ``+inf``, found before any sort, when ``limit_at_zero > 0`` and mu has
+    mass: ``bar_k`` is infinite at every radius.
     """
     points = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.zeros(len(points))
@@ -481,15 +469,11 @@ def m_k_maximal(kernel: RadialKernel, sigma: AtomicMeasure, mu: AtomicMeasure, x
     if kernel.limit_at_zero > 0.0 and np.any(mu.weights > 0.0):
         out[_on_heavy_atom(sigma, points)] = math.inf
     rest = np.flatnonzero(np.isfinite(out))
-    stacked = np.vstack([sigma.positions, mu.positions])
-    by_sigma = AtomicMeasure(stacked, np.append(sigma.weights, np.zeros(mu.n_atoms)))
-    by_mu = AtomicMeasure(stacked, np.append(np.zeros(sigma.n_atoms), mu.weights))
-    step = max(1, BALL_BLOCK // len(stacked))
-    for lo in range(0, rest.size, step):
-        rows = rest[lo:lo + step]
-        dists, cum = by_sigma.radial_profile(points[rows])
+    for block in blocks(rest.size, (sigma.n_atoms + mu.n_atoms) * sigma.dimension):
+        rows = rest[block]
+        dists, (cum, cum_mu) = sigma.radial_profile(points[rows], other=mu)
         start, num = radial_sums(kernel, dists, cum, np.full((rows.size, 1), math.inf))
         # bar_k and mu(B(x,r)) at each segment's right end, zero where none starts
-        mu_mass = np.where(start, by_mu.radial_profile(points[rows])[1][:, 1:], 0.0)
+        mu_mass = np.where(start, cum_mu[:, 1:], 0.0)
         out[rows] = np.max(weigh(per_mass(num, cum[:, 1:]), mu_mass), axis=1, initial=0.0)
     return _per_point(out, x)

@@ -19,6 +19,7 @@ from .kernels import (
     DyadicKernelMap,
     RadialKernel,
     bar_k,
+    blocks,
     dlbo_constant,
     log_kernel,
     per_mass,
@@ -130,16 +131,6 @@ def check_energy_wolff_ratio(scene: DyadicScene,
 # -- random trace probes ------------------------------------------------------------
 
 
-#: most entries a block of trace probes holds: probes times the scene's cubes or atoms
-PROBE_BLOCK = 1 << 14
-
-
-def _probe_blocks(count: int, width: int):
-    """``(first, size)`` of the consecutive blocks of ``count`` probes of ``width`` entries each."""
-    m = max(1, PROBE_BLOCK // max(width, 1))
-    return ((lo, min(m, count - lo)) for lo in range(0, count, m))
-
-
 def _draw(rng, m: int, n: int) -> np.ndarray:
     """``m`` probes on ``n`` atoms, one per row: the numbers of ``m`` draws of
     ``f = 2.0 ** rng.uniform(-8, 8, n)`` zeroed where ``rng.uniform(size=n) < 0.2``."""
@@ -179,9 +170,9 @@ def trace_constant_q1(
 
     The extremal function ``f* = (T[mu])^{p'-1}`` achieves the dual constant
     ``E^{1/p'}``; it is pushed through the full operator path.  Random probes use
-    the exact pairing ``int T[f dsigma] dmu = int T[mu] f dsigma``, in blocks of
-    ``PROBE_BLOCK`` entries, one per sigma atom; the first 8 are cross-checked
-    against the operator path in blocks of its table budget (the gap is reported).
+    the exact pairing ``int T[f dsigma] dmu = int T[mu] f dsigma``, in :func:`blocks`
+    of one entry per sigma atom a probe; the first 8 are cross-checked against the
+    operator path in blocks of its table's width (the gap is reported).
     """
     sigma, mu = scene.sigma, scene.mu
     tvals = scene.t_mu(sigma)
@@ -197,10 +188,10 @@ def trace_constant_q1(
     probe_max = gap = 0.0
     rng = np.random.default_rng(seed)
     width = max(scene.index.n, sigma.n_atoms, mu.n_atoms)
-    for lo, m in _probe_blocks(probes, sigma.n_atoms):  # a pairing probe builds no table
-        f = _draw(rng, m, sigma.n_atoms)
+    for block in blocks(probes, sigma.n_atoms):  # a pairing probe builds no table
+        f = _draw(rng, block.stop - block.start, sigma.n_atoms)
         nums = np.sum(sw * f * tvals, axis=1).tolist()  # pairing identity
-        heads = [r for a, b in _probe_blocks(min(8 - lo, m), width) for r in ratio_operator(f[a:a + b])]
+        heads = [r for rows in blocks(min(8 - block.start, len(f)), width) for r in ratio_operator(f[rows])]
         for t, (num, den) in enumerate(zip(nums, np.sum(sw * f ** p, axis=1).tolist())):
             if (den := den ** (1.0 / p)) <= 0:
                 continue
@@ -229,8 +220,9 @@ def trace_test_upper_triangle(
     side) and with dual probes ``g = (HL-maximal of psi)^{1/p'}`` (the adjoint
     ratio equals the primal one), and reports the Wolff-potential norm at the
     trace exponent plus the measured oscillation constant; equivalence is only
-    claimed when the latter is finite.  Each block of probes, of at most
-    ``PROBE_BLOCK`` entries, is one table, one chain pass and one gather.
+    claimed when the latter is finite.  Each of the :func:`blocks` of probes,
+    as wide as the scene's cubes or atoms, is one table, one chain pass and one
+    gather.
     """
     if exps.q is None or not (1.0 < exps.q < exps.p):
         raise WolffpotError("upper-triangle test needs 1 < q < p")
@@ -242,11 +234,11 @@ def trace_test_upper_triangle(
     wolff_norm = wolff_integral(scene, exps, t_exp) ** (1.0 / t_exp)
 
     rng = np.random.default_rng(seed)
-    blocks = list(_probe_blocks(trials, max(scene.index.n, sigma.n_atoms, mu.n_atoms)))
+    sizes = [b.stop - b.start for b in blocks(trials, max(scene.index.n, sigma.n_atoms, mu.n_atoms))]
     ratios = []  # (numerator, denominator) of each probe in draw order, primal first
-    for _, m in blocks:
+    for m in sizes:
         ratios += _probe_ratios(scene, sigma, mu, _draw(rng, m, sigma.n_atoms), p, q)
-    for _, m in blocks:
+    for m in sizes:
         psi = 2.0 ** (-8.0 + 16.0 * rng.random((m, mu.n_atoms)))
         ratio = per_mass(scene.reweighted(mu, (mu.weights * psi).T), scene.mu_mass)
         best = scene.chain_values(ratio, mu, np.maximum)
@@ -508,14 +500,14 @@ def _common_depth(pos, w, x, zs, l_min: int, l_max: int, kvals, live):
     is split into its level-``l_min`` key (compared as a float) and the
     residual below that cube, an integer under ``2^{l_max - l_min} <= 2^52``.
     Each atom then picks the sum of ``k`` over its levels from one table, and
-    a mat-vec with the weights gives ``T``: ``O(shifts x atoms x dim)`` work
-    with ``(chunk x atoms)`` temporaries and no levels axis.
+    the weighted sum over the atoms, added in atom order, gives ``T``:
+    ``O(shifts x atoms x dim)`` work and no levels axis, the shifts taken in
+    :func:`blocks` of one entry per atom a shift.
     """
     # by_bits[b]: the live k summed over the levels l <= l_max - b
     s = l_max - l_min
     by_bits = np.append(np.cumsum(np.where(live, kvals, 0.0))[::-1], 0.0)
     out = np.zeros(zs.shape[0])
-    chunk = 2048
 
     def split_keys(d):
         coarse = np.floor(d * 2.0 ** l_min)
@@ -523,8 +515,8 @@ def _common_depth(pos, w, x, zs, l_min: int, l_max: int, kvals, live):
         fine = np.floor(d * 2.0 ** l_max) - coarse * 2.0 ** s
         return coarse, fine.astype(np.int64)
 
-    for lo in range(0, zs.shape[0], chunk):
-        z = zs[lo : lo + chunk]  # (c, n)
+    for shifts in blocks(zs.shape[0], pos.shape[0]):
+        z = zs[shifts]  # (c, n)
         differ = np.zeros((z.shape[0], pos.shape[0]), dtype=np.int64)  # (c, m)
         for i in range(x.size):
             cx, fx = split_keys(x[i] - z[:, i])
@@ -535,7 +527,7 @@ def _common_depth(pos, w, x, zs, l_min: int, l_max: int, kvals, live):
         # differ < 2^(s+1) <= 2^53 converts to float exactly, so frexp's
         # exponent is its bit length
         bits = np.frexp(differ.astype(float))[1]
-        out[lo : lo + chunk] = by_bits.take(bits.astype(np.intp)) @ w
+        out[shifts] = weighted_sum(w, by_bits.take(bits.astype(np.intp)).T)
     return out
 
 

@@ -243,7 +243,7 @@ def bar_k_sweep(n, seed):
     Lattice atoms and centres give tied distances; centres include atoms of
     positive and of zero weight, and one point 1e-6 from an atom; radii
     include exact atom distances, radii past the cutoff and radii too small
-    to hold an atom.  One instance holds more ball-atom pairs than a chunk.
+    to hold an atom.
     """
     rng = np.random.default_rng([seed, n])
     for trial in range(6):
@@ -283,6 +283,7 @@ def test_batched_bar_k_equals_the_per_ball_sum_exactly(name, n, monkeypatch):
     quad_calls = []
     quad = kernels.quad
     monkeypatch.setattr(kernels, "quad", lambda *a, **k: quad_calls.append(a) or quad(*a, **k))
+    monkeypatch.setattr(kernels, "BLOCK", 256)  # every batch of balls spans several blocks
     n_inf = n_zero = 0
     for sigma, xs, rs in bar_k_sweep(n, seed=20261018):
         got = bar_k(kernel, sigma, xs, rs)
@@ -434,7 +435,7 @@ def test_quad_value_depends_only_on_its_own_segment(monkeypatch):
     k = log_kernel(1.5, math.e ** 1.5, 1)
     a, b = _log_segments(3)
     together, _ = kernels.quad(k.profile, a, b, 1)
-    monkeypatch.setattr(kernels, "BALL_BLOCK", 7)  # block boundaries inside segments
+    monkeypatch.setattr(kernels, "BLOCK", 7 * 8)  # blocks of 7 pieces: boundaries inside segments
     alone = [kernels.quad(k.profile, a[i:i + 1], b[i:i + 1], 1)[0][0] for i in range(a.size)]
     assert np.array_equal(together, alone)
 

@@ -1,4 +1,7 @@
+import ast
+import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,3 +185,33 @@ def test_the_single_cube_surface_lives_in_the_tests_only():
             if any(name in names for names in moved.values())] == []
     assert [(owner.__name__, name) for owner, names in moved.items()
             for name in names if hasattr(owner, name)] == []
+
+
+def _names_used(path: Path) -> set:
+    """The names a file reads, the attributes it takes and the modules it imports from."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update((node.module or "").split("."))
+    return used
+
+
+def test_every_public_name_is_reached_by_a_command_a_demo_or_another_module():
+    # src/ keeps only what cli, a demo or another src/ module uses; an import alone is no use
+    src = Path(wolffpot.__file__).parent
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    users = {path: _names_used(path) for path in [*src.glob("*.py"), *demos.glob("*.py")]
+             if path.name != "__init__.py"}
+    assert len(users) >= 12
+    unreached = []
+    for name in wolffpot.__all__:
+        obj = getattr(wolffpot, name)
+        home = obj.__name__ if isinstance(obj, types.ModuleType) else obj.__module__
+        home_file = src / f"{home.rpartition('.')[2]}.py"
+        if not any(name in used for path, used in users.items() if path != home_file):
+            unreached.append(name)
+    assert unreached == []

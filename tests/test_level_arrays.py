@@ -515,8 +515,6 @@ def test_wolff_bar_with_infinite_k_above_a_sigma_free_cube():
     table = {key: 1.0 + 0.25 * i for i, key in enumerate(window_keys(window))}
     table[(0, (0,))] = math.inf
     scene = DyadicScene(DyadicKernelMap.from_table(table), sigma, mu, window)
-    with np.errstate(invalid="ignore"):  # I(Q) below [0, 1) differences two infinite prefixes
-        scene.inner()
     xs = np.array([[0.05], [0.2], [0.6], [0.8], [1.1], [1.3], [1.9]])
     for x in (sigma, mu, xs):
         got = scene.wolff_bar(x, 2.0)
@@ -527,6 +525,26 @@ def test_wolff_bar_with_infinite_k_above_a_sigma_free_cube():
         assert np.array_equal(got[~finite], np.full((~finite).sum(), math.inf))
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0)
         assert finite.any() and not finite.all()
+
+
+def test_infinite_table_k_fields_raise_no_warning():
+    # K = inf on the charged [0, 1), on its sigma-free child [0.5, 1) and on
+    # the mu-free [1.5, 1.75): I(Q) is a subtree sum over sigma(Q), no prefix difference
+    window = LatticeWindow.from_box([(0.0, 2.0)], 0, 2)
+    sigma = AtomicMeasure([[0.1], [0.3], [1.2], [1.7]], [1.0, 2.0, 1.0, 3.0])
+    mu = AtomicMeasure([[0.2], [0.6], [0.9], [1.3], [1.8]], [1.0, 0.5, 2.0, 1.0, 0.3])
+    table = {key: 1.0 + 0.25 * i for i, key in enumerate(window_keys(window))}
+    table[(0, (0,))] = table[(1, (1,))] = table[(2, (6,))] = math.inf
+    xs = np.array([[0.05], [0.2], [0.6], [0.8], [1.1], [1.3], [1.6], [1.9]])
+    values = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scene = DyadicScene(DyadicKernelMap.from_table(table), sigma, mu, window)
+        for x in (sigma, mu, xs):
+            values += [scene.wolff(x, 2.0), scene.wolff_bar(x, 2.0), scene.maximal(x)]
+    values = np.concatenate(values)
+    assert not np.isnan(values).any()
+    assert np.isinf(values).any() and np.isfinite(values).any()
 
 
 def test_wolff_with_zero_k_above_an_infinite_k():

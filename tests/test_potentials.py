@@ -32,6 +32,7 @@ from wolffpot import (
 )
 from wolffpot import potentials
 from wolffpot.cli import _field_values
+from wolffpot.kernels import BLOCK
 from wolffpot.scenario import build_scenario
 from wolffpot.verify import wolff_integral
 
@@ -468,12 +469,12 @@ def assert_rows_match(got, want):
     np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("block", [potentials.SWEEP_BLOCK, 7])
+@pytest.mark.parametrize("block", [1024, 7])  # segments a block for a point alone
 @pytest.mark.parametrize("R", [math.inf, 0.6])
 @pytest.mark.parametrize("name", list(ROW_KERNELS))
 @pytest.mark.parametrize("n", [1, 2])
 def test_wolff_continuous_rows_match_the_per_point_sweep(n, name, R, block, monkeypatch):
-    monkeypatch.setattr(potentials, "SWEEP_BLOCK", block)
+    monkeypatch.setattr("wolffpot.kernels.BLOCK", 4 * block)
     kernel = ROW_KERNELS[name](n)
     sigma, mu, pts = rows_instance(n)
     ex = exponents_from_p_prime(1.7)
@@ -578,9 +579,10 @@ def test_wolff_continuous_rows_sweep_one_grid_within_the_loops_memory(monkeypatc
     per_point = sum(segments)
     segments.clear()
     assert_rows_match(rows(), want)
-    # the union of the four grids, swept in blocks
-    assert potentials.SWEEP_BLOCK < sum(segments) < per_point
-    assert len(segments) == -(-sum(segments) // potentials.SWEEP_BLOCK)
+    # the union of the four grids, swept in blocks of four columns per point
+    step = BLOCK // (4 * len(pts))
+    assert step < sum(segments) < per_point
+    assert len(segments) == -(-sum(segments) // step)
     monkeypatch.setattr(RadialKernel, "log_primitive", original)
     peaks = []
     for f in (rows, loop):
@@ -727,11 +729,11 @@ def m_k_row_cases(n):
 def test_m_k_rows_equal_the_per_point_oracle_exactly(block, monkeypatch):
     cases = [case for n in (1, 2) for case in m_k_row_cases(n)]
     if block is None:
-        # 3,076 atoms stacked: chunks of 2 of the 4 points
+        # 3,076 atoms stacked: blocks of 5 points, so all 4 at once
         cases += map(continuous_field_instance, range(64))
     else:
-        # 34 atoms stacked: chunks of 2 of the 52 points
-        monkeypatch.setattr(potentials, "BALL_BLOCK", block)
+        # 34 atoms stacked: blocks of 2 of the 52 points in 1-D, of 1 in 2-D
+        monkeypatch.setattr("wolffpot.kernels.BLOCK", block)
     n_inf = n_finite = 0
     for kernel, sigma, mu, pts in cases:
         got = m_k_maximal(kernel, sigma, mu, pts)
@@ -821,7 +823,7 @@ def test_truncated_sums_add_atoms_in_order(monkeypatch):
         total += wt * by_atom(x, math.inf) ** ex.p_prime
     assert energy == pytest.approx(total, rel=1e-15)
     # row blocks of the point-atom matrix do not change the sums
-    monkeypatch.setattr(potentials, "TRUNC_BLOCK", 50)
+    monkeypatch.setattr("wolffpot.kernels.BLOCK", 50)
     assert energy_continuous(k, nu, g, ex) == energy
 
 

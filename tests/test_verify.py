@@ -251,7 +251,7 @@ def test_trace_probes_spanning_several_blocks_equal_the_oracles(monkeypatch):
     # blocks of 32 probes, the last one short
     assert blocks[:16] == [64] * 15 + [40] and blocks[16:23] == [32] * 6 + [8]
     # tables of 3 probes, so the 8 operator-path probes of trace_q1 span three of them
-    monkeypatch.setattr(verify, "PROBE_BLOCK", 3 * scn.scene.index.n + 2)
+    monkeypatch.setattr("wolffpot.kernels.BLOCK", 3 * scn.scene.index.n + 2)
     blocks.clear()
     rows.clear()
     for seed in range(4):
@@ -463,12 +463,15 @@ def _sampler_cases():
 
 @pytest.mark.parametrize("label,kernel,mu,x,zs,j,j0",
                          [pytest.param(*case, id=case[0]) for case in _sampler_cases()])
-def test_shifted_sampler_matches_broadcast_oracle(label, kernel, mu, x, zs, j, j0):
+def test_shifted_sampler_matches_broadcast_oracle(label, kernel, mu, x, zs, j, j0, monkeypatch):
     want, want_levels = broadcast_shifted_potential(kernel, mu, x, zs, j, j0)
     got, levels = _shifted_dyadic_potential(kernel, mu, x, zs, j, j0)
     assert levels == want_levels
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     assert np.count_nonzero(want) > 0
+    if len(x) > 1:  # the common-depth sampler in blocks of 3 shifts, bit for bit
+        monkeypatch.setattr("wolffpot.kernels.BLOCK", 3 * mu.n_atoms)
+        assert np.array_equal(_shifted_dyadic_potential(kernel, mu, x, zs, j, j0)[0], got)
     if label == "large keys":
         assert levels == 53  # l_max = 60
         assert np.max(np.abs(mu.positions[:, 0][None, :] - zs)) * 2.0 ** 60 > 2.0 ** 63
@@ -595,6 +598,23 @@ def test_shifted_average_check_peaks_at_most_1377_kib():
     assert peak <= 1377 * 1024
 
 
+@pytest.mark.parametrize("level", [4, 5])
+def test_2d_shifted_average_check_peak_does_not_grow_with_the_atoms(level):
+    # 256 and 1,024 grid atoms, 4,096 shifts and one point: the common-depth
+    # sampler takes its shifts in blocks of at most 2^14 shift-atom entries
+    # (about 1.3 MiB; 31 and 120 MiB with a fixed 2,048 shifts a block)
+    mu = lebesgue_grid([(0.0, 1.0)] * 2, level)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = shifted_average_check(riesz_kernel(1.0, 2, cutoff=1.0), mu, 0, 4096, [[0.3, 0.6]], 5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out["n_points"] == 1 and out["levels"] == level + 5
+    assert peak <= 3 * 2 ** 20
+
+
 def test_kernel_dilation_ratios():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 8)
     g = lebesgue_grid([(0.0, 1.0)], 8)
@@ -659,7 +679,8 @@ def test_bar_lemmas_samples_without_a_window_cube_leave_the_relation_nan():
 
 def test_batched_bar_k_over_the_dilation_cubes_peaks_below_1_5_mib():
     # the 511 support cubes check_kernel_dilation hands to one bar_k call on
-    # riesz_lebesgue; a larger chunk than BALL_BLOCK would raise the peak
+    # riesz_lebesgue; 2^15 ball-atom pairs a block, not 2^14, would raise the peak
+    # to about 1.51 MiB
     scene = load_scenario(SCENARIOS / "riesz_lebesgue.json").scene
     index = scene.index
     support = np.flatnonzero((scene.mu_mass > 0.0) & (scene.sigma_mass > 0.0))
