@@ -12,7 +12,6 @@ timings written to a separate file.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import functools
 import math
@@ -33,8 +32,8 @@ from .potentials import (
     m_k_maximal,
     wolff_continuous,
 )
-from .scenario import (Scenario, at_least, band_pair, config_value, json_bool, load_scenario,
-                       read_points_csv, reject_unknown)
+from .scenario import (Scenario, at_least, band_pair, config_value, integer, json_bool, load_scenario,
+                       read_points_csv, real, reject_unknown)
 from .verify import CheckReport
 
 # -- deterministic serialization -----------------------------------------------
@@ -155,8 +154,8 @@ def _lambda_weights(scn: Scenario, entries: list) -> np.ndarray:
     for entry in entries:
         try:
             level, idx, weight = entry
-            key, weight = (int(level), tuple(int(i) for i in idx)), float(weight)
-        except (TypeError, ValueError) as exc:
+            key, weight = (integer(level), tuple(integer(i) for i in idx)), real(weight)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"field 'lambda' has the invalid entry {entry!r}") from exc
         if len(key[1]) != scn.dimension:
             raise ScenarioError(f"field 'lambda' entry {entry!r} has an index of "
@@ -336,7 +335,7 @@ CHECK_RUNNERS = {
 def _depths(value) -> list[int]:
     if not isinstance(value, list):  # a string would iterate over its digits
         raise ValueError(f"{value!r} is not a list")
-    depths = [int(v) for v in value]
+    depths = [integer(v) for v in value]
     if not depths:
         raise ValueError("no depths")
     return depths
@@ -345,7 +344,7 @@ def _depths(value) -> list[int]:
 def _terms(value) -> tuple[int, int]:
     if not isinstance(value, list):  # a string would unpack into its digits
         raise ValueError(f"{value!r} is not a list")
-    short, long = (int(v) for v in value)
+    short, long = (integer(v) for v in value)
     if not 0 <= short < long <= 2 ** 53:  # beyond 2^53, l is no exact float64
         raise ValueError(f"{value!r} is not 0 <= short < long <= 2^53")
     return short, long
@@ -359,30 +358,30 @@ def _target(value) -> str:
 
 # A callable default is read from the scenario and the fields declared before it.
 _BAND = (band_pair, lambda scn, f: scn.band)
-_LOG_C = (float, lambda scn, f: math.exp(f["beta"] / scn.dimension))
+_LOG_C = (real, lambda scn, f: math.exp(f["beta"] / scn.dimension))
 
 # name -> (needs a seed, {field: (kind, default)}); every check also takes
 # "seed", which defaults to the scenario's
 CHECK_FIELDS = {
-    "fubini": (False, {"tol": (float, 1e-9)}),
-    "a_chain": (False, {"s": (float, lambda scn, f: scn.exponents.p_prime), "lambda": (list, None)}),
+    "fubini": (False, {"tol": (real, 1e-9)}),
+    "a_chain": (False, {"s": (real, lambda scn, f: scn.exponents.p_prime), "lambda": (list, None)}),
     "energy_wolff_ratio": (False, {"band": _BAND}),
     "trace_q1": (True, {"probes": (at_least(1), 200)}),
     "trace_upper": (True, {"trials": (at_least(1), 50), "band": _BAND}),
-    "dlbo": (False, {"bound": (float, lambda scn, f: scn.band[1])}),
-    "reverse_doubling": (False, {"gamma": (float, 1.0), "expect_holds": (json_bool, True)}),
-    "dilation": (False, {"c": (float, 0.25), "band": _BAND}),
+    "dlbo": (False, {"bound": (real, lambda scn, f: scn.band[1])}),
+    "reverse_doubling": (False, {"gamma": (real, 1.0), "expect_holds": (json_bool, True)}),
+    "dilation": (False, {"c": (real, 0.25), "band": _BAND}),
     "bar_lemmas": (True, {"samples": (at_least(1), 20), "band": _BAND}),
-    "shifted_average": (True, {"j": (int, 0), "draws": (at_least(2), 10000),
+    "shifted_average": (True, {"j": (integer, 0), "draws": (at_least(2), 10000),
                                "x_samples": (at_least(1), 5), "band": _BAND}),
-    "counterexample_series": (False, {"beta": (float, 1.5), "C": _LOG_C,
+    "counterexample_series": (False, {"beta": (real, 1.5), "C": _LOG_C,
                                       "terms": (_terms, (1000, 1000000)),
-                                      "w_growth_min": (float, 9.0), "e_tail_max": (float, 0.2)}),
-    "counterexample_fields": (False, {"beta": (float, 1.5), "C": _LOG_C,
+                                      "w_growth_min": (real, 9.0), "e_tail_max": (real, 0.2)}),
+    "counterexample_fields": (False, {"beta": (real, 1.5), "C": _LOG_C,
                                       "depths": (_depths, [6, 10, 14])}),
     "truncation": (False, {"target": (_target, "fubini"), "depths": (_depths, [4, 6, 8]),
                            "expect_converged": (json_bool, True),
-                           "rtol": (float, 0.05), "atol": (float, 1e-9)}),
+                           "rtol": (real, 0.05), "atol": (real, 1e-9)}),
 }
 
 
@@ -404,14 +403,13 @@ def _check_report(scn: Scenario, cfg: dict, index: int, instance: dict) -> Check
     return CheckReport(name, instance, params, seed=(seed or 0) + index)
 
 
-def run_checks(scn: Scenario, threads: int = 1) -> tuple[list[CheckReport], dict]:
-    """Every check's report and wall time; all fields are read before the first check runs."""
+def run_checks(scn: Scenario) -> tuple[list[CheckReport], dict]:
+    """Every check's report and wall time; the checks run in order, after all fields are read."""
     if not scn.checks:
         raise ScenarioError("scenario lists no checks")
     instance = _instance_descriptor(scn)
-    shells = [_check_report(scn, cfg, index, instance) for index, cfg in enumerate(scn.checks)]
-
-    def execute(rep):
+    reports = [_check_report(scn, cfg, index, instance) for index, cfg in enumerate(scn.checks)]
+    for rep in reports:
         t0 = time.perf_counter()
         try:
             ok = CHECK_RUNNERS[rep.name](scn, rep.params, rep)
@@ -420,13 +418,6 @@ def run_checks(scn: Scenario, threads: int = 1) -> tuple[list[CheckReport], dict
         rep.wall_time = time.perf_counter() - t0
         inside = all(lo <= rep.values[key] <= hi for key, (lo, hi) in rep.bounds.items())
         rep.status = "not-applicable" if rep.reason else ("pass" if ok and inside else "fail")
-        return rep
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(execute, shells))
-    else:
-        reports = [execute(rep) for rep in shells]
     timings = {f"{index}:{rep.name}": rep.wall_time for index, rep in enumerate(reports)}
     return reports, timings
 
@@ -472,6 +463,8 @@ def _summary(scn: Scenario, command: str, extra: dict) -> dict:
 
 def _load(args) -> tuple[Scenario, Path]:
     """The scenario with ``--seed`` applied, and the output directory, created."""
+    if args.threads != 1:
+        raise ScenarioError(f"--threads must be 1, got {args.threads}: checks run in order on one thread")
     scn = load_scenario(args.config)
     if args.seed is not None:
         if args.seed < 0:
@@ -504,7 +497,7 @@ def cmd_field(args) -> int:
 def cmd_verify(args) -> int:
     scn, out_dir = _load(args)
     t0 = time.perf_counter()
-    reports, timings = run_checks(scn, threads=args.threads)
+    reports, timings = run_checks(scn)
     payload = _summary(scn, "verify", {"checks": [rep.to_jsonable() for rep in reports]})
     write_report(out_dir / "report.json", payload)
     write_ratio_csv(out_dir / "ratios.csv", reports)
@@ -530,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out-dir", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent checks (default 1)")
+        # accepted for command lines that still pass it; only 1 is valid
+        p.add_argument("--threads", type=int, default=1, help="must be 1: checks run in order")
 
     p = sub.add_parser("potential", help="Wolff potentials at query points")
     common(p)

@@ -25,6 +25,25 @@ from .errors import DimensionMismatchError, GridAlignmentError, LevelRangeError
 Key = tuple[int, tuple[int, ...]]  # (level, index), shift implied by the window
 
 
+def box_cells(box, level: int, shift=None) -> list[tuple[int, int]]:
+    """Each side ``(a, b)`` of ``box`` as the indices ``[ka, kb)`` of the level-``level`` cells it spans.
+
+    The lattice is shifted by ``shift`` (none by default).  A side whose ends
+    lie more than 1e-9 cells off the lattice, or that spans no cell, is a
+    :class:`GridAlignmentError`.
+    """
+    scale = 2.0 ** level
+    sides = []
+    for d, (a, b) in enumerate(box):
+        z = 0.0 if shift is None else shift[d]
+        fa, fb = (a - z) * scale, (b - z) * scale
+        ka, kb = round(fa), round(fb)
+        if abs(fa - ka) > 1e-9 or abs(fb - kb) > 1e-9 or kb <= ka:
+            raise GridAlignmentError(f"box side {d} [{a}, {b}) is not a union of level-{level} cells")
+        sides.append((ka, kb))
+    return sides
+
+
 @dataclass(frozen=True)
 class LatticeWindow:
     """Finite slab of a (possibly shifted) dyadic lattice over a box of root cubes.
@@ -77,21 +96,10 @@ class LatticeWindow:
         The box must be a union of coarse-level cells of the (shifted)
         lattice; each side is a pair ``(lo, hi)``.
         """
-        n = len(box)
-        shift = tuple(shift) if shift is not None else (0.0,) * n
-        scale = 2.0 ** coarse_level
-        lo, ext = [], []
-        for d, (a, b) in enumerate(box):
-            fa = (a - shift[d]) * scale
-            fb = (b - shift[d]) * scale
-            ka, kb = round(fa), round(fb)
-            if abs(fa - ka) > 1e-9 or abs(fb - kb) > 1e-9 or kb <= ka:
-                raise GridAlignmentError(
-                    f"box side {d} [{a}, {b}) is not a union of level-{coarse_level} cells"
-                )
-            lo.append(ka)
-            ext.append(kb - ka)
-        return cls(coarse_level, fine_level, tuple(lo), tuple(ext), shift)
+        shift = tuple(shift) if shift is not None else (0.0,) * len(box)
+        sides = box_cells(box, coarse_level, shift)
+        return cls(coarse_level, fine_level, tuple(ka for ka, _ in sides),
+                   tuple(kb - ka for ka, kb in sides), shift)
 
     # -- basic geometry -----------------------------------------------------
 

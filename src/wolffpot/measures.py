@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInputError, GridAlignmentError, WolffpotError
-from .lattice import LevelIndex
+from .errors import DegenerateInputError, WolffpotError
+from .lattice import LevelIndex, box_cells
 
 
 class AtomicMeasure:
@@ -136,16 +136,7 @@ def lebesgue_grid(box, level: int) -> AtomicMeasure:
     that meets the box.  A grid of more than ``GRID_CELLS`` cells is refused.
     """
     n = len(box)
-    scale = 2.0 ** level
-    sides = []
-    for d, (lo, hi) in enumerate(box):
-        a, b = lo * scale, hi * scale
-        ka, kb = round(a), round(b)
-        if abs(a - ka) > 1e-9 or abs(b - kb) > 1e-9 or kb <= ka:
-            raise GridAlignmentError(
-                f"box side {d} [{lo}, {hi}) is not a union of level-{level} cells"
-            )
-        sides.append((ka, kb))
+    sides = box_cells(box, level)
     cells = math.prod(kb - ka for ka, kb in sides)
     if cells > GRID_CELLS:
         raise WolffpotError(f"lebesgue_grid on box {[list(side) for side in box]} at level "

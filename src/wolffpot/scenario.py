@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,9 +36,6 @@ class Scenario:
     seed: int | None = None
     band: tuple = DEFAULT_BAND
     _scene: DyadicScene | None = field(default=None, init=False, repr=False, compare=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
 
     @property
     def scene(self) -> DyadicScene:
@@ -49,10 +45,9 @@ class Scenario:
         index and its per-cube arrays are built once however many checks run,
         and never for a scenario that needs none.
         """
-        with self._lock:
-            if self._scene is None:
-                self._scene = DyadicScene(self.kernel, self.sigma, self.mu, self.window)
-            return self._scene
+        if self._scene is None:
+            self._scene = DyadicScene(self.kernel, self.sigma, self.mu, self.window)
+        return self._scene
 
 
 _REQUIRED = object()
@@ -75,7 +70,7 @@ def config_value(cfg: dict, key: str, where: str, kind=None, default=_REQUIRED):
         return value
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{where}: field {key!r} has the invalid value {value!r}") from exc
 
 
@@ -86,18 +81,34 @@ def reject_unknown(cfg: dict, where: str, known) -> None:
             raise ScenarioError(f"{where}: unknown field {key!r}")
 
 
+def real(value) -> float:
+    """A JSON number that is neither a boolean nor NaN, as a float; infinities pass."""
+    # type(), not isinstance(): a JSON boolean is no number here
+    if type(value) not in (int, float) or math.isnan(value):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def integer(value) -> int:
+    """An integral JSON number, ``3`` or ``3.0``, as an int; ``3.5``, ``"3"`` and ``true`` are not."""
+    if not (type(value) is int or (type(value) is float and value.is_integer())):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def band_pair(value) -> tuple[float, float]:
     """A ``[lower, upper]`` band as two floats."""
     lo, hi = value
-    return float(lo), float(hi)
+    return real(lo), real(hi)
 
 
 def at_least(low: int):
     """The kind of an integer no less than ``low``."""
     def kind(value) -> int:
-        if int(value) < low:
+        value = integer(value)
+        if value < low:
             raise ValueError(f"{value!r} is less than {low}")
-        return int(value)
+        return value
     return kind
 
 
@@ -159,8 +170,8 @@ def build_window(cfg: dict, dimension: int) -> LatticeWindow:
     try:
         return LatticeWindow.from_box(
             box,
-            config_value(cfg, "coarse_level", "window", int),
-            config_value(cfg, "fine_level", "window", int),
+            config_value(cfg, "coarse_level", "window", integer),
+            config_value(cfg, "fine_level", "window", integer),
             shift=shift,
         )
     except ScenarioError:
@@ -180,14 +191,14 @@ def build_measure(cfg: dict, dimension: int, where: str) -> AtomicMeasure:
             reject_unknown(cfg, where, ("type", "box", "level"))
             return lebesgue_grid(
                 config_value(cfg, "box", where, box_sides(dimension)),
-                config_value(cfg, "level", where, int),
+                config_value(cfg, "level", where, integer),
             )
         if kind == "bernoulli_cascade":
             reject_unknown(cfg, where, ("type", "gamma", "depth"))
             if dimension != 1:
                 raise ScenarioError(f"{where}: bernoulli_cascade needs dimension 1")
             return bernoulli_cascade(
-                config_value(cfg, "gamma", where, float), config_value(cfg, "depth", where, int)
+                config_value(cfg, "gamma", where, real), config_value(cfg, "depth", where, integer)
             )
     except ScenarioError:
         raise  # it names its field already
@@ -208,7 +219,10 @@ def _csv_rows(path: str | Path, what: str) -> list[list[str]]:
 
 
 def read_kernel_table(path: str | Path, dimension: int) -> dict:
-    """CSV kernel table with columns level, ``dimension`` index components, value."""
+    """CSV kernel table with columns level, ``dimension`` index components, value.
+
+    A value is a number in ``[0, inf]``, and a cube has at most one row.
+    """
     table = {}
     for row_no, row in enumerate(_csv_rows(path, "kernel table"), 1):
         if not row or row[0].lstrip().startswith("#"):
@@ -224,6 +238,10 @@ def read_kernel_table(path: str | Path, dimension: int) -> dict:
         if len(idx) != dimension:
             raise ScenarioError(f"kernel table {path} line {row_no}: "
                                 f"{len(idx)} index components, not {dimension}")
+        if not val >= 0.0:  # NaN too
+            raise ScenarioError(f"kernel table {path} line {row_no}: K(Q) = {val} is not in [0, inf]")
+        if (level, idx) in table:
+            raise ScenarioError(f"kernel table {path} line {row_no}: repeats the cube {(level, idx)}")
         table[(level, idx)] = val
     if not table:
         raise ScenarioError(f"kernel table {path} holds no entries")
@@ -232,20 +250,20 @@ def read_kernel_table(path: str | Path, dimension: int) -> dict:
 
 def build_kernel(cfg: dict, dimension: int) -> DyadicKernelMap:
     kind = config_value(cfg, "type", "kernel")
-    cutoff = config_value(cfg, "cutoff", "kernel", float, None)
+    cutoff = config_value(cfg, "cutoff", "kernel", real, None)
     try:
         if kind == "riesz":
             reject_unknown(cfg, "kernel", ("type", "alpha", "cutoff"))
-            alpha = config_value(cfg, "alpha", "kernel", float)
+            alpha = config_value(cfg, "alpha", "kernel", real)
             return DyadicKernelMap.from_radial(riesz_kernel(alpha, dimension, cutoff=cutoff))
         if kind == "log":
             reject_unknown(cfg, "kernel", ("type", "beta", "C"))
-            beta = config_value(cfg, "beta", "kernel", float)
-            C = config_value(cfg, "C", "kernel", float)
+            beta = config_value(cfg, "beta", "kernel", real)
+            C = config_value(cfg, "C", "kernel", real)
             return DyadicKernelMap.from_radial(log_kernel(beta, C, dimension))
         if kind == "constant":
             reject_unknown(cfg, "kernel", ("type", "value", "cutoff"))
-            value = config_value(cfg, "value", "kernel", float, 1.0)
+            value = config_value(cfg, "value", "kernel", real, 1.0)
             return DyadicKernelMap.from_radial(constant_kernel(value, cutoff=cutoff))
         if kind == "table":
             reject_unknown(cfg, "kernel", ("type", "path"))
@@ -259,7 +277,7 @@ def build_kernel(cfg: dict, dimension: int) -> DyadicKernelMap:
 
 
 def build_scenario(cfg: dict) -> Scenario:
-    dimension = config_value(cfg, "dimension", "scenario", int)
+    dimension = config_value(cfg, "dimension", "scenario", integer)
     reject_unknown(cfg, "scenario", ("dimension", "seed", "window", "sigma", "mu", "kernel",
                                      "exponents", "bands", "checks"))
     if dimension < 1:
@@ -269,9 +287,9 @@ def build_scenario(cfg: dict) -> Scenario:
     mu = build_measure(config_value(cfg, "mu", "scenario"), dimension, "mu")
     kernel = build_kernel(config_value(cfg, "kernel", "scenario"), dimension)
     exp_cfg = config_value(cfg, "exponents", "scenario")
-    p = config_value(exp_cfg, "p", "exponents", float)
+    p = config_value(exp_cfg, "p", "exponents", real)
     reject_unknown(exp_cfg, "exponents", ("p", "q"))
-    q = config_value(exp_cfg, "q", "exponents", float, None)
+    q = config_value(exp_cfg, "q", "exponents", real, None)
     try:
         exponents = Exponents(p, q)
     except WolffpotError as exc:
@@ -323,6 +341,8 @@ def read_points_csv(path: str | Path, dimension: int) -> np.ndarray:
             if row_no == 1:
                 continue  # header
             raise ScenarioError(f"{path} line {row_no}: not a numeric row")
+        if not all(map(math.isfinite, vals)):
+            raise ScenarioError(f"{path} line {row_no}: a coordinate is not finite")
         if len(vals) != dimension:
             raise ScenarioError(
                 f"{path} line {row_no}: expected {dimension} coordinates, got {len(vals)}"

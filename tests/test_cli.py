@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import math
 import os
@@ -107,13 +106,12 @@ def test_series_check_cost_does_not_depend_on_the_terms(tmp_path):
     assert values["energy_series_tail"] == pytest.approx(0.10945, abs=1e-5)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_numeric_error_names_its_check(tmp_path, capsys, threads):
+def test_numeric_error_names_its_check(tmp_path, capsys):
     cfg = json.loads((SCENARIOS / "cascade_dlbo.json").read_text())
     cfg["sigma"] = {"type": "atoms", "positions": [[1.5]], "weights": [1.0]}  # outside the window
     path = tmp_path / "outside.json"
     path.write_text(json.dumps(cfg))
-    assert run(["verify", "--config", path, "--threads", threads, "--out-dir", tmp_path / "o"]) == 2
+    assert run(["verify", "--config", path, "--out-dir", tmp_path / "o"]) == 2
     assert capsys.readouterr().err == "error: reverse_doubling: no window cube has positive mass\n"
 
 
@@ -135,9 +133,8 @@ def test_shifted_average_reports_its_sweep(tmp_path):
 def test_determinism_byte_identical(tmp_path):
     for scenario in ("single_cube", "cascade_dlbo", "riesz_lebesgue", "counterexample"):
         a, b = tmp_path / scenario / "a", tmp_path / scenario / "b"
-        for out, threads in ((a, 1), (b, 2)):
-            assert run(["verify", "--config", SCENARIOS / f"{scenario}.json",
-                        "--out-dir", out, "--threads", threads]) == 0
+        for out in (a, b):
+            assert run(["verify", "--config", SCENARIOS / f"{scenario}.json", "--out-dir", out]) == 0
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         assert (a / "ratios.csv").read_bytes() == (b / "ratios.csv").read_bytes()
         # every check passes, and a pass has each bounded value inside its bounds
@@ -423,30 +420,49 @@ def test_bad_input_files_exit_2_with_one_line(tmp_path, capsys, case):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_scene_is_built_once_when_checks_race(monkeypatch):
-    scn = load_scenario(SCENARIOS / "cascade_dlbo.json")
-    init = LevelIndex.__init__
-    calls = []
-
-    def slow(self, *args, **kwargs):
-        calls.append(1)
-        time.sleep(0.01)  # widen the window between the None test and the store
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(LevelIndex, "__init__", slow)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=16) as pool:
-            scenes = list(pool.map(lambda _: scn.scene, range(64), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(calls) == 1
-    assert all(scene is scenes[0] for scene in scenes)
+@pytest.mark.parametrize("row, message", [
+    ("0,0,nan", "K(Q) = nan is not in [0, inf]"),
+    ("0,0,-1.0", "K(Q) = -1.0 is not in [0, inf]"),
+    ("0,0,1.0\n0,0,2.0", "repeats the cube (0, (0,))"),
+], ids=["nan", "negative", "repeat"])
+def test_excluded_kernel_table_values_exit_2_with_one_line(tmp_path, capsys, row, message):
+    cfg = _table_scenario(tmp_path, "1.0")
+    table = tmp_path / "kernel.csv"
+    table.write_text(f"level,i0,value\n{row}\n")
+    assert run(["verify", "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
+    line = row.count("\n") + 2
+    assert capsys.readouterr().err == f"error: kernel table {table} line {line}: {message}\n"
 
 
-def test_threads_default_to_one():
-    assert build_parser().parse_args(["verify", "--config", "x.json"]).threads == 1
+def test_an_infinite_kernel_table_value_is_legal(tmp_path):
+    cfg = _table_scenario(tmp_path, "inf")
+    assert run(["verify", "--config", cfg, "--out-dir", tmp_path / "o"]) in (0, 1)
+    assert load_scenario(cfg).kernel((0, (0,))) == math.inf
+
+
+@pytest.mark.parametrize("kind", ["wolff_continuous", "maximal_continuous", "wolff", "t", "maximal"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_query_points_exit_2_with_one_line(tmp_path, capsys, kind, value):
+    points = tmp_path / "points.csv"
+    points.write_text(f"x\n0.5\n{value}\n")
+    command = "maximal" if kind.startswith("maximal") else "potential"
+    assert run([command, "--kind", kind, "--config", SCENARIOS / "cascade_dlbo.json",
+                "--points", points, "--out-dir", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == f"error: {points} line 3: a coordinate is not finite\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "potential", "maximal"])
+def test_threads_other_than_one_exit_2_with_one_line(tmp_path, capsys, command):
+    args = [command, "--config", SCENARIOS / "cascade_dlbo.json"]
+    for threads in ("0", "2", "-1"):
+        assert run([*args, "--threads", threads, "--out-dir", tmp_path / threads]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --threads must be 1, got {threads}: checks run in order on one thread\n"
+        assert not (tmp_path / threads).exists()
+    assert run([*args, "--threads", "1", "--out-dir", tmp_path / "one"]) == 0
+    assert run([*args, "--out-dir", tmp_path / "default"]) == 0
+    assert (tmp_path / "one" / "report.json").read_bytes() == \
+        (tmp_path / "default" / "report.json").read_bytes()
 
 
 def test_one_parser_serves_every_call_of_main(tmp_path):
@@ -576,6 +592,23 @@ def _edit(cfg, path, value):
     ("cascade_dlbo", ("mu", "weights"), "x", "mu: field 'weights'"),
     ("riesz_lebesgue", ("seed",), -5, "scenario: field 'seed'"),
     ("cascade_dlbo", ("checks", 4, "seed"), -1, "trace_upper: field 'seed'"),
+    ("cascade_dlbo", ("window", "fine_level"), 10.9, "window: field 'fine_level'"),
+    ("cascade_dlbo", ("checks", 4, "trials"), 30.9, "trace_upper: field 'trials'"),
+    ("cascade_dlbo", ("checks", 4, "trials"), True, "trace_upper: field 'trials'"),
+    ("cascade_dlbo", ("kernel", "alpha"), "0.75", "kernel: field 'alpha'"),
+    ("cascade_dlbo", ("exponents", "p"), "2", "exponents: field 'p'"),
+    ("cascade_dlbo", ("exponents", "p"), True, "exponents: field 'p'"),
+    ("cascade_dlbo", ("checks", 0, "gamma"), math.nan, "reverse_doubling: field 'gamma'"),
+    ("cascade_dlbo", ("kernel",), {"type": "log", "beta": math.nan, "C": 10.0}, "kernel: field 'beta'"),
+    ("cascade_dlbo", ("kernel",), {"type": "constant", "value": math.nan}, "kernel: field 'value'"),
+    ("counterexample", ("checks", 1, "depths"), [6, 10.5], "counterexample_fields: field 'depths'"),
+    ("counterexample", ("checks", 0, "terms"), [1000, 1e6 + 0.5], "counterexample_series: field 'terms'"),
+    ("single_cube", ("checks", 2, "lambda"), [[0, [0], math.nan]], "a_chain: field 'lambda'"),
+    ("single_cube", ("checks", 2, "lambda"), [[0.5, [0], 1.0]], "a_chain: field 'lambda'"),
+    ("single_cube", ("bands",), {"default": ["0.001", 1000.0]}, "bands: field 'default'"),
+    ("single_cube", ("bands",), {"default": "ab"}, "bands: field 'default'"),
+    ("single_cube", ("dimension",), 1.5, "scenario: field 'dimension'"),
+    ("cascade_dlbo", ("kernel", "alpha"), 10 ** 400, "kernel: field 'alpha'"),
 ], ids=["tol", "band", "p", "dimension", "lambda_dimension", "lambda_repeat", "draws", "x_samples", "samples",
         "probes", "trials", "terms", "terms_equal", "terms_order", "terms_negative", "terms_huge",
         "terms_scalar", "terms_string",
@@ -585,7 +618,11 @@ def _edit(cfg, path, value):
         "scale", "windw", "window_key", "measure_key", "kernel_key", "exponents_key", "bands_key",
         "fields_depths", "truncation_depths", "target", "window_object", "kernel_object",
         "exponents_object", "checks_list", "check_name", "depths_string", "positions_ragged",
-        "positions_string", "weights_string", "seed_negative", "check_seed_negative"])
+        "positions_string", "weights_string", "seed_negative", "check_seed_negative",
+        "fine_level_fraction", "trials_fraction", "trials_bool", "alpha_string", "p_string", "p_bool",
+        "gamma_nan", "log_beta_nan", "constant_value_nan", "depths_fraction", "terms_fraction",
+        "lambda_weight_nan", "lambda_level_fraction", "band_string", "band_chars", "dimension_fraction",
+        "alpha_huge"])
 def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, base, path, value, message):
     cfg = json.loads((SCENARIOS / f"{base}.json").read_text())
     _edit(cfg, path, value)

@@ -95,12 +95,27 @@ def test_log_kernel_primitive_additive():
     assert k.log_primitive(0.5, 10.0) == k.log_primitive(0.5, 1.0)  # cutoff clamp
 
 
-def test_monotonicity_scan_rejects_increasing_profile():
-    from wolffpot.kernels import RadialKernel, _validate_nonincreasing
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("beta", [1.0 + 1e-9, 1.5, 4.0])
+def test_log_kernel_is_nonincreasing_from_its_parameters_alone(n, beta):
+    # log_kernel tests only C >= e^(beta/n); its docstring proves that enough on (0, 1]
+    rs = np.logspace(-30 * math.log10(2.0), 0.0, 4625)  # 512 points a decade on [2^-30, 1]
+    for C in (math.exp(beta / n), 1.01 * math.exp(beta / n), 10.0 * math.exp(beta / n)):
+        vals = log_kernel(beta, C, n).profile(rs)
+        assert np.all(np.diff(vals) <= 1e-12 * vals[:-1]), (beta, C, n)
 
-    bad = RadialKernel(lambda r: r, lambda a, b: b - a, name="increasing")
+
+@pytest.mark.parametrize("beta, C", [(math.nan, 10.0), (math.inf, 10.0), (1.0, 10.0), (1.5, math.nan),
+                                     (1.5, math.inf), (1.5, 0.0), (1.5, -1.0), (1000.0, 1e300)])
+def test_log_kernel_refuses_parameters_outside_its_range(beta, C):
     with pytest.raises(InvalidKernelError):
-        _validate_nonincreasing(bad, 1e-3, 1.0)
+        log_kernel(beta, C, 1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_constant_kernel_refuses_a_value_outside_its_range(value):
+    with pytest.raises(InvalidKernelError):
+        constant_kernel(value)
 
 
 def test_bar_root_matches_geometric_series():
