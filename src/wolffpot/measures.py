@@ -46,10 +46,6 @@ class AtomicMeasure:
         self.positions = pos
         self.weights = w
 
-    @classmethod
-    def empty(cls, dimension: int) -> "AtomicMeasure":
-        return cls(np.zeros((0, dimension)), np.zeros(0))
-
     @property
     def dimension(self) -> int:
         return self.positions.shape[1]
@@ -57,9 +53,6 @@ class AtomicMeasure:
     @property
     def n_atoms(self) -> int:
         return self.positions.shape[0]
-
-    def scaled(self, c: float) -> "AtomicMeasure":
-        return AtomicMeasure(self.positions, c * self.weights)
 
     # -- masses ---------------------------------------------------------------
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -325,6 +326,9 @@ def load_scenario(path: str | Path) -> Scenario:
         ) from exc
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8 text") from exc
+    except ValueError as exc:  # after its subclasses: an integer of too many digits
+        raise ScenarioError(f"{path}: an integer has more than "
+                            f"{sys.get_int_max_str_digits()} digits") from exc
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     return build_scenario(cfg)

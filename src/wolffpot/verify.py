@@ -155,24 +155,17 @@ def _probe_ratios(scene: DyadicScene, source, target, fs, r: float, s: float) ->
 # -- duality (q = 1) -------------------------------------------------------------
 
 
-@dataclass
-class DualityResult:
-    dual_constant: float       # E^(1/p')
-    achieved_ratio: float      # ||T f*||_L1(mu) / ||f*||_Lp(sigma) at f* = (T mu)^(p'-1)
-    probe_max: float           # best ratio among random nonnegative probes
-    pairing_gap: float         # operator-path vs pairing-identity agreement on probes
-
-
-def trace_constant_q1(
-    scene: DyadicScene, exps: Exponents, probes: int = 0, seed: int | None = None
-) -> DualityResult:
+def trace_constant_q1(scene: DyadicScene, exps: Exponents, probes: int, seed: int | None) -> dict:
     """Duality constant of the ``q = 1`` trace inequality and its extremal probe.
 
     The extremal function ``f* = (T[mu])^{p'-1}`` achieves the dual constant
     ``E^{1/p'}``; it is pushed through the full operator path.  Random probes use
     the exact pairing ``int T[f dsigma] dmu = int T[mu] f dsigma``, in :func:`blocks`
     of one entry per sigma atom a probe; the first 8 are cross-checked against the
-    operator path in blocks of its table's width (the gap is reported).
+    operator path in blocks of its table's width.  Returns ``dual_constant``
+    (``E^{1/p'}``), ``achieved_ratio`` (``||T f*||_{L^1(mu)} / ||f*||_{L^p(sigma)}``),
+    ``probe_max`` (the best probe ratio), ``extremal_gap`` (the relative gap of
+    the first two) and ``pairing_gap`` (operator path against pairing on the probes).
     """
     sigma, mu = scene.sigma, scene.mu
     tvals = scene.t_mu(sigma)
@@ -198,31 +191,27 @@ def trace_constant_q1(
             probe_max = max(probe_max, num / den)
             if t < len(heads):
                 gap = max(gap, abs(heads[t] - num / den) / max(num / den, 1e-300))
-    return DualityResult(e ** (1.0 / pp), achieved, probe_max, gap)
+    dual = e ** (1.0 / pp)
+    return {"dual_constant": dual, "achieved_ratio": achieved, "probe_max": probe_max,
+            "extremal_gap": abs(achieved - dual) / max(dual, 1e-300), "pairing_gap": gap}
 
 
 # -- upper triangle (1 < q < p) ---------------------------------------------------
 
 
-@dataclass
-class TraceTestResult:
-    wolff_norm: float      # (int W^{q(p-1)/(p-q)} dmu)^{(p-q)/(q(p-1))}
-    empirical_sup: float   # max probe ratio ||Tf||_Lq(mu) / ||f||_Lp(sigma)
-    dlbo: float            # measured oscillation constant of (K, sigma)
-
-
-def trace_test_upper_triangle(
-    scene: DyadicScene, exps: Exponents, trials: int = 50, seed: int = 0
-) -> TraceTestResult:
+def trace_test_upper_triangle(scene: DyadicScene, exps: Exponents, trials: int, seed: int) -> dict:
     """Two-sided evidence for the upper-triangle trace inequality.
 
     Probes the operator norm from below with random nonnegative ``f`` (primal
     side) and with dual probes ``g = (HL-maximal of psi)^{1/p'}`` (the adjoint
-    ratio equals the primal one), and reports the Wolff-potential norm at the
-    trace exponent plus the measured oscillation constant; equivalence is only
-    claimed when the latter is finite.  Each of the :func:`blocks` of probes,
-    as wide as the scene's cubes or atoms, is one table, one chain pass and one
-    gather.
+    ratio equals the primal one).  Returns ``wolff_norm``, the norm
+    ``(int W^r dmu)^{1/r}`` at the trace exponent ``r = q(p-1)/(p-q)``;
+    ``empirical_sup``, the best probe ratio ``||Tf||_{L^q(mu)} / ||f||_{L^p(sigma)}``;
+    ``dlbo``, the measured oscillation constant of ``(K, sigma)``;
+    ``equivalence_claimed``, 1 where that constant is finite, else 0; and
+    ``sup_over_wolff_norm`` (``inf`` where the norm is 0).  Each of the
+    :func:`blocks` of probes, as wide as the scene's cubes or atoms, is one
+    table, one chain pass and one gather.
     """
     if exps.q is None or not (1.0 < exps.q < exps.p):
         raise WolffpotError("upper-triangle test needs 1 < q < p")
@@ -249,7 +238,10 @@ def trace_test_upper_triangle(
     for num, den in ratios:
         if den > 0:
             sup_ratio = max(sup_ratio, num / den)
-    return TraceTestResult(wolff_norm, sup_ratio, dlbo_constant(scene.bar))
+    dlbo = dlbo_constant(scene.bar)
+    return {"wolff_norm": wolff_norm, "empirical_sup": sup_ratio, "dlbo": dlbo,
+            "equivalence_claimed": 1.0 if math.isfinite(dlbo) else 0.0,
+            "sup_over_wolff_norm": sup_ratio / wolff_norm if wolff_norm > 0 else math.inf}
 
 
 # -- the borderline log-kernel instance -------------------------------------------
@@ -544,9 +536,10 @@ def shifted_average_check(
     Estimates ``(1/2^{jn}) int_{|z| <= 2^{j+j0}} T_shifted[mu](x) dz`` by Monte
     Carlo (uniform shifts in the ball) and returns the worst ratio of
     ``T^{2^j}[mu](x)`` to the estimate minus three standard errors, over the
-    sample points.  ``j0`` is the smallest integer with ``2^{j0} > 2 sqrt(n) + 1``.
-    Points where ``T^{2^j}[mu](x) = 0`` are vacuous and not sampled.  Also
-    returned: ``levels``, the most live lattice levels any point swept, and
+    sample points, as ``max_ratio``.  Points where ``T^{2^j}[mu](x) = 0`` are
+    vacuous and not sampled; ``points`` counts the others.  Also returned, as
+    floats: ``j0``, the smallest integer with ``2^{j0} > 2 sqrt(n) + 1``;
+    ``levels``, the most live lattice levels any point swept; and
     ``max_rel_stderr``, the worst ``stderr / estimate`` (``inf`` where a point's
     estimate is 0).
     """
@@ -566,8 +559,7 @@ def shifted_average_check(
         rad = R * rng.uniform(size=shift_samples) ** (1.0 / n)
         zs, by_z = direc * rad[:, None], None
         vol = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * R ** n
-    ratios = []
-    details = []
+    ratios, rel_stderr = [], []
     levels = 0
     for x in x_samples:
         lhs = t_continuous_trunc(kernel, mu, 2.0 ** j, x)
@@ -579,15 +571,13 @@ def shifted_average_check(
         se = vol * float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
         rhs = max(est - 3.0 * se, 0.0) / 2.0 ** (j * n)
         ratios.append(lhs / rhs if rhs > 0 else math.inf)
-        details.append({"lhs": lhs, "estimate": est, "stderr": se})
-    rel_stderr = [d["stderr"] / d["estimate"] if d["estimate"] > 0 else math.inf for d in details]
+        rel_stderr.append(se / est if est > 0 else math.inf)
     return {
         "max_ratio": max(ratios, default=0.0),
-        "n_points": len(ratios),
-        "j0": j0,
-        "levels": levels,
+        "points": float(len(ratios)),
+        "j0": float(j0),
+        "levels": float(levels),
         "max_rel_stderr": max(rel_stderr, default=0.0),
-        "details": details,
     }
 
 
@@ -678,16 +668,8 @@ def check_bar_lemmas(scene: DyadicScene, samples) -> tuple[float, float, float]:
 # -- truncation sweeps -----------------------------------------------------------------
 
 
-@dataclass
-class SweepResult:
-    depths: list
-    values: list
-    rel_changes: list
-    converged: bool
-
-
-def truncation_sweep(fn, depths, rtol: float = 0.05, atol: float = 1e-9) -> SweepResult:
-    """Re-run a depth-parametrized quantity and report successive changes.
+def truncation_sweep(fn, depths, rtol: float, atol: float) -> tuple[dict, bool]:
+    """Re-run a depth-parametrized quantity: ``({value_d<depth>: ..., converged}, converged)``.
 
     ``converged`` holds when the final change is below ``rtol`` relative or
     ``atol`` absolute; divergent quantities (the borderline bar-potential)
@@ -696,13 +678,10 @@ def truncation_sweep(fn, depths, rtol: float = 0.05, atol: float = 1e-9) -> Swee
     depths = list(depths)
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise WolffpotError("depths must be strictly increasing")
-    values = [float(fn(d)) for d in depths]
-    rel = []
-    for prev, cur in zip(values, values[1:]):
-        diff = abs(cur - prev)
-        rel.append(diff / max(abs(prev), 1e-300))
-    if not rel:
-        return SweepResult(depths, values, rel, True)
-    last_abs = abs(values[-1] - values[-2])
-    converged = rel[-1] <= rtol or last_abs <= atol
-    return SweepResult(depths, values, rel, converged)
+    values = {f"value_d{d}": float(fn(d)) for d in depths}
+    converged = True
+    if len(depths) > 1:
+        prev, cur = list(values.values())[-2:]
+        converged = abs(cur - prev) / max(abs(prev), 1e-300) <= rtol or abs(cur - prev) <= atol
+    values["converged"] = 1.0 if converged else 0.0
+    return values, converged

@@ -16,7 +16,8 @@ level's ids at once, and ``Wbar`` from each point's gathered chain.
 ``counterexample_series_summed`` is the earlier scalar series, ``np.sum`` over
 every term up to ``L``.  The 1-D shifted-lattice oracle is the earlier form of the range sampler, which sweeps
 every shift in draw order and searches all the atoms at each level.
-``random_instance`` builds the seeded instances of the tests.
+``random_instance`` builds the seeded instances of the tests, and
+``empty_measure`` and ``scaled`` the zero measure and a multiple of a measure.
 
 ``trace_constant_q1_per_probe`` and ``trace_upper_sup_per_probe`` are the
 earlier probe-by-probe forms of the two trace checks: each probe draws its own
@@ -587,6 +588,16 @@ def ranges_1d(pos, w, x: float, zs, l_min: int, kvals, by_z=None):
         parent_lower = lower
         out += kvals[i] * (left[ix - lo] + right[hi - ix])
     return out
+
+
+def empty_measure(dimension: int) -> AtomicMeasure:
+    """The zero measure in ``dimension`` dimensions: no atoms."""
+    return AtomicMeasure(np.zeros((0, dimension)), np.zeros(0))
+
+
+def scaled(measure: AtomicMeasure, c: float) -> AtomicMeasure:
+    """``c`` times ``measure``: the same atoms, each weight times ``c``."""
+    return AtomicMeasure(measure.positions, c * measure.weights)
 
 
 @dataclass

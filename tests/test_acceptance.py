@@ -198,8 +198,8 @@ def test_criterion_06_q1_duality():
         res = trace_constant_q1(scene_of(inst), exps,
                                 probes=200, seed=[BASE_SEED, 600 + i, 1])
         worst_gap = max(worst_gap,
-                        abs(res.achieved_ratio - res.dual_constant) / res.dual_constant)
-        worst_probe = max(worst_probe, res.probe_max / res.dual_constant)
+                        abs(res["achieved_ratio"] - res["dual_constant"]) / res["dual_constant"])
+        worst_probe = max(worst_probe, res["probe_max"] / res["dual_constant"])
     ok = worst_gap <= 1e-8 and worst_probe <= 1.0 + 1e-10
     criterion("6", "duality achieved at the extremal function", ok,
               f"max extremal gap {worst_gap:.3e}; max probe/dual {worst_probe:.12f}")

@@ -358,6 +358,30 @@ def test_not_applicable_checks_say_why(tmp_path, value, reasons):
         [c["status"] for c in checks for _ in c["values"]]
 
 
+def test_check_values_keep_their_order_on_the_shipped_scenarios(tmp_path):
+    # each of these check cores returns its report values, so the report keeps the core's order
+    ordered = {
+        "trace_q1": ["dual_constant", "achieved_ratio", "probe_max", "extremal_gap", "pairing_gap"],
+        "trace_upper": ["wolff_norm", "empirical_sup", "dlbo", "equivalence_claimed",
+                        "sup_over_wolff_norm"],
+        "shifted_average": ["max_ratio", "points", "j0", "levels", "max_rel_stderr"],
+        "truncation": ["value_d4", "value_d6", "value_d8", "converged"],  # riesz_lebesgue's depths
+    }
+    seen = []
+    for scenario in SHIPPED:
+        out = tmp_path / scenario
+        assert run(["verify", "--config", SCENARIOS / f"{scenario}.json", "--out-dir", out]) == 0
+        for check in json.loads((out / "report.json").read_text())["checks"]:
+            if check["name"] in ordered:
+                assert list(check["values"]) == ordered[check["name"]], (scenario, check["name"])
+                seen.append(check["name"])
+        rows = (out / "ratios.csv").read_text().splitlines()[1:]
+        for name, keys in ordered.items():
+            got = [row.split(",")[0].split(":")[1] for row in rows if row.startswith(f"{name}:")]
+            assert got == keys * (len(got) // len(keys)), (scenario, name)
+    assert sorted(set(seen)) == sorted(ordered)
+
+
 @pytest.mark.parametrize("source", [*SHIPPED, "inf", "0.0"])
 def test_energy_and_wolff_mass_are_published_exactly(tmp_path, source):
     base = SCENARIOS / f"{source}.json" if source in SHIPPED else _table_scenario(tmp_path, source)
@@ -396,7 +420,7 @@ def test_every_report_records_its_fields_and_the_run_instance(tmp_path, scenario
 
 
 @pytest.mark.parametrize("case", ["missing_table", "table_index", "table_bytes", "missing_points",
-                                  "scenario_bytes"])
+                                  "scenario_bytes", "scenario_digits"])
 def test_bad_input_files_exit_2_with_one_line(tmp_path, capsys, case):
     cfg = _table_scenario(tmp_path, "1.0")
     table, points = tmp_path / "kernel.csv", tmp_path / "points.csv"
@@ -413,11 +437,15 @@ def test_bad_input_files_exit_2_with_one_line(tmp_path, capsys, case):
     elif case == "scenario_bytes":
         cfg.write_bytes(b'{"dimension": "\xff"}')
         message = f"{cfg}: not UTF-8 text"
+    elif case == "scenario_digits":  # past the interpreter's digit limit, which stays as it is
+        cfg.write_text('{"dimension": ' + "9" * 5000 + "}")
+        message = f"{cfg}: an integer has more than {sys.get_int_max_str_digits()} digits"
     else:
         args = ["potential", "--config", cfg, "--points", points]
         message = f"points file {points}: No such file or directory"
     assert run([*args, "--out-dir", tmp_path / "o"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 @pytest.mark.parametrize("row, message", [
@@ -609,6 +637,8 @@ def _edit(cfg, path, value):
     ("single_cube", ("bands",), {"default": "ab"}, "bands: field 'default'"),
     ("single_cube", ("dimension",), 1.5, "scenario: field 'dimension'"),
     ("cascade_dlbo", ("kernel", "alpha"), 10 ** 400, "kernel: field 'alpha'"),
+    ("counterexample", ("checks", 0, "beta"), 1000.0, "counterexample_series: field 'C'"),
+    ("counterexample", ("checks", 1, "beta"), 1000.0, "counterexample_fields: field 'C'"),
 ], ids=["tol", "band", "p", "dimension", "lambda_dimension", "lambda_repeat", "draws", "x_samples", "samples",
         "probes", "trials", "terms", "terms_equal", "terms_order", "terms_negative", "terms_huge",
         "terms_scalar", "terms_string",
@@ -622,7 +652,7 @@ def _edit(cfg, path, value):
         "fine_level_fraction", "trials_fraction", "trials_bool", "alpha_string", "p_string", "p_bool",
         "gamma_nan", "log_beta_nan", "constant_value_nan", "depths_fraction", "terms_fraction",
         "lambda_weight_nan", "lambda_level_fraction", "band_string", "band_chars", "dimension_fraction",
-        "alpha_huge"])
+        "alpha_huge", "series_default_C_overflow", "fields_default_C_overflow"])
 def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, base, path, value, message):
     cfg = json.loads((SCENARIOS / f"{base}.json").read_text())
     _edit(cfg, path, value)
@@ -633,6 +663,7 @@ def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, base, path, val
     assert run(["verify", "--config", path_json, "--out-dir", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 @pytest.mark.parametrize("path, value, message", [

@@ -36,6 +36,7 @@ from oracles import (
     bar_per_cube,
     cube_at,
     cube_mass,
+    empty_measure,
     index_keys,
     lbo_constant,
     log_primitive_by_pieces,
@@ -283,7 +284,7 @@ def bar_k_sweep(n, seed):
         atom_d = np.linalg.norm(pos[rng.integers(0, m, b)] - xs, axis=1)
         rs = np.where(hit & (atom_d > 0.0), atom_d, rs)
         yield sigma, xs, rs
-    yield AtomicMeasure.empty(n), rng.uniform(-1.0, 1.0, (5, n)), np.full(5, 0.5)
+    yield empty_measure(n), rng.uniform(-1.0, 1.0, (5, n)), np.full(5, 0.5)
 
 
 @pytest.mark.filterwarnings("ignore:The algorithm does not converge")

@@ -49,9 +49,11 @@ from oracles import (
     cube_mass,
     cube_mass_table_all_levels,
     descendant_keys,
+    empty_measure,
     exponents_from_p_prime,
     hl_maximal_dyadic,
     index_keys,
+    scaled,
     subtree_loop,
     summation_by_parts_min_slack,
     window_cube,
@@ -194,7 +196,7 @@ def test_own_atoms_read_from_leaf_ids_match_located_points(data, table, case):
     elif case == "sigma is mu":
         mu = sigma
     elif case == "empty mu":
-        mu = AtomicMeasure.empty(window.dimension)
+        mu = empty_measure(window.dimension)
     scene = DyadicScene(K, sigma, mu, window)
     pp = 2.0 if table else 1.5
     ratio = per_mass(scene.mu_mass, scene.sigma_mass)
@@ -249,7 +251,7 @@ def test_energy_homogeneity(data, c, pp):
     window, sigma, mu, K, _ = data.draw(instances(data.draw(st.booleans())))
     exps = exponents_from_p_prime(pp)
     e = c ** pp * energy_dyadic(DyadicScene(K, sigma, mu, window), exps)
-    assert abs(energy_dyadic(DyadicScene(K, sigma, mu.scaled(c), window), exps) - e) <= REL * e
+    assert abs(energy_dyadic(DyadicScene(K, sigma, scaled(mu, c), window), exps) - e) <= REL * e
 
 
 @pytest.mark.parametrize("inf_key, want", [

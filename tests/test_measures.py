@@ -16,7 +16,7 @@ from wolffpot import (
 from wolffpot import measures
 from wolffpot.errors import WolffpotError
 
-from oracles import cube_mass, level_keys, window_cube, window_keys
+from oracles import cube_mass, empty_measure, level_keys, window_cube, window_keys
 
 
 def reverse_doubling(measure, window, gamma):
@@ -34,7 +34,7 @@ def test_cube_mass(w2):
     mu = AtomicMeasure([0.1, 0.3], [1.0, 2.0])
     assert cube_mass(mu, window_cube(w2, 2, (1,))) == 2.0      # [0.25, 0.5)
     assert cube_mass(mu, window_cube(w2, 1, (0,))) == 3.0      # [0, 0.5)
-    assert cube_mass(AtomicMeasure.empty(1), window_cube(w2, 0, (0,))) == 0.0
+    assert cube_mass(empty_measure(1), window_cube(w2, 0, (0,))) == 0.0
 
 
 def test_ball_mass_closed():
@@ -123,7 +123,7 @@ def test_reverse_doubling_cascade():
 def test_reverse_doubling_degenerate():
     w = LatticeWindow.from_box([(0.0, 1.0)], 0, 2)
     with pytest.raises(DegenerateInputError):
-        reverse_doubling(AtomicMeasure.empty(1), w, 1.0)
+        reverse_doubling(empty_measure(1), w, 1.0)
 
 
 def test_cascade_child_masses():

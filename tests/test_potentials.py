@@ -37,9 +37,11 @@ from wolffpot.scenario import build_scenario
 from wolffpot.verify import wolff_integral
 
 from oracles import (
+    empty_measure,
     exponents_from_p_prime,
     hl_maximal_dyadic,
     m_k_maximal_per_point,
+    scaled,
     translated,
     wolff_continuous_per_point,
 )
@@ -52,7 +54,7 @@ K1 = DyadicKernelMap.from_radial(constant_kernel(1.0))
 
 def t_of(K, nu, w, x):
     """``T[nu](x)`` from a scene whose sigma is empty."""
-    return DyadicScene(K, AtomicMeasure.empty(w.dimension), nu, w).t_mu(x)
+    return DyadicScene(K, empty_measure(w.dimension), nu, w).t_mu(x)
 
 
 def single_cube_instance(m=0.7):
@@ -113,7 +115,7 @@ def test_t_dyadic_linearity():
         assert t_of(K, nu2, w, x) == pytest.approx(
             t_of(K, mu, w, x) + t_of(K, sigma, w, x), rel=1e-12
         )
-    assert t_of(K, AtomicMeasure.empty(1), w, [0.3]) == 0.0
+    assert t_of(K, empty_measure(1), w, [0.3]) == 0.0
 
 
 def test_single_cube_closed_forms():
@@ -132,7 +134,7 @@ def test_homogeneity_degrees():
     w, sigma, mu = random_pair(7)
     K = DyadicKernelMap.from_radial(riesz_kernel(0.6, 1))
     c = 3.7
-    mu_c = mu.scaled(c)
+    mu_c = scaled(mu, c)
     scene, scene_c = DyadicScene(K, sigma, mu, w), DyadicScene(K, sigma, mu_c, w)
     for pp in (1.5, 2.0, 3.0):
         ex = exponents_from_p_prime(pp)
@@ -155,7 +157,7 @@ def test_wolff_zero_without_mu_mass():
     sigma = lebesgue_grid([(0.0, 1.0)], 3)
     mu = AtomicMeasure([[0.9]], [1.0])
     # at x=0.1 only the root cube carries mu mass; empty mu gives 0
-    assert DyadicScene(K1, sigma, AtomicMeasure.empty(1), w).wolff([0.1], 2.0) == 0.0
+    assert DyadicScene(K1, sigma, empty_measure(1), w).wolff([0.1], 2.0) == 0.0
 
 
 def test_wolff_bar_dominates_wolff():
@@ -254,7 +256,7 @@ def test_t_continuous_examples():
     assert t_continuous_trunc(k, nu, 1.0, [0.25]) == 2.0
     assert t_continuous_trunc(k, nu, math.inf, [0.0]) == math.inf
     assert t_continuous_trunc(k, nu, 0.1, [0.25]) == 0.0
-    assert t_continuous_trunc(k, AtomicMeasure.empty(1), 1.0, [0.0]) == 0.0
+    assert t_continuous_trunc(k, empty_measure(1), 1.0, [0.0]) == 0.0
 
 
 def test_wolff_continuous_log_closed_form():
@@ -279,7 +281,7 @@ def test_wolff_continuous_zero_and_homogeneity():
     assert wolff_continuous(k, g, mu, ex, [0.0]) == 0.0
     mu2 = AtomicMeasure([[0.1]], [1.0])
     a = wolff_continuous(k, g, mu2, ex, [0.0])
-    b = wolff_continuous(k, g, mu2.scaled(5.0), ex, [0.0])
+    b = wolff_continuous(k, g, scaled(mu2, 5.0), ex, [0.0])
     assert b == pytest.approx(5.0 ** (ex.p_prime - 1.0) * a, rel=1e-10)
 
 
@@ -301,7 +303,7 @@ def test_wolff_continuous_out_of_reach_mu_makes_no_primitive_call(monkeypatch):
     assert wolff_continuous(k, g, far, ex, [0.0]) == 0.0
     near = AtomicMeasure([[0.3]], [1.0])
     assert wolff_continuous(k, g, near, ex, [0.0], R=0.25) == 0.0
-    assert wolff_continuous(k, g, near.scaled(0.0), ex, [0.0]) == 0.0
+    assert wolff_continuous(k, g, scaled(near, 0.0), ex, [0.0]) == 0.0
     assert calls == []
     assert wolff_continuous(k, g, near, ex, [0.0]) > 0.0
     assert calls
@@ -352,7 +354,7 @@ def test_m_k_closed_form():
     for e in (3, 2, 1):
         x = 2.0 ** -e
         assert m_k_maximal(k, g, mu, [x]) == pytest.approx(2 * x ** -0.5, rel=0.04)
-    assert m_k_maximal(k, g, AtomicMeasure.empty(1), [0.3]) == 0.0
+    assert m_k_maximal(k, g, empty_measure(1), [0.3]) == 0.0
     assert m_k_maximal(k, AtomicMeasure([[0.0]], [1.0]), mu, [0.0]) == math.inf
 
 
@@ -481,7 +483,7 @@ def test_wolff_continuous_rows_match_the_per_point_sweep(n, name, R, block, monk
     # mu-atoms on the heavy sigma-atom at 0.1 and on the massless one at -0.1
     on = AtomicMeasure(np.vstack([mu.positions, sigma.positions[[1, 0]]]),
                        np.append(mu.weights, [1.0, 1.0]))
-    for m in (mu, on, AtomicMeasure.empty(n)):
+    for m in (mu, on, empty_measure(n)):
         want = [wolff_continuous_per_point(kernel, sigma, m, ex, p, R=R) for p in pts]
         for p, value in zip(pts, want):
             got = wolff_continuous(kernel, sigma, m, ex, p, R=R)
@@ -785,8 +787,8 @@ def test_bar_k_edge_cases():
     # a massless atom at x is no atom at all
     two = AtomicMeasure([[0.25], [0.5]], [0.0, 1.0])
     assert bar_k(k, two, [0.25], 0.5) == pytest.approx(k.log_primitive(0.25, 0.5))
-    assert bar_k(k, AtomicMeasure.empty(1), [0.25], 0.5) == 0.0
-    assert bar_k(k, AtomicMeasure.empty(2), [0.0, 0.0], 1.0) == 0.0
+    assert bar_k(k, empty_measure(1), [0.25], 0.5) == 0.0
+    assert bar_k(k, empty_measure(2), [0.0, 0.0], 1.0) == 0.0
 
 
 def test_truncated_sums_add_atoms_in_order(monkeypatch):
@@ -833,7 +835,7 @@ def test_energy_continuous_closed_form():
     mu = AtomicMeasure([[0.0]], [1.0])
     ex = Exponents(p=2.0)
     assert energy_continuous(k, mu, g, ex) == pytest.approx(4.0, rel=0.02)
-    assert energy_continuous(k, AtomicMeasure.empty(1), g, ex) == 0.0
-    assert energy_continuous(k, mu.scaled(2.0), g, ex) == pytest.approx(
+    assert energy_continuous(k, empty_measure(1), g, ex) == 0.0
+    assert energy_continuous(k, scaled(mu, 2.0), g, ex) == pytest.approx(
         2.0 ** ex.p_prime * energy_continuous(k, mu, g, ex), rel=1e-12
     )
