@@ -32,7 +32,7 @@ from .potentials import (
     m_k_maximal,
     wolff_continuous,
 )
-from .scenario import (Scenario, at_least, band_pair, config_value, integer, json_bool, load_scenario,
+from .scenario import (Scenario, at_least, config_value, integer, json_bool, list_of, load_scenario,
                        read_points_csv, real, reject_unknown)
 from .verify import CheckReport
 
@@ -308,21 +308,17 @@ CHECK_RUNNERS = {
 
 
 def _depths(value) -> list[int]:
-    if not isinstance(value, list):  # a string would iterate over its digits
-        raise ValueError(f"{value!r} is not a list")
-    depths = [integer(v) for v in value]
+    depths = list_of(integer)(value)
     if not depths:
         raise ValueError("no depths")
     return depths
 
 
-def _terms(value) -> tuple[int, int]:
-    if not isinstance(value, list):  # a string would unpack into its digits
-        raise ValueError(f"{value!r} is not a list")
-    short, long = (integer(v) for v in value)
+def _terms(value) -> list[int]:
+    short, long = terms = list_of(integer, 2)(value)
     if not 0 <= short < long <= 2 ** 53:  # beyond 2^53, l is no exact float64
         raise ValueError(f"{value!r} is not 0 <= short < long <= 2^53")
-    return short, long
+    return terms
 
 
 def _target(value) -> str:
@@ -332,7 +328,7 @@ def _target(value) -> str:
 
 
 # A callable default is read from the scenario and the fields declared before it.
-_BAND = (band_pair, lambda scn, f: scn.band)
+_BAND = (list_of(real, 2), lambda scn, f: scn.band)
 _LOG_C = (real, lambda scn, f: math.exp(f["beta"] / scn.dimension))
 
 # name -> (needs a seed, {field: (kind, default)}); every check also takes

@@ -154,10 +154,11 @@ def bernoulli_cascade(gamma: float, depth: int) -> AtomicMeasure:
         raise WolffpotError(f"cascade exponent gamma must lie in (0, 1], got {gamma}")
     theta = 2.0 ** (-gamma)
     m = 1 << depth
-    weights = np.empty(m)
-    for j in range(m):
-        ones = bin(j).count("1")  # 1-bits choose the light child
-        weights[j] = theta ** (depth - ones) * (1.0 - theta) ** ones
+    ones = np.bitwise_count(np.arange(m))  # 1-bits choose the light child
+    # powers taken in Python floats: np.power rounds some of them differently
+    heavy = np.array([theta ** k for k in range(depth + 1)])
+    light = np.array([(1.0 - theta) ** k for k in range(depth + 1)])
+    weights = heavy[depth - ones] * light[ones]
     positions = ((np.arange(m) + 0.5) * 2.0 ** (-depth)).reshape(-1, 1)
     return AtomicMeasure(positions, weights)
 
@@ -200,14 +201,15 @@ def reverse_doubling_check(index: LevelIndex, mass, gamma: float):
     admissible dilation (a point mass decays like ``2^{-j gamma}`` all the way
     to the window boundary, while grids and cascades stabilize immediately).
     """
-    if gamma <= 0:
-        raise WolffpotError("gamma must be positive")
+    depth = index.window.depth
+    if not (gamma > 0 and gamma * depth <= 512):  # so 2^(j gamma) is a float; inf fails too
+        raise WolffpotError(f"gamma must be positive with gamma * depth <= 512, got {gamma} at depth {depth}")
     live = np.flatnonzero(mass > 0.0)
     if not live.size:
         raise DegenerateInputError("no window cube has positive mass")
     worst = []
     up = live  # the ancestor 2^j Q of each live cube Q, -1 once above the window
-    for j in range(index.window.depth + 1):
+    for j in range(depth + 1):
         has = up >= 0
         ratio = mass[up[has]] / (2.0 ** (j * gamma) * mass[live[has]])
         if ratio.size:

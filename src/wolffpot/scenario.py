@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,12 +98,6 @@ def integer(value) -> int:
     return int(value)
 
 
-def band_pair(value) -> tuple[float, float]:
-    """A ``[lower, upper]`` band as two floats."""
-    lo, hi = value
-    return real(lo), real(hi)
-
-
 def at_least(low: int):
     """The kind of an integer no less than ``low``."""
     def kind(value) -> int:
@@ -120,78 +115,72 @@ def json_bool(value) -> bool:
     return value
 
 
-def number_list(value) -> np.ndarray:
-    """A list of finite JSON numbers as a float array."""
-    # type(), not isinstance(): a JSON boolean is no number here
-    if not (type(value) is list
-            and all(type(v) in (int, float) and math.isfinite(v) for v in value)):
-        raise ValueError(f"{value!r} is not a list of finite numbers")
-    return np.array(value, dtype=float)
+def finite(value) -> float:
+    """A :func:`real` that is not infinite."""
+    value = real(value)
+    if math.isinf(value):
+        raise ValueError(f"{value!r} is not finite")
+    return value
 
 
-def numbers(dimension: int):
-    """The kind of a list of ``dimension`` finite JSON numbers, read as a tuple of floats."""
-    def kind(value) -> tuple[float, ...]:
-        out = number_list(value)
-        if len(out) != dimension:
-            raise ValueError(f"{value!r} is not a list of {dimension} finite numbers")
-        return tuple(out.tolist())
-    return kind
+def list_of(kind, length=None):
+    """The kind of a JSON list, of exactly ``length`` items when given, each read by ``kind``."""
+    def read(value) -> list:
+        if type(value) is not list or length not in (None, len(value)):
+            raise ValueError(f"{value!r} is not a list" + (f" of {length} items" if length else ""))
+        return [kind(v) for v in value]
+    return read
 
 
 def atom_positions(dimension: int):
     """The kind of a list of points of ``dimension`` finite numbers, read as an
     ``(atoms, dimension)`` array; in 1-D a point may also be a bare number."""
-    point = numbers(dimension)
+    point = list_of(finite, dimension)
 
-    def kind(value) -> np.ndarray:
-        if type(value) is not list:
-            raise ValueError(f"{value!r} is not a list of points")
-        if dimension == 1:
-            value = [v if type(v) is list else [v] for v in value]
-        return np.array([point(v) for v in value]).reshape(len(value), dimension)
-    return kind
+    def atom(value) -> list[float]:
+        if dimension == 1 and type(value) is not list:
+            value = [value]
+        return point(value)
+
+    atoms = list_of(atom)
+    return lambda value: np.array(atoms(value), dtype=float).reshape(-1, dimension)
 
 
-def box_sides(dimension: int):
-    """The kind of a list of ``dimension`` sides, each a list of two finite numbers ``[lo, hi]``."""
-    side = numbers(2)
-
-    def kind(value) -> list[tuple[float, ...]]:
-        if not (type(value) is list and len(value) == dimension):
-            raise ValueError(f"{value!r} is not a list of {dimension} [lo, hi] pairs")
-        return [side(v) for v in value]
-    return kind
+@contextmanager
+def naming(where: str):
+    """Re-raise a builder's :class:`WolffpotError` as a :class:`ScenarioError` that names ``where``."""
+    try:
+        yield
+    except ScenarioError:
+        raise  # it names its field already
+    except WolffpotError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def build_window(cfg: dict, dimension: int) -> LatticeWindow:
-    box = config_value(cfg, "box", "window", box_sides(dimension))
+    box = config_value(cfg, "box", "window", list_of(list_of(finite, 2), dimension))
     reject_unknown(cfg, "window", ("box", "coarse_level", "fine_level", "shift"))
-    shift = config_value(cfg, "shift", "window", numbers(dimension), None)
-    try:
+    shift = config_value(cfg, "shift", "window", list_of(finite, dimension), None)
+    with naming("window"):
         return LatticeWindow.from_box(
             box,
             config_value(cfg, "coarse_level", "window", integer),
             config_value(cfg, "fine_level", "window", integer),
             shift=shift,
         )
-    except ScenarioError:
-        raise  # it names its field already
-    except WolffpotError as exc:
-        raise ScenarioError(f"window: {exc}") from exc
 
 
 def build_measure(cfg: dict, dimension: int, where: str) -> AtomicMeasure:
     kind = config_value(cfg, "type", where)
-    try:
+    with naming(where):
         if kind == "atoms":
             reject_unknown(cfg, where, ("type", "positions", "weights"))
             return AtomicMeasure(config_value(cfg, "positions", where, atom_positions(dimension)),
-                                 config_value(cfg, "weights", where, number_list))
+                                 config_value(cfg, "weights", where, list_of(finite)))
         if kind == "lebesgue_grid":
             reject_unknown(cfg, where, ("type", "box", "level"))
             return lebesgue_grid(
-                config_value(cfg, "box", where, box_sides(dimension)),
+                config_value(cfg, "box", where, list_of(list_of(finite, 2), dimension)),
                 config_value(cfg, "level", where, integer),
             )
         if kind == "bernoulli_cascade":
@@ -201,10 +190,6 @@ def build_measure(cfg: dict, dimension: int, where: str) -> AtomicMeasure:
             return bernoulli_cascade(
                 config_value(cfg, "gamma", where, real), config_value(cfg, "depth", where, integer)
             )
-    except ScenarioError:
-        raise  # it names its field already
-    except WolffpotError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
     raise ScenarioError(f"{where}: unknown measure type {kind!r}")
 
 
@@ -252,7 +237,7 @@ def read_kernel_table(path: str | Path, dimension: int) -> dict:
 def build_kernel(cfg: dict, dimension: int) -> DyadicKernelMap:
     kind = config_value(cfg, "type", "kernel")
     cutoff = config_value(cfg, "cutoff", "kernel", real, None)
-    try:
+    with naming("kernel"):
         if kind == "riesz":
             reject_unknown(cfg, "kernel", ("type", "alpha", "cutoff"))
             alpha = config_value(cfg, "alpha", "kernel", real)
@@ -270,10 +255,6 @@ def build_kernel(cfg: dict, dimension: int) -> DyadicKernelMap:
             reject_unknown(cfg, "kernel", ("type", "path"))
             path = config_value(cfg, "path", "kernel")
             return DyadicKernelMap.from_table(read_kernel_table(path, dimension))
-    except ScenarioError:
-        raise  # it names its field already
-    except WolffpotError as exc:
-        raise ScenarioError(f"kernel: {exc}") from exc
     raise ScenarioError(f"kernel: unknown type {kind!r}")
 
 
@@ -291,17 +272,15 @@ def build_scenario(cfg: dict) -> Scenario:
     p = config_value(exp_cfg, "p", "exponents", real)
     reject_unknown(exp_cfg, "exponents", ("p", "q"))
     q = config_value(exp_cfg, "q", "exponents", real, None)
-    try:
+    with naming("exponents"):
         exponents = Exponents(p, q)
-    except WolffpotError as exc:
-        raise ScenarioError(f"exponents: {exc}") from exc
     checks = config_value(cfg, "checks", "scenario", list, [])
     seed = config_value(cfg, "seed", "scenario", at_least(0), None)
     for chk in checks:
         if not isinstance(chk, dict) or not isinstance(chk.get("name"), str):
             raise ScenarioError(f"checks: every entry needs a name, got {chk!r}")
     bands = cfg.get("bands") or {}
-    band = config_value(bands, "default", "bands", band_pair, DEFAULT_BAND)
+    band = config_value(bands, "default", "bands", list_of(real, 2), DEFAULT_BAND)
     reject_unknown(bands, "bands", ("default",))
     return Scenario(
         dimension=dimension,

@@ -544,6 +544,8 @@ def shifted_average_check(
     estimate is 0).
     """
     n = mu.dimension
+    if abs(j) * n > 512:  # so 2^(j n), the ball's volume and the shifts' keys are floats
+        raise WolffpotError(f"j must satisfy |j| n <= 512, got j = {j} in dimension {n}")
     j0 = 1
     while 2.0 ** j0 <= 2.0 * math.sqrt(n) + 1.0:
         j0 += 1

@@ -18,6 +18,8 @@ every term up to ``L``.  The 1-D shifted-lattice oracle is the earlier form of t
 every shift in draw order and searches all the atoms at each level.
 ``random_instance`` builds the seeded instances of the tests, and
 ``empty_measure`` and ``scaled`` the zero measure and a multiple of a measure.
+``bernoulli_cascade_weights`` is the earlier atom-by-atom loop of
+``bernoulli_cascade``.
 
 ``trace_constant_q1_per_probe`` and ``trace_upper_sup_per_probe`` are the
 earlier probe-by-probe forms of the two trace checks: each probe draws its own
@@ -588,6 +590,16 @@ def ranges_1d(pos, w, x: float, zs, l_min: int, kvals, by_z=None):
         parent_lower = lower
         out += kvals[i] * (left[ix - lo] + right[hi - ix])
     return out
+
+
+def bernoulli_cascade_weights(gamma: float, depth: int) -> np.ndarray:
+    """The cascade's atom weights one atom at a time, its 1-bits counted by ``bin``."""
+    theta = 2.0 ** (-gamma)
+    weights = np.empty(1 << depth)
+    for j in range(weights.size):
+        ones = bin(j).count("1")  # 1-bits choose the light child
+        weights[j] = theta ** (depth - ones) * (1.0 - theta) ** ones
+    return weights
 
 
 def empty_measure(dimension: int) -> AtomicMeasure:

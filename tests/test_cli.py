@@ -639,6 +639,18 @@ def _edit(cfg, path, value):
     ("cascade_dlbo", ("kernel", "alpha"), 10 ** 400, "kernel: field 'alpha'"),
     ("counterexample", ("checks", 0, "beta"), 1000.0, "counterexample_series: field 'C'"),
     ("counterexample", ("checks", 1, "beta"), 1000.0, "counterexample_fields: field 'C'"),
+    ("riesz_lebesgue", ("checks", 6, "j"), 2000, "shifted_average: j must satisfy |j| n <= 512"),
+    ("riesz_lebesgue", ("checks", 6, "j"), 1018, "shifted_average: j must satisfy |j| n <= 512"),
+    ("riesz_lebesgue", ("checks", 3, "gamma"), 200.0, "reverse_doubling: gamma must be positive"),
+    ("riesz_lebesgue", ("sigma", "box"), [[0.0, 1.0, 2.0]], "sigma: field 'box'"),
+    ("cascade_dlbo", ("window", "shift"), [], "window: field 'shift'"),
+    ("cascade_dlbo", ("mu", "positions"), [[0.3, 0.62], [0.9]], "mu: field 'positions'"),
+    ("riesz_lebesgue", ("checks", 9, "depths"), [], "truncation: field 'depths'"),
+    ("riesz_lebesgue", ("checks", 9, "depths"), "6", "truncation: field 'depths'"),
+    ("counterexample", ("checks", 0, "terms"), [10, 100, 1000], "counterexample_series: field 'terms'"),
+    ("single_cube", ("bands",), {"default": [1e-3, 1.0, 1e3]}, "bands: field 'default'"),
+    ("riesz_lebesgue", ("checks", 1, "band"), [0.5, 1.0, 2.0], "energy_wolff_ratio: field 'band'"),
+    ("cascade_dlbo", ("mu", "weights"), [1.0, True, 2.0], "mu: field 'weights'"),
 ], ids=["tol", "band", "p", "dimension", "lambda_dimension", "lambda_repeat", "draws", "x_samples", "samples",
         "probes", "trials", "terms", "terms_equal", "terms_order", "terms_negative", "terms_huge",
         "terms_scalar", "terms_string",
@@ -652,7 +664,9 @@ def _edit(cfg, path, value):
         "fine_level_fraction", "trials_fraction", "trials_bool", "alpha_string", "p_string", "p_bool",
         "gamma_nan", "log_beta_nan", "constant_value_nan", "depths_fraction", "terms_fraction",
         "lambda_weight_nan", "lambda_level_fraction", "band_string", "band_chars", "dimension_fraction",
-        "alpha_huge", "series_default_C_overflow", "fields_default_C_overflow"])
+        "alpha_huge", "series_default_C_overflow", "fields_default_C_overflow", "j_2000", "j_1018",
+        "gamma_200", "grid_box_side_three", "shift_empty", "positions_ragged_2d", "truncation_depths_empty",
+        "truncation_depths_string", "terms_three", "band_three", "check_band_three", "weights_bool"])
 def test_malformed_values_exit_2_with_one_line(tmp_path, capsys, base, path, value, message):
     cfg = json.loads((SCENARIOS / f"{base}.json").read_text())
     _edit(cfg, path, value)

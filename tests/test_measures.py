@@ -16,7 +16,7 @@ from wolffpot import (
 from wolffpot import measures
 from wolffpot.errors import WolffpotError
 
-from oracles import cube_mass, empty_measure, level_keys, window_cube, window_keys
+from oracles import bernoulli_cascade_weights, cube_mass, empty_measure, level_keys, window_cube, window_keys
 
 
 def reverse_doubling(measure, window, gamma):
@@ -141,6 +141,21 @@ def test_cascade_child_masses():
             theta * cube_mass(m, window_cube(w, *key)), rel=1e-12
         )
         key = child
+
+
+@pytest.mark.parametrize("depth", [0, 1, 5, 10, 14, 18])
+@pytest.mark.parametrize("gamma", [0.01, 0.3, 0.415, 0.77, 0.999, 1.0])
+def test_cascade_weights_match_the_atom_loop_bit_for_bit(gamma, depth):
+    assert np.array_equal(bernoulli_cascade(gamma, depth).weights, bernoulli_cascade_weights(gamma, depth))
+
+
+def test_reverse_doubling_refuses_gamma_whose_powers_overflow():
+    w = LatticeWindow.from_box([(0.0, 1.0)], 0, 8)
+    grid = lebesgue_grid([(0.0, 1.0)], 8)
+    assert reverse_doubling(grid, w, 64.0)[1] > 0.0  # 2^(8 * 64) = 2^512 is a float
+    for gamma in (64.5, 200.0, np.inf, 0.0, -1.0):
+        with pytest.raises(WolffpotError, match="gamma must be positive with gamma"):
+            reverse_doubling(grid, w, gamma)
 
 
 def test_doubling_constant():
